@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NumericalError
 
@@ -159,17 +159,34 @@ def tridiagonal_solve(sys: TridiagonalSystem) -> np.ndarray:
     return x
 
 
-def _solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Pivoted banded solve, for systems with no dominance guarantee."""
+def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray,
+                        upper: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Pivoted LU of a tridiagonal matrix, for systems with no dominance guarantee.
+
+    Rows follow :class:`TridiagonalSystem` (``lower[0]`` and ``upper[-1]``
+    ignored).  The factorization is LAPACK ``dgttrf``, Gaussian elimination
+    with partial pivoting; the returned function back-substitutes one
+    finite right-hand side through it with ``dgttrs``, so a fixed matrix is
+    factored once however many systems it solves.  Non-finite coefficients
+    raise ``ValueError``; an exactly zero pivot raises
+    :class:`NumericalError`.
+    """
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(lower[1:]))
+            and np.all(np.isfinite(upper[:-1]))):
+        raise ValueError("tridiagonal coefficients must be finite")
     n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular tridiagonal system: {exc}") from None
+    if n < 3:
+        # the LAPACK wrappers need three rows; appended identity rows are
+        # decoupled, so the system's own pivots and solution are unchanged
+        pad = 3 - n
+        solve = _factor_tridiagonal(np.concatenate([lower, np.zeros(pad)]),
+                                    np.concatenate([diag, np.ones(pad)]),
+                                    np.concatenate([upper[:-1], np.zeros(pad + 1)]))
+        return lambda rhs: solve(np.concatenate([rhs, np.zeros(pad)]))[:n]
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
+    if info > 0:
+        raise NumericalError(f"singular tridiagonal system: zero pivot at row {info - 1}")
+    return lambda rhs: lapack.dgttrs(dl, d, du, du2, ipiv, rhs)[0]
 
 
 # ----------------------------------------------- classical demo schemes #
@@ -231,7 +248,7 @@ def solve_centered(sigma: float, mesh: Mesh1D) -> LayerSolution:
     rhs[0] -= sub[0] * 1.0  # u(0) = 1
     values = np.empty(mesh.j_count)
     values[0], values[-1] = 1.0, 0.0
-    values[1:-1] = _solve_banded(sub, diag, sup, rhs)
+    values[1:-1] = _factor_tridiagonal(sub, diag, sup)(rhs)
     lam = (1.0 - h / sigma) / (1.0 + h / sigma)
     return LayerSolution(values=values, lam=lam, oscillatory=lam < 0.0)
 

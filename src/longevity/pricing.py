@@ -12,6 +12,12 @@ keeps every time level monotone regardless of how convection-dominated the
 coefficients are; the Black-Scholes operators used below become exactly
 that near ``S = 0``, where the diffusion ``vol**2 S**2 / 2`` vanishes.
 
+The march assembles that stencil once for as long as the coefficients
+ignore ``tau`` (constant-volatility Black-Scholes and the mortality-option
+grid never change it) and LU-factors each step matrix once per theta, so a
+step costs one back-substitution.  Coefficients that move with ``tau``, as
+under :class:`VolatilityDecay`, are re-assembled and re-factored every step.
+
 Option valuation composes the march with payoff-specific boundary data.
 American exercise is handled by projecting each time level onto the payoff,
 which is the discrete form of comparing continuation and intrinsic value
@@ -28,8 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
-from .fdm import Mesh1D, _solve_banded, fitted_stencil
+from .errors import NumericalError, require_finite
+from .fdm import Mesh1D, _factor_tridiagonal, fitted_stencil
 from .lifetable import LifeTable, complete_expectation
 from .settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
 from .simulate import GbmParams, RngStream, randomized_horizon_payoff
@@ -58,6 +64,7 @@ class VolatilityDecay:
     decay: float
 
     def __post_init__(self):
+        require_finite(sigma0=self.sigma0, decay=self.decay)
         if not self.sigma0 > 0.0:
             raise ValueError("sigma0 must be positive")
         if self.decay < 0.0:
@@ -93,22 +100,28 @@ class ParabolicProblem:
             raise ValueError("horizon must be positive")
 
 
-def _interior_coeffs(prob: ParabolicProblem, xi: np.ndarray, h: float, tau: float,
-                     variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fitted row coefficients of the spatial operator plus source, at one level."""
-    shape = xi.shape
-    sg = np.broadcast_to(np.asarray(prob.sigma(xi, tau), dtype=float), shape)
-    mu = np.broadcast_to(np.asarray(prob.mu(xi, tau), dtype=float), shape)
-    bb = np.broadcast_to(np.asarray(prob.b_coef(xi, tau), dtype=float), shape)
-    ff = np.broadcast_to(np.asarray(prob.f(xi, tau), dtype=float), shape)
-    sub, center, sup = fitted_stencil(mu, h, sg, variant)
-    return sub, center + bb, sup, ff
+def _coefficients(prob: ParabolicProblem, xi: np.ndarray, tau: float) -> list[np.ndarray]:
+    """``sigma``, ``mu``, ``b_coef`` and ``f`` on the interior nodes at one level."""
+    out = []
+    for c in (prob.sigma, prob.mu, prob.b_coef, prob.f):
+        a = np.asarray(c(xi, tau), dtype=float)
+        out.append(a if a.shape == xi.shape else np.broadcast_to(a, xi.shape))
+    return out
 
 
 def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
            payoff_floor: Callable | None = None, track_exercise: bool = False,
            variant: str = "exponential"):
     """Theta-march the problem over the horizon, one theta per step.
+
+    Every step evaluates the coefficients at its new ``tau``, but the
+    fitted stencil is re-assembled only when ``sigma``, ``mu`` or
+    ``b_coef`` come out different from the previous level's (``f`` enters
+    the right-hand side alone), so coefficients that ignore ``tau`` are
+    assembled once per march.  The step matrix ``I - k*theta*A`` is
+    LU-factored once per distinct theta and reused until the stencil
+    changes: a Rannacher start followed by Crank-Nicolson costs two
+    factorizations in all.
 
     Optionally projects every level onto ``payoff_floor`` (American
     constraint) and records, per level, the largest node where the value
@@ -137,14 +150,27 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     times = []
     boundary = []
 
-    old = _interior_coeffs(prob, xi, h, 0.0, variant)
+    def assemble(coeffs):
+        sg, mu, bb = coeffs
+        sub, center, sup = fitted_stencil(mu, h, sg, variant)
+        return sub, center + bb, sup
+
+    *coeffs, f_o = _coefficients(prob, xi, 0.0)
+    # copies, so a callable that refills one buffer in place still reads as changed
+    coeffs = [np.array(c) for c in coeffs]
+    stencil = old = assemble(coeffs)
+    solves = {}  # theta -> back-substitution through the factored step matrix
     for n, theta in enumerate(thetas):
         if not 0.0 <= theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
         tau_new = (n + 1) * k
-        new = _interior_coeffs(prob, xi, h, tau_new, variant)
-        sub_o, dia_o, sup_o, f_o = old
-        sub_n, dia_n, sup_n, f_n = new
+        *fresh, f_n = _coefficients(prob, xi, tau_new)
+        if not all((a == b).all() for a, b in zip(fresh, coeffs)):
+            coeffs = [np.array(c) for c in fresh]
+            stencil = assemble(coeffs)
+            solves = {}
+        sub_o, dia_o, sup_o = old
+        sub_n, dia_n, sup_n = stencil
 
         with np.errstate(over="ignore", invalid="ignore"):
             explicit = sub_o * U[:-2] + dia_o * U[1:-1] + sup_o * U[2:]
@@ -155,14 +181,14 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
         if not np.all(np.isfinite(rhs)):
             raise _step_blowup(n, n_steps, k)
 
-        lower = -k * theta * sub_n
-        diag = 1.0 - k * theta * dia_n
-        upper = -k * theta * sup_n
-        interior = _solve_banded(lower, diag, upper, rhs)
+        solve = solves.get(theta)
+        if solve is None:
+            solve = solves[theta] = _factor_tridiagonal(
+                -k * theta * sub_n, 1.0 - k * theta * dia_n, -k * theta * sup_n)
 
         U = np.empty_like(U)
         U[0], U[-1] = g0v, g1v
-        U[1:-1] = interior
+        U[1:-1] = solve(rhs)
         if not np.all(np.isfinite(U)):
             raise _step_blowup(n, n_steps, k)
         if floor is not None:
@@ -170,7 +196,7 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
         if track_exercise:
             times.append(tau_new)
             boundary.append(_exercise_node(x, U, floor))
-        old = new
+        old, f_o = stencil, f_n
     if track_exercise:
         return U, np.asarray(times), np.asarray(boundary)
     return U, None, None
@@ -259,10 +285,16 @@ def _bs_problem(kind: str, strike: float, rate: float, vol, expiry: float,
     return ParabolicProblem(sigma, mu, b_coef, f, phi, g0, g1, expiry)
 
 
-def _check_option_args(kind: str, strike: float, expiry: float, s_max: float | None,
-                       intervals: int, steps: int, rannacher_steps: int) -> float:
+def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float,
+                       s_max: float | None, intervals: int, steps: int,
+                       rannacher_steps: int) -> float:
     if kind not in ("call", "put"):
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
+    require_finite(strike=strike, rate=rate, expiry=expiry)
+    if not isinstance(vol, VolatilityDecay):
+        require_finite(vol=float(vol))
+    if s_max is not None:
+        require_finite(s_max=s_max)
     if not strike > 0.0:
         raise ValueError("strike must be positive")
     if not expiry > 0.0:
@@ -292,7 +324,8 @@ def price_european(kind: str, strike: float, rate: float, vol, expiry: float,
     The domain is truncated at ``s_max`` (four strikes by default) with the
     discounted asymptotic payoff imposed there.
     """
-    s_max = _check_option_args(kind, strike, expiry, s_max, intervals, steps, rannacher_steps)
+    s_max = _check_option_args(kind, strike, rate, vol, expiry, s_max, intervals, steps,
+                               rannacher_steps)
     mesh = Mesh1D(0.0, s_max, intervals + 1)
     prob = _bs_problem(kind, strike, rate, vol, expiry, s_max)
     U, _, _ = _march(prob, mesh, _thetas(steps, rannacher_steps))
@@ -309,7 +342,8 @@ def price_american(kind: str, strike: float, rate: float, vol, expiry: float,
     ``value >= payoff`` everywhere.  The reported exercise boundary is the
     largest underlying level sitting on the payoff at each time level.
     """
-    s_max = _check_option_args(kind, strike, expiry, s_max, intervals, steps, rannacher_steps)
+    s_max = _check_option_args(kind, strike, rate, vol, expiry, s_max, intervals, steps,
+                               rannacher_steps)
     mesh = Mesh1D(0.0, s_max, intervals + 1)
     prob = _bs_problem(kind, strike, rate, vol, expiry, s_max)
     if kind == "put":

@@ -71,6 +71,43 @@ def test_price_option_value_format(capsys):
     assert 9.0 < float(text) < 12.0
 
 
+PUT_ARGS = ("price-option", "--kind", "put", "--style", "european",
+            "--strike", "100", "--rate", "0.05", "--vol", "0.2", "--expiry", "1")
+
+
+def test_price_option_default_rannacher_fits_a_single_step(capsys):
+    code, out, err = invoke(capsys, *PUT_ARGS, "--grid", "400,1")
+    assert code == 0, err
+    assert out.startswith("value=")
+
+
+def test_price_option_explicit_rannacher_beyond_the_steps_exits_2(capsys):
+    code, out, err = invoke(capsys, *PUT_ARGS, "--grid", "400,2", "--rannacher", "3")
+    assert code == 2
+    assert out == ""
+    assert "rannacher" in err
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--rate", "nan", "rate"),
+    ("--vol", "inf", "vol"),
+    ("--vol", "nan", "vol"),
+    ("--strike", "inf", "strike"),
+    ("--expiry", "nan", "expiry"),
+    ("--smax", "inf", "s_max"),
+])
+def test_price_option_non_finite_input_exits_2_naming_it(capsys, flag, value, name):
+    args = list(PUT_ARGS)
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    code, out, err = invoke(capsys, *args, "--grid", "50,50")
+    assert code == 2
+    assert out == ""
+    assert f"{name} must be finite" in err
+
+
 # ---------------------------------------------------------- csv output #
 
 

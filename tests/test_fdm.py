@@ -11,6 +11,7 @@ from longevity.fdm import (
     Mesh1D,
     TridiagonalSystem,
     TwoPointBVP,
+    _factor_tridiagonal,
     difference_ops,
     fitted_diffusion,
     fitted_stencil,
@@ -69,6 +70,34 @@ def test_tridiagonal_zero_pivot_raises():
     sys = TridiagonalSystem([0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0])
     with pytest.raises(NumericalError, match="zero pivot"):
         tridiagonal_solve(sys)
+
+
+def test_pivoted_factor_matches_dense_for_every_right_hand_side():
+    # no dominance: the diagonal can be smaller than its neighbours, so the
+    # elimination has to pivot; sizes below three go through the padding
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 40):
+        lower, diag, upper = (rng.uniform(-1.0, 1.0, n) for _ in range(3))
+        solve = _factor_tridiagonal(lower, diag, upper)
+        dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+        for _ in range(3):
+            rhs = rng.uniform(-5.0, 5.0, n)
+            np.testing.assert_allclose(solve(rhs), np.linalg.solve(dense, rhs), rtol=1e-9)
+
+
+@pytest.mark.parametrize("lower, diag, upper", [
+    ([0.0], [0.0], [0.0]),
+    ([0.0, 1.0], [1.0, 1.0], [1.0, 0.0]),
+    ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]),  # rows 0 and 1 equal
+])
+def test_pivoted_factor_rejects_an_exactly_singular_system(lower, diag, upper):
+    with pytest.raises(NumericalError, match="singular"):
+        _factor_tridiagonal(*(np.array(v) for v in (lower, diag, upper)))
+
+
+def test_pivoted_factor_rejects_non_finite_coefficients():
+    with pytest.raises(ValueError, match="finite"):
+        _factor_tridiagonal(np.zeros(4), np.array([1.0, np.nan, 1.0, 1.0]), np.zeros(4))
 
 
 def test_layer_exact_endpoints_and_shape():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from longevity import pricing
 from longevity.errors import NumericalError
-from longevity.fdm import Mesh1D
+from longevity.fdm import Mesh1D, fitted_stencil
 from longevity.lifetable import LifeTable, complete_expectation, death_distribution
 from longevity.pricing import (
     MortalityOptionValue,
@@ -129,6 +130,10 @@ def test_volatility_decay_validation_and_level():
         VolatilityDecay(sigma0=0.0, decay=0.1)
     with pytest.raises(ValueError):
         VolatilityDecay(sigma0=0.2, decay=-0.1)
+    with pytest.raises(ValueError, match="decay must be finite"):
+        VolatilityDecay(sigma0=0.2, decay=math.nan)
+    with pytest.raises(ValueError, match="sigma0 must be finite"):
+        VolatilityDecay(sigma0=math.inf, decay=0.1)
 
 
 def test_european_call_and_put_match_closed_form():
@@ -173,6 +178,14 @@ def test_option_argument_validation():
         price_european("call", STRIKE, RATE, VOL, EXPIRY, steps=4, rannacher_steps=10)
     with pytest.raises(ValueError):
         price_european("call", STRIKE, RATE, 0.0, EXPIRY)
+    for name, args in (("rate", (STRIKE, math.nan, VOL, EXPIRY)),
+                       ("vol", (STRIKE, RATE, math.inf, EXPIRY)),
+                       ("strike", (math.inf, RATE, VOL, EXPIRY)),
+                       ("expiry", (STRIKE, RATE, VOL, math.nan))):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            price_american("put", *args)
+    with pytest.raises(ValueError, match="s_max must be finite"):
+        price_european("call", STRIKE, RATE, VOL, EXPIRY, s_max=math.inf)
 
 
 def test_value_at_rejects_levels_off_the_grid():
@@ -210,6 +223,130 @@ def test_american_call_never_exercised_early():
     assert abs(got - want) <= 2e-3 * want
     assert np.all(np.isnan(amer.exercise_boundary))
     assert euro.exercise_boundary is None
+
+
+# ------------------------------------- march against a dense reference #
+#
+# The reference re-assembles the fitted stencil at every level and solves
+# each step densely, so it shares no reuse logic with the march.
+
+
+def reference_march(prob, mesh, thetas, floor=None):
+    x = mesh.points()
+    xi = x[1:-1]
+    k = prob.horizon / len(thetas)
+
+    def level(tau):
+        def coef(c):
+            return np.broadcast_to(np.asarray(c(xi, tau), dtype=float), xi.shape)
+        sub, center, sup = fitted_stencil(coef(prob.mu), mesh.h, coef(prob.sigma))
+        A = np.diag(center + coef(prob.b_coef)) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+        return A, sub[0], sup[-1], coef(prob.f)
+
+    U = np.asarray(prob.phi(x), dtype=float).copy()
+    U[0], U[-1] = prob.g0(0.0), prob.g1(0.0)
+    if floor is not None:
+        U = np.maximum(U, floor(x))
+    A_o, left_o, right_o, f_o = level(0.0)
+    for n, theta in enumerate(thetas):
+        tau = (n + 1) * k
+        A_n, left_n, right_n, f_n = level(tau)
+        g0, g1 = prob.g0(tau), prob.g1(tau)
+        explicit = A_o @ U[1:-1]
+        explicit[0] += left_o * U[0]
+        explicit[-1] += right_o * U[-1]
+        rhs = U[1:-1] + k * (1.0 - theta) * (explicit - f_o) - k * theta * f_n
+        rhs[0] += k * theta * left_n * g0
+        rhs[-1] += k * theta * right_n * g1
+        inner = np.linalg.solve(np.eye(xi.size) - k * theta * A_n, rhs)
+        U = np.concatenate([[g0], inner, [g1]])
+        if floor is not None:
+            U = np.maximum(U, floor(x))
+        A_o, left_o, right_o, f_o = A_n, left_n, right_n, f_n
+    return U
+
+
+def assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def bs_reference(kind, vol_at, american, intervals=60, steps=60):
+    s_max = 4.0 * STRIKE
+    sigma = lambda x, tau: 0.5 * vol_at(tau) ** 2 * x * x
+    mu = lambda x, tau: RATE * x
+    b_coef = lambda x, tau: np.full_like(x, -RATE)
+    f = lambda x, tau: np.zeros_like(x)
+    if kind == "call":
+        payoff = lambda x: np.maximum(x - STRIKE, 0.0)
+        g0 = lambda tau: 0.0
+        g1 = lambda tau: s_max - STRIKE * math.exp(-RATE * tau)
+    else:
+        payoff = lambda x: np.maximum(STRIKE - x, 0.0)
+        g0 = (lambda tau: STRIKE) if american else (lambda tau: STRIKE * math.exp(-RATE * tau))
+        g1 = lambda tau: 0.0
+    prob = ParabolicProblem(sigma, mu, b_coef, f, payoff, g0, g1, EXPIRY)
+    thetas = [1.0] * 4 + [0.5] * (steps - 4)
+    return reference_march(prob, Mesh1D(0.0, s_max, intervals + 1), thetas,
+                           floor=payoff if american else None)
+
+
+def switching_problem():
+    # sigma jumps up over the middle third of the horizon and back down, so
+    # the march must re-assemble (and re-factor) twice and f varies with tau
+    def sigma(x, tau):
+        return (0.1 + x * x) * (4.0 if 1.0 / 3.0 < tau <= 2.0 / 3.0 else 1.0)
+    return ParabolicProblem(
+        sigma=sigma,
+        mu=lambda x, tau: 5.0 * (1.0 - 2.0 * x),
+        b_coef=lambda x, tau: np.full_like(x, -0.5),
+        f=lambda x, tau: np.sin(np.pi * x) * math.cos(tau),
+        phi=lambda x: x * (1.0 - x),
+        g0=lambda tau: 0.0,
+        g1=lambda tau: 0.0,
+        horizon=1.0,
+    )
+
+
+@pytest.mark.parametrize("vol", [VOL, VolatilityDecay(0.3, 0.8)], ids=["const", "decay"])
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_pricers_match_the_dense_reference_march(kind, vol):
+    vol_at = vol.at if isinstance(vol, VolatilityDecay) else (lambda tau: VOL)
+    euro = price_european(kind, STRIKE, RATE, vol, EXPIRY, intervals=60, steps=60)
+    assert_close(euro.values, bs_reference(kind, vol_at, american=False))
+    amer = price_american(kind, STRIKE, RATE, vol, EXPIRY, intervals=60, steps=60)
+    assert_close(amer.values, bs_reference(kind, vol_at, american=True))
+
+
+@pytest.mark.parametrize("prob", [heat_problem(0.1), switching_problem()], ids=["heat", "switch"])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_step_parabolic_matches_the_dense_reference_march(prob, theta):
+    mesh = Mesh1D(0.0, 1.0, 41)
+    got = step_parabolic(prob, mesh, n_steps=30, theta=theta)
+    assert_close(got, reference_march(prob, mesh, [theta] * 30))
+
+
+@pytest.fixture
+def stencil_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fitted_stencil(*args, **kwargs)
+    monkeypatch.setattr(pricing, "fitted_stencil", counting)
+    return calls
+
+
+def test_stencil_is_assembled_once_while_the_coefficients_ignore_tau(stencil_calls):
+    for price in (price_european, price_american):
+        stencil_calls.clear()
+        price("put", STRIKE, RATE, VOL, EXPIRY, intervals=50, steps=30)
+        assert len(stencil_calls) == 1
+        stencil_calls.clear()
+        price("put", STRIKE, RATE, VolatilityDecay(VOL, 0.5), EXPIRY, intervals=50, steps=30)
+        assert len(stencil_calls) == 30 + 1
+    stencil_calls.clear()
+    step_parabolic(switching_problem(), Mesh1D(0.0, 1.0, 41), n_steps=30)
+    assert len(stencil_calls) == 3
 
 
 # ----------------------------------------------------- mortality option #
