@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, require_finite
 from .fdm import Mesh1D, TwoPointBVP, layer_exact, solve_centered, solve_fitted, solve_upwind
 from .lifetable import (
     LifeTable,
@@ -143,6 +143,7 @@ def _cmd_vole(ns) -> str:
 
 def _cmd_markov(ns) -> str:
     model = TwoStateModel(ns.rate)
+    require_finite(horizon=ns.horizon)
     if ns.horizon <= 0.0:
         raise ValueError("--horizon must be positive")
     if ns.points < 2:

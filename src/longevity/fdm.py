@@ -38,13 +38,11 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import NumericalError
+from .errors import NumericalError, require_finite
 
 __all__ = [
     "Mesh1D",
     "difference_ops",
-    "TridiagonalSystem",
-    "tridiagonal_solve",
     "LayerSolution",
     "layer_exact",
     "solve_centered",
@@ -107,69 +105,20 @@ def difference_ops(u: np.ndarray, j: int, h: float) -> tuple[float, float, float
 
 # ----------------------------------------------------------- tridiagonal #
 
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """Rows ``lower[j]*x[j-1] + diag[j]*x[j] + upper[j]*x[j+1] = rhs[j]``.
-
-    All four vectors have the system size ``n``; ``lower[0]`` and
-    ``upper[n-1]`` are ignored.
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        arrays = [np.asarray(v, dtype=float) for v in (self.lower, self.diag, self.upper, self.rhs)]
-        for name, arr in zip(("lower", "diag", "upper", "rhs"), arrays):
-            object.__setattr__(self, name, arr)
-            if arr.ndim != 1 or arr.size != arrays[0].size:
-                raise ValueError("tridiagonal vectors must be 1-D and equally sized")
-        if arrays[0].size < 1:
-            raise ValueError("empty system")
-
-
-def tridiagonal_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Solve by the Thomas double sweep.
-
-    Safe for the diagonally dominant or monotone systems this module
-    assembles; a vanishing pivot raises :class:`NumericalError`.
-    """
-    n = sys.diag.size
-    c_prime = np.empty(n)
-    d_prime = np.empty(n)
-    denom = sys.diag[0]
-    if denom == 0.0:
-        raise NumericalError("zero pivot in tridiagonal solve at row 0")
-    c_prime[0] = sys.upper[0] / denom if n > 1 else 0.0
-    d_prime[0] = sys.rhs[0] / denom
-    for i in range(1, n):
-        denom = sys.diag[i] - sys.lower[i] * c_prime[i - 1]
-        if denom == 0.0:
-            raise NumericalError(f"zero pivot in tridiagonal solve at row {i}")
-        c_prime[i] = sys.upper[i] / denom if i < n - 1 else 0.0
-        d_prime[i] = (sys.rhs[i] - sys.lower[i] * d_prime[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = d_prime[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d_prime[i] - c_prime[i] * x[i + 1]
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("tridiagonal solve produced non-finite values")
-    return x
-
-
 def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray,
                         upper: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Pivoted LU of a tridiagonal matrix, for systems with no dominance guarantee.
+    """Pivoted LU of a tridiagonal matrix, the one tridiagonal solver here.
 
-    Rows follow :class:`TridiagonalSystem` (``lower[0]`` and ``upper[-1]``
-    ignored).  The factorization is LAPACK ``dgttrf``, Gaussian elimination
-    with partial pivoting; the returned function back-substitutes one
-    finite right-hand side through it with ``dgttrs``, so a fixed matrix is
-    factored once however many systems it solves.  Non-finite coefficients
-    raise ``ValueError``; an exactly zero pivot raises
-    :class:`NumericalError`.
+    Row ``j`` reads ``lower[j]*x[j-1] + diag[j]*x[j] + upper[j]*x[j+1]``;
+    all three vectors have the system size, and ``lower[0]`` and
+    ``upper[-1]`` are ignored.  The factorization is LAPACK ``dgttrf``,
+    Gaussian elimination with partial pivoting, so it needs no diagonal
+    dominance; the returned function back-substitutes one right-hand side
+    through it with ``dgttrs``, so a fixed matrix is factored once however
+    many systems it solves.  Non-finite coefficients raise ``ValueError``;
+    an exactly zero pivot raises :class:`NumericalError`.  The
+    back-substitution does not check its output, so callers that need a
+    finite solution test for it.
     """
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(lower[1:]))
             and np.all(np.isfinite(upper[:-1]))):
@@ -197,8 +146,7 @@ def layer_exact(sigma: float, x) -> np.ndarray | float:
     ``(exp(-2x/sigma) - exp(-2/sigma)) / (1 - exp(-2/sigma))``, computed
     with underflow-safe exponentials.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_layer_sigma(sigma)
     x = np.asarray(x, dtype=float)
     tail = math.exp(-2.0 / sigma) if 2.0 / sigma < 745.0 else 0.0
     out = (np.exp(-2.0 * x / sigma) - tail) / (1.0 - tail)
@@ -219,11 +167,29 @@ class LayerSolution:
     oscillatory: bool
 
 
-def _layer_closed_form(lam: float, j_count: int) -> np.ndarray:
-    j = np.arange(j_count)
-    lam_pow = lam ** j.astype(float)
-    lam_big = lam ** float(j_count - 1)
-    return (lam_pow - lam_big) / (1.0 - lam_big)
+def _check_layer_sigma(sigma: float) -> None:
+    require_finite(sigma=sigma)
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
+
+
+def _solve_layer(sigma: float, mesh: Mesh1D, sub: float, diag: float, sup: float) -> np.ndarray:
+    """Mesh values of the layer problem for one scheme's row coefficients.
+
+    ``sub``, ``diag`` and ``sup`` multiply ``u[j-1]``, ``u[j]`` and
+    ``u[j+1]`` in every interior row; ``sigma`` and the mesh are checked
+    here, and the boundary value ``u(0) = 1`` moves to the right-hand side.
+    """
+    _check_layer_sigma(sigma)
+    if not (mesh.a == 0.0 and mesh.b == 1.0):
+        raise ValueError("the layer problem lives on (0, 1)")
+    n = mesh.j_count - 2
+    rhs = np.zeros(n)
+    rhs[0] = -sub
+    values = np.empty(mesh.j_count)
+    values[0], values[-1] = 1.0, 0.0
+    values[1:-1] = _factor_tridiagonal(*(np.full(n, c) for c in (sub, diag, sup)))(rhs)
+    return values
 
 
 def solve_centered(sigma: float, mesh: Mesh1D) -> LayerSolution:
@@ -232,23 +198,12 @@ def solve_centered(sigma: float, mesh: Mesh1D) -> LayerSolution:
     The scheme's root is ``lam = (1 - h/sigma) / (1 + h/sigma)``: negative
     as soon as ``sigma < h``, at which point the discrete solution
     oscillates node to node even though the continuous solution is
-    monotone.  The solve is done with a pivoted banded factorization since
-    the matrix loses diagonal dominance exactly in that regime.
+    monotone.  The pivoted factorization solves it even though the matrix
+    loses diagonal dominance exactly in that regime.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if not (mesh.a == 0.0 and mesh.b == 1.0):
-        raise ValueError("the layer problem lives on (0, 1)")
     h = mesh.h
-    n = mesh.j_count - 2
-    sub = np.full(n, sigma / h**2 - 1.0 / h)
-    diag = np.full(n, -2.0 * sigma / h**2)
-    sup = np.full(n, sigma / h**2 + 1.0 / h)
-    rhs = np.zeros(n)
-    rhs[0] -= sub[0] * 1.0  # u(0) = 1
-    values = np.empty(mesh.j_count)
-    values[0], values[-1] = 1.0, 0.0
-    values[1:-1] = _factor_tridiagonal(sub, diag, sup)(rhs)
+    values = _solve_layer(sigma, mesh, sigma / h**2 - 1.0 / h, -2.0 * sigma / h**2,
+                          sigma / h**2 + 1.0 / h)
     lam = (1.0 - h / sigma) / (1.0 + h / sigma)
     return LayerSolution(values=values, lam=lam, oscillatory=lam < 0.0)
 
@@ -261,20 +216,9 @@ def solve_upwind(sigma: float, mesh: Mesh1D) -> LayerSolution:
     near the layer that tends to ``1/3 - exp(-2)`` (about 0.198) as
     ``h/sigma = 1`` is held while the mesh refines.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if not (mesh.a == 0.0 and mesh.b == 1.0):
-        raise ValueError("the layer problem lives on (0, 1)")
     h = mesh.h
-    n = mesh.j_count - 2
-    sub = np.full(n, sigma / h**2)
-    diag = np.full(n, -2.0 * sigma / h**2 - 2.0 / h)
-    sup = np.full(n, sigma / h**2 + 2.0 / h)
-    rhs = np.zeros(n)
-    rhs[0] -= sub[0] * 1.0
-    values = np.empty(mesh.j_count)
-    values[0], values[-1] = 1.0, 0.0
-    values[1:-1] = tridiagonal_solve(TridiagonalSystem(sub, diag, sup, rhs))
+    values = _solve_layer(sigma, mesh, sigma / h**2, -2.0 * sigma / h**2 - 2.0 / h,
+                          sigma / h**2 + 2.0 / h)
     lam = 1.0 / (1.0 + 2.0 * h / sigma)
     return LayerSolution(values=values, lam=lam, oscillatory=False)
 
@@ -310,6 +254,7 @@ def fitting_factor(mu: float, h: float, sigma: float) -> float:
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
+    require_finite(mu=mu, sigma=sigma)
     if sigma <= 0.0:
         raise ValueError("fitting factor needs sigma > 0; use fitted_diffusion for the limit")
     q = mu * h / (2.0 * sigma)
@@ -354,6 +299,20 @@ def _rho_and_excess(q: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray
     return rho, excess
 
 
+def _fitted_coefficients(mu, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """``mu`` and ``sigma`` broadcast to float arrays, finite and ``sigma >= 0``.
+
+    A nan ``sigma`` fails every comparison, so without the finiteness test
+    its row would pass for a degenerate one and be silently upwinded.
+    """
+    mu, sigma = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float))
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        raise ValueError("diffusion sigma and convection mu must be finite")
+    if np.any(sigma < 0.0):
+        raise ValueError("sigma must be >= 0")
+    return mu, sigma
+
+
 def fitted_diffusion(mu, h: float, sigma, variant: str = "exponential") -> np.ndarray:
     """Fitted diffusion coefficient ``gamma = sigma * rho(q)``, vectorized.
 
@@ -363,11 +322,7 @@ def fitted_diffusion(mu, h: float, sigma, variant: str = "exponential") -> np.nd
     """
     if variant not in FITTING_VARIANTS:
         raise ValueError(f"unknown fitting variant {variant!r}, want one of {FITTING_VARIANTS}")
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    mu, sigma = np.broadcast_arrays(mu, sigma)
-    if np.any(sigma < 0.0):
-        raise ValueError("sigma must be >= 0")
+    mu, sigma = _fitted_coefficients(mu, sigma)
     # gamma = sigma * rho(q) = |mu| h / 2 + sigma * (rho - |q|), and the
     # second term vanishes in the sigma -> 0 limit (including the case
     # where q itself overflows for subnormal sigma)
@@ -397,11 +352,7 @@ def fitted_stencil(mu, h: float, sigma, variant: str = "exponential") -> tuple[n
         raise ValueError(f"unknown fitting variant {variant!r}, want one of {FITTING_VARIANTS}")
     if h <= 0.0:
         raise ValueError("h must be positive")
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    mu, sigma = (a.copy() for a in np.broadcast_arrays(mu, sigma))
-    if np.any(sigma < 0.0):
-        raise ValueError("sigma must be >= 0")
+    mu, sigma = (a.copy() for a in _fitted_coefficients(mu, sigma))
     sub = np.empty_like(mu)
     sup = np.empty_like(mu)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -445,9 +396,11 @@ def solve_fitted(bvp: TwoPointBVP, mesh: Mesh1D, variant: str = "exponential") -
     Assembles, for each interior node,
     ``gamma*(second difference) + mu*(centered first difference) + b*u = f``
     with the fitted ``gamma``, asserts the monotone sign pattern row by row
-    (off-diagonals positive, diagonal negative), and solves with the Thomas
-    sweep.  The solution obeys the uniform bound
-    ``max|U| <= |beta0| + |beta1| + max|f| / min(mu)``.
+    (off-diagonals positive, diagonal negative), and solves with the pivoted
+    tridiagonal factorization.  The solution obeys the uniform bound
+    ``max|U| <= |beta0| + |beta1| + max|f| / min(mu)``; a non-finite
+    solution (from a non-finite source or boundary value, or overflow)
+    raises :class:`NumericalError`.
 
     Sign convention for positivity: with ``b <= 0``, a source ``f <= 0``
     and boundary values ``>= 0`` produce a solution ``>= 0`` everywhere.
@@ -482,5 +435,7 @@ def solve_fitted(bvp: TwoPointBVP, mesh: Mesh1D, variant: str = "exponential") -
     rhs[-1] -= sup[-1] * bvp.beta1
     values = np.empty(mesh.j_count)
     values[0], values[-1] = bvp.beta0, bvp.beta1
-    values[1:-1] = tridiagonal_solve(TridiagonalSystem(sub, diag, sup, rhs))
+    values[1:-1] = _factor_tridiagonal(sub, diag, sup)(rhs)
+    if not np.all(np.isfinite(values[1:-1])):
+        raise NumericalError("fitted solve produced non-finite values")
     return values

@@ -28,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_finite
 
 __all__ = [
     "LifeTable",
@@ -114,6 +114,7 @@ class MortalityAssumptions:
     improvement: float = 0.0
 
     def __post_init__(self):
+        require_finite(multiplier=self.multiplier, improvement=self.improvement)
         if self.multiplier < 0.0:
             raise ValueError("mortality multiplier must be >= 0")
         if not (0.0 <= self.improvement < 1.0):

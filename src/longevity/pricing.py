@@ -270,7 +270,14 @@ def _vol_of_tau(vol) -> Callable[[float], float]:
 def _bs_problem(kind: str, strike: float, rate: float, vol, expiry: float,
                 s_max: float) -> ParabolicProblem:
     vf = _vol_of_tau(vol)
-    sigma = lambda x, tau: 0.5 * vf(tau) ** 2 * x * x
+
+    def sigma(x, tau):
+        # v * v, not v ** 2: on a huge volatility the float power raises
+        # OverflowError, while the product overflows to inf, which the
+        # fitted stencil rejects as a domain error
+        v = vf(tau)
+        return 0.5 * v * v * x * x
+
     mu = lambda x, tau: rate * x
     b_coef = lambda x, tau: np.full_like(x, -rate)
     f = lambda x, tau: np.zeros_like(x)

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, require_finite
 
 __all__ = [
     "FlatPolicy",
@@ -59,6 +58,7 @@ class FlatPolicy:
     r: float
 
     def __post_init__(self):
+        require_finite(premium=self.p, benefit=self.b, rate=self.r)
         if self.p < 0.0:
             raise ValueError("premium must be >= 0")
         if self.b <= 0.0:
@@ -87,8 +87,11 @@ class PolicySchedule:
         object.__setattr__(self, "benefits", ben)
         if prem.ndim != 1 or prem.size == 0 or prem.shape != ben.shape:
             raise ValueError("premium and benefit vectors must be 1-D, non-empty, same length")
+        if not (np.all(np.isfinite(prem)) and np.all(np.isfinite(ben))):
+            raise ValueError("schedule entries must be finite")
         if np.any(prem < 0.0) or np.any(ben < 0.0):
             raise ValueError("schedule entries must be >= 0")
+        require_finite(rate=self.r)
         if self.r <= 0.0:
             raise ValueError("discount rate must be positive")
 
@@ -120,7 +123,10 @@ def lsv(pol: FlatPolicy, t: float) -> float:
     ``b``.  Integer ``t`` is the contractual case; real ``t`` is accepted for
     the calculus helpers built on top.
     """
-    if t < 0:
+    # one chained comparison, since a Monte Carlo payoff calls this once per
+    # path; nan and inf fail it too and are named by require_finite
+    if not 0 <= t < math.inf:
+        require_finite(t=t)
         raise ValueError("t must be >= 0")
     a = pol.a
     return a**t * (pol.p / pol.r + pol.b) - pol.p / pol.r
@@ -142,7 +148,8 @@ def lsv_dt(pol: FlatPolicy, t: float) -> float:
     ``(p/r + b) * a**t * ln(a)``, the derivative of ``lsv`` in continuous
     ``t``.  Always negative: living longer always erodes the position.
     """
-    if t < 0:
+    if not 0 <= t < math.inf:
+        require_finite(t=t)
         raise ValueError("t must be >= 0")
     a = pol.a
     return (pol.p / pol.r + pol.b) * a**t * math.log(a)
@@ -235,19 +242,35 @@ def npv(cf: CashflowSeries, rate: float) -> float:
     return float(np.polyval(cf.flows[::-1], x))
 
 
-def _npv_derivative(cf: CashflowSeries, rate: float) -> float:
-    periods = np.arange(cf.flows.size, dtype=float)
-    x = 1.0 + rate
-    return float(np.sum(-periods * cf.flows / x ** (periods + 1.0)))
+def _bisect(cf: CashflowSeries, lo: float, v_lo: float, hi: float, v_hi: float) -> float:
+    """Bisect a sign-change bracket of the NPV down to two adjacent floats.
+
+    Returns an exact zero if a midpoint hits one, else the end with the
+    smaller ``|NPV|``.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(v_lo) <= abs(v_hi) else hi
+        v_mid = npv(cf, mid)
+        if v_mid == 0.0:
+            return mid
+        if (v_mid < 0.0) == (v_lo < 0.0):
+            lo, v_lo = mid, v_mid
+        else:
+            hi, v_hi = mid, v_mid
 
 
 def irr(cf: CashflowSeries) -> float:
     """Internal rate of return: the rate making the NPV zero.
 
     The rate axis is scanned with ``1 + r`` doubling from ``1e-3`` (that is,
-    from ``r = -0.999``) up to ``1e6``; the first sign-change bracket is
-    solved by bisection and polished with Newton steps, which makes the
-    root returned the smallest one on that documented scan.  Convergence is
+    from ``r = -0.999``) up to ``1e6``.  A scan point where the NPV is
+    exactly zero is returned as it is; otherwise the first sign-change
+    bracket is bisected until its ends are adjacent floats, and the end
+    with the smaller ``|NPV|`` is returned.  The root therefore lies in the
+    first bracket of that documented scan; when that bracket holds several
+    roots, which of them is returned is unspecified.  The result is
     accepted when ``|NPV| <= 1e-6 * sum(|flows|)``.
     """
     scale = float(np.sum(np.abs(cf.flows)))
@@ -256,28 +279,18 @@ def irr(cf: CashflowSeries) -> float:
     rates.append(1e6)
     values = [npv(cf, r) for r in rates]
     root = None
-    for (r_lo, v_lo), (r_hi, v_hi) in zip(zip(rates, values), zip(rates[1:], values[1:])):
+    for (lo, v_lo), (hi, v_hi) in zip(zip(rates, values), zip(rates[1:], values[1:])):
         if v_lo == 0.0:
-            root = r_lo
+            root = lo
             break
         if v_lo * v_hi < 0.0:
-            root = float(brentq(lambda r: npv(cf, r), r_lo, r_hi, xtol=1e-13, rtol=1e-15))
+            root = _bisect(cf, lo, v_lo, hi, v_hi)
             break
     else:
-        if values and values[-1] == 0.0:
+        if values[-1] == 0.0:
             root = rates[-1]
     if root is None:
         raise NumericalError("no IRR found in (-0.999, 1e6) on the bracket scan")
-    for _ in range(8):  # Newton polish toward machine precision
-        deriv = _npv_derivative(cf, root)
-        if deriv == 0.0:
-            break
-        step = npv(cf, root) / deriv
-        if not math.isfinite(step) or abs(step) > 0.5 * (1.0 + abs(root)):
-            break
-        root -= step
-        if abs(step) < 1e-14 * (1.0 + abs(root)):
-            break
     if abs(npv(cf, root)) > 1e-6 * scale:
         raise NumericalError(
             f"IRR polish failed: |NPV({root})| = {abs(npv(cf, root)):.3e} "

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import require_finite
 from .lifetable import LifeTable, death_distribution
 
 __all__ = [
@@ -244,6 +245,7 @@ class GbmParams:
     s0: float
 
     def __post_init__(self):
+        require_finite(rate=self.rate, sigma=self.sigma, s0=self.s0)
         if self.sigma < 0.0:
             raise ValueError("sigma must be >= 0")
         if self.s0 <= 0.0:

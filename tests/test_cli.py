@@ -108,6 +108,51 @@ def test_price_option_non_finite_input_exits_2_naming_it(capsys, flag, value, na
     assert f"{name} must be finite" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("price-lsv", "--premium", "nan", "--benefit", "1000", "--rate", "0.05", "--t", "1"),
+     "premium"),
+    (("price-lsv", "--premium", "100", "--benefit", "inf", "--rate", "0.05", "--t", "1"),
+     "benefit"),
+    (("price-lsv", "--premium", "100", "--benefit", "1000", "--rate", "0.05", "--t", "inf"),
+     "t"),
+    (("critical-time", "--premium", "100", "--benefit", "1000", "--rate", "nan"), "rate"),
+    (("duration", "--premium", "100", "--benefit", "1000", "--rate", "0.05", "--t", "nan"),
+     "t"),
+    (("markov", "--rate", "0.5", "--horizon", "nan"), "horizon"),
+    (("simulate", "--age", "70", "--n", "100", "--seed", "1", "--multiplier", "inf"),
+     "multiplier"),
+    (("simulate", "--age", "70", "--n", "100", "--seed", "1", "--improvement", "nan"),
+     "improvement"),
+    (("price-mortality-option", "--age", "70", "--premium", "100", "--benefit", "1000",
+      "--policy-rate", "0.05", "--rate", "nan", "--vole-sigma", "0.1", "--n", "100",
+      "--seed", "1", "--grid", "20,20"), "rate"),
+])
+def test_non_finite_policy_or_model_input_exits_2_naming_it(capsys, argv, name):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{name} must be finite" in err
+
+
+@pytest.mark.parametrize("scheme", ["centered", "upwind", "fitted"])
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_fdm_demo_non_finite_sigma_exits_2(capsys, scheme, sigma):
+    code, out, err = invoke(capsys, "fdm-demo", "--scheme", scheme,
+                            "--sigma", sigma, "--J", "10")
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_price_option_huge_volatility_is_a_one_line_error(capsys):
+    args = list(PUT_ARGS)
+    args[args.index("--vol") + 1] = "1e200"
+    code, out, err = invoke(capsys, *args, "--grid", "50,50")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------- csv output #
 
 
@@ -262,3 +307,10 @@ def test_seeded_run_is_byte_identical_across_processes():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"year,count\r\n")
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    probe = "import sys, longevity.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"False\n"

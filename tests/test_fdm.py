@@ -9,7 +9,6 @@ from longevity.errors import NumericalError
 from longevity.fdm import (
     FITTING_VARIANTS,
     Mesh1D,
-    TridiagonalSystem,
     TwoPointBVP,
     _factor_tridiagonal,
     difference_ops,
@@ -21,7 +20,6 @@ from longevity.fdm import (
     solve_centered,
     solve_fitted,
     solve_upwind,
-    tridiagonal_solve,
 )
 
 
@@ -53,31 +51,20 @@ def test_difference_ops_on_quadratic():
         difference_ops(u, 20, mesh.h)
 
 
-def test_tridiagonal_solve_against_dense():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 5, 40):
-        lower = rng.uniform(-1.0, 1.0, n)
-        upper = rng.uniform(-1.0, 1.0, n)
-        diag = 4.0 + rng.uniform(0.0, 1.0, n)  # diagonally dominant
-        rhs = rng.uniform(-5.0, 5.0, n)
-        sys = TridiagonalSystem(lower, diag, upper, rhs)
-        got = tridiagonal_solve(sys)
-        dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-        np.testing.assert_allclose(got, np.linalg.solve(dense, rhs), rtol=1e-10)
-
-
-def test_tridiagonal_zero_pivot_raises():
-    sys = TridiagonalSystem([0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0])
-    with pytest.raises(NumericalError, match="zero pivot"):
-        tridiagonal_solve(sys)
-
-
 def test_pivoted_factor_matches_dense_for_every_right_hand_side():
     # no dominance: the diagonal can be smaller than its neighbours, so the
     # elimination has to pivot; sizes below three go through the padding
     rng = np.random.default_rng(11)
-    for n in (1, 2, 3, 40):
-        lower, diag, upper = (rng.uniform(-1.0, 1.0, n) for _ in range(3))
+
+    def systems():
+        for n in (1, 2, 3, 40):
+            yield tuple(rng.uniform(-1.0, 1.0, n) for _ in range(3))
+        # [[0, 1], [1, 1]]: nonsingular, but its first pivot is zero unless
+        # the rows are exchanged
+        yield np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])
+
+    for lower, diag, upper in systems():
+        n = diag.size
         solve = _factor_tridiagonal(lower, diag, upper)
         dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
         for _ in range(3):
@@ -287,3 +274,29 @@ def test_solve_fitted_rejects_wrong_sign_coefficients():
         beta0=0.0, beta1=0.0)
     with pytest.raises(ValueError):
         solve_fitted(bad_b, mesh)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_fitted_non_finite_source_raises_numerical_error(bad):
+    bvp = TwoPointBVP(
+        sigma=lambda x: np.full_like(x, 0.1),
+        mu=lambda x: np.full_like(x, 2.0),
+        b_coef=lambda x: np.zeros_like(x),
+        f=lambda x: np.where(x > 0.5, bad, 0.0),
+        beta0=1.0, beta1=0.0)
+    with pytest.raises(NumericalError, match="non-finite"):
+        solve_fitted(bvp, Mesh1D(0.0, 1.0, 21))
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: layer_exact(v, 0.5),
+    lambda v: fitted_stencil(np.array([v]), 0.1, np.array([1.0])),
+    lambda v: fitted_diffusion(np.array([2.0]), 0.1, np.array([v])),
+    lambda v: fitting_factor(2.0, 0.1, v),
+], ids=["layer_exact", "stencil-mu", "diffusion", "fitting_factor"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_diffusion_or_drift_is_rejected(call, bad):
+    # the layer solvers and a non-finite stencil sigma are covered through
+    # fdm-demo in test_cli.py
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)

@@ -167,6 +167,14 @@ def test_positive_decay_lowers_the_call_value():
     assert decayed.value_at(STRIKE) < flat.value_at(STRIKE)
 
 
+def test_huge_decaying_volatility_is_rejected_not_an_overflow_traceback():
+    # squaring 1e200 with a float power raised OverflowError; the product
+    # overflows to an infinite diffusion, which the stencil rejects
+    with pytest.raises(ValueError, match="finite"):
+        price_european("put", STRIKE, RATE, VolatilityDecay(1e200, 0.0), EXPIRY,
+                       intervals=20, steps=20)
+
+
 def test_option_argument_validation():
     with pytest.raises(ValueError, match="kind"):
         price_european("straddle", STRIKE, RATE, VOL, EXPIRY)

@@ -260,6 +260,39 @@ def test_irr_ladder_reproduces_published_returns(irr_ladder):
         assert abs(irr(flows) - expected) * 100.0 <= 1e-4
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    outflows=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=0, max_size=4),
+    first_out=st.floats(min_value=1.0, max_value=100.0),
+    inflows=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=0, max_size=9),
+    last_in=st.floats(min_value=1.0, max_value=100.0),
+)
+def test_irr_is_a_sign_change_between_adjacent_floats(outflows, first_out, inflows, last_in):
+    """One sign change in the flows means exactly one root, inside the scan.
+
+    The NPV is zero at the returned rate, or it changes sign between that
+    rate and one of its float neighbours.
+    """
+    cf = CashflowSeries([-first_out] + [-v for v in outflows] + inflows + [last_in])
+    root = irr(cf)
+    here = npv(cf, root)
+    neighbours = (npv(cf, math.nextafter(root, -math.inf)),
+                  npv(cf, math.nextafter(root, math.inf)))
+    assert here == 0.0 or any(here * v < 0.0 for v in neighbours)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PolicySchedule([100.0, math.nan], [1000.0, 1000.0], 0.05),
+    lambda: PolicySchedule([100.0, 100.0], [1000.0, math.inf], 0.05),
+    lambda: PolicySchedule([100.0], [1000.0], math.inf),
+    lambda: lsv_dt(FlatPolicy(100.0, 1000.0, 0.05), math.nan),
+])
+def test_non_finite_schedule_or_time_is_rejected(make):
+    # flat policies and lsv are covered through the CLI in test_cli.py
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_load_cashflows_and_gaps(tmp_path):
     p = tmp_path / "cf.csv"
     p.write_text("period,amount\n0,-100\n3,150\n")
