@@ -262,6 +262,7 @@ def _cmd_price_mortality_option(ns) -> str:
         intervals=intervals, steps=steps)
     out = _kv("mc_value", result.mc_value, digits=6)
     out += _kv("mc_std_error", result.mc_std_error, digits=6)
+    out += _kv("exact_value", result.exact_value, digits=6)
     out += _kv("pde_value", result.pde_value, digits=6)
     return out
 

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NumericalError, require_finite
 
@@ -120,6 +119,9 @@ def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray,
     back-substitution does not check its output, so callers that need a
     finite solution test for it.
     """
+    # imported here so that loading the package (and the CLI) pulls in no scipy
+    from scipy.linalg import lapack
+
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(lower[1:]))
             and np.all(np.isfinite(upper[:-1]))):
         raise ValueError("tridiagonal coefficients must be finite")

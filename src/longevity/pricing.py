@@ -23,7 +23,11 @@ American exercise is handled by projecting each time level onto the payoff,
 which is the discrete form of comparing continuation and intrinsic value
 node by node.  The mortality option values a policy position both by Monte
 Carlo over the death-year distribution and by the same PDE machinery on a
-notional index; both numbers are reported side by side.
+notional index; both numbers are reported side by side.  Its payoff depends
+on the death year alone, so it is valued once per year and gathered by
+index, by every path and every grid node; the same per-year vector summed
+against the death-year probabilities gives the exact value the Monte Carlo
+estimate targets.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalError, require_finite
 from .fdm import Mesh1D, _factor_tridiagonal, fitted_stencil
-from .lifetable import LifeTable, complete_expectation
+from .lifetable import LifeTable, complete_expectation, death_distribution
 from .settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
 from .simulate import GbmParams, RngStream, randomized_horizon_payoff
 
@@ -374,30 +378,33 @@ class MortalityOptionValue:
     """Twin valuations of the option on a settlement position.
 
     ``mc_value`` (with its standard error) prices the discounted payoff at
-    the random death year directly; ``pde_value`` prices an American-style
-    claim on a notional index whose volatility is the dispersion of the
-    expected-lifetime estimate.  The two answer subtly different questions
-    and are deliberately never averaged.
+    the random death year directly; ``exact_value`` is the expectation that
+    estimate targets, the discounted payoffs summed against the life
+    table's death-year probabilities, so ``mc_value - exact_value`` is pure
+    sampling error.  ``pde_value`` prices an American-style claim on a
+    notional index whose volatility is the dispersion of the
+    expected-lifetime estimate.  The Monte Carlo and grid values answer
+    subtly different questions and are deliberately never averaged.
     """
 
     mc_value: float
     mc_std_error: float
     pde_value: float
+    exact_value: float
 
 
-def _year_payoff(pol, t_max: int) -> Callable[[int], float]:
-    """Settlement payoff by death year, floored at zero, clamped to the schedule."""
+def _year_payoff(pol, t_max: int) -> np.ndarray:
+    """Settlement payoff by death year ``1..t_max``, floored at zero, clamped to the schedule.
+
+    Entry ``y - 1`` belongs to death year ``y``; one scalar valuation per
+    year, however many paths or grid nodes read it.
+    """
     if isinstance(pol, PolicySchedule):
         horizon = min(t_max, len(pol))
-
-        def payoff(year: int) -> float:
-            year = min(max(int(year), 1), horizon)
-            return max(lsv_schedule(pol, year), 0.0)
+        values = [lsv_schedule(pol, min(year, horizon)) for year in range(1, t_max + 1)]
     else:
-        def payoff(year: int) -> float:
-            year = min(max(int(year), 1), t_max)
-            return max(lsv(pol, year), 0.0)
-    return payoff
+        values = [lsv(pol, year) for year in range(1, t_max + 1)]
+    return np.array([max(v, 0.0) for v in values])
 
 
 def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x: int,
@@ -406,31 +413,33 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
     """Value the right to a settlement position's payoff at the (random) death year.
 
     Monte Carlo route: sample the death year from the life table, discount
-    ``max(position value, 0)`` back at ``r``, average.  PDE route: treat
-    the expected remaining lifetime as a notional log-normal index with
-    spot ``e = complete_expectation(table, x)`` and volatility
-    ``vole_sigma``, map index levels to death years by rounding, and value
-    the American-style claim on that payoff.  The index is a modeling
-    stand-in, so the two values are reported side by side rather than
-    reconciled.
+    ``max(position value, 0)`` back at ``r``, average; the same discounted
+    payoffs weighted by the death-year probabilities give ``exact_value``.
+    Either way the payoff is evaluated once per death year, not per path.
+    PDE route: treat the expected remaining lifetime as a notional
+    log-normal index with spot ``e = complete_expectation(table, x)`` and
+    volatility ``vole_sigma``, map index levels to death years by rounding
+    (ties to even), and value the American-style claim on that payoff.  The
+    index is a modeling stand-in, so the two values are reported side by
+    side rather than reconciled.
     """
     if not 0.0 <= vole_sigma < 1.0:
         raise ValueError("vole_sigma must lie in [0, 1)")
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     t_max = table.omega - x + 1
-    payoff_year = _year_payoff(pol, t_max)
+    by_year = _year_payoff(pol, t_max)
+    disc = np.array([math.exp(-r * year) * v for year, v in enumerate(by_year.tolist(), start=1)])
     spot = complete_expectation(table, x)
 
     params = GbmParams(rate=r, sigma=vole_sigma, s0=spot)
     mc_mean, mc_se = randomized_horizon_payoff(
-        params, table, x,
-        lambda terminal, year: math.exp(-r * year) * payoff_year(year),
-        n_paths, rng)
+        params, table, x, lambda terminal, years: disc[years - 1], n_paths, rng)
+    exact = float(death_distribution(table, x) @ disc)
 
     s_max = max(4.0 * spot, float(t_max + 1))
     mesh = Mesh1D(0.0, s_max, intervals + 1)
-    payoff_grid = lambda s: np.array([payoff_year(int(round(v))) for v in np.atleast_1d(s)], dtype=float)
+    payoff_grid = lambda s: by_year[np.clip(np.rint(s), 1, t_max).astype(int) - 1]
     if vole_sigma > 0.0:
         sigma = lambda s, tau: 0.5 * vole_sigma ** 2 * s * s
     else:
@@ -441,9 +450,10 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
         b_coef=lambda s, tau: np.full_like(s, -r),
         f=lambda s, tau: np.zeros_like(s),
         phi=payoff_grid,
-        g0=lambda tau: float(payoff_year(1)),
-        g1=lambda tau: float(payoff_year(t_max)),
+        g0=lambda tau: float(by_year[0]),
+        g1=lambda tau: float(by_year[-1]),
         horizon=float(t_max))
     U, _, _ = _march(prob, mesh, _thetas(steps, min(4, steps)), payoff_floor=payoff_grid)
     pde_value = float(np.interp(spot, mesh.points(), U))
-    return MortalityOptionValue(mc_value=mc_mean, mc_std_error=mc_se, pde_value=pde_value)
+    return MortalityOptionValue(mc_value=mc_mean, mc_std_error=mc_se, pde_value=pde_value,
+                                exact_value=exact)

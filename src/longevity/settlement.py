@@ -170,6 +170,9 @@ def le_duration(pol: FlatPolicy, t: float) -> float:
 
 # ------------------------------------------------------------ durations #
 
+_DIRECT_SUM_MAX_T = 10_000  # longest horizon macaulay_duration sums term by term
+
+
 def _c_constant(pol: FlatPolicy) -> float:
     a = pol.a
     return a * pol.p / (a - 1.0) ** 2
@@ -179,21 +182,31 @@ def macaulay_duration(pol: FlatPolicy, t: int) -> float:
     """Macaulay duration of the death-at-``t`` position, source sign convention.
 
     Numerator: time-weighted premium leg minus ``t`` times the discounted
-    benefit, divided by the position's present value ``lsv(t)``.  Closed form
-    of the time-weighted premium sum:
-    ``p/(a-1)**2 * (t*a**(t+2) - (t+1)*a**(t+1) + a)``.
+    benefit, ``p * sum(k * a**k, k=1..t) - t*b*a**t``, divided by the
+    position's present value ``-p * sum(a**k, k=1..t) + b*a**t``.  Up to
+    ``t = 10_000`` both are summed directly over the periods, because the
+    closed form of the premium sum,
+    ``p/(a-1)**2 * (t*a**(t+2) - (t+1)*a**(t+1) + a)``, loses accuracy to
+    cancellation when the present value is small.  Longer horizons, where a
+    direct sum would be slow, use the closed form.
     Note the sign convention: with no premiums the result is ``-t``, the
     negation of the textbook duration of a single inflow at ``t``.
     """
     if t < 1 or int(t) != t:
         raise ValueError("t must be an integer >= 1")
     t = int(t)
-    value = lsv(pol, t)
+    a = pol.a
+    if t <= _DIRECT_SUM_MAX_T:
+        disc = [a**k for k in range(1, t + 1)]
+        value = -pol.p * sum(disc) + pol.b * disc[-1]
+        numerator = (pol.p * sum(k * d for k, d in enumerate(disc, start=1))
+                     - t * pol.b * disc[-1])
+    else:
+        value = lsv(pol, t)
+        c = _c_constant(pol)
+        numerator = t * a**t * (c * (a - 1.0) - pol.b) - a**t * c + c
     if value == 0.0:
         raise ValueError(f"present value is zero at t={t}; duration undefined")
-    a = pol.a
-    c = _c_constant(pol)
-    numerator = t * a**t * (c * (a - 1.0) - pol.b) - a**t * c + c
     return numerator / value
 
 

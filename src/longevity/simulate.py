@@ -225,6 +225,7 @@ def vole(e_complete: float, max_death: float) -> float:
     fraction of the worst case already expected, and one minus it lies in
     ``[0, 1)`` with 0 meaning a fully predictable lifetime.
     """
+    require_finite(e_complete=e_complete, max_death=max_death)
     if not (max_death > 0.0):
         raise ValueError("max_death must be positive")
     if not (0.0 < e_complete <= max_death):
@@ -246,6 +247,10 @@ class GbmParams:
 
     def __post_init__(self):
         require_finite(rate=self.rate, sigma=self.sigma, s0=self.s0)
+        # the jump formulas square sigma with a float power, which raises
+        # OverflowError rather than giving inf once the square overflows
+        if not math.isfinite(self.sigma * self.sigma):
+            raise ValueError(f"sigma must have a finite square, got {self.sigma}")
         if self.sigma < 0.0:
             raise ValueError("sigma must be >= 0")
         if self.s0 <= 0.0:
@@ -305,17 +310,18 @@ def randomized_horizon_payoff(
     params: GbmParams,
     table: LifeTable,
     x: int,
-    payoff: Callable[[float, int], float],
+    payoff: Callable[[np.ndarray, np.ndarray], np.ndarray | float],
     n: int,
     rng: RngStream,
 ) -> tuple[float, float]:
     """Monte Carlo mean of a payoff evaluated at a mortality-random horizon.
 
-    For each of ``n`` paths a death year ``T`` is drawn from the life table,
-    the index is jumped to ``S_T`` in one exact GBM step, and
-    ``payoff(S_T, T)`` is recorded; ``payoff`` is called once per path with
-    scalar arguments.  Draw order: ``n`` death years first, then ``n``
-    normals.  Returns the sample mean and its standard error.
+    For each of ``n`` paths a death year ``T`` is drawn from the life table
+    and the index is jumped to ``S_T`` in one exact GBM step.  ``payoff`` is
+    called once, with the arrays of all ``n`` terminal values and integer
+    death years, and its result is broadcast to one value per path, so a
+    constant payoff works too.  Draw order: ``n`` death years first, then
+    ``n`` normals.  Returns the sample mean and its standard error.
     """
     if n < 2:
         raise ValueError("n must be >= 2 to estimate a standard error")
@@ -324,7 +330,8 @@ def randomized_horizon_payoff(
     drift = (params.rate - 0.5 * params.sigma**2) * years
     shock = params.sigma * np.sqrt(years.astype(float)) * eps
     s_t = params.s0 * np.exp(drift + shock)
-    values = np.array([float(payoff(s, int(year))) for s, year in zip(s_t, years)])
+    values = np.empty(n)
+    values[:] = payoff(s_t, years)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n))
     return mean, stderr

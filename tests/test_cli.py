@@ -28,6 +28,18 @@ def test_price_lsv_at_time_zero_is_the_benefit(capsys):
     assert out == "lsv=1000\n"
 
 
+def test_price_mortality_option_reports_the_exact_value(capsys):
+    code, out, _ = invoke(capsys, "price-mortality-option", "--age", "70",
+                          "--premium", "100", "--benefit", "1000", "--policy-rate", "0.05",
+                          "--rate", "0.05", "--vole-sigma", "0.1", "--n", "2000",
+                          "--seed", "9", "--grid", "50,50")
+    assert code == 0
+    values = dict(line.split("=") for line in out.splitlines())
+    assert list(values) == ["mc_value", "mc_std_error", "exact_value", "pde_value"]
+    mc, se, exact = (float(values[k]) for k in ("mc_value", "mc_std_error", "exact_value"))
+    assert abs(mc - exact) <= 4.0 * se
+
+
 def test_irr_of_the_first_published_deal(capsys, tmp_path):
     path = tmp_path / "deal.csv"
     path.write_text(f"period,amount\n0,{PURCHASE}\n1,{BENEFITS[0]}\n")
@@ -126,6 +138,7 @@ def test_price_option_non_finite_input_exits_2_naming_it(capsys, flag, value, na
     (("price-mortality-option", "--age", "70", "--premium", "100", "--benefit", "1000",
       "--policy-rate", "0.05", "--rate", "nan", "--vole-sigma", "0.1", "--n", "100",
       "--seed", "1", "--grid", "20,20"), "rate"),
+    (("vole", "--e-complete", "15", "--max-death", "inf"), "max_death"),
 ])
 def test_non_finite_policy_or_model_input_exits_2_naming_it(capsys, argv, name):
     code, out, err = invoke(capsys, *argv)
@@ -310,7 +323,9 @@ def test_seeded_run_is_byte_identical_across_processes():
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    probe = "import sys, longevity.cli; print('scipy.optimize' in sys.modules)"
+    # no scipy module at all: the one LAPACK user imports it on first call
+    probe = ("import sys, longevity.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == b"False\n"
+    assert done.stdout == b"[]\n"

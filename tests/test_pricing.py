@@ -19,8 +19,8 @@ from longevity.pricing import (
     price_mortality_option,
     step_parabolic,
 )
-from longevity.settlement import FlatPolicy, lsv
-from longevity.simulate import RngStream
+from longevity.settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
+from longevity.simulate import RngStream, sample_death_years
 from oracles import binomial_american_put, bs_price
 
 # ------------------------------------------------------------ marching #
@@ -369,6 +369,8 @@ def test_mortality_option_certain_death_is_deterministic():
     want = math.exp(-0.05) * max(lsv(pol, 1), 0.0)
     assert value.mc_value == pytest.approx(want, rel=1e-12)
     assert value.mc_std_error <= 1e-9
+    assert value.exact_value == want
+    assert value.mc_value == value.exact_value
     # the payoff curve is flat, so the projected PDE value equals it too
     assert value.pde_value == pytest.approx(max(lsv(pol, 1), 0.0), rel=1e-6)
 
@@ -395,8 +397,82 @@ def test_mortality_option_mc_route_tracks_exact_expectation(bundled_table):
                 for i, p_i in enumerate(dist, start=1))
     assert value.mc_std_error > 0.0
     assert abs(value.mc_value - exact) <= 4.0 * value.mc_std_error
+    assert value.exact_value == pytest.approx(exact, rel=1e-12)
+    assert abs(value.mc_value - value.exact_value) <= 4.0 * value.mc_std_error
     assert value.pde_value >= -1e-9
     assert isinstance(value, MortalityOptionValue)
+
+
+def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, steps):
+    """The mortality option valued with one scalar payoff call per path and per node.
+
+    Same draws as the package (death years first; the index shocks that
+    follow cannot change a payoff that ignores the index), same march.
+    """
+    t_max = table.omega - x + 1
+
+    def payoff_year(year):
+        if isinstance(pol, PolicySchedule):
+            year = min(max(int(year), 1), min(t_max, len(pol)))
+            return max(lsv_schedule(pol, year), 0.0)
+        year = min(max(int(year), 1), t_max)
+        return max(lsv(pol, year), 0.0)
+
+    years = sample_death_years(table, x, n_paths, rng)
+    values = np.array([math.exp(-r * int(year)) * payoff_year(year) for year in years])
+    mc = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(n_paths))
+
+    spot = complete_expectation(table, x)
+    mesh = Mesh1D(0.0, max(4.0 * spot, float(t_max + 1)), intervals + 1)
+    grid = lambda s: np.array([payoff_year(int(round(v))) for v in np.atleast_1d(s)])
+    prob = ParabolicProblem(
+        sigma=lambda s, tau: (0.5 * vole_sigma ** 2 * s * s if vole_sigma > 0.0
+                              else np.zeros_like(s)),
+        mu=lambda s, tau: r * s,
+        b_coef=lambda s, tau: np.full_like(s, -r),
+        f=lambda s, tau: np.zeros_like(s),
+        phi=grid,
+        g0=lambda tau: float(payoff_year(1)),
+        g1=lambda tau: float(payoff_year(t_max)),
+        horizon=float(t_max))
+    thetas = [1.0] * min(4, steps) + [0.5] * (steps - min(4, steps))
+    U, _, _ = pricing._march(prob, mesh, thetas, payoff_floor=grid)
+    return mc, se, float(np.interp(spot, mesh.points(), U))
+
+
+@pytest.mark.parametrize("case", [
+    dict(pol=FlatPolicy(p=100.0, b=1000.0, r=0.05), x=70, vole_sigma=0.1, n=5000),
+    dict(pol=FlatPolicy(p=30.0, b=800.0, r=0.04), x=85, vole_sigma=0.0, n=2),
+    dict(pol=PolicySchedule([40.0 + k for k in range(60)], [1000.0] * 60, 0.05),
+         x=65, vole_sigma=0.2, n=3000),
+    # schedule shorter than the table's horizon: later years take its last value
+    dict(pol=PolicySchedule([60.0] * 12, [900.0 + 10.0 * k for k in range(12)], 0.06),
+         x=72, vole_sigma=0.0, n=4000),
+])
+def test_mortality_option_matches_the_per_path_reference_bitwise(bundled_table, case):
+    args = (case["pol"], bundled_table, case["x"], case["vole_sigma"], 0.045, case["n"])
+    value = price_mortality_option(*args, RngStream(77), intervals=60, steps=40)
+    mc, se, pde = _per_path_reference(*args, RngStream(77), intervals=60, steps=40)
+    assert value.mc_value == mc
+    assert value.mc_std_error == se
+    assert value.pde_value == pde
+
+
+def test_mortality_option_values_each_death_year_once(bundled_table, monkeypatch):
+    calls = []
+
+    def counted(pol, t):
+        calls.append(t)
+        return lsv(pol, t)
+
+    monkeypatch.setattr(pricing, "lsv", counted)
+    x = 70
+    t_max = bundled_table.omega - x + 1
+    price_mortality_option(FlatPolicy(p=100.0, b=1000.0, r=0.05), bundled_table, x,
+                           vole_sigma=0.1, r=0.05, n_paths=50_000, rng=RngStream(3),
+                           intervals=50, steps=50)
+    assert 0 < len(calls) <= 2 * t_max
 
 
 def test_mortality_option_is_seed_deterministic(bundled_table):

@@ -125,11 +125,19 @@ def test_macaulay_no_premium_is_minus_t():
 @settings(max_examples=100, deadline=None)
 @given(pol=policies, t=st.integers(min_value=1, max_value=50))
 @example(pol=FlatPolicy(p=1.0, b=1.0, r=0.25), t=1)  # present value exactly zero
+@example(pol=FlatPolicy(p=0.99999, b=1.0, r=0.0625), t=1)  # small value; exactly -1
 def test_macaulay_closed_form_equals_summation(pol, t):
     if abs(settlement_value_by_summation(pol.p, pol.b, pol.r, t)) < 1e-6 * pol.b:
         return  # numerically singular present value, not a meaningful case
     summed = macaulay_by_summation(pol.p, pol.b, pol.r, t)
     assert macaulay_duration(pol, t) == pytest.approx(summed, rel=1e-9)
+
+
+def test_macaulay_direct_sum_and_closed_form_meet_at_the_cutoff():
+    pol = FlatPolicy(p=100.0, b=1000.0, r=0.05)
+    # 10_000 periods are summed term by term, 10_001 use the closed form
+    assert macaulay_duration(pol, 10_000) == pytest.approx(
+        macaulay_duration(pol, 10_001), rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)

@@ -151,6 +151,17 @@ def test_vole_values_and_domain():
         vole(0.0, 20.0)
     with pytest.raises(ValueError):
         vole(5.0, 0.0)
+    with pytest.raises(ValueError, match="max_death must be finite"):
+        vole(15.0, math.inf)
+    with pytest.raises(ValueError, match="e_complete must be finite"):
+        vole(math.nan, 20.0)
+
+
+def test_gbm_sigma_with_an_overflowing_square_is_a_domain_error():
+    with pytest.raises(ValueError, match="sigma"):
+        GbmParams(0.05, 1e200, 1.0)
+    # the largest sigma whose square is finite is still accepted
+    assert GbmParams(0.05, 1e154, 1.0).sigma == 1e154
 
 
 def test_gbm_step_closed_forms():
@@ -201,19 +212,37 @@ def test_randomized_horizon_certain_death():
     b, r = 1000.0, 0.05
     mean, se = randomized_horizon_payoff(
         GbmParams(r, 0.2, 1.0), table, 100,
-        lambda s, y: b * math.exp(-r * y), 100, RngStream(4))
+        lambda s, y: b * np.exp(-r * y), 100, RngStream(4))
     assert mean == pytest.approx(b * math.exp(-r), rel=1e-12)
     assert se == pytest.approx(0.0, abs=1e-9)
 
 
 def test_randomized_horizon_matches_exact_expectation(bundled_table):
     x, r, b = 70, 0.05, 1000.0
-    payoff = lambda s, y: b * math.exp(-r * y)
+    payoff = lambda s, y: b * np.exp(-r * y)
     mean, se = randomized_horizon_payoff(
         GbmParams(r, 0.2, 1.0), bundled_table, x, payoff, 200_000, RngStream(6))
     probs = death_distribution(bundled_table, x)
     exact = sum(p * b * math.exp(-r * (i + 1)) for i, p in enumerate(probs))
     assert abs(mean - exact) <= 3.0 * se
+
+
+def test_randomized_horizon_calls_the_payoff_once_with_arrays(bundled_table):
+    calls = []
+
+    def payoff(s, y):
+        calls.append((s, y))
+        return y.astype(float)
+
+    n = 1000
+    mean, _ = randomized_horizon_payoff(
+        GbmParams(0.05, 0.2, 1.0), bundled_table, 70, payoff, n, RngStream(12))
+    assert len(calls) == 1
+    s, y = calls[0]
+    assert s.shape == y.shape == (n,)
+    # years are drawn before the shocks, so the first n words give the years
+    assert np.array_equal(y, sample_death_years(bundled_table, 70, n, RngStream(12)))
+    assert mean == float(np.mean(y))
 
 
 def test_randomized_horizon_needs_two_paths(bundled_table):
