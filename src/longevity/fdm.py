@@ -181,6 +181,7 @@ def _solve_layer(sigma: float, mesh: Mesh1D, sub: float, diag: float, sup: float
     ``sub``, ``diag`` and ``sup`` multiply ``u[j-1]``, ``u[j]`` and
     ``u[j+1]`` in every interior row; ``sigma`` and the mesh are checked
     here, and the boundary value ``u(0) = 1`` moves to the right-hand side.
+    A non-finite solution raises :class:`NumericalError`.
     """
     _check_layer_sigma(sigma)
     if not (mesh.a == 0.0 and mesh.b == 1.0):
@@ -191,6 +192,8 @@ def _solve_layer(sigma: float, mesh: Mesh1D, sub: float, diag: float, sup: float
     values = np.empty(mesh.j_count)
     values[0], values[-1] = 1.0, 0.0
     values[1:-1] = _factor_tridiagonal(*(np.full(n, c) for c in (sub, diag, sup)))(rhs)
+    if not np.all(np.isfinite(values[1:-1])):
+        raise NumericalError("layer solve produced non-finite values")
     return values
 
 
@@ -352,8 +355,12 @@ def fitted_stencil(mu, h: float, sigma, variant: str = "exponential") -> tuple[n
     """
     if variant not in FITTING_VARIANTS:
         raise ValueError(f"unknown fitting variant {variant!r}, want one of {FITTING_VARIANTS}")
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
+    try:
+        h_squared = h**2
+    except OverflowError:
+        raise ValueError(f"h must have a finite square, got {h}") from None
     mu, sigma = (a.copy() for a in _fitted_coefficients(mu, sigma))
     sub = np.empty_like(mu)
     sup = np.empty_like(mu)
@@ -364,7 +371,7 @@ def fitted_stencil(mu, h: float, sigma, variant: str = "exponential") -> tuple[n
     sup[degenerate] = np.maximum(mu[degenerate], 0.0) / h
     ok = ~degenerate
     _, excess = _rho_and_excess(np.abs(q[ok]), variant)
-    against_wind = sigma[ok] / h**2 * excess
+    against_wind = sigma[ok] / h_squared * excess
     with_wind = against_wind + np.abs(mu[ok]) / h
     downwind = q[ok] >= 0.0
     sub[ok] = np.where(downwind, against_wind, with_wind)

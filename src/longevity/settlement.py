@@ -65,6 +65,12 @@ class FlatPolicy:
             raise ValueError("death benefit must be positive")
         if self.r <= 0.0:
             raise ValueError("discount rate must be positive")
+        # the closed forms divide by a - 1 and ln(a), and need p/r + b finite
+        if self.a == 1.0:
+            raise ValueError(f"discount rate {self.r} is too small: 1/(1+rate) rounds to 1")
+        if not math.isfinite(self.p / self.r + self.b):
+            raise ValueError(f"premium/rate + benefit must be finite, got {self.p}/{self.r}"
+                             f" + {self.b}")
 
     @property
     def a(self) -> float:
@@ -123,10 +129,8 @@ def lsv(pol: FlatPolicy, t: float) -> float:
     ``b``.  Integer ``t`` is the contractual case; real ``t`` is accepted for
     the calculus helpers built on top.
     """
-    # one chained comparison, since a Monte Carlo payoff calls this once per
-    # path; nan and inf fail it too and are named by require_finite
-    if not 0 <= t < math.inf:
-        require_finite(t=t)
+    require_finite(t=t)
+    if t < 0:
         raise ValueError("t must be >= 0")
     a = pol.a
     return a**t * (pol.p / pol.r + pol.b) - pol.p / pol.r
@@ -148,8 +152,8 @@ def lsv_dt(pol: FlatPolicy, t: float) -> float:
     ``(p/r + b) * a**t * ln(a)``, the derivative of ``lsv`` in continuous
     ``t``.  Always negative: living longer always erodes the position.
     """
-    if not 0 <= t < math.inf:
-        require_finite(t=t)
+    require_finite(t=t)
+    if t < 0:
         raise ValueError("t must be >= 0")
     a = pol.a
     return (pol.p / pol.r + pol.b) * a**t * math.log(a)
@@ -191,6 +195,7 @@ def macaulay_duration(pol: FlatPolicy, t: int) -> float:
     direct sum would be slow, use the closed form.
     Note the sign convention: with no premiums the result is ``-t``, the
     negation of the textbook duration of a single inflow at ``t``.
+    A leg that overflows the float range raises :class:`NumericalError`.
     """
     if t < 1 or int(t) != t:
         raise ValueError("t must be an integer >= 1")
@@ -207,7 +212,10 @@ def macaulay_duration(pol: FlatPolicy, t: int) -> float:
         numerator = t * a**t * (c * (a - 1.0) - pol.b) - a**t * c + c
     if value == 0.0:
         raise ValueError(f"present value is zero at t={t}; duration undefined")
-    return numerator / value
+    duration = numerator / value
+    if not math.isfinite(duration):
+        raise NumericalError(f"Macaulay duration at t={t} overflowed the float range")
+    return duration
 
 
 def duration_derivative(pol: FlatPolicy, t: float) -> float:

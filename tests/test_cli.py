@@ -1,11 +1,16 @@
 """Command-line front end: output contracts, exit codes, determinism."""
 
+import contextlib
 import io
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from longevity.cli import run
 
@@ -164,6 +169,128 @@ def test_price_option_huge_volatility_is_a_one_line_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("price-mortality-option", "--age", "70", "--premium", "100", "--benefit", "1000",
+      "--policy-rate", "0.05", "--rate=-20", "--vole-sigma", "0.1", "--n", "100",
+      "--seed", "1", "--grid", "20,20"), "rate"),
+    (PUT_ARGS[:7] + ("--rate=-1e300", "--vol", "0.2", "--expiry", "1", "--grid", "20,20"),
+     "rate"),
+    (("price-lsv", "--premium", "1e308", "--benefit", "1e308", "--rate", "1e-10", "--t", "5"),
+     "benefit"),
+    (("duration", "--premium", "1e308", "--benefit", "1e308", "--rate", "1e-10", "--t", "5"),
+     "benefit"),
+    (("critical-time", "--premium", "1e308", "--benefit", "1e308", "--rate", "1e-10"),
+     "benefit"),
+])
+def test_overflowing_input_exits_2_with_one_line_naming_it(capsys, argv, name):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
+
+
+def test_price_option_huge_strike_fails_without_an_overflow_warning(capsys):
+    args = list(PUT_ARGS)
+    args[args.index("--strike") + 1] = "1e300"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(capsys, *args, "--grid", "20,20")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+
+
+# ------------------------------------------------------ fuzzed inputs #
+
+# float flag values: non-finite, extreme, subnormal, zero, negative, ordinary
+WILD = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-1",
+                        "0.05", "0.3", "1", "15", "100", "1000"])
+POLICY = ("--premium", "--benefit", "--rate")
+
+
+def _cmd(*parts):
+    """argv from fixed words (``str``) and strategies of word lists, in order."""
+    return st.tuples(*[st.just([p]) if isinstance(p, str) else p for p in parts]).map(
+        lambda lists: [word for words in lists for word in words])
+
+
+def _wild(*names):
+    return [WILD.map(lambda v, n=n: [f"{n}={v}"]) for n in names]
+
+
+def _one_of(name, options):
+    return st.sampled_from(options).map(lambda v: [f"{name}={v}"])
+
+
+def _fuzz_argv(tmp):
+    """Every subcommand, float flags wild, sizes fixed and small."""
+    def write(name, text):
+        path = tmp / name
+        path.write_text(text)
+        return str(path)
+
+    samples = st.lists(WILD, min_size=1, max_size=12).map(
+        lambda vs: [write("samples.txt", "\n".join(vs) + "\n")])
+    flows = st.lists(WILD, min_size=2, max_size=6).map(
+        lambda vs: ["--cashflows=" + write("flows.csv", "period,amount\n" + "".join(
+            f"{k},{v}\n" for k, v in enumerate(vs)))])
+    maybe = lambda name: st.one_of(st.just([]), *_wild(name))
+    return st.one_of(
+        _cmd("simulate", "--age=70", "--n=50", "--seed=1",
+             *_wild("--multiplier", "--improvement")),
+        _cmd("vole", *_wild("--e-complete", "--max-death")),
+        _cmd("vole", "--age=70", "--n=50", "--seed=1"),
+        _cmd("markov", "--points=5", *_wild("--rate", "--horizon")),
+        _cmd("fit-stable", samples),
+        _cmd("alpha-profile", "--ages=90..95", "--n=50", "--seed=1"),
+        _cmd("price-lsv", *_wild(*POLICY, "--t")),
+        _cmd("duration", *_wild(*POLICY, "--t")),
+        _cmd("critical-time", *_wild(*POLICY)),
+        _cmd("irr", flows),
+        _cmd("price-option", "--grid=20,20", _one_of("--kind", ["put", "call"]),
+             _one_of("--style", ["european", "american"]),
+             *_wild("--strike", "--rate", "--vol", "--expiry"), maybe("--spot"), maybe("--smax")),
+        _cmd("price-mortality-option", "--age=70", "--n=50", "--seed=1", "--grid=20,20",
+             *_wild("--premium", "--benefit", "--policy-rate", "--rate", "--vole-sigma")),
+        _cmd("fdm-demo", "--J=10", _one_of("--scheme", ["centered", "upwind", "fitted"]),
+             *_wild("--sigma")),
+    )
+
+
+NON_FINITE_TOKEN = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+def test_every_subcommand_exits_cleanly_on_wild_float_flags(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_fuzz_argv(tmp))
+    # overflows the random search can miss: the discount factor, the
+    # option boundary, and a settlement value's p/r + b
+    @example(argv=["price-mortality-option", "--age=70", "--n=50", "--seed=1", "--grid=20,20",
+                   "--premium=100", "--benefit=1000", "--policy-rate=0.05", "--rate=-1e308",
+                   "--vole-sigma=0.3"])
+    @example(argv=["price-option", "--grid=20,20", "--kind=put", "--style=european",
+                   "--strike=100", "--rate=-1e300", "--vol=0.2", "--expiry=1"])
+    @example(argv=["price-lsv", "--premium=1e308", "--benefit=1e308", "--rate=1e-10", "--t=5"])
+    @example(argv=["duration", "--premium=1e308", "--benefit=1e308", "--rate=1e-10", "--t=5"])
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code == 0:
+            assert not NON_FINITE_TOKEN.search(out.getvalue()), (argv, out.getvalue())
+        if code in (2, 3):
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+                (argv, err.getvalue())
+
+    check()
 
 
 # ---------------------------------------------------------- csv output #

@@ -127,6 +127,13 @@ def test_centered_parity_limit_on_odd_interval_mesh():
     assert np.max(np.abs(sol.values - parity)) <= 1e-3
 
 
+def test_centered_solve_that_is_not_finite_is_a_numerical_error():
+    # on an even interval count and a subnormal sigma the centered matrix
+    # is all but singular
+    with pytest.raises(NumericalError, match="non-finite"):
+        solve_centered(1e-320, Mesh1D(0.0, 1.0, 11))
+
+
 def test_upwind_never_oscillates_but_smears_the_layer():
     mesh = Mesh1D(0.0, 1.0, 1001)
     sigma = mesh.h  # mesh ratio 1
@@ -190,6 +197,13 @@ def test_fitted_stencil_rows_stay_monotone(mu, sigma, h):
     assert center[0] == -(sub[0] + sup[0])
     if mu != 0.0 or sigma > 0.0:
         assert center[0] < 0.0
+
+
+def test_fitted_stencil_rejects_a_mesh_too_coarse_to_square():
+    with pytest.raises(ValueError, match="h must have a finite square"):
+        fitted_stencil(np.ones(3), 1e155, np.ones(3))
+    sub, _, _ = fitted_stencil(np.ones(3), 1.3e154, np.ones(3))
+    assert np.all(np.isfinite(sub))
 
 
 def test_fitted_stencil_rejects_unknown_variant():

@@ -194,6 +194,12 @@ def test_option_argument_validation():
             price_american("put", *args)
     with pytest.raises(ValueError, match="s_max must be finite"):
         price_european("call", STRIKE, RATE, VOL, EXPIRY, s_max=math.inf)
+    # a discount factor over the expiry that overflows
+    for pricer, rate, expiry in ((price_european, -1e300, EXPIRY),
+                                 (price_american, -1e300, EXPIRY),
+                                 (price_european, -1.0, 1000.0)):
+        with pytest.raises(ValueError, match="rate must keep"):
+            pricer("put", STRIKE, rate, VOL, expiry, intervals=20, steps=20)
 
 
 def test_value_at_rejects_levels_off_the_grid():
@@ -406,8 +412,8 @@ def test_mortality_option_mc_route_tracks_exact_expectation(bundled_table):
 def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, steps):
     """The mortality option valued with one scalar payoff call per path and per node.
 
-    Same draws as the package (death years first; the index shocks that
-    follow cannot change a payoff that ignores the index), same march.
+    Same draws as the package (one uniform per death year, nothing else),
+    same march.
     """
     t_max = table.omega - x + 1
 
@@ -475,6 +481,22 @@ def test_mortality_option_values_each_death_year_once(bundled_table, monkeypatch
     assert 0 < len(calls) <= 2 * t_max
 
 
+@pytest.mark.parametrize("n_paths", [2, 1000])
+def test_mortality_option_reads_one_uniform_per_path(bundled_table, n_paths):
+    rng = RngStream(41)
+    price_mortality_option(FlatPolicy(p=100.0, b=1000.0, r=0.05), bundled_table, 70,
+                           vole_sigma=0.1, r=0.05, n_paths=n_paths, rng=rng,
+                           intervals=20, steps=20)
+    assert rng.uniform(1)[0] == RngStream(41).uniform(n_paths + 1)[-1]
+
+
+def test_mortality_option_estimate_that_overflows_is_a_numerical_error(bundled_table):
+    with pytest.raises(NumericalError, match="overflowed"):
+        price_mortality_option(FlatPolicy(p=0.0, b=1e308, r=0.05), bundled_table, 70,
+                               vole_sigma=0.0, r=0.0, n_paths=100, rng=RngStream(1),
+                               intervals=20, steps=20)
+
+
 def test_mortality_option_is_seed_deterministic(bundled_table):
     pol = FlatPolicy(p=100.0, b=1000.0, r=0.05)
     kwargs = dict(vole_sigma=0.1, r=0.05, n_paths=2000,
@@ -494,3 +516,10 @@ def test_mortality_option_argument_validation(bundled_table):
     with pytest.raises(ValueError, match="n_paths"):
         price_mortality_option(pol, bundled_table, 70, vole_sigma=0.1, r=0.05,
                                n_paths=1, rng=RngStream(1))
+    with pytest.raises(ValueError, match="rate must be finite"):
+        price_mortality_option(pol, bundled_table, 70, vole_sigma=0.1, r=math.inf,
+                               n_paths=100, rng=RngStream(1))
+    # exp(20 * 46) overflows within the table's horizon at age 70
+    with pytest.raises(ValueError, match="rate must keep"):
+        price_mortality_option(pol, bundled_table, 70, vole_sigma=0.1, r=-20.0,
+                               n_paths=100, rng=RngStream(1))

@@ -40,6 +40,18 @@ def test_policy_invariants():
         FlatPolicy(p=-1.0, b=100.0, r=0.05)
     with pytest.raises(ValueError):
         FlatPolicy(p=1.0, b=100.0, r=0.0)
+    # p/r + b overflows, so lsv would give nan
+    with pytest.raises(ValueError, match="premium/rate \\+ benefit must be finite"):
+        FlatPolicy(p=1e308, b=1e308, r=1e-10)
+    # below float resolution the discount factor is 1 and the closed forms divide by 0
+    with pytest.raises(ValueError, match="rounds to 1"):
+        FlatPolicy(p=1.0, b=100.0, r=1e-17)
+
+
+def test_macaulay_duration_that_overflows_is_a_numerical_error():
+    # t * b overflows before the discount factor scales it back
+    with pytest.raises(NumericalError, match="overflowed"):
+        macaulay_duration(FlatPolicy(p=0.05, b=1e308, r=100.0), 15)
 
 
 def test_lsv_immediate_death_pays_benefit():
