@@ -151,7 +151,10 @@ def layer_exact(sigma: float, x) -> np.ndarray | float:
     _check_layer_sigma(sigma)
     x = np.asarray(x, dtype=float)
     tail = math.exp(-2.0 / sigma) if 2.0 / sigma < 745.0 else 0.0
-    out = (np.exp(-2.0 * x / sigma) - tail) / (1.0 - tail)
+    # at a subnormal sigma, -2x/sigma overflows to -inf, whose exponential
+    # is the correct limit 0
+    with np.errstate(over="ignore"):
+        out = (np.exp(-2.0 * x / sigma) - tail) / (1.0 - tail)
     return float(out) if out.ndim == 0 else out
 
 
@@ -371,8 +374,11 @@ def fitted_stencil(mu, h: float, sigma, variant: str = "exponential") -> tuple[n
     sup[degenerate] = np.maximum(mu[degenerate], 0.0) / h
     ok = ~degenerate
     _, excess = _rho_and_excess(np.abs(q[ok]), variant)
-    against_wind = sigma[ok] / h_squared * excess
-    with_wind = against_wind + np.abs(mu[ok]) / h
+    # on extreme data a row overflows to inf (or inf * 0 = nan), which the
+    # caller's factorization or finiteness check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        against_wind = sigma[ok] / h_squared * excess
+        with_wind = against_wind + np.abs(mu[ok]) / h
     downwind = q[ok] >= 0.0
     sub[ok] = np.where(downwind, against_wind, with_wind)
     sup[ok] = np.where(downwind, with_wind, against_wind)
@@ -440,8 +446,11 @@ def solve_fitted(bvp: TwoPointBVP, mesh: Mesh1D, variant: str = "exponential") -
     if np.any(sup <= 0.0):
         raise AssertionError("fitted assembly lost monotonicity on the super-diagonal")
     rhs = f.copy()
-    rhs[0] -= sub[0] * bvp.beta0
-    rhs[-1] -= sup[-1] * bvp.beta1
+    # an overflow here leaves a non-finite right-hand side, and so a
+    # non-finite solution, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs[0] -= sub[0] * bvp.beta0
+        rhs[-1] -= sup[-1] * bvp.beta1
     values = np.empty(mesh.j_count)
     values[0], values[-1] = bvp.beta0, bvp.beta1
     values[1:-1] = _factor_tridiagonal(sub, diag, sup)(rhs)

@@ -12,11 +12,18 @@ keeps every time level monotone regardless of how convection-dominated the
 coefficients are; the Black-Scholes operators used below become exactly
 that near ``S = 0``, where the diffusion ``vol**2 S**2 / 2`` vanishes.
 
-The march assembles that stencil once for as long as the coefficients
-ignore ``tau`` (constant-volatility Black-Scholes and the mortality-option
-grid never change it) and LU-factors each step matrix once per theta, so a
-step costs one back-substitution.  Coefficients that move with ``tau``, as
-under :class:`VolatilityDecay`, are re-assembled and re-factored every step.
+Time is stepped by the theta scheme: a few fully implicit steps damp the
+payoff kink, then Crank-Nicolson takes over (Rannacher 1984; Duffy, "A
+critique of the Crank-Nicolson scheme", Wilmott 2004).
+
+A problem whose coefficients ignore ``tau`` says so (``autonomous``);
+constant-volatility Black-Scholes and the mortality-option grid do.  Its
+coefficients are evaluated and its stencil assembled once per march, and
+each step matrix is LU-factored once per theta, so a step costs one explicit
+product and one back-substitution.  Coefficients that move with ``tau``, as
+under :class:`VolatilityDecay`, are still evaluated one level at a time, but
+assembled a bounded block of levels per ``fitted_stencil`` call, and each
+step matrix is factored afresh.
 
 Option valuation composes the march with payoff-specific boundary data.
 American exercise is handled by projecting each time level onto the payoff,
@@ -32,10 +39,11 @@ estimate targets.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,11 +95,18 @@ class ParabolicProblem:
     """Initial-boundary value problem in remaining-time coordinates.
 
     Coefficients ``sigma``, ``mu``, ``b_coef`` and ``f`` are callables of
-    ``(x, tau)`` accepting array ``x``; ``phi`` is the state at
-    ``tau = 0``; ``g0`` and ``g1`` give the left and right boundary values
-    as functions of ``tau``; ``horizon`` is the total remaining time to
-    march.  ``phi`` must agree with ``g0``/``g1`` at the domain corners
+    ``(x, tau)`` accepting array ``x`` and a scalar ``tau``; ``phi`` is the
+    state at ``tau = 0``; ``g0`` and ``g1`` give the left and right boundary
+    values as functions of ``tau``; ``horizon`` is the total remaining time
+    to march.  ``phi`` must agree with ``g0``/``g1`` at the domain corners
     (checked against the mesh when stepping starts).
+
+    ``autonomous`` states that the four coefficients ignore ``tau`` (the
+    boundary values may still move).  The march then calls each of them
+    once, at ``tau = 0``, and keeps that operator for the whole horizon.
+    Declaring it for coefficients that do move with ``tau`` is not
+    detected: the march silently solves the problem frozen at ``tau = 0``.
+    Leaving it False on a problem that is autonomous only costs time.
     """
 
     sigma: Callable
@@ -102,33 +117,64 @@ class ParabolicProblem:
     g0: Callable
     g1: Callable
     horizon: float
+    autonomous: bool = False
 
     def __post_init__(self):
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
 
 
-def _coefficients(prob: ParabolicProblem, xi: np.ndarray, tau: float) -> list[np.ndarray]:
-    """``sigma``, ``mu``, ``b_coef`` and ``f`` on the interior nodes at one level."""
-    out = []
-    for c in (prob.sigma, prob.mu, prob.b_coef, prob.f):
-        a = np.asarray(c(xi, tau), dtype=float)
-        out.append(a if a.shape == xi.shape else np.broadcast_to(a, xi.shape))
+# Coefficient values per array in one batched stencil assembly: a
+# tau-dependent problem is assembled _BLOCK_NODES // (interior nodes) levels
+# at a time, which keeps the temporaries a few hundred kB on any mesh.
+_BLOCK_NODES = 4096
+
+
+def _coefficients(prob: ParabolicProblem, xi: np.ndarray, taus: Sequence[float]) -> np.ndarray:
+    """``sigma``, ``mu``, ``b_coef`` and ``f`` on the interior nodes, one row per ``tau``.
+
+    Shape ``(4, len(taus), len(xi))``.  Each callable is called once per
+    level with a scalar ``tau``, and its value is copied out at once, so a
+    callable that refills one buffer in place is still read correctly.
+    """
+    out = np.empty((4, len(taus), xi.size))
+    for i, tau in enumerate(taus):
+        for j, c in enumerate((prob.sigma, prob.mu, prob.b_coef, prob.f)):
+            out[j, i] = np.asarray(c(xi, tau), dtype=float)
     return out
+
+
+def _levels(prob: ParabolicProblem, xi: np.ndarray, h: float, k: float,
+            n_levels: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """``(sub, diag, sup, f)`` of the semi-discrete operator at ``tau = n*k``, ``n = 0, 1, ...``.
+
+    ``diag`` includes the reaction term.  An autonomous problem is
+    evaluated and assembled once and that level repeats without end; any
+    other is assembled in blocks of levels, one ``fitted_stencil`` call each
+    (looked up as this module's global, where tracers and tests replace it).
+    """
+    if prob.autonomous:
+        sg, mu, bb, f = _coefficients(prob, xi, [0.0])[:, 0]
+        sub, center, sup = fitted_stencil(mu, h, sg)
+        yield from itertools.repeat((sub, center + bb, sup, f))
+    else:
+        block = max(1, _BLOCK_NODES // xi.size)
+        for start in range(0, n_levels, block):
+            taus = [n * k for n in range(start, min(start + block, n_levels))]
+            sg, mu, bb, f = _coefficients(prob, xi, taus)
+            sub, center, sup = fitted_stencil(mu, h, sg)
+            yield from zip(sub, center + bb, sup, f)
 
 
 def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
            payoff_floor: Callable | None = None, track_exercise: bool = False):
     """Theta-march the problem over the horizon, one theta per step.
 
-    Every step evaluates the coefficients at its new ``tau``, but the
-    fitted stencil is re-assembled only when ``sigma``, ``mu`` or
-    ``b_coef`` come out different from the previous level's (``f`` enters
-    the right-hand side alone), so coefficients that ignore ``tau`` are
-    assembled once per march.  The step matrix ``I - k*theta*A`` is
-    LU-factored once per distinct theta and reused until the stencil
-    changes: a Rannacher start followed by Crank-Nicolson costs two
-    factorizations in all.
+    Step ``n`` goes from ``tau = n*k`` to ``(n+1)*k`` with the operator of
+    both levels (:func:`_levels`).  For an autonomous problem the operator
+    never changes, so the step matrix ``I - k*theta*A`` is LU-factored once
+    per distinct theta: a Rannacher start followed by Crank-Nicolson costs
+    two factorizations in all.  Otherwise every step factors its own.
 
     Optionally projects every level onto ``payoff_floor`` (American
     constraint) and records, per level, the largest node where the value
@@ -137,7 +183,6 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     """
     x = mesh.points()
     xi = x[1:-1]
-    h = mesh.h
     n_steps = len(thetas)
     k = prob.horizon / n_steps
 
@@ -157,55 +202,44 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     times = []
     boundary = []
 
-    def assemble(coeffs):
-        sg, mu, bb = coeffs
-        sub, center, sup = fitted_stencil(mu, h, sg)
-        return sub, center + bb, sup
-
     # an overflow in the coefficients or the step arithmetic leaves a
-    # non-finite value, which fitted_stencil and the step checks reject
+    # non-finite value, which fitted_stencil, the factorization and the
+    # step checks reject
     with np.errstate(over="ignore", invalid="ignore"):
-        *coeffs, f_o = _coefficients(prob, xi, 0.0)
-        # copies, so a callable that refills one buffer in place still reads as changed
-        coeffs = [np.array(c) for c in coeffs]
-        stencil = old = assemble(coeffs)
-    solves = {}  # theta -> back-substitution through the factored step matrix
-    for n, theta in enumerate(thetas):
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-        tau_new = (n + 1) * k
-        with np.errstate(over="ignore", invalid="ignore"):
-            *fresh, f_n = _coefficients(prob, xi, tau_new)
-            if not all((a == b).all() for a, b in zip(fresh, coeffs)):
-                coeffs = [np.array(c) for c in fresh]
-                stencil = assemble(coeffs)
-                solves = {}
-            sub_o, dia_o, sup_o = old
-            sub_n, dia_n, sup_n = stencil
+        levels = _levels(prob, xi, mesh.h, k, n_steps + 1)
+        sub_o, dia_o, sup_o, f_o = next(levels)
+        solves = {}  # theta -> back-substitution through the factored step matrix
+        for n, theta in enumerate(thetas):
+            if not 0.0 <= theta <= 1.0:
+                raise ValueError("theta must lie in [0, 1]")
+            tau_new = (n + 1) * k
+            sub_n, dia_n, sup_n, f_n = next(levels)
             explicit = sub_o * U[:-2] + dia_o * U[1:-1] + sup_o * U[2:]
             rhs = U[1:-1] + k * (1.0 - theta) * (explicit - f_o) - k * theta * f_n
             g0v, g1v = float(prob.g0(tau_new)), float(prob.g1(tau_new))
             rhs[0] += k * theta * sub_n[0] * g0v
             rhs[-1] += k * theta * sup_n[-1] * g1v
-        if not np.all(np.isfinite(rhs)):
-            raise _step_blowup(n, n_steps, k)
+            if not np.isfinite(rhs).all():
+                raise _step_blowup(n, n_steps, k)
 
-        solve = solves.get(theta)
-        if solve is None:
-            solve = solves[theta] = _factor_tridiagonal(
-                -k * theta * sub_n, 1.0 - k * theta * dia_n, -k * theta * sup_n)
+            solve = solves.get(theta)
+            if solve is None:
+                solve = _factor_tridiagonal(
+                    -k * theta * sub_n, 1.0 - k * theta * dia_n, -k * theta * sup_n)
+                if prob.autonomous:
+                    solves[theta] = solve
 
-        U = np.empty_like(U)
-        U[0], U[-1] = g0v, g1v
-        U[1:-1] = solve(rhs)
-        if not np.all(np.isfinite(U)):
-            raise _step_blowup(n, n_steps, k)
-        if floor is not None:
-            np.maximum(U, floor, out=U)
-        if track_exercise:
-            times.append(tau_new)
-            boundary.append(_exercise_node(x, U, floor))
-        old, f_o = stencil, f_n
+            U = np.empty_like(U)
+            U[0], U[-1] = g0v, g1v
+            U[1:-1] = solve(rhs)
+            if not np.isfinite(U).all():
+                raise _step_blowup(n, n_steps, k)
+            if floor is not None:
+                np.maximum(U, floor, out=U)
+            if track_exercise:
+                times.append(tau_new)
+                boundary.append(_exercise_node(x, U, floor))
+            sub_o, dia_o, sup_o, f_o = sub_n, dia_n, sup_n, f_n
     if track_exercise:
         return U, np.asarray(times), np.asarray(boundary)
     return U, None, None
@@ -298,7 +332,8 @@ def _bs_problem(kind: str, strike: float, rate: float, vol, expiry: float,
         phi = lambda x: np.maximum(strike - x, 0.0)
         g0 = lambda tau: strike * math.exp(-rate * tau)
         g1 = lambda tau: 0.0
-    return ParabolicProblem(sigma, mu, b_coef, f, phi, g0, g1, expiry)
+    return ParabolicProblem(sigma, mu, b_coef, f, phi, g0, g1, expiry,
+                            autonomous=not isinstance(vol, VolatilityDecay))
 
 
 def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float,
@@ -309,15 +344,14 @@ def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float
     require_finite(strike=strike, rate=rate, expiry=expiry)
     if not isinstance(vol, VolatilityDecay):
         require_finite(vol=float(vol))
-    if s_max is not None:
-        require_finite(s_max=s_max)
+    if s_max is None:
+        s_max = 4.0 * strike  # overflows when the strike exceeds a quarter of the float range
+    require_finite(s_max=s_max)
     if not strike > 0.0:
         raise ValueError("strike must be positive")
     if not expiry > 0.0:
         raise ValueError("expiry must be positive")
     _require_discountable(rate, expiry)
-    if s_max is None:
-        s_max = 4.0 * strike
     if not strike < s_max:
         raise ValueError("strike must lie inside (0, s_max)")
     if intervals < 2 or steps < 1:
@@ -376,9 +410,7 @@ def price_american(kind: str, strike: float, rate: float, vol, expiry: float,
     if kind == "put":
         # Immediate exercise is optimal at S = 0, so the boundary holds the
         # full strike rather than its discounted value.
-        prob = ParabolicProblem(prob.sigma, prob.mu, prob.b_coef, prob.f, prob.phi,
-                                g0=lambda tau: float(strike), g1=prob.g1,
-                                horizon=prob.horizon)
+        prob = replace(prob, g0=lambda tau: float(strike))
     payoff = (lambda x: np.maximum(x - strike, 0.0)) if kind == "call" \
         else (lambda x: np.maximum(strike - x, 0.0))
     U, times, boundary = _march(prob, mesh, _thetas(steps, rannacher_steps),
@@ -479,7 +511,8 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
         phi=payoff_grid,
         g0=lambda tau: float(by_year[0]),
         g1=lambda tau: float(by_year[-1]),
-        horizon=float(t_max))
+        horizon=float(t_max),
+        autonomous=True)
     U, _, _ = _march(prob, mesh, _thetas(steps, min(4, steps)), payoff_floor=payoff_grid)
     pde_value = float(np.interp(spot, mesh.points(), U))
     return MortalityOptionValue(mc_value=mc_mean, mc_std_error=mc_se, pde_value=pde_value,

@@ -258,9 +258,13 @@ def npv(cf: CashflowSeries, rate: float) -> float:
     """Net present value of the series at a per-period ``rate > -1``."""
     if rate <= -1.0:
         raise ValueError("rate must exceed -1")
-    x = 1.0 / (1.0 + rate)
-    # Horner on ascending powers of the discount factor
-    return float(np.polyval(cf.flows[::-1], x))
+    x = 1.0 / (1.0 + float(rate))
+    # Horner on ascending powers of the discount factor, in Python floats,
+    # which overflow to inf (and inf - inf to nan) without a warning
+    value = 0.0
+    for flow in reversed(cf.flows.tolist()):
+        value = value * x + flow
+    return value
 
 
 def _bisect(cf: CashflowSeries, lo: float, v_lo: float, hi: float, v_hi: float) -> float:
@@ -294,7 +298,8 @@ def irr(cf: CashflowSeries) -> float:
     roots, which of them is returned is unspecified.  The result is
     accepted when ``|NPV| <= 1e-6 * sum(|flows|)``.
     """
-    scale = float(np.sum(np.abs(cf.flows)))
+    with np.errstate(over="ignore"):
+        scale = float(np.sum(np.abs(cf.flows)))
     grid = [1e-3 * 2.0**k for k in range(41)]  # 1+r from 1e-3 past 1e6
     rates = [g - 1.0 for g in grid if g - 1.0 < 1e6]
     rates.append(1e6)

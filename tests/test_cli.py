@@ -262,10 +262,15 @@ def _fuzz_argv(tmp):
 
 
 NON_FINITE_TOKEN = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+# the one stderr line a successful run may print: the centered demo scheme
+# announcing its documented oscillation
+OSCILLATION_NOTICE = re.compile(r"warning: centered scheme is oscillatory [^\n]*\n")
 
 
 def test_every_subcommand_exits_cleanly_on_wild_float_flags(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
+    huge_flows = tmp / "huge_flows.csv"
+    huge_flows.write_text("period,amount\n0,-1e308\n1,1e308\n2,1e308\n")
 
     @settings(max_examples=400, deadline=None)
     @given(argv=_fuzz_argv(tmp))
@@ -278,13 +283,25 @@ def test_every_subcommand_exits_cleanly_on_wild_float_flags(tmp_path_factory):
                    "--strike=100", "--rate=-1e300", "--vol=0.2", "--expiry=1"])
     @example(argv=["price-lsv", "--premium=1e308", "--benefit=1e308", "--rate=1e-10", "--t=5"])
     @example(argv=["duration", "--premium=1e308", "--benefit=1e308", "--rate=1e-10", "--t=5"])
+    # overflows that once printed a numpy warning ahead of a clean result:
+    # the NPV polynomial, the layer exponent, and the default grid boundary
+    @example(argv=["irr", f"--cashflows={huge_flows}"])
+    @example(argv=["fdm-demo", "--J=10", "--scheme=fitted", "--sigma=1e-320"])
+    @example(argv=["price-option", "--grid=20,20", "--kind=put", "--style=european",
+                   "--strike=1e308", "--rate=0.05", "--vol=0.2", "--expiry=1"])
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run(argv)
         assert code in (0, 1, 2, 3), (argv, code)
+        assert [str(w.message) for w in caught] == [], argv
         if code == 0:
             assert not NON_FINITE_TOKEN.search(out.getvalue()), (argv, out.getvalue())
+            notice = argv[0] == "fdm-demo" and "--scheme=centered" in argv
+            assert err.getvalue() == "" or (
+                notice and OSCILLATION_NOTICE.fullmatch(err.getvalue())), (argv, err.getvalue())
         if code in (2, 3):
             assert out.getvalue() == "", argv
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \

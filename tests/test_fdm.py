@@ -302,6 +302,25 @@ def test_solve_fitted_non_finite_source_raises_numerical_error(bad):
         solve_fitted(bvp, Mesh1D(0.0, 1.0, 21))
 
 
+def test_overflow_on_extreme_data_is_silent_and_ends_in_an_error():
+    # the suite turns RuntimeWarnings into errors, so each call here also
+    # checks that the overflow prints nothing on its way to the caller
+    assert list(layer_exact(1e-320, np.array([0.0, 0.5]))) == [1.0, 0.0]
+    sub, center, sup = fitted_stencil(np.array([1e308]), 1e-10, np.array([1.0]))
+    assert np.isinf(sup[0]) and np.isinf(center[0])
+
+    def bvp(sigma, beta1):
+        return TwoPointBVP(sigma=lambda x: np.full_like(x, sigma),
+                           mu=lambda x: np.full_like(x, 2.0),
+                           b_coef=lambda x: np.zeros_like(x), f=lambda x: np.zeros_like(x),
+                           beta0=1.0, beta1=beta1)
+    # sigma / h**2 overflows in the rows; the boundary term overflows alone
+    with pytest.raises(ValueError, match="finite"):
+        solve_fitted(bvp(1e308, 0.0), Mesh1D(0.0, 1.0, 21))
+    with pytest.raises(NumericalError, match="non-finite"):
+        solve_fitted(bvp(0.1, 1e308), Mesh1D(0.0, 1.0, 21))
+
+
 @pytest.mark.parametrize("call", [
     lambda v: layer_exact(v, 0.5),
     lambda v: fitted_stencil(np.array([v]), 0.1, np.array([1.0])),

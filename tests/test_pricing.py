@@ -1,6 +1,7 @@
 """Parabolic marching and the option pricers built on it."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,17 +351,73 @@ def stencil_calls(monkeypatch):
     return calls
 
 
+def block_levels(intervals):
+    # time levels assembled per fitted_stencil call on a tau-dependent problem
+    return max(1, pricing._BLOCK_NODES // (intervals - 1))
+
+
 def test_stencil_is_assembled_once_while_the_coefficients_ignore_tau(stencil_calls):
+    # autonomous problems assemble once; tau-dependent ones once per block
+    # of levels, and a march of `steps` steps has steps + 1 levels
+    steps = 2 * block_levels(50)  # three blocks, the last of one level
     for price in (price_european, price_american):
         stencil_calls.clear()
-        price("put", STRIKE, RATE, VOL, EXPIRY, intervals=50, steps=30)
+        price("put", STRIKE, RATE, VOL, EXPIRY, intervals=50, steps=steps)
         assert len(stencil_calls) == 1
         stencil_calls.clear()
-        price("put", STRIKE, RATE, VolatilityDecay(VOL, 0.5), EXPIRY, intervals=50, steps=30)
-        assert len(stencil_calls) == 30 + 1
+        price("put", STRIKE, RATE, VolatilityDecay(VOL, 0.5), EXPIRY, intervals=50, steps=steps)
+        assert len(stencil_calls) == math.ceil((steps + 1) / block_levels(50)) == 3
     stencil_calls.clear()
-    step_parabolic(switching_problem(), Mesh1D(0.0, 1.0, 41), n_steps=30)
-    assert len(stencil_calls) == 3
+    step_parabolic(switching_problem(), Mesh1D(0.0, 1.0, 41), n_steps=steps)
+    assert len(stencil_calls) == math.ceil((steps + 1) / block_levels(40)) == 2
+    stencil_calls.clear()
+    price_mortality_option(FlatPolicy(p=100.0, b=1000.0, r=0.05), LifeTable(90, [0.5, 1.0]),
+                           90, 0.2, 0.05, 10, RngStream(1), intervals=50, steps=steps)
+    assert len(stencil_calls) == 1
+
+
+def counted_coefficients(prob, autonomous):
+    # the problem with each coefficient callable counting its calls and the
+    # type of the tau it was given
+    calls = {name: [] for name in ("sigma", "mu", "b_coef", "f")}
+
+    def counting(name):
+        inner = getattr(prob, name)
+
+        def wrapper(x, tau):
+            calls[name].append(type(tau))
+            return inner(x, tau)
+        return wrapper
+    return replace(prob, autonomous=autonomous,
+                   **{name: counting(name) for name in calls}), calls
+
+
+def test_autonomous_problem_evaluates_each_coefficient_once():
+    prob, calls = counted_coefficients(heat_problem(0.1), autonomous=True)
+    mesh = Mesh1D(0.0, 1.0, 41)
+    got = step_parabolic(prob, mesh, n_steps=25)
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+    assert np.array_equal(got, step_parabolic(heat_problem(0.1), mesh, n_steps=25))
+
+
+def test_tau_dependent_problem_evaluates_each_coefficient_once_per_level():
+    prob, calls = counted_coefficients(switching_problem(), autonomous=False)
+    step_parabolic(prob, Mesh1D(0.0, 1.0, 41), n_steps=150)
+    for name, taus in calls.items():
+        assert len(taus) == 150 + 1, name
+        assert set(taus) == {float}, name
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0])
+def test_decaying_volatility_matches_the_reference_across_a_block_edge(offset):
+    # steps + 1 levels fill one block short, one block exactly, and one
+    # block plus a single level
+    vol = VolatilityDecay(0.3, 0.8)
+    steps = block_levels(60) + offset
+    euro = price_european("put", STRIKE, RATE, vol, EXPIRY, intervals=60, steps=steps)
+    assert_close(euro.values, bs_reference("put", vol.at, american=False, steps=steps))
+    amer = price_american("call", STRIKE, RATE, vol, EXPIRY, intervals=60, steps=steps)
+    assert_close(amer.values, bs_reference("call", vol.at, american=True, steps=steps))
 
 
 # ----------------------------------------------------- mortality option #
