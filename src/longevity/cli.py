@@ -11,6 +11,10 @@ Randomized commands require an explicit ``--seed``; identical invocations
 produce byte-identical output.  Results go to standard output unless
 ``--out`` names a file; diagnostics go to standard error.
 
+Each handler imports the layers it uses when it runs, so a scalar command
+(``price-lsv`` without ``--schedule``, ``duration``, ``critical-time``,
+``irr``, ``markov``) starts without loading numpy.
+
 Exit codes: 0 success, 1 malformed invocation (unknown subcommand or
 flag, unparseable value), 2 rejected input data (bad file contents, or a
 flag value that parses but violates a domain precondition), 3 numerical
@@ -24,36 +28,24 @@ import csv
 import io
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DataError, NumericalError, require_finite
-from .fdm import Mesh1D, TwoPointBVP, layer_exact, solve_centered, solve_fitted, solve_upwind
-from .lifetable import (
-    LifeTable,
-    MortalityAssumptions,
-    apply_assumptions,
-    complete_expectation,
-    load_table,
-    sample_table_path,
-)
-from .markov import TwoStateModel
-from .pricing import price_american, price_european, price_mortality_option
-from .settlement import (
-    FlatPolicy,
-    critical_time,
-    irr,
-    le_duration,
-    load_cashflows,
-    load_schedule,
-    lsv,
-    lsv_schedule,
-    macaulay_duration,
-)
-from .simulate import RngStream, simulate_deaths, vole
-from .stable import alpha_age_profile, estimate_alpha
+
+if TYPE_CHECKING:
+    from .lifetable import LifeTable
+    from .settlement import FlatPolicy
 
 __all__ = ["run", "main"]
+
+
+def __getattr__(name: str):
+    # handlers import what they use when they run; package exports stay
+    # readable here, e.g. ``cli.lsv``, without loading them at import time
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _kv(key: str, value, digits: int | None = None) -> str:
@@ -76,6 +68,8 @@ def _csv_text(header: tuple[str, ...], rows) -> str:
 
 
 def _load_table_arg(ns) -> LifeTable:
+    from .lifetable import MortalityAssumptions, apply_assumptions, load_table, sample_table_path
+
     path = ns.table if ns.table is not None else sample_table_path()
     table = load_table(path)
     mult = getattr(ns, "multiplier", 1.0)
@@ -110,6 +104,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _cmd_simulate(ns) -> str:
+    from .simulate import RngStream, simulate_deaths
+
     table = _load_table_arg(ns)
     summary = simulate_deaths(table, ns.age, ns.n, RngStream(ns.seed))
     if ns.csv:
@@ -122,6 +118,9 @@ def _cmd_simulate(ns) -> str:
 
 
 def _cmd_vole(ns) -> str:
+    from .lifetable import complete_expectation
+    from .simulate import RngStream, simulate_deaths, vole
+
     direct = ns.e_complete is not None or ns.max_death is not None
     pipeline = ns.table is not None or ns.age is not None
     if direct and pipeline:
@@ -141,19 +140,29 @@ def _cmd_vole(ns) -> str:
     return out
 
 
+def _linspace(stop: float, num: int) -> list[float]:
+    """``np.linspace(0.0, stop, num)`` in Python floats, bit for bit (``num >= 2``)."""
+    div = num - 1
+    step = stop / div
+    if step == 0.0:  # numpy scales by i/div instead once the step underflows
+        return [i / div * stop for i in range(div)] + [stop]
+    return [i * step for i in range(div)] + [stop]
+
+
 def _cmd_markov(ns) -> str:
+    from .markov import TwoStateModel
+
     model = TwoStateModel(ns.rate)
     require_finite(horizon=ns.horizon)
     if ns.horizon <= 0.0:
         raise ValueError("--horizon must be positive")
     if ns.points < 2:
         raise ValueError("--points must be at least 2")
-    ts = np.linspace(0.0, ns.horizon, ns.points)
-    rows = [(f"{t:.10g}", f"{model.survival(float(t)):.10g}") for t in ts]
+    rows = [(f"{t:.10g}", f"{model.survival(t):.10g}") for t in _linspace(ns.horizon, ns.points)]
     return _csv_text(("t", "survival"), rows)
 
 
-def _read_samples(source: str | None) -> np.ndarray:
+def _read_samples(source: str | None) -> list[float]:
     if source is None:
         lines = sys.stdin.read().splitlines()
         where = "<stdin>"
@@ -171,15 +180,20 @@ def _read_samples(source: str | None) -> np.ndarray:
             raise DataError(f"{where}:{i}: not a number: {line!r}") from None
     if not values:
         raise DataError(f"{where}: no samples found")
-    return np.array(values)
+    return values
 
 
 def _cmd_fit_stable(ns) -> str:
+    from .stable import estimate_alpha
+
     samples = _read_samples(ns.file)
     return _kv("alpha_hat", estimate_alpha(samples), digits=6)
 
 
 def _cmd_alpha_profile(ns) -> str:
+    from .simulate import RngStream
+    from .stable import alpha_age_profile
+
     table = _load_table_arg(ns)
     lo, hi = _parse_age_range(ns.ages)
     if ns.step < 1:
@@ -191,6 +205,8 @@ def _cmd_alpha_profile(ns) -> str:
 
 
 def _flat_policy(ns) -> FlatPolicy:
+    from .settlement import FlatPolicy
+
     for name in ("premium", "benefit", "rate"):
         if getattr(ns, name) is None:
             raise ValueError(f"--{name} is required without --schedule")
@@ -198,6 +214,8 @@ def _flat_policy(ns) -> FlatPolicy:
 
 
 def _cmd_price_lsv(ns) -> str:
+    from .settlement import load_schedule, lsv, lsv_schedule
+
     if ns.schedule is not None:
         if ns.rate is None:
             raise ValueError("--rate is required with --schedule")
@@ -212,6 +230,8 @@ def _cmd_price_lsv(ns) -> str:
 
 
 def _cmd_duration(ns) -> str:
+    from .settlement import le_duration, macaulay_duration
+
     pol = _flat_policy(ns)
     out = _kv("le_duration", le_duration(pol, ns.t))
     out += _kv("macaulay_duration", macaulay_duration(pol, ns.t))
@@ -219,15 +239,21 @@ def _cmd_duration(ns) -> str:
 
 
 def _cmd_critical_time(ns) -> str:
+    from .settlement import critical_time
+
     return _kv("critical_time", critical_time(_flat_policy(ns)))
 
 
 def _cmd_irr(ns) -> str:
+    from .settlement import irr, load_cashflows
+
     flows = load_cashflows(ns.cashflows)
     return _kv("irr", irr(flows), digits=6)
 
 
 def _cmd_price_option(ns) -> str:
+    from .pricing import price_american, price_european
+
     intervals, steps = _parse_grid(ns.grid)
     kwargs = dict(
         kind=ns.kind,
@@ -246,6 +272,10 @@ def _cmd_price_option(ns) -> str:
 
 
 def _cmd_price_mortality_option(ns) -> str:
+    from .pricing import price_mortality_option
+    from .settlement import FlatPolicy, load_schedule
+    from .simulate import RngStream
+
     table = _load_table_arg(ns)
     if ns.schedule is not None:
         if ns.policy_rate is None:
@@ -268,6 +298,10 @@ def _cmd_price_mortality_option(ns) -> str:
 
 
 def _cmd_fdm_demo(ns) -> str:
+    import numpy as np
+
+    from .fdm import Mesh1D, TwoPointBVP, layer_exact, solve_centered, solve_fitted, solve_upwind
+
     if ns.sigma <= 0.0:
         raise ValueError("--sigma must be positive")
     if ns.J < 2:

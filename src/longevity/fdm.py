@@ -59,17 +59,23 @@ FITTING_VARIANTS = ("rational", "sqrt", "exponential")
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Uniform mesh on [a, b] with ``j_count`` points (J+1 points, J cells)."""
+    """Uniform mesh on [a, b] with ``j_count`` points (J+1 points, J cells).
+
+    Both bounds and the width ``b - a`` must be finite.
+    """
 
     a: float
     b: float
     j_count: int
 
     def __post_init__(self):
+        require_finite(a=self.a, b=self.b)
         if not (self.b > self.a):
             raise ValueError("mesh needs b > a")
         if self.j_count < 3:
             raise ValueError("mesh needs at least 3 points (J >= 2)")
+        if not math.isfinite(float(self.b) - float(self.a)):
+            raise ValueError(f"mesh width {self.b} - ({self.a}) overflows the float range")
 
     @property
     def intervals(self) -> int:
@@ -104,6 +110,9 @@ def difference_ops(u: np.ndarray, j: int, h: float) -> tuple[float, float, float
 
 # ----------------------------------------------------------- tridiagonal #
 
+_lapack = None  # scipy.linalg.lapack, bound by the first factorization
+
+
 def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray,
                         upper: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Pivoted LU of a tridiagonal matrix, the one tridiagonal solver here.
@@ -119,11 +128,13 @@ def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray,
     back-substitution does not check its output, so callers that need a
     finite solution test for it.
     """
-    # imported here so that loading the package (and the CLI) pulls in no scipy
-    from scipy.linalg import lapack
+    global _lapack
+    if _lapack is None:
+        # imported here so that loading the package (and the CLI) pulls in no scipy
+        from scipy.linalg import lapack as _lapack
 
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(lower[1:]))
-            and np.all(np.isfinite(upper[:-1]))):
+    if not (np.isfinite(diag).all() and np.isfinite(lower[1:]).all()
+            and np.isfinite(upper[:-1]).all()):
         raise ValueError("tridiagonal coefficients must be finite")
     n = diag.size
     if n < 3:
@@ -134,10 +145,10 @@ def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray,
                                     np.concatenate([diag, np.ones(pad)]),
                                     np.concatenate([upper[:-1], np.zeros(pad + 1)]))
         return lambda rhs: solve(np.concatenate([rhs, np.zeros(pad)]))[:n]
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
+    dl, d, du, du2, ipiv, info = _lapack.dgttrf(lower[1:], diag, upper[:-1])
     if info > 0:
         raise NumericalError(f"singular tridiagonal system: zero pivot at row {info - 1}")
-    return lambda rhs: lapack.dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+    return lambda rhs: _lapack.dgttrs(dl, d, du, du2, ipiv, rhs)[0]
 
 
 # ----------------------------------------------- classical demo schemes #

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TwoStateModel", "MeanVariance", "rate_from_mean"]
 
@@ -41,6 +42,8 @@ class TwoStateModel:
         ``1 - exp(-rate * t)`` into dead.  Rows sum to 1 and the matrix over
         ``t + s`` equals the product of the matrices over ``t`` and ``s``.
         """
+        import numpy as np
+
         if t < 0.0:
             raise ValueError("horizon t must be >= 0")
         s = math.exp(-self.rate * t)
@@ -70,6 +73,8 @@ class TwoStateModel:
         converge to the exponential quantile function.  Accepts a scalar or
         an array of deviates.
         """
+        import numpy as np
+
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0.0) or np.any(u >= 1.0):
             raise ValueError("uniform draws must lie strictly inside (0, 1)")

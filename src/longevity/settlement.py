@@ -26,10 +26,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DataError, NumericalError, require_finite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FlatPolicy",
@@ -87,6 +89,8 @@ class PolicySchedule:
     r: float
 
     def __post_init__(self):
+        import numpy as np
+
         prem = np.asarray(self.premiums, dtype=float)
         ben = np.asarray(self.benefits, dtype=float)
         object.__setattr__(self, "premiums", prem)
@@ -107,16 +111,25 @@ class PolicySchedule:
 
 @dataclass(frozen=True)
 class CashflowSeries:
-    """Signed flows indexed by period, ``flows[0]`` at time zero."""
+    """Signed flows indexed by period, ``flows[0]`` at time zero.
 
-    flows: np.ndarray
+    Any 1-D sequence of numbers is accepted and stored as a tuple of Python
+    floats, so valuing a series needs no numpy.
+    """
+
+    flows: tuple[float, ...]
 
     def __post_init__(self):
-        f = np.asarray(self.flows, dtype=float)
-        object.__setattr__(self, "flows", f)
-        if f.ndim != 1 or f.size < 2:
+        if isinstance(self.flows, (str, bytes)) or getattr(self.flows, "ndim", 1) != 1:
             raise ValueError("need a 1-D series of at least two flows")
-        if not (np.any(f > 0.0) and np.any(f < 0.0)):
+        try:
+            f = tuple(map(float, self.flows))
+        except (TypeError, ValueError):
+            raise ValueError("cash flows must be a 1-D sequence of numbers") from None
+        object.__setattr__(self, "flows", f)
+        if len(f) < 2:
+            raise ValueError("need a 1-D series of at least two flows")
+        if not (any(x > 0.0 for x in f) and any(x < 0.0 for x in f)):
             raise DataError("cash flows must contain at least one inflow and one outflow")
 
 
@@ -140,6 +153,8 @@ def lsv_schedule(s: PolicySchedule, t: int) -> float:
     """Schedule value for death in period ``t``: premiums ``1..t`` paid, benefit ``t`` collected."""
     if not (1 <= t <= len(s)) or int(t) != t:
         raise ValueError(f"t must be an integer in [1, {len(s)}], got {t!r}")
+    import numpy as np
+
     t = int(t)
     a = 1.0 / (1.0 + s.r)
     disc = a ** np.arange(1, t + 1)
@@ -262,7 +277,7 @@ def npv(cf: CashflowSeries, rate: float) -> float:
     # Horner on ascending powers of the discount factor, in Python floats,
     # which overflow to inf (and inf - inf to nan) without a warning
     value = 0.0
-    for flow in reversed(cf.flows.tolist()):
+    for flow in reversed(cf.flows):
         value = value * x + flow
     return value
 
@@ -298,8 +313,8 @@ def irr(cf: CashflowSeries) -> float:
     roots, which of them is returned is unspecified.  The result is
     accepted when ``|NPV| <= 1e-6 * sum(|flows|)``.
     """
-    with np.errstate(over="ignore"):
-        scale = float(np.sum(np.abs(cf.flows)))
+    # the built-in sum goes to inf past the float range, where math.fsum raises
+    scale = sum(abs(f) for f in cf.flows)
     grid = [1e-3 * 2.0**k for k in range(41)]  # 1+r from 1e-3 past 1e6
     rates = [g - 1.0 for g in grid if g - 1.0 < 1e6]
     rates.append(1e6)
@@ -357,7 +372,7 @@ def load_cashflows(path: str | Path) -> CashflowSeries:
             rows.append((period, amount))
     if len(rows) < 2:
         raise DataError(f"{path}: need at least two flows")
-    flows = np.zeros(rows[-1][0] + 1)
+    flows = [0.0] * (rows[-1][0] + 1)
     for period, amount in rows:
         flows[period] = amount
     try:
@@ -400,4 +415,4 @@ def load_schedule(path: str | Path, rate: float) -> PolicySchedule:
             benefits.append(ben)
     if not premiums:
         raise DataError(f"{path}: no data rows")
-    return PolicySchedule(np.array(premiums), np.array(benefits), rate)
+    return PolicySchedule(premiums, benefits, rate)

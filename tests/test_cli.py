@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from longevity.cli import run
+from longevity.cli import _linspace, run
 
 from conftest import PURCHASE, BENEFITS
 
@@ -466,10 +466,60 @@ def test_seeded_run_is_byte_identical_across_processes():
     assert first.stdout.startswith(b"year,count\r\n")
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # no scipy module at all: the one LAPACK user imports it on first call
-    probe = ("import sys, longevity.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
+    # no scipy module at all: the one LAPACK user imports it on first call;
+    # and no numpy until a command works on arrays
+    flows = tmp_path / "flows.csv"
+    flows.write_text("period,amount\n0,-100\n1,-10\n2,130\n")
+    policy = ["--premium", "100", "--benefit", "1000", "--rate", "0.05"]
+    commands = [
+        (["price-lsv", *policy, "--t", "8"], 0),
+        (["duration", *policy, "--t", "8"], 0),
+        (["critical-time", *policy], 0),
+        (["irr", "--cashflows", str(flows)], 0),
+        (["markov", "--rate", "0.1", "--horizon", "30", "--points", "7"], 0),
+        (["price-lsv", "--premium=-5", "--benefit", "1000", "--rate", "0.05", "--t", "8"], 2),
+        (["simulate", "--age", "70", "--n", "10", "--seed", "1"], 0),
+    ]
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "def heavy():",
+        "    return sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})",
+        "import longevity",
+        "print('longevity', heavy())",
+        "import longevity.cli",
+        "print('cli', heavy())",
+        f"for argv in {[argv for argv, _ in commands]!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = longevity.cli.run(argv)",
+        "    print(argv[0], code, heavy())",
+    ])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == b"[]\n"
+    # the last command is the control: it needs numpy, so the probe can see it
+    want = ["longevity []", "cli []"] + [f"{argv[0]} {code} []" for argv, code in commands[:-1]]
+    want.append("simulate 0 ['numpy']")
+    assert done.stdout.decode().splitlines() == want
+
+
+# names the benchmark's tracer wraps on ``longevity.cli``
+CLI_WRAPPED_NAMES = ("load_table", "apply_assumptions", "lsv", "lsv_schedule", "irr",
+                     "estimate_alpha", "price_european", "price_american",
+                     "price_mortality_option")
+
+
+def test_package_exports_stay_readable_on_the_cli_module():
+    import longevity
+    import longevity.cli as cli
+
+    for name in CLI_WRAPPED_NAMES:
+        assert getattr(cli, name) is getattr(longevity, name)
+    assert not hasattr(cli, "no_such_name")
+
+
+@settings(max_examples=300, deadline=None)
+@given(stop=st.floats(min_value=5e-324, max_value=1e300, allow_subnormal=True),
+       num=st.integers(min_value=2, max_value=300))
+@example(stop=1e-322, num=101)  # the step underflows to zero
+def test_markov_grid_matches_numpy_linspace_bit_for_bit(stop, num):
+    assert _linspace(stop, num) == np.linspace(0.0, stop, num).tolist()

@@ -34,6 +34,20 @@ def test_mesh_basics():
         Mesh1D(0.0, 1.0, 2)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                  (0.0, math.nan)])
+def test_mesh_rejects_a_non_finite_bound(a, b):
+    with pytest.raises(ValueError, match="must be finite"):
+        Mesh1D(a, b, 5)
+
+
+@pytest.mark.parametrize("a, b", [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))])
+def test_mesh_rejects_a_width_past_the_float_range(a, b):
+    # the numpy bounds would warn on the subtraction; tier-1 makes that a failure
+    with pytest.raises(ValueError, match="overflows"):
+        Mesh1D(a, b, 5)
+
+
 def test_difference_ops_on_quadratic():
     """Divided differences are exact on polynomials of matching degree."""
     mesh = Mesh1D(0.0, 1.0, 21)

@@ -1,0 +1,39 @@
+"""Package namespace: lazily resolved exports and submodules."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import longevity
+
+
+def test_every_export_resolves_from_its_home_module_and_is_listed():
+    listed = dir(longevity)
+    assert len(set(longevity.__all__)) == len(longevity.__all__)
+    for name in longevity.__all__:
+        value = getattr(longevity, name)
+        assert name in listed
+        assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from longevity import *", namespace)
+    assert set(longevity.__all__) <= set(namespace)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        longevity.no_such_name
+
+
+def test_submodules_load_on_attribute_access():
+    # a fresh interpreter, where nothing has imported the submodules yet
+    probe = ("import sys, longevity; "
+             "print('longevity.pricing' in sys.modules, longevity.pricing.__name__, "
+             "longevity.cli.run.__module__)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"False longevity.pricing longevity.cli\n"

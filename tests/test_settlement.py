@@ -250,6 +250,31 @@ def test_cashflow_series_needs_both_signs():
         CashflowSeries([-100.0])
 
 
+def test_cashflow_series_stores_a_tuple_of_floats():
+    cf = CashflowSeries(np.array([-100, 0, 110]))
+    assert cf.flows == (-100.0, 0.0, 110.0)
+    assert type(cf.flows) is tuple and all(type(f) is float for f in cf.flows)
+
+
+@pytest.mark.parametrize("flows", [
+    [[-1.0, 2.0], [3.0, -4.0]],
+    np.array([[-1.0], [2.0]]),
+    [-1.0, None],
+    ["-1", "one"],
+    "-12",
+    5.0,
+])
+def test_cashflow_series_rejects_malformed_input_with_a_value_error(flows):
+    # not a TypeError: the CLI maps ValueError to exit code 2
+    with pytest.raises(ValueError):
+        CashflowSeries(flows)
+
+
+def test_irr_acceptance_scale_past_the_float_range_is_silent(recwarn):
+    assert irr(CashflowSeries([-1e308, 1e308, 1e308])) == pytest.approx(0.618034, abs=1e-6)
+    assert len(recwarn) == 0
+
+
 def test_npv_hand_value():
     cf = CashflowSeries([-100.0, 110.0])
     assert npv(cf, 0.10) == pytest.approx(0.0, abs=1e-12)
