@@ -420,7 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("irr", _cmd_irr, "Internal rate of return of a cash-flow series.")
     p.add_argument("--cashflows", metavar="CSV", required=True,
-                   help="cash-flow CSV with header period,amount (amounts in currency)")
+                   help="cash-flow CSV with header period,amount (periods 0..10000, "
+                        "amounts in currency)")
 
     p = add("price-option", _cmd_price_option, "Price a vanilla option on the fitted grid.")
     p.add_argument("--kind", choices=("put", "call"), required=True, help="option kind")

@@ -7,11 +7,13 @@ boundary layer (``sigma < h`` on the reference problem below), and one-sided
 upwinding is stable but carries an O(1) pointwise error inside the layer no
 matter how small ``h`` is.  Replacing the diffusion coefficient with
 
-    gamma = (mu * h / 2) * coth(mu * h / (2 * sigma))
+    gamma = sigma * q * coth(q),  q = mu * h / (2 * sigma)
 
 cures both: the resulting tridiagonal matrix is monotone for every mesh, the
 scheme is exact for constant-coefficient homogeneous problems, and the error
-is bounded by a constant times ``h`` uniformly in ``sigma``.
+is bounded by a constant times ``h`` uniformly in ``sigma``.  The factor
+``q coth q`` on the mesh Peclet number ``q`` is Il'in's (1969) and
+Allen-Southwell's (1955), and it is the one fitting factor here.
 
 Both classical schemes are kept, failure modes and all, since their
 pathologies are part of what this module demonstrates.
@@ -41,20 +43,15 @@ from .errors import NumericalError, require_finite
 
 __all__ = [
     "Mesh1D",
-    "difference_ops",
     "LayerSolution",
     "layer_exact",
     "solve_centered",
     "solve_upwind",
     "fitting_factor",
-    "fitting_factor_variants",
-    "fitted_diffusion",
     "fitted_stencil",
     "TwoPointBVP",
     "solve_fitted",
 ]
-
-FITTING_VARIANTS = ("rational", "sqrt", "exponential")
 
 
 @dataclass(frozen=True)
@@ -87,25 +84,6 @@ class Mesh1D:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.j_count)
-
-
-def difference_ops(u: np.ndarray, j: int, h: float) -> tuple[float, float, float, float]:
-    """Forward, backward, centered and second divided differences at node ``j``.
-
-    Requires an interior index (``1 <= j <= len(u) - 2``).  On linear data
-    the three first-difference forms agree exactly with the slope; the
-    second difference is exact on quadratics.
-    """
-    u = np.asarray(u, dtype=float)
-    if not 1 <= j <= u.size - 2:
-        raise ValueError(f"j={j} is not an interior index of a {u.size}-point mesh")
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    d_plus = (u[j + 1] - u[j]) / h
-    d_minus = (u[j] - u[j - 1]) / h
-    d_zero = (u[j + 1] - u[j - 1]) / (2.0 * h)
-    d_plus_minus = (u[j + 1] - 2.0 * u[j] + u[j - 1]) / (h * h)
-    return float(d_plus), float(d_minus), float(d_zero), float(d_plus_minus)
 
 
 # ----------------------------------------------------------- tridiagonal #
@@ -268,54 +246,35 @@ def fitting_factor(mu: float, h: float, sigma: float) -> float:
 
     Always at least 1; tends to 1 as ``q`` tends to 0 (recovering the
     centered scheme) and grows like ``|q|`` for large ``q`` (approaching
-    upwinding).  ``sigma`` must be positive here; the assembly handles the
-    ``sigma = 0`` degradation separately.
+    upwinding).  ``sigma`` must be positive and ``q`` representable here;
+    the assembly handles the ``sigma = 0`` degradation separately.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     require_finite(mu=mu, sigma=sigma)
     if sigma <= 0.0:
-        raise ValueError("fitting factor needs sigma > 0; use fitted_diffusion for the limit")
+        raise ValueError("fitting factor needs sigma > 0; fitted_stencil upwinds the limit")
     q = mu * h / (2.0 * sigma)
+    if not math.isfinite(q):
+        raise ValueError(f"mesh Peclet number mu*h/(2*sigma) overflows: mu={mu}, h={h}, "
+                         f"sigma={sigma}")
     return float(_q_coth_q(np.array(q)))
 
 
-def fitting_factor_variants(q: float) -> tuple[float, float, float]:
-    """Three interchangeable fitting factors evaluated at ``q``.
+def _excess(q: np.ndarray) -> np.ndarray:
+    """Excess ``q coth q - q`` of the fitting factor over ``q``, for ``q >= 0``.
 
-    ``(1 + q**2/(1+|q|), sqrt(1+q**2), q*coth(q))``: all equal 1 at
-    ``q = 0``, all grow like ``|q|``, and all exceed ``|q|`` strictly, which
-    is what keeps the assembled matrix monotone.
+    The excess is what makes the fitted sub-diagonal nonnegative, so above
+    ``q = 1e-4`` it comes from the cancellation-free ``2q/expm1(2q)``,
+    which cannot go negative in floating point; below, from the series in
+    :func:`_q_coth_q`.
     """
-    if not math.isfinite(q):
-        raise ValueError("q must be finite")
-    rho0 = 1.0 + q * q / (1.0 + abs(q))
-    rho1 = math.sqrt(1.0 + q * q)
-    rho2 = float(_q_coth_q(np.array(q)))
-    return rho0, rho1, rho2
-
-
-def _rho_and_excess(q: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fitting factor ``rho(q)`` and its excess over ``q``, for ``q > 0``.
-
-    The excess ``rho(q) - q`` is what makes the fitted sub-diagonal
-    nonnegative, so it is computed from cancellation-free closed forms
-    (``1/(1+q)``, ``1/(sqrt(1+q^2)+q)``, ``2q/expm1(2q)``) that cannot go
-    negative in floating point.
-    """
-    if variant == "rational":
-        excess = 1.0 / (1.0 + q)
-        return q + excess, excess
-    if variant == "sqrt":
-        rho = np.sqrt(1.0 + q * q)
-        return rho, 1.0 / (rho + q)
-    rho = _q_coth_q(q)
-    excess = np.empty_like(rho)
+    excess = np.empty_like(q)
     small = q < 1e-4
-    excess[small] = rho[small] - q[small]
+    excess[small] = _q_coth_q(q[small]) - q[small]
     t = np.minimum(q[~small], 350.0)
     excess[~small] = 2.0 * t / np.expm1(2.0 * t)
-    return rho, excess
+    return excess
 
 
 def _fitted_coefficients(mu, sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -332,43 +291,21 @@ def _fitted_coefficients(mu, sigma) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma
 
 
-def fitted_diffusion(mu, h: float, sigma, variant: str = "exponential") -> np.ndarray:
-    """Fitted diffusion coefficient ``gamma = sigma * rho(q)``, vectorized.
-
-    Where ``sigma = 0`` the exact limit ``|mu| * h / 2`` is used, which
-    turns the stencil into pure upwinding; where ``mu = 0`` it reduces to
-    ``sigma`` (pure centered diffusion).
-    """
-    if variant not in FITTING_VARIANTS:
-        raise ValueError(f"unknown fitting variant {variant!r}, want one of {FITTING_VARIANTS}")
-    mu, sigma = _fitted_coefficients(mu, sigma)
-    # gamma = sigma * rho(q) = |mu| h / 2 + sigma * (rho - |q|), and the
-    # second term vanishes in the sigma -> 0 limit (including the case
-    # where q itself overflows for subnormal sigma)
-    gamma = np.abs(mu) * h / 2.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q = np.abs(mu) * h / (2.0 * sigma)
-    ok = (sigma > 0.0) & np.isfinite(q)
-    _, excess = _rho_and_excess(q[ok], variant)
-    gamma[ok] += sigma[ok] * excess
-    return gamma
-
-
-def fitted_stencil(mu, h: float, sigma, variant: str = "exponential") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fitted_stencil(mu, h: float, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row coefficients of the fitted operator ``gamma*D+D- + mu*D0``.
 
-    Returns ``(sub, center, sup)`` acting on ``(u[j-1], u[j], u[j+1])``,
-    vectorized over nodes and valid for either sign of ``mu``.  The side
-    opposite the wind is built from the positive excess ``rho(q) - |q|``,
-    the side with the wind from the identity
+    ``gamma = sigma * q coth q`` with the mesh Peclet number
+    ``q = mu*h/(2*sigma)``.  Returns ``(sub, center, sup)`` acting on
+    ``(u[j-1], u[j], u[j+1])``, vectorized over nodes and valid for either
+    sign of ``mu``.  With ``rho = |q| coth |q|``, the side opposite the wind
+    is built from the positive excess ``rho - |q|``, the side with the wind
+    from the identity
     ``sigma*(rho + |q|)/h**2 = sigma*(rho - |q|)/h**2 + |mu|/h``, so
     neither off-diagonal can round negative or overflow, and the center is
     exactly ``-(sub + sup)`` (zero row sum before any reaction term).
     Rows where ``sigma`` is zero, or so small that the mesh Peclet number
     is not representable, degrade to the one-sided upwind stencil.
     """
-    if variant not in FITTING_VARIANTS:
-        raise ValueError(f"unknown fitting variant {variant!r}, want one of {FITTING_VARIANTS}")
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     try:
@@ -384,7 +321,7 @@ def fitted_stencil(mu, h: float, sigma, variant: str = "exponential") -> tuple[n
     sub[degenerate] = np.maximum(-mu[degenerate], 0.0) / h
     sup[degenerate] = np.maximum(mu[degenerate], 0.0) / h
     ok = ~degenerate
-    _, excess = _rho_and_excess(np.abs(q[ok]), variant)
+    excess = _excess(np.abs(q[ok]))
     # on extreme data a row overflows to inf (or inf * 0 = nan), which the
     # caller's factorization or finiteness check rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -416,14 +353,15 @@ class TwoPointBVP:
     beta1: float
 
 
-def solve_fitted(bvp: TwoPointBVP, mesh: Mesh1D, variant: str = "exponential") -> np.ndarray:
+def solve_fitted(bvp: TwoPointBVP, mesh: Mesh1D) -> np.ndarray:
     """Solve a two-point BVP with the fitted scheme; returns all mesh values.
 
     Assembles, for each interior node,
     ``gamma*(second difference) + mu*(centered first difference) + b*u = f``
-    with the fitted ``gamma``, asserts the monotone sign pattern row by row
-    (off-diagonals positive, diagonal negative), and solves with the pivoted
-    tridiagonal factorization.  The solution obeys the uniform bound
+    with the fitted ``gamma = sigma * q coth q`` of :func:`fitted_stencil`,
+    asserts the monotone sign pattern row by row (off-diagonals positive,
+    diagonal negative), and solves with the pivoted tridiagonal
+    factorization.  The solution obeys the uniform bound
     ``max|U| <= |beta0| + |beta1| + max|f| / min(mu)``; a non-finite
     solution (from a non-finite source or boundary value, or overflow)
     raises :class:`NumericalError`.
@@ -431,8 +369,6 @@ def solve_fitted(bvp: TwoPointBVP, mesh: Mesh1D, variant: str = "exponential") -
     Sign convention for positivity: with ``b <= 0``, a source ``f <= 0``
     and boundary values ``>= 0`` produce a solution ``>= 0`` everywhere.
     """
-    if variant not in FITTING_VARIANTS:
-        raise ValueError(f"unknown fitting variant {variant!r}, want one of {FITTING_VARIANTS}")
     x = mesh.points()[1:-1]
     h = mesh.h
     sigma = np.broadcast_to(np.asarray(bvp.sigma(x), dtype=float), x.shape)
@@ -443,12 +379,12 @@ def solve_fitted(bvp: TwoPointBVP, mesh: Mesh1D, variant: str = "exponential") -
         raise ValueError("fitted scheme requires mu >= alpha > 0 on the mesh")
     if np.any(b > 0.0):
         raise ValueError("fitted scheme requires b <= 0 on the mesh")
-    # The sub-diagonal comes out of fitted_stencil as sigma*(rho - q)/h**2
+    # The sub-diagonal comes out of fitted_stencil as sigma*(q coth q - q)/h**2
     # with a cancellation-free excess, so it is >= 0 in floating point but
     # can round to exactly 0 at extreme mesh Peclet numbers (and is 0 by
     # construction where sigma = 0); the strict inequality holds whenever
     # sigma > 0 analytically.
-    sub, center, sup = fitted_stencil(mu, h, sigma, variant)
+    sub, center, sup = fitted_stencil(mu, h, sigma)
     diag = center + b
     if np.any(sub < 0.0):
         raise AssertionError("fitted assembly lost monotonicity on the sub-diagonal")

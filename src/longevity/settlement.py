@@ -342,11 +342,17 @@ def irr(cf: CashflowSeries) -> float:
 
 # -------------------------------------------------------------- loading #
 
+# Largest period a cash-flow file may name.  Unlisted periods are filled
+# with zero flows, so the period sets the series length that ``irr`` scans;
+# ten thousand periods is far beyond any deal and still loads in milliseconds.
+_MAX_PERIOD = 10_000
+
+
 def load_cashflows(path: str | Path) -> CashflowSeries:
     """Read a cash-flow series from CSV with header ``period,amount``.
 
-    Periods must be non-negative integers, strictly ascending; periods not
-    listed are taken as zero flows.
+    Periods must be integers in ``[0, 10000]``, strictly ascending; periods
+    not listed are taken as zero flows.
     """
     path = Path(path)
     rows: list[tuple[int, float]] = []
@@ -365,8 +371,9 @@ def load_cashflows(path: str | Path) -> CashflowSeries:
                 amount = float(row[1])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: could not parse {row!r}") from None
-            if period < 0:
-                raise DataError(f"{path}:{lineno}: period must be >= 0")
+            if not 0 <= period <= _MAX_PERIOD:
+                raise DataError(f"{path}:{lineno}: period must lie in [0, {_MAX_PERIOD}], "
+                                f"got {period}")
             if rows and period <= rows[-1][0]:
                 raise DataError(f"{path}:{lineno}: periods must be strictly ascending")
             rows.append((period, amount))

@@ -5,7 +5,7 @@ Reproducibility contract
 :class:`RngStream` wraps the counter-based Philox-4x64 bit generator keyed by
 ``(seed, stream_id)``.  The same pair always yields the same draw sequence,
 on any platform, and distinct ``stream_id`` values give statistically
-independent streams, so work can be fanned out and merged deterministically.
+independent streams.
 
 Uniform deviates are built from the top 53 bits of one 64-bit word each,
 offset by half an ulp, so they lie strictly inside (0, 1) and are safe under
@@ -34,7 +34,6 @@ __all__ = [
     "sample_death_years",
     "sample_death_times",
     "simulate_deaths",
-    "merge_summaries",
     "vole",
     "gbm_step",
     "gbm_terminal",
@@ -180,41 +179,15 @@ class SimSummary:
             raise ValueError("mode and max_year must be observed years")
 
 
-def _summary_from_histogram(hist: dict[int, int]) -> SimSummary:
-    years = sorted(hist)
-    n = sum(hist[y] for y in years)
-    top = max(hist[y] for y in years)
-    mode = min(y for y in years if hist[y] == top)
-    mean = sum(y * hist[y] for y in years) / n
-    return SimSummary(n=n, mode=mode, max_year=years[-1], mean=mean, histogram=hist)
-
-
 def simulate_deaths(table: LifeTable, x: int, n: int, rng: RngStream) -> SimSummary:
     """Simulate ``n`` death years for a life aged ``x`` and summarise them."""
     years = sample_death_years(table, x, n, rng)
     values, counts = np.unique(years, return_counts=True)
-    hist = {int(v): int(c) for v, c in zip(values, counts)}
-    return _summary_from_histogram(hist)
-
-
-def merge_summaries(parts: list[tuple[int, SimSummary]]) -> SimSummary:
-    """Merge per-stream summaries into one, canonically by ascending id.
-
-    ``parts`` holds ``(stream_id, summary)`` pairs; ids must be distinct.
-    Histograms add, and the merged mode/max/mean are recomputed from the
-    combined histogram, so the result does not depend on the order in which
-    the parts are supplied.
-    """
-    if not parts:
-        raise ValueError("nothing to merge")
-    ids = [sid for sid, _ in parts]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate stream ids in merge: {sorted(ids)}")
-    hist: dict[int, int] = {}
-    for _, summary in sorted(parts, key=lambda p: p[0]):
-        for year, count in summary.histogram.items():
-            hist[year] = hist.get(year, 0) + count
-    return _summary_from_histogram(hist)
+    hist = {int(v): int(c) for v, c in zip(values, counts)}  # ascending years
+    top = max(hist.values())
+    mode = min(y for y in hist if hist[y] == top)
+    mean = sum(y * c for y, c in hist.items()) / years.size
+    return SimSummary(n=years.size, mode=mode, max_year=max(hist), mean=mean, histogram=hist)
 
 
 def vole(e_complete: float, max_death: float) -> float:

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .lifetable import LifeTable
 from .simulate import RngStream, sample_death_times
 
 __all__ = [
     "StableParams",
     "log_char_function",
-    "gaussian_reduction_check",
     "estimate_alpha",
     "alpha_age_profile",
 ]
@@ -77,24 +76,6 @@ def log_char_function(params: StableParams, t) -> np.ndarray | complex:
             out = 1j * d * t - g * abs_t**a * (1.0 - 1j * b * sign_t * tan_factor)
     out = np.where(abs_t == 0.0, 0.0 + 0.0j, out)
     return complex(out) if out.ndim == 0 else out
-
-
-def gaussian_reduction_check(params: StableParams) -> tuple[float, float]:
-    """Mean and variance of the Gaussian member ``alpha = 2``.
-
-    Returns ``(delta, 2 * gamma)`` and verifies on a frequency grid that the
-    log characteristic function really is ``i mu t - (sigma2 / 2) t**2``.
-    Raises ``ValueError`` unless ``alpha == 2``; the skew parameter is
-    irrelevant there and ignored.
-    """
-    if params.alpha != 2.0:
-        raise ValueError("gaussian reduction requires alpha == 2")
-    mu, sigma2 = params.delta, 2.0 * params.gamma
-    t = np.linspace(-5.0, 5.0, 101)
-    gap = np.max(np.abs(log_char_function(params, t) - (1j * mu * t - 0.5 * sigma2 * t**2)))
-    if gap > 1e-12 * max(1.0, sigma2):
-        raise NumericalError(f"gaussian reduction identity violated by {gap:.3e}")
-    return mu, sigma2
 
 
 # ------------------------------------------------- quantile tail fitting #

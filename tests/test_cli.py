@@ -53,6 +53,15 @@ def test_irr_of_the_first_published_deal(capsys, tmp_path):
     assert out == "irr=2.951170\n"
 
 
+def test_irr_rejects_a_period_past_the_cap_naming_the_line(capsys, tmp_path):
+    path = tmp_path / "far.csv"
+    path.write_text("period,amount\n0,-100\n10001,200\n")
+    code, out, err = invoke(capsys, "irr", "--cashflows", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and f"{path}:3: period must lie in" in err
+
+
 def test_vole_direct_mode(capsys):
     code, out, _ = invoke(capsys, "vole", "--e-complete", "15", "--max-death", "30")
     assert code == 0

@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 
 from longevity.errors import NumericalError
 from longevity.fdm import (
-    FITTING_VARIANTS,
     Mesh1D,
     TwoPointBVP,
     _factor_tridiagonal,
-    difference_ops,
-    fitted_diffusion,
     fitted_stencil,
     fitting_factor,
-    fitting_factor_variants,
     layer_exact,
     solve_centered,
     solve_fitted,
@@ -46,23 +42,6 @@ def test_mesh_rejects_a_width_past_the_float_range(a, b):
     # the numpy bounds would warn on the subtraction; tier-1 makes that a failure
     with pytest.raises(ValueError, match="overflows"):
         Mesh1D(a, b, 5)
-
-
-def test_difference_ops_on_quadratic():
-    """Divided differences are exact on polynomials of matching degree."""
-    mesh = Mesh1D(0.0, 1.0, 21)
-    x = mesh.points()
-    u = 3.0 * x**2 - 2.0 * x + 1.0
-    fwd, bwd, ctr, second = difference_ops(u, 10, mesh.h)
-    x0 = x[10]
-    assert ctr == pytest.approx(6.0 * x0 - 2.0, rel=1e-12)
-    assert second == pytest.approx(6.0, rel=1e-9)
-    assert fwd == pytest.approx(6.0 * x0 - 2.0 + 3.0 * mesh.h, rel=1e-9)
-    assert bwd == pytest.approx(6.0 * x0 - 2.0 - 3.0 * mesh.h, rel=1e-9)
-    with pytest.raises(ValueError):
-        difference_ops(u, 0, mesh.h)
-    with pytest.raises(ValueError):
-        difference_ops(u, 20, mesh.h)
 
 
 def test_pivoted_factor_matches_dense_for_every_right_hand_side():
@@ -164,6 +143,8 @@ def test_fitting_factor_known_value():
     assert fitting_factor(2.0, 1.0, 1.0) == pytest.approx(1.0 / math.tanh(1.0), rel=1e-15)
     with pytest.raises(ValueError):
         fitting_factor(2.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="overflows"):
+        fitting_factor(1.0, 1.0, 5e-324)
 
 
 def test_fitting_factor_small_argument_expansion():
@@ -175,27 +156,24 @@ def test_fitting_factor_small_argument_expansion():
 
 @settings(max_examples=300, deadline=None)
 @given(q=st.floats(min_value=1e-8, max_value=700.0))
-def test_all_variants_dominate_the_drift(q):
-    """Every fitting choice exceeds |q|, which is what keeps rows monotone.
+def test_fitting_factor_dominates_the_drift(q):
+    """``q coth q`` exceeds ``q``, which is what keeps rows monotone.
 
-    Mathematically the excess over q is strictly positive; in floats the
-    exponential variant's excess drops below one ulp of q around q = 18,
-    so the strict form is only asserted where it is representable.
+    Mathematically the excess over q is strictly positive; in floats it
+    drops below one ulp of q around q = 18, so the strict form is only
+    asserted where it is representable.
     """
-    rho0, rho1, rho2 = fitting_factor_variants(q)
-    for rho in (rho0, rho1, rho2):
-        assert rho >= q
+    rho = fitting_factor(2.0 * q, 1.0, 1.0)
+    assert rho >= q
     if q <= 15.0:
-        assert rho2 > q
-    # and they are ordered: exponential <= sqrt <= rational
-    slack = 1e-12 * max(1.0, q)
-    assert rho2 <= rho1 + slack
-    assert rho1 <= rho0 + slack
+        assert rho > q
 
 
-def test_fitted_diffusion_zero_sigma_is_pure_upwind():
-    gamma = fitted_diffusion(np.array([3.0, -2.0]), 0.5, np.array([0.0, 0.0]))
-    np.testing.assert_allclose(gamma, [0.75, 0.5])
+def test_fitted_stencil_zero_sigma_is_pure_upwind():
+    sub, center, sup = fitted_stencil(np.array([3.0, -2.0]), 0.5, np.array([0.0, 0.0]))
+    np.testing.assert_array_equal(sub, [0.0, 4.0])
+    np.testing.assert_array_equal(sup, [6.0, 0.0])
+    np.testing.assert_array_equal(center, [-6.0, -4.0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,12 +198,6 @@ def test_fitted_stencil_rejects_a_mesh_too_coarse_to_square():
     assert np.all(np.isfinite(sub))
 
 
-def test_fitted_stencil_rejects_unknown_variant():
-    with pytest.raises(ValueError, match="unknown fitting variant"):
-        fitted_stencil(np.array([1.0]), 0.1, np.array([1.0]), "cubic")
-    assert FITTING_VARIANTS == ("rational", "sqrt", "exponential")
-
-
 def _layer_bvp(sigma):
     return TwoPointBVP(
         sigma=lambda x: np.full_like(x, sigma),
@@ -244,20 +216,6 @@ def test_fitted_solves_constant_coefficient_problem_exactly():
         got = solve_fitted(_layer_bvp(sigma), mesh)
         exact = layer_exact(sigma, mesh.points())
         assert np.max(np.abs(got - exact)) <= 1e-10
-
-
-def test_fitted_variants_converge_but_only_exponential_is_exact():
-    mesh = Mesh1D(0.0, 1.0, 41)
-    exact = layer_exact(0.05, mesh.points())
-    errs = {}
-    for variant in FITTING_VARIANTS:
-        got = solve_fitted(_layer_bvp(0.05), mesh, variant=variant)
-        errs[variant] = np.max(np.abs(got - exact))
-    assert errs["exponential"] <= 1e-12
-    assert errs["rational"] > 1e-6
-    assert errs["sqrt"] > 1e-6
-    # still reasonable approximations, no oscillation blow-up
-    assert max(errs.values()) < 0.1
 
 
 def test_fitted_manufactured_solution_first_order():
@@ -338,12 +296,12 @@ def test_overflow_on_extreme_data_is_silent_and_ends_in_an_error():
 @pytest.mark.parametrize("call", [
     lambda v: layer_exact(v, 0.5),
     lambda v: fitted_stencil(np.array([v]), 0.1, np.array([1.0])),
-    lambda v: fitted_diffusion(np.array([2.0]), 0.1, np.array([v])),
+    lambda v: fitted_stencil(np.array([2.0]), 0.1, np.array([v])),
     lambda v: fitting_factor(2.0, 0.1, v),
-], ids=["layer_exact", "stencil-mu", "diffusion", "fitting_factor"])
+    lambda v: fitting_factor(2.0, v, 1.0),
+], ids=["layer_exact", "stencil-mu", "diffusion", "fitting_factor", "fitting_factor-h"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_diffusion_or_drift_is_rejected(call, bad):
-    # the layer solvers and a non-finite stencil sigma are covered through
-    # fdm-demo in test_cli.py
+    # the layer solvers are covered through fdm-demo in test_cli.py
     with pytest.raises(ValueError, match="finite"):
         call(bad)

@@ -1,8 +1,11 @@
 """Package namespace: lazily resolved exports and submodules."""
 
 import importlib
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +40,12 @@ def test_submodules_load_on_attribute_access():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == b"False longevity.pricing longevity.cli\n"
+
+
+def test_readme_quick_start_runs():
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    done = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+    assert done.returncode == 0, done.stderr

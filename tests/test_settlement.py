@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -354,6 +355,24 @@ def test_load_cashflows_rejects_bad_rows(tmp_path):
     p2.write_text("period,amount\n0,-100\n0,150\n")
     with pytest.raises(DataError):
         load_cashflows(p2)
+
+
+def test_load_cashflows_caps_the_period_before_building_the_series(tmp_path):
+    capped = tmp_path / "cap.csv"
+    capped.write_text("period,amount\n0,-100\n10000,200\n")
+    assert len(load_cashflows(capped).flows) == 10_001
+    # one past the cap first, so a missing check fails here and never
+    # reaches the gigabyte-sized series below
+    past = tmp_path / "past.csv"
+    past.write_text("period,amount\n0,-100\n10001,200\n")
+    with pytest.raises(DataError, match="past.csv:3"):
+        load_cashflows(past)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("period,amount\n0,-100\n1000000000,200\n")
+    start = time.perf_counter()
+    with pytest.raises(DataError, match=r"huge.csv:3: period must lie in \[0, 10000\]"):
+        load_cashflows(huge)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_load_schedule_round_trip(tmp_path):

@@ -12,7 +12,6 @@ from longevity.simulate import (
     gbm_step,
     gbm_terminal,
     gbm_terminal_samples,
-    merge_summaries,
     randomized_horizon_payoff,
     sample_death_year,
     sample_death_years,
@@ -117,29 +116,12 @@ def test_sample_death_times_are_fractional(bundled_table):
 
 def test_mode_tie_breaks_toward_smaller_year():
     table = LifeTable(100, [0.5, 1.0])
-    # force an exact tie by merging two single-year histograms
+    # two possible death years, split about evenly between them
     s = simulate_deaths(table, 100, 1001, RngStream(12))
     assert s.mode in s.histogram
     assert s.histogram[s.mode] == max(s.histogram.values())
     first_max = min(y for y, c in s.histogram.items() if c == s.histogram[s.mode])
     assert s.mode == first_max
-
-
-def test_merge_matches_single_run_summary(bundled_table):
-    parts = []
-    for sid in range(4):
-        part = simulate_deaths(bundled_table, 70, 2500, RngStream(77, stream_id=sid))
-        parts.append((sid, part))
-    merged = merge_summaries(parts)
-    shuffled = merge_summaries(parts[::-1])
-    assert merged == shuffled
-    assert merged.n == 10_000
-    total = sum(p.histogram.get(y, 0) for _, p in parts for y in {merged.mode})
-    assert merged.histogram[merged.mode] == total
-    with pytest.raises(ValueError):
-        merge_summaries([(0, parts[0][1]), (0, parts[1][1])])
-    with pytest.raises(ValueError):
-        merge_summaries([])
 
 
 def test_vole_values_and_domain():

@@ -7,7 +7,6 @@ from longevity.stable import (
     StableParams,
     alpha_age_profile,
     estimate_alpha,
-    gaussian_reduction_check,
     log_char_function,
 )
 
@@ -51,14 +50,6 @@ def test_beta_invariance_at_alpha_two():
     for beta in (-1.0, -0.4, 0.3, 1.0):
         other = log_char_function(StableParams(alpha=2.0, beta=beta), t)
         assert np.max(np.abs(other - base)) <= 1e-15
-
-
-def test_gaussian_reduction_check_moments():
-    mean, var = gaussian_reduction_check(StableParams(alpha=2.0, gamma=3.0, delta=-2.0))
-    assert mean == -2.0
-    assert var == 6.0
-    with pytest.raises(ValueError):
-        gaussian_reduction_check(StableParams(alpha=1.9))
 
 
 def test_estimate_alpha_requires_data():
