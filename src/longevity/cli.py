@@ -34,7 +34,7 @@ from .errors import DataError, NumericalError, require_finite
 
 if TYPE_CHECKING:
     from .lifetable import LifeTable
-    from .settlement import FlatPolicy
+    from .settlement import FlatPolicy, PolicySchedule
 
 __all__ = ["run", "main"]
 
@@ -204,35 +204,35 @@ def _cmd_alpha_profile(ns) -> str:
     return _csv_text(("age", "alpha_hat"), rows)
 
 
-def _flat_policy(ns) -> FlatPolicy:
-    from .settlement import FlatPolicy
+def _policy(ns, rate: str = "rate") -> FlatPolicy | PolicySchedule:
+    """A loaded ``--schedule`` discounted at the ``rate`` flag, else a level policy."""
+    from .settlement import FlatPolicy, load_schedule
 
-    for name in ("premium", "benefit", "rate"):
+    r = getattr(ns, rate)
+    schedule = getattr(ns, "schedule", None)
+    if schedule is not None:
+        if r is None:
+            raise ValueError(f"--{rate.replace('_', '-')} is required with --schedule")
+        if ns.premium is not None or ns.benefit is not None:
+            raise ValueError("--schedule replaces --premium/--benefit")
+        return load_schedule(schedule, r)
+    for name in ("premium", "benefit", rate):
         if getattr(ns, name) is None:
-            raise ValueError(f"--{name} is required without --schedule")
-    return FlatPolicy(p=ns.premium, b=ns.benefit, r=ns.rate)
+            raise ValueError(f"--{name.replace('_', '-')} is required without --schedule")
+    return FlatPolicy(p=ns.premium, b=ns.benefit, r=r)
 
 
 def _cmd_price_lsv(ns) -> str:
-    from .settlement import load_schedule, lsv, lsv_schedule
+    from .settlement import lsv, lsv_schedule
 
-    if ns.schedule is not None:
-        if ns.rate is None:
-            raise ValueError("--rate is required with --schedule")
-        if ns.premium is not None or ns.benefit is not None:
-            raise ValueError("--schedule replaces --premium/--benefit")
-        schedule = load_schedule(ns.schedule, ns.rate)
-        t = int(ns.t)
-        if t != ns.t:
-            raise ValueError("--t must be a whole period with --schedule")
-        return _kv("lsv", lsv_schedule(schedule, t))
-    return _kv("lsv", lsv(_flat_policy(ns), ns.t))
+    pol = _policy(ns)
+    return _kv("lsv", lsv(pol, ns.t) if ns.schedule is None else lsv_schedule(pol, ns.t))
 
 
 def _cmd_duration(ns) -> str:
     from .settlement import le_duration, macaulay_duration
 
-    pol = _flat_policy(ns)
+    pol = _policy(ns)
     out = _kv("le_duration", le_duration(pol, ns.t))
     out += _kv("macaulay_duration", macaulay_duration(pol, ns.t))
     return out
@@ -241,7 +241,7 @@ def _cmd_duration(ns) -> str:
 def _cmd_critical_time(ns) -> str:
     from .settlement import critical_time
 
-    return _kv("critical_time", critical_time(_flat_policy(ns)))
+    return _kv("critical_time", critical_time(_policy(ns)))
 
 
 def _cmd_irr(ns) -> str:
@@ -273,19 +273,10 @@ def _cmd_price_option(ns) -> str:
 
 def _cmd_price_mortality_option(ns) -> str:
     from .pricing import price_mortality_option
-    from .settlement import FlatPolicy, load_schedule
     from .simulate import RngStream
 
     table = _load_table_arg(ns)
-    if ns.schedule is not None:
-        if ns.policy_rate is None:
-            raise ValueError("--policy-rate is required with --schedule")
-        pol = load_schedule(ns.schedule, ns.policy_rate)
-    else:
-        for name in ("premium", "benefit", "policy_rate"):
-            if getattr(ns, name) is None:
-                raise ValueError(f"--{name.replace('_', '-')} is required without --schedule")
-        pol = FlatPolicy(p=ns.premium, b=ns.benefit, r=ns.policy_rate)
+    pol = _policy(ns, rate="policy_rate")
     intervals, steps = _parse_grid(ns.grid)
     result = price_mortality_option(
         pol, table, ns.age, ns.vole_sigma, ns.rate, ns.n, RngStream(ns.seed),

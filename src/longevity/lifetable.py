@@ -20,7 +20,6 @@ Conventions
 
 from __future__ import annotations
 
-import csv
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DataError, require_finite
+from .errors import DataError, _read_csv, require_finite
 
 __all__ = [
     "LifeTable",
@@ -145,39 +144,18 @@ def load_table(path: str | Path) -> LifeTable:
     as decimals in ``[0, 1]``; violations raise :class:`DataError` naming the
     offending line.
     """
-    path = Path(path)
-    rows: list[tuple[int, float]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["age", "qx"]:
-            raise DataError(f"{path}: expected header 'age,qx', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                age = int(row[0])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: age {row[0]!r} is not an integer") from None
-            try:
-                q = float(row[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: qx {row[1]!r} is not a number") from None
-            if not 0.0 <= q <= 1.0:
-                raise DataError(f"{path}:{lineno}: qx {q!r} outside [0, 1]")
-            rows.append((age, q))
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    ages = [a for a, _ in rows]
-    for prev, cur in zip(ages, ages[1:]):
-        if cur != prev + 1:
-            raise DataError(
-                f"{path}: ages must be consecutive ascending, found {prev} then {cur}"
-            )
+    ages: list[int] = []
+    qx: list[float] = []
+    for line, (age, q) in _read_csv(path, {"age": int, "qx": float}):
+        if not 0.0 <= q <= 1.0:
+            raise DataError(f"{path}:{line}: qx {q!r} outside [0, 1]")
+        if ages and age != ages[-1] + 1:
+            raise DataError(f"{path}:{line}: ages must be consecutive ascending, "
+                            f"found {ages[-1]} then {age}")
+        ages.append(age)
+        qx.append(q)
     try:
-        return LifeTable(ages[0], np.array([q for _, q in rows]))
+        return LifeTable(ages[0], np.array(qx))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 

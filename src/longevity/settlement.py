@@ -22,13 +22,12 @@ is the negation of this one).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DataError, NumericalError, require_finite
+from .errors import DataError, NumericalError, _read_csv, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,11 +95,11 @@ class PolicySchedule:
         object.__setattr__(self, "premiums", prem)
         object.__setattr__(self, "benefits", ben)
         if prem.ndim != 1 or prem.size == 0 or prem.shape != ben.shape:
-            raise ValueError("premium and benefit vectors must be 1-D, non-empty, same length")
+            raise DataError("premium and benefit vectors must be 1-D, non-empty, same length")
         if not (np.all(np.isfinite(prem)) and np.all(np.isfinite(ben))):
-            raise ValueError("schedule entries must be finite")
+            raise DataError("schedule entries must be finite")
         if np.any(prem < 0.0) or np.any(ben < 0.0):
-            raise ValueError("schedule entries must be >= 0")
+            raise DataError("schedule entries must be >= 0")
         require_finite(rate=self.r)
         if self.r <= 0.0:
             raise ValueError("discount rate must be positive")
@@ -113,8 +112,8 @@ class PolicySchedule:
 class CashflowSeries:
     """Signed flows indexed by period, ``flows[0]`` at time zero.
 
-    Any 1-D sequence of numbers is accepted and stored as a tuple of Python
-    floats, so valuing a series needs no numpy.
+    Any 1-D sequence of finite numbers is accepted and stored as a tuple of
+    Python floats, so valuing a series needs no numpy.
     """
 
     flows: tuple[float, ...]
@@ -129,6 +128,8 @@ class CashflowSeries:
         object.__setattr__(self, "flows", f)
         if len(f) < 2:
             raise ValueError("need a 1-D series of at least two flows")
+        if not all(map(math.isfinite, f)):
+            raise ValueError("cash flows must be finite")
         if not (any(x > 0.0 for x in f) and any(x < 0.0 for x in f)):
             raise DataError("cash flows must contain at least one inflow and one outflow")
 
@@ -354,29 +355,14 @@ def load_cashflows(path: str | Path) -> CashflowSeries:
     Periods must be integers in ``[0, 10000]``, strictly ascending; periods
     not listed are taken as zero flows.
     """
-    path = Path(path)
     rows: list[tuple[int, float]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["period", "amount"]:
-            raise DataError(f"{path}: expected header 'period,amount', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                period = int(row[0])
-                amount = float(row[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: could not parse {row!r}") from None
-            if not 0 <= period <= _MAX_PERIOD:
-                raise DataError(f"{path}:{lineno}: period must lie in [0, {_MAX_PERIOD}], "
-                                f"got {period}")
-            if rows and period <= rows[-1][0]:
-                raise DataError(f"{path}:{lineno}: periods must be strictly ascending")
-            rows.append((period, amount))
+    for line, (period, amount) in _read_csv(path, {"period": int, "amount": float}):
+        if not 0 <= period <= _MAX_PERIOD:
+            raise DataError(f"{path}:{line}: period must lie in [0, {_MAX_PERIOD}], "
+                            f"got {period}")
+        if rows and period <= rows[-1][0]:
+            raise DataError(f"{path}:{line}: periods must be strictly ascending")
+        rows.append((period, amount))
     if len(rows) < 2:
         raise DataError(f"{path}: need at least two flows")
     flows = [0.0] * (rows[-1][0] + 1)
@@ -394,32 +380,14 @@ def load_schedule(path: str | Path, rate: float) -> PolicySchedule:
     Periods must run ``1..T`` consecutively.  The discount rate is not part
     of the file format, so it is supplied alongside the path.
     """
-    path = Path(path)
-    premiums: list[float] = []
-    benefits: list[float] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["period", "premium", "benefit"]
-        if header is None or [c.strip().lower() for c in header] != expected:
-            raise DataError(f"{path}: expected header 'period,premium,benefit', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                period = int(row[0])
-                prem = float(row[1])
-                ben = float(row[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: could not parse {row!r}") from None
-            if period != len(premiums) + 1:
-                raise DataError(
-                    f"{path}:{lineno}: periods must run 1..T consecutively, got {period}"
-                )
-            premiums.append(prem)
-            benefits.append(ben)
-    if not premiums:
-        raise DataError(f"{path}: no data rows")
-    return PolicySchedule(premiums, benefits, rate)
+    rows: list[tuple[float, float]] = []
+    columns = {"period": int, "premium": float, "benefit": float}
+    for line, (period, premium, benefit) in _read_csv(path, columns):
+        if period != len(rows) + 1:
+            raise DataError(f"{path}:{line}: periods must run 1..T consecutively, got {period}")
+        rows.append((premium, benefit))
+    premiums, benefits = zip(*rows)
+    try:
+        return PolicySchedule(premiums, benefits, rate)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

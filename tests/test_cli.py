@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +312,9 @@ def test_every_subcommand_exits_cleanly_on_wild_float_flags(tmp_path_factory):
             notice = argv[0] == "fdm-demo" and "--scheme=centered" in argv
             assert err.getvalue() == "" or (
                 notice and OSCILLATION_NOTICE.fullmatch(err.getvalue())), (argv, err.getvalue())
+        if argv[0] == "irr" and NON_FINITE_TOKEN.search(
+                Path(argv[1].partition("=")[2]).read_text()):
+            assert code == 2, argv
         if code in (2, 3):
             assert out.getvalue() == "", argv
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
@@ -418,6 +422,21 @@ def test_bad_table_contents_exit_2(capsys, tmp_path):
                           "--age", "70", "--n", "10", "--seed", "1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("price-lsv", "--rate", "0.05", "--t", "1"),
+    ("price-mortality-option", "--policy-rate", "0.05", "--age", "70", "--rate", "0.05",
+     "--vole-sigma", "0.1", "--n", "100", "--seed", "1", "--grid", "20,20"),
+])
+def test_schedule_with_level_policy_flags_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "sched.csv"
+    path.write_text("period,premium,benefit\n1,100,1000\n2,100,1000\n")
+    code, out, err = invoke(capsys, *argv, "--schedule", str(path),
+                            "--premium", "5", "--benefit", "7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --schedule replaces --premium/--benefit\n"
 
 
 def test_missing_table_file_exits_2(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from longevity.errors import DataError, NumericalError
+from longevity.lifetable import load_table
 from longevity.settlement import (
     CashflowSeries,
     FlatPolicy,
@@ -264,6 +266,8 @@ def test_cashflow_series_stores_a_tuple_of_floats():
     ["-1", "one"],
     "-12",
     5.0,
+    [-100.0, math.nan, 120.0],
+    [-100.0, math.inf],
 ])
 def test_cashflow_series_rejects_malformed_input_with_a_value_error(flows):
     # not a TypeError: the CLI maps ValueError to exit code 2
@@ -389,3 +393,60 @@ def test_load_schedule_rejects_nonconsecutive_periods(tmp_path):
     p.write_text("period,premium,benefit\n1,100,1000\n3,100,1000\n")
     with pytest.raises(DataError):
         load_schedule(p, 0.05)
+
+
+def test_load_schedule_names_the_file_for_a_negative_entry(tmp_path):
+    p = tmp_path / "neg.csv"
+    p.write_text("period,premium,benefit\n1,100,1000\n2,-100,1000\n")
+    with pytest.raises(DataError, match=r"neg\.csv: schedule entries must be >= 0"):
+        load_schedule(p, 0.05)
+
+
+# ------------------------------------------------ shared input-file rules #
+
+# each loader with its header and two valid rows; the reader behind all
+# three applies the same header, blank-row, column and number rules
+LOADERS = {
+    "table": (load_table, "age,qx", ["90,0.5", "91,1.0"]),
+    "cashflows": (load_cashflows, "period,amount", ["0,-100", "1,110"]),
+    "schedule": (lambda path: load_schedule(path, 0.05), "period,premium,benefit",
+                 ["1,100,1000", "2,100,1000"]),
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_loaders_accept_a_padded_upper_case_header_and_blank_rows(tmp_path, loader):
+    load, header, rows = LOADERS[loader]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join([header, *rows]) + "\n")
+    loose = tmp_path / "loose.csv"
+    loose.write_text("\n".join([" " + header.upper().replace(",", " , ") + " ", "",
+                                rows[0], " , ", "", rows[1], ""]) + "\n")
+    a, b = load(plain), load(loose)
+    assert type(a) is type(b)
+    for x, y in zip(vars(a).values(), vars(b).values()):
+        np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("column, cell, message", [
+    (0, "1.5", "is not an integer"),
+    (0, "x", "is not an integer"),
+    (1, "oops", "is not a finite number"),
+    (1, "nan", "is not a finite number"),
+    (1, "inf", "is not a finite number"),
+    (-1, "-inf", "is not a finite number"),
+    (-1, "NaN", "is not a finite number"),
+    (None, "7", r"expected \d columns, got \d"),
+])
+def test_loaders_reject_a_bad_row_naming_path_and_line(tmp_path, loader, column, cell, message):
+    load, header, rows = LOADERS[loader]
+    bad = rows[1].split(",")
+    if column is None:
+        bad.append(cell)
+    else:
+        bad[column] = cell
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header, rows[0], ",".join(bad)]) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: ") + ".*" + message):
+        load(path)

@@ -114,14 +114,13 @@ def test_sample_death_times_are_fractional(bundled_table):
     np.testing.assert_array_equal(np.ceil(times), years)
 
 
-def test_mode_tie_breaks_toward_smaller_year():
-    table = LifeTable(100, [0.5, 1.0])
-    # two possible death years, split about evenly between them
-    s = simulate_deaths(table, 100, 1001, RngStream(12))
-    assert s.mode in s.histogram
-    assert s.histogram[s.mode] == max(s.histogram.values())
-    first_max = min(y for y, c in s.histogram.items() if c == s.histogram[s.mode])
-    assert s.mode == first_max
+def test_mode_tie_breaks_toward_smaller_year(monkeypatch):
+    # years 1 and 2 both die twice; the summary must report the smaller
+    monkeypatch.setattr("longevity.simulate.sample_death_years",
+                        lambda *args: np.array([2, 1, 2, 1, 3]))
+    s = simulate_deaths(LifeTable(100, [0.5, 0.5, 1.0]), 100, 5, RngStream(12))
+    assert s.histogram == {1: 2, 2: 2, 3: 1}
+    assert s.mode == 1
 
 
 def test_vole_values_and_domain():
