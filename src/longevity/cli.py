@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -175,9 +176,12 @@ def _read_samples(source: str | None) -> list[float]:
         if not line:
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             raise DataError(f"{where}:{i}: not a number: {line!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{where}:{i}: sample {line!r} is not a finite number")
+        values.append(value)
     if not values:
         raise DataError(f"{where}: no samples found")
     return values

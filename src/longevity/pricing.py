@@ -465,10 +465,11 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
     discount ``max(position value, 0)`` back at ``r``, average; the same
     discounted payoffs weighted by the death-year probabilities give
     ``exact_value``.  Either way the payoff is evaluated once per death
-    year, not per path.  The route reads exactly ``n_paths`` uniforms from
-    ``rng``, one per death year, and nothing else.  A rate whose discount
-    factor overflows within the table's horizon raises ``ValueError``; an
-    estimate that overflows raises :class:`NumericalError`.
+    year, not per path.  The route reads exactly ``n_paths`` 64-bit words
+    from ``rng``, one uniform per sampled death year, and nothing else.
+    A rate whose discount factor overflows within the table's horizon
+    raises ``ValueError``; an estimate that overflows raises
+    :class:`NumericalError`.
     PDE route: treat the expected remaining lifetime as a notional
     log-normal index with spot ``e = complete_expectation(table, x)`` and
     volatility ``vole_sigma``, map index levels to death years by rounding

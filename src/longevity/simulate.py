@@ -7,11 +7,27 @@ Reproducibility contract
 on any platform, and distinct ``stream_id`` values give statistically
 independent streams.
 
-Uniform deviates are built from the top 53 bits of one 64-bit word each,
-offset by half an ulp, so they lie strictly inside (0, 1) and are safe under
-logarithms.  Normal deviates use the Box-Muller transform, one uniform pair
-per normal (the cosine branch only), so the stream position after ``n``
-normals is ``2n`` words regardless of batching.
+Uniform deviates are built from the top 53 bits ``k`` of one 64-bit word
+each as ``(k + 0.5) / 2**53``, so they are positive and safe under
+logarithms.  They lie below 1 except for the one word in ``2**53`` whose
+top bits are all ones: there the half rounds to even and the uniform is
+exactly 1.0.  Normal deviates use the Box-Muller transform, one uniform
+pair per normal (the cosine branch only), so the stream position after
+``n`` normals is ``2n`` words regardless of batching.
+
+Death-year sampling
+-------------------
+A curtate death year is the inverse of the life table's death CDF at one
+uniform: year ``i + 1`` where ``i`` counts the CDF entries ``<= u``, capped
+at the last year.  :func:`sample_death_years` inverts a batch with a guide
+table (indexed search, Chen & Asau 1974).  It splits (0, 1) into 4096 equal
+buckets and, with one binary search of the 4097 bucket edges, counts the
+CDF values at or below each edge.  A bucket whose two edges give the same
+count sends all its draws to one year, and a draw reads that year from the
+table at ``floor(4096 u)``.  The product is exact, since 4096 is a power of
+two, so the bucket is exact too.  Only the draws in the other buckets, at
+most ``cdf.size`` of the 4096, fall back to the binary search, and every
+year equals the plain inversion's.
 """
 
 from __future__ import annotations
@@ -42,6 +58,8 @@ __all__ = [
 ]
 
 _TWO_POW_53 = float(1 << 53)
+_BUCKETS = 4096
+_BUCKET_EDGES = np.arange(_BUCKETS + 1) / _BUCKETS
 
 
 class RngStream:
@@ -73,11 +91,15 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + int(offset))
 
     def uniform(self, size: int) -> np.ndarray:
-        """``size`` uniforms strictly inside (0, 1), one 64-bit word each."""
+        """``size`` uniforms in (0, 1], one 64-bit word each (see the module notes)."""
         if size < 0:
             raise ValueError("size must be >= 0")
         words = self._gen.integers(0, 2**64, size=size, dtype=np.uint64)
-        return ((words >> np.uint64(11)).astype(np.float64) + 0.5) / _TWO_POW_53
+        words >>= np.uint64(11)
+        u = words.astype(np.float64)
+        u += 0.5
+        u /= _TWO_POW_53
+        return u
 
     def normals(self, size: int) -> np.ndarray:
         """``size`` standard normals via Box-Muller, cosine branch.
@@ -115,8 +137,9 @@ def box_muller(r1, r2):
 # ------------------------------------------------------- death sampling #
 
 def _death_cdf(table: LifeTable, x: int) -> np.ndarray:
-    probs = death_distribution(table, x)
-    cdf = np.cumsum(probs)
+    # a running sum that rounds past 1 is clipped, so the CDF never
+    # decreases and every uniform in [0, 1] has one well-defined year
+    cdf = np.minimum(np.cumsum(death_distribution(table, x)), 1.0)
     cdf[-1] = 1.0
     return cdf
 
@@ -124,6 +147,22 @@ def _death_cdf(table: LifeTable, x: int) -> np.ndarray:
 def _years_from_uniforms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(cdf, u, side="right")
     return np.minimum(idx, cdf.size - 1) + 1
+
+
+def _bucket_years(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_years_from_uniforms(cdf, u)`` by guide-table lookup, ``0 <= u <= 1``."""
+    # first[b] counts the CDF values <= edge b, so a draw in bucket b,
+    # [edge b, edge b+1), counts between first[b] and first[b+1] of them:
+    # the bucket fixes the year unless the two differ.  The extra bucket
+    # 4096 holds u == 1.0 alone.
+    first = np.searchsorted(cdf, _BUCKET_EDGES, side="right")
+    mixed = np.append(first[:-1] != first[1:], False)
+    bucket = (u * _BUCKETS).astype(np.intp)
+    years = (np.minimum(first, cdf.size - 1) + 1)[bucket]
+    fallback = np.flatnonzero(mixed[bucket])
+    if fallback.size:
+        years[fallback] = _years_from_uniforms(cdf, u[fallback])
+    return years
 
 
 def sample_death_year(table: LifeTable, x: int, rng: RngStream) -> int:
@@ -137,11 +176,18 @@ def sample_death_year(table: LifeTable, x: int, rng: RngStream) -> int:
 
 
 def sample_death_years(table: LifeTable, x: int, n: int, rng: RngStream) -> np.ndarray:
-    """Draw ``n`` curtate death years in one batch (``n`` uniforms)."""
+    """Draw ``n`` curtate death years in one batch (``n`` uniforms).
+
+    The years equal a binary search of each uniform in the death CDF, but
+    most draws read them from a 4096-bucket guide table instead.  A bucket
+    with no CDF value inside it or on its upper edge maps every draw to one
+    year.  The draws that land in one of the at most ``cdf.size`` other
+    buckets take the binary search.  Consumes exactly ``n`` words of ``rng``.
+    """
     if n <= 0:
         raise ValueError("n must be positive")
     cdf = _death_cdf(table, x)
-    return _years_from_uniforms(cdf, rng.uniform(n))
+    return _bucket_years(cdf, rng.uniform(n))
 
 
 def sample_death_times(table: LifeTable, x: int, n: int, rng: RngStream) -> np.ndarray:

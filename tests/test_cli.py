@@ -467,6 +467,24 @@ def test_fit_stable_bad_sample_exits_2(capsys, tmp_path):
     assert ":3: not a number" in err
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_fit_stable_non_finite_sample_names_its_line(capsys, monkeypatch, tmp_path,
+                                                     source, token):
+    text = "1.0\n\n2.0\n" + token + "\n3.0\n"
+    if source == "file":
+        path = tmp_path / "samples.txt"
+        path.write_text(text)
+        argv, where = [str(path)], str(path)
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        argv, where = [], "<stdin>"
+    code, out, err = invoke(capsys, "fit-stable", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {where}:4: sample {token!r} is not a finite number\n"
+
+
 def test_numerical_failure_exits_3(capsys, tmp_path):
     # signs alternate so the series is admissible, but the NPV polynomial
     # has negative discriminant: no real rate zeroes it
@@ -483,6 +501,36 @@ def test_numerical_failure_exits_3(capsys, tmp_path):
 def run_module(*argv):
     return subprocess.run([sys.executable, "-m", "longevity", *argv],
                           capture_output=True, timeout=120)
+
+
+# stdout of seeded commands, captured before death years were drawn by
+# guide-table lookup; any change to the stream or the sampler shows here
+GOLDEN_STDOUT = {
+    ("simulate", "--age", "70", "--n", "2000", "--seed", "7", "--csv"): (
+        b"year,count\r\n1,33\r\n2,43\r\n3,39\r\n4,51\r\n5,42\r\n6,32\r\n7,48\r\n"
+        b"8,52\r\n9,55\r\n10,53\r\n11,52\r\n12,67\r\n13,78\r\n14,79\r\n15,82\r\n"
+        b"16,97\r\n17,136\r\n18,153\r\n19,211\r\n20,208\r\n21,190\r\n22,96\r\n"
+        b"23,45\r\n24,31\r\n25,11\r\n26,8\r\n27,5\r\n28,2\r\n29,1\r\n"
+    ),
+    ("alpha-profile", "--ages", "60..95", "--step", "5", "--n", "20000", "--seed", "3"): (
+        b"age,alpha_hat\r\n60,2.000000\r\n65,2.000000\r\n70,2.000000\r\n"
+        b"75,2.000000\r\n80,2.000000\r\n85,2.000000\r\n90,1.674996\r\n"
+        b"95,1.631860\r\n"
+    ),
+    ("price-mortality-option", "--age", "70", "--premium", "100", "--benefit", "1000",
+     "--policy-rate", "0.05", "--rate", "0.05", "--vole-sigma", "0.1", "--n", "50000",
+     "--seed", "9", "--grid", "50,50"): (
+        b"mc_value=51.509364\nmc_std_error=0.694740\nexact_value=52.245218\n"
+        b"pde_value=0.105552\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=lambda argv: argv[0])
+def test_seeded_stdout_matches_the_recorded_bytes(argv):
+    done = run_module(*argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == GOLDEN_STDOUT[argv]
 
 
 def test_seeded_run_is_byte_identical_across_processes():

@@ -19,6 +19,7 @@ from longevity.simulate import (
     simulate_deaths,
     vole,
 )
+from longevity.simulate import _bucket_years, _death_cdf, _years_from_uniforms
 from oracles import curtate_mean_from_rates
 
 
@@ -29,6 +30,18 @@ def test_stream_is_reproducible_and_streams_are_distinct():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.all((a > 0.0) & (a < 1.0))
+
+
+def test_uniform_is_the_documented_formula_bit_for_bit():
+    n = 10_000
+    key = np.array([5, 3], dtype=np.uint64)
+    words = np.random.Generator(np.random.Philox(key=key)).integers(
+        0, 2**64, size=n, dtype=np.uint64)
+    want = ((words >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0**53
+    got = RngStream(5, stream_id=3).uniform(n)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert RngStream(5).uniform(0).shape == (0,)
 
 
 def test_stream_rejects_bad_seed():
@@ -80,6 +93,49 @@ def test_certain_death_table():
     assert summary.max_year == 1
     assert summary.mean == 1.0
     assert summary.histogram == {1: 50}
+
+
+# death CDFs whose steps sit where a 4096-bucket guide table can go wrong
+EDGE_CASE_CDFS = {
+    # qx = 0.5 every year: 0.5, 0.75, ... land on bucket edges up to 1 - 2**-12,
+    # and the later steps crowd into the last bucket
+    "steps-on-bucket-edges": _death_cdf(LifeTable(60, [0.5] * 20 + [1.0]), 60),
+    "several-steps-in-one-bucket": np.append(np.arange(1, 31) * 1e-5, [0.3, 1.0]),
+    "zero-probability-years": _death_cdf(
+        LifeTable(60, [0.0, 0.3, 0.0, 0.0, 0.5, 0.0, 1.0]), 60),
+    "single-year": np.array([1.0]),
+    # the running sum reaches 1.0000000000000002 in year 3
+    "sum-passes-one-before-the-last": _death_cdf(
+        LifeTable(60, [0.2, 0.2, 1.0, 0.5, 1.0]), 60),
+}
+
+
+def _uniforms_around(cdf):
+    """Every bucket edge and CDF value, with its float neighbours in [0, 1]."""
+    points = np.concatenate([np.arange(4097) / 4096, cdf])
+    near = np.concatenate([np.nextafter(points, 0.0), points, np.nextafter(points, 1.0)])
+    return near[(near >= 0.0) & (near <= 1.0)]
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_CDFS))
+def test_bucket_lookup_equals_the_binary_search(name):
+    cdf = EDGE_CASE_CDFS[name]
+    assert np.all(np.diff(cdf) >= 0.0)
+    for u in (RngStream(21).uniform(50_000), _uniforms_around(cdf)):
+        want = _years_from_uniforms(cdf, u)
+        got = _bucket_years(cdf, u)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_sample_death_years_reads_one_word_per_year(bundled_table):
+    n = 30_000
+    rng, twin = RngStream(8), RngStream(8)
+    years = sample_death_years(bundled_table, 60, n, rng)
+    want = _years_from_uniforms(_death_cdf(bundled_table, 60), twin.uniform(n))
+    assert years.dtype == want.dtype
+    np.testing.assert_array_equal(years, want)
+    np.testing.assert_array_equal(rng.uniform(4), twin.uniform(4))
 
 
 def test_death_years_match_distribution_chi_square(bundled_table):
