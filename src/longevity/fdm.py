@@ -91,42 +91,83 @@ class Mesh1D:
 _lapack = None  # scipy.linalg.lapack, bound by the first factorization
 
 
-def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray,
-                        upper: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Pivoted LU of a tridiagonal matrix, the one tridiagonal solver here.
+def _require_finite_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
+    """``ValueError`` unless every coefficient a factorization reads is finite.
 
-    Row ``j`` reads ``lower[j]*x[j-1] + diag[j]*x[j] + upper[j]*x[j+1]``;
-    all three vectors have the system size, and ``lower[0]`` and
-    ``upper[-1]`` are ignored.  The factorization is LAPACK ``dgttrf``,
-    Gaussian elimination with partial pivoting, so it needs no diagonal
-    dominance; the returned function back-substitutes one right-hand side
-    through it with ``dgttrs``, so a fixed matrix is factored once however
-    many systems it solves.  Non-finite coefficients raise ``ValueError``;
-    an exactly zero pivot raises :class:`NumericalError`.  The
-    back-substitution does not check its output, so callers that need a
-    finite solution test for it.
+    The vectors are laid out as for :func:`_factor_tridiagonal`.
+    """
+    if not (np.isfinite(diag).all() and np.isfinite(lower[1:]).all()
+            and np.isfinite(upper[:-1]).all()):
+        raise ValueError("tridiagonal coefficients must be finite")
+
+
+def _lu_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
+    """Unchecked core of :func:`_factor_tridiagonal`: the ``dgttrf`` factors.
+
+    Takes the same vectors and returns ``(dl, d, du, du2, ipiv)`` for
+    :func:`_lu_solve`; the factors overwrite the vectors where they are
+    contiguous float arrays.  The coefficients are not tested for
+    finiteness, so a caller that skips :func:`_factor_tridiagonal` tests
+    them itself; an exactly zero pivot raises :class:`NumericalError`.  A
+    system of fewer than three rows, which the LAPACK wrappers reject, is
+    factored with appended identity rows; they are decoupled, so the
+    system's own pivots and solution are unchanged.
     """
     global _lapack
     if _lapack is None:
         # imported here so that loading the package (and the CLI) pulls in no scipy
         from scipy.linalg import lapack as _lapack
 
-    if not (np.isfinite(diag).all() and np.isfinite(lower[1:]).all()
-            and np.isfinite(upper[:-1]).all()):
-        raise ValueError("tridiagonal coefficients must be finite")
-    n = diag.size
-    if n < 3:
-        # the LAPACK wrappers need three rows; appended identity rows are
-        # decoupled, so the system's own pivots and solution are unchanged
-        pad = 3 - n
-        solve = _factor_tridiagonal(np.concatenate([lower, np.zeros(pad)]),
-                                    np.concatenate([diag, np.ones(pad)]),
-                                    np.concatenate([upper[:-1], np.zeros(pad + 1)]))
-        return lambda rhs: solve(np.concatenate([rhs, np.zeros(pad)]))[:n]
-    dl, d, du, du2, ipiv, info = _lapack.dgttrf(lower[1:], diag, upper[:-1])
+    pad = 3 - diag.size
+    if pad > 0:
+        lower = np.concatenate([lower, np.zeros(pad)])
+        diag = np.concatenate([diag, np.ones(pad)])
+        upper = np.concatenate([upper[:-1], np.zeros(pad + 1)])
+    dl, d, du, du2, ipiv, info = _lapack.dgttrf(lower[1:], diag, upper[:-1], overwrite_dl=1,
+                                                overwrite_d=1, overwrite_du=1)
     if info > 0:
         raise NumericalError(f"singular tridiagonal system: zero pivot at row {info - 1}")
-    return lambda rhs: _lapack.dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+    return dl, d, du, du2, ipiv
+
+
+def _lu_solve(lu: tuple, b: np.ndarray) -> None:
+    """Overwrite the float vector ``b`` with the solution through ``lu``.
+
+    One ``dgttrs`` back-substitution, in place when ``b`` is contiguous;
+    a padded system's extra rows get zeros and solve to zeros.  The result
+    is not checked, so callers that need a finite solution test for it.
+    """
+    n, m = b.size, lu[1].size
+    rhs = b if n == m else np.concatenate([b, np.zeros(m - n)])
+    x = _lapack.dgttrs(*lu, rhs, overwrite_b=1)[0]
+    if x is not b:
+        b[:] = x[:n]
+
+
+def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray,
+                        upper: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Pivoted LU of a tridiagonal matrix, the one tridiagonal solver here.
+
+    Row ``j`` reads ``lower[j]*x[j-1] + diag[j]*x[j] + upper[j]*x[j+1]``;
+    all three vectors have the system size, and ``lower[0]`` and
+    ``upper[-1]`` are ignored.  This checked entry rejects non-finite
+    coefficients with ``ValueError`` and then factors through
+    :func:`_lu_tridiagonal`: LAPACK ``dgttrf``, Gaussian elimination with
+    partial pivoting, so it needs no diagonal dominance; an exactly zero
+    pivot raises :class:`NumericalError`.  The returned function solves one
+    right-hand side into a new vector with :func:`_lu_solve` (``dgttrs``),
+    so a fixed matrix is factored once however many systems it solves.
+    The solution is not checked, so callers that need a finite one test
+    for it.
+    """
+    _require_finite_tridiagonal(lower, diag, upper)
+    lu = _lu_tridiagonal(*(np.array(v, dtype=float) for v in (lower, diag, upper)))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = np.array(rhs, dtype=float)
+        _lu_solve(lu, x)
+        return x
+    return solve
 
 
 # ----------------------------------------------- classical demo schemes #
@@ -261,19 +302,21 @@ def fitting_factor(mu: float, h: float, sigma: float) -> float:
     return float(_q_coth_q(np.array(q)))
 
 
-def _excess(q: np.ndarray) -> np.ndarray:
-    """Excess ``q coth q - q`` of the fitting factor over ``q``, for ``q >= 0``.
+def _excess(s: np.ndarray) -> np.ndarray:
+    """Excess ``q coth q - q`` of the fitting factor over ``q``, for ``s = |q|``.
 
-    The excess is what makes the fitted sub-diagonal nonnegative, so above
-    ``q = 1e-4`` it comes from the cancellation-free ``2q/expm1(2q)``,
-    which cannot go negative in floating point; below, from the series in
-    :func:`_q_coth_q`.
+    The excess is what makes the fitted sub-diagonal nonnegative, so it
+    comes from the cancellation-free ``2s/expm1(2s)``, which cannot go
+    negative in floating point; only the rows below ``s = 1e-4`` take the
+    series in :func:`_q_coth_q` instead of its 0/0.  A non-finite ``s``
+    gives a meaningless value, which the caller replaces.
     """
-    excess = np.empty_like(q)
-    small = q < 1e-4
-    excess[small] = _q_coth_q(q[small]) - q[small]
-    t = np.minimum(q[~small], 350.0)
-    excess[~small] = 2.0 * t / np.expm1(2.0 * t)
+    excess = np.minimum(s, 350.0, out=np.empty_like(s))  # clamped as in _q_coth_q
+    excess *= 2.0
+    excess /= np.expm1(excess)
+    if np.fmin.reduce(s, axis=None, initial=np.inf) < 1e-4:  # fmin skips a 0/0 row's nan
+        small = s < 1e-4
+        excess[small] = _q_coth_q(s[small]) - s[small]
     return excess
 
 
@@ -283,10 +326,12 @@ def _fitted_coefficients(mu, sigma) -> tuple[np.ndarray, np.ndarray]:
     A nan ``sigma`` fails every comparison, so without the finiteness test
     its row would pass for a degenerate one and be silently upwinded.
     """
-    mu, sigma = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float))
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+    mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+    if mu.shape != sigma.shape:
+        mu, sigma = np.broadcast_arrays(mu, sigma)
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise ValueError("diffusion sigma and convection mu must be finite")
-    if np.any(sigma < 0.0):
+    if (sigma < 0.0).any():
         raise ValueError("sigma must be >= 0")
     return mu, sigma
 
@@ -305,6 +350,12 @@ def fitted_stencil(mu, h: float, sigma) -> tuple[np.ndarray, np.ndarray, np.ndar
     exactly ``-(sub + sup)`` (zero row sum before any reaction term).
     Rows where ``sigma`` is zero, or so small that the mesh Peclet number
     is not representable, degrade to the one-sided upwind stencil.
+
+    Inputs of any shape are assembled row-wise with no masking on the
+    common path: every row takes the fitted formula and ``np.where`` picks
+    its wind side.  Only the rare rows with ``|q| < 1e-4`` (the series) or
+    a non-finite ``q`` (upwinding) are patched by boolean indexing, so a
+    row comes out bit for bit as it does when assembled alone.
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
@@ -312,24 +363,27 @@ def fitted_stencil(mu, h: float, sigma) -> tuple[np.ndarray, np.ndarray, np.ndar
         h_squared = h**2
     except OverflowError:
         raise ValueError(f"h must have a finite square, got {h}") from None
-    mu, sigma = (a.copy() for a in _fitted_coefficients(mu, sigma))
-    sub = np.empty_like(mu)
-    sup = np.empty_like(mu)
+    mu, sigma = _fitted_coefficients(mu, sigma)
+    # every row takes the fitted formula at once; the rows whose mesh Peclet
+    # number is not finite (0/0 included) get meaningless values there,
+    # without a warning, and are replaced below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q = mu * h / (2.0 * sigma)
-    degenerate = ~np.isfinite(q)
-    sub[degenerate] = np.maximum(-mu[degenerate], 0.0) / h
-    sup[degenerate] = np.maximum(mu[degenerate], 0.0) / h
-    ok = ~degenerate
-    excess = _excess(np.abs(q[ok]))
-    # on extreme data a row overflows to inf (or inf * 0 = nan), which the
-    # caller's factorization or finiteness check rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        against_wind = sigma[ok] / h_squared * excess
-        with_wind = against_wind + np.abs(mu[ok]) / h
-    downwind = q[ok] >= 0.0
-    sub[ok] = np.where(downwind, against_wind, with_wind)
-    sup[ok] = np.where(downwind, with_wind, against_wind)
+        q = mu * h
+        q /= 2.0 * sigma
+        # on extreme data a row overflows to inf (or inf * 0 = nan), which
+        # the caller's factorization or finiteness check rejects
+        against_wind = sigma / h_squared
+        against_wind *= _excess(np.abs(q))
+        with_wind = np.abs(mu)
+        with_wind /= h
+        with_wind += against_wind
+        downwind = q >= 0.0
+        sub = np.where(downwind, against_wind, with_wind)
+        sup = np.where(downwind, with_wind, against_wind)
+        if not np.isfinite(q).all():
+            degenerate = ~np.isfinite(q)
+            sub[degenerate] = np.maximum(-mu[degenerate], 0.0) / h
+            sup[degenerate] = np.maximum(mu[degenerate], 0.0) / h
     center = -(sub + sup)
     return sub, center, sup
 

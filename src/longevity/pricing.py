@@ -16,14 +16,18 @@ Time is stepped by the theta scheme: a few fully implicit steps damp the
 payoff kink, then Crank-Nicolson takes over (Rannacher 1984; Duffy, "A
 critique of the Crank-Nicolson scheme", Wilmott 2004).
 
-A problem whose coefficients ignore ``tau`` says so (``autonomous``);
-constant-volatility Black-Scholes and the mortality-option grid do.  Its
-coefficients are evaluated and its stencil assembled once per march, and
-each step matrix is LU-factored once per theta, so a step costs one explicit
-product and one back-substitution.  Coefficients that move with ``tau``, as
-under :class:`VolatilityDecay`, are still evaluated one level at a time, but
-assembled a bounded block of levels per ``fitted_stencil`` call, and each
-step matrix is factored afresh.
+A step works in place: it builds its right-hand side in a preallocated
+state vector, in the same order of operations as the textbook formula,
+back-substitutes it there with one LAPACK ``dgttrs`` call, and tests the
+new state for finiteness once.  A problem whose coefficients ignore
+``tau`` says so (``autonomous``); constant-volatility Black-Scholes and the
+mortality-option grid do.  Its coefficients are evaluated and its stencil
+assembled once per march, and each step matrix is LU-factored once per
+theta, so a step costs one explicit product and one back-substitution.
+Coefficients that move with ``tau``, as under :class:`VolatilityDecay`, are
+still evaluated one level at a time, but assembled a bounded block of
+levels per ``fitted_stencil`` call; the block's step matrices are formed
+together and checked for finiteness once, and each is factored afresh.
 
 Option valuation composes the march with payoff-specific boundary data.
 American exercise is handled by projecting each time level onto the payoff,
@@ -39,7 +43,6 @@ estimate targets.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -48,7 +51,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import NumericalError, require_finite
-from .fdm import Mesh1D, _factor_tridiagonal, fitted_stencil
+from .fdm import Mesh1D, _lu_solve, _lu_tridiagonal, _require_finite_tridiagonal, fitted_stencil
 from .lifetable import LifeTable, complete_expectation, death_distribution
 from .settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
 from .simulate import RngStream, sample_death_years
@@ -95,7 +98,8 @@ class ParabolicProblem:
     """Initial-boundary value problem in remaining-time coordinates.
 
     Coefficients ``sigma``, ``mu``, ``b_coef`` and ``f`` are callables of
-    ``(x, tau)`` accepting array ``x`` and a scalar ``tau``; ``phi`` is the
+    ``(x, tau)`` accepting array ``x`` and a scalar ``tau``, returning an
+    array shaped like ``x`` or a scalar for every node; ``phi`` is the
     state at ``tau = 0``; ``g0`` and ``g1`` give the left and right boundary
     values as functions of ``tau``; ``horizon`` is the total remaining time
     to march.  ``phi`` must agree with ``g0``/``g1`` at the domain corners
@@ -145,25 +149,80 @@ def _coefficients(prob: ParabolicProblem, xi: np.ndarray, taus: Sequence[float])
 
 
 def _levels(prob: ParabolicProblem, xi: np.ndarray, h: float, k: float,
-            n_levels: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """``(sub, diag, sup, f)`` of the semi-discrete operator at ``tau = n*k``, ``n = 0, 1, ...``.
+            thetas: Sequence[float]) -> Iterator[tuple]:
+    """``(sub, diag, sup, f, lu)`` of every level ``tau = n*k``, ``n = 0 .. len(thetas)``.
 
-    ``diag`` includes the reaction term.  An autonomous problem is
-    evaluated and assembled once and that level repeats without end; any
-    other is assembled in blocks of levels, one ``fitted_stencil`` call each
-    (looked up as this module's global, where tracers and tests replace it).
+    ``sub``, ``diag`` and ``sup`` are the rows of the semi-discrete operator
+    ``A`` (``diag`` includes the reaction term).  ``lu`` is
+    :func:`_factored` for the matrix ``I - k*theta*A`` of the step that
+    ends at the level, ``theta = thetas[n - 1]``, and None at ``n = 0``.
+
+    An autonomous problem is evaluated and assembled once, and its step
+    matrix factored once per distinct theta.  Any other is assembled in
+    blocks of levels, one ``fitted_stencil`` call each (looked up as this
+    module's global, where tracers and tests replace it); a block's step
+    matrices are formed together and tested for finiteness in one pass,
+    then factored one level at a time.
     """
     if prob.autonomous:
         sg, mu, bb, f = _coefficients(prob, xi, [0.0])[:, 0]
         sub, center, sup = fitted_stencil(mu, h, sg)
-        yield from itertools.repeat((sub, center + bb, sup, f))
-    else:
-        block = max(1, _BLOCK_NODES // xi.size)
-        for start in range(0, n_levels, block):
-            taus = [n * k for n in range(start, min(start + block, n_levels))]
-            sg, mu, bb, f = _coefficients(prob, xi, taus)
-            sub, center, sup = fitted_stencil(mu, h, sg)
-            yield from zip(sub, center + bb, sup, f)
+        level = (sub, center + bb, sup, f)
+        yield *level, None
+        factored = {}
+        for theta in thetas:
+            if theta not in factored:
+                matrix = _step_matrix(*level[:3], k * theta)
+                factored[theta] = _factored(matrix, check=True)
+            yield *level, factored[theta]
+        return
+    block = max(1, _BLOCK_NODES // xi.size)
+    n_levels = len(thetas) + 1
+    for start in range(0, n_levels, block):
+        levels = range(start, min(start + block, n_levels))
+        sg, mu, bb, f = _coefficients(prob, xi, [n * k for n in levels])
+        sub, center, sup = fitted_stencil(mu, h, sg)
+        dia = center + bb
+        # k*theta of the step that ends at each level; level 0 ends none
+        kt = np.array([k * thetas[n - 1] if n else 0.0 for n in levels])[:, None]
+        matrices = _step_matrix(sub, dia, sup, kt)
+        # one pass for the block; only a block that fails it is checked level by level
+        check = not np.isfinite(matrices).all()
+        for i, n in enumerate(levels):
+            lu = _factored(matrices[:, i], check) if n else None
+            yield sub[i], dia[i], sup[i], f[i], lu
+
+
+def _step_matrix(sub, dia, sup, kt) -> np.ndarray:
+    """``lower``, ``diag`` and ``upper`` of ``I - kt*A`` stacked on a new first axis.
+
+    Rows of 2-D operators take a column ``kt``.  The entries no
+    factorization reads, ``lower[..., 0]`` and ``upper[..., -1]``, are
+    zeroed, so one finiteness pass over the stack checks all the others.
+    """
+    matrix = np.empty((3,) + sub.shape)
+    lower, diag, upper = matrix
+    np.multiply(-kt, sub, out=lower)
+    np.multiply(kt, dia, out=diag)
+    np.subtract(1.0, diag, out=diag)
+    np.multiply(-kt, sup, out=upper)
+    lower[..., 0] = upper[..., -1] = 0.0
+    return matrix
+
+
+def _factored(matrix: np.ndarray, check: bool):
+    """``dgttrf`` factors of a step matrix, or the error factoring it raised.
+
+    The factors overwrite ``matrix``.  The error is returned, not raised,
+    so that the march raises it only after testing the step's right-hand
+    side: a step that blows up on its own reports that first.
+    """
+    try:
+        if check:
+            _require_finite_tridiagonal(*matrix)
+        return _lu_tridiagonal(*matrix)
+    except (ValueError, NumericalError) as exc:
+        return exc
 
 
 def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
@@ -174,7 +233,15 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     both levels (:func:`_levels`).  For an autonomous problem the operator
     never changes, so the step matrix ``I - k*theta*A`` is LU-factored once
     per distinct theta: a Rannacher start followed by Crank-Nicolson costs
-    two factorizations in all.  Otherwise every step factors its own.
+    two factorizations in all.  Otherwise every step factors its own, and
+    the step matrices are tested for finiteness once per assembled block.
+
+    A step works in place on preallocated vectors: it builds the
+    right-hand side ``U + k(1-theta)(A_old U - f_old) - k theta f_new``
+    in the interior of the other state buffer, in that order of
+    operations, back-substitutes it there with one ``dgttrs``, and swaps
+    the buffers; the result is tested for finiteness once.  Thetas and the
+    boundary values of every level are taken before the first step.
 
     Optionally projects every level onto ``payoff_floor`` (American
     constraint) and records, per level, the largest node where the value
@@ -182,7 +249,6 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     None when the exercise boundary is not tracked.
     """
     x = mesh.points()
-    xi = x[1:-1]
     n_steps = len(thetas)
     k = prob.horizon / n_steps
 
@@ -194,54 +260,73 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     if abs(U[0] - g0_0) > 1e-8 * scale or abs(U[-1] - g1_0) > 1e-8 * scale:
         raise ValueError("initial state disagrees with boundary data at a domain corner")
     U[0], U[-1] = g0_0, g1_0
+    if not all(0.0 <= theta <= 1.0 for theta in thetas):
+        raise ValueError("theta must lie in [0, 1]")
+    taus = [(n + 1) * k for n in range(n_steps)]
+    g0s = [float(prob.g0(tau)) for tau in taus]
+    g1s = [float(prob.g1(tau)) for tau in taus]
 
     floor = None
+    boundary = []
     if payoff_floor is not None:
         floor = np.asarray(payoff_floor(x), dtype=float)
         np.maximum(U, floor, out=U)
-    times = []
-    boundary = []
+        if track_exercise:
+            # a node is on the floor when its value is within tol of a floor above tol
+            tol = 1e-7 * (1.0 + float(np.max(floor)))
+            positive = floor > tol
+            gap = np.empty_like(U)
+            on_floor = np.empty(U.shape, dtype=bool)
 
+    # two state buffers with their neighbour views: a step reads one and
+    # writes the other
+    state, other = ((u, u[:-2], u[1:-1], u[2:]) for u in (U, np.empty_like(U)))
+    scratch = np.empty(x.size - 2)
     # an overflow in the coefficients or the step arithmetic leaves a
-    # non-finite value, which fitted_stencil, the factorization and the
-    # step checks reject
+    # non-finite value, which fitted_stencil, the factorization or the
+    # state check rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = _levels(prob, xi, mesh.h, k, n_steps + 1)
-        sub_o, dia_o, sup_o, f_o = next(levels)
-        solves = {}  # theta -> back-substitution through the factored step matrix
+        levels = _levels(prob, x[1:-1], mesh.h, k, thetas)
+        sub_o, dia_o, sup_o, f_o, _ = next(levels)
         for n, theta in enumerate(thetas):
-            if not 0.0 <= theta <= 1.0:
-                raise ValueError("theta must lie in [0, 1]")
-            tau_new = (n + 1) * k
-            sub_n, dia_n, sup_n, f_n = next(levels)
-            explicit = sub_o * U[:-2] + dia_o * U[1:-1] + sup_o * U[2:]
-            rhs = U[1:-1] + k * (1.0 - theta) * (explicit - f_o) - k * theta * f_n
-            g0v, g1v = float(prob.g0(tau_new)), float(prob.g1(tau_new))
-            rhs[0] += k * theta * sub_n[0] * g0v
-            rhs[-1] += k * theta * sup_n[-1] * g1v
-            if not np.isfinite(rhs).all():
-                raise _step_blowup(n, n_steps, k)
-
-            solve = solves.get(theta)
-            if solve is None:
-                solve = _factor_tridiagonal(
-                    -k * theta * sub_n, 1.0 - k * theta * dia_n, -k * theta * sup_n)
-                if prob.autonomous:
-                    solves[theta] = solve
-
-            U = np.empty_like(U)
-            U[0], U[-1] = g0v, g1v
-            U[1:-1] = solve(rhs)
-            if not np.isfinite(U).all():
+            sub_n, dia_n, sup_n, f_n, lu = next(levels)
+            _, left, mid, right = state
+            V, _, b, _ = other
+            kt = k * theta
+            np.multiply(sub_o, left, out=b)
+            np.multiply(dia_o, mid, out=scratch)
+            b += scratch
+            np.multiply(sup_o, right, out=scratch)
+            b += scratch
+            b -= f_o
+            b *= k * (1.0 - theta)
+            b += mid
+            np.multiply(f_n, kt, out=scratch)
+            b -= scratch
+            g0v, g1v = g0s[n], g1s[n]
+            b[0] += kt * sub_n[0] * g0v
+            b[-1] += kt * sup_n[-1] * g1v
+            if isinstance(lu, Exception):  # the step matrix failed to factor
+                if not np.isfinite(b).all():
+                    raise _step_blowup(n, n_steps, k)
+                raise lu
+            _lu_solve(lu, b)
+            V[0], V[-1] = g0v, g1v
+            if not np.isfinite(V).all():
                 raise _step_blowup(n, n_steps, k)
             if floor is not None:
-                np.maximum(U, floor, out=U)
+                np.maximum(V, floor, out=V)
             if track_exercise:
-                times.append(tau_new)
-                boundary.append(_exercise_node(x, U, floor))
+                np.subtract(V, floor, out=gap)
+                np.less_equal(gap, tol, out=on_floor)
+                on_floor &= positive
+                last = on_floor.size - 1 - int(on_floor[::-1].argmax())
+                boundary.append(float(x[last]) if on_floor[last] else math.nan)
             sub_o, dia_o, sup_o, f_o = sub_n, dia_n, sup_n, f_n
+            state, other = other, state
+    U = state[0]
     if track_exercise:
-        return U, np.asarray(times), np.asarray(boundary)
+        return U, np.asarray(taus), np.asarray(boundary)
     return U, None, None
 
 
@@ -249,13 +334,6 @@ def _step_blowup(n: int, n_steps: int, k: float) -> NumericalError:
     return NumericalError(
         f"time march produced non-finite values at step {n + 1} of "
         f"{n_steps} (k = {k:g}); the step is too large for this data")
-
-
-def _exercise_node(x: np.ndarray, U: np.ndarray, floor: np.ndarray) -> float:
-    """Largest node where the value sits on a strictly positive floor."""
-    tol = 1e-7 * (1.0 + float(np.max(floor)))
-    on_floor = (floor > tol) & (U - floor <= tol)
-    return float(x[on_floor].max()) if np.any(on_floor) else math.nan
 
 
 def step_parabolic(prob: ParabolicProblem, mesh: Mesh1D, n_steps: int,
@@ -322,8 +400,8 @@ def _bs_problem(kind: str, strike: float, rate: float, vol, expiry: float,
         return 0.5 * v * v * x * x
 
     mu = lambda x, tau: rate * x
-    b_coef = lambda x, tau: np.full_like(x, -rate)
-    f = lambda x, tau: np.zeros_like(x)
+    b_coef = lambda x, tau: -rate
+    f = lambda x, tau: 0.0
     if kind == "call":
         phi = lambda x: np.maximum(x - strike, 0.0)
         g0 = lambda tau: 0.0

@@ -8,12 +8,13 @@ on any platform, and distinct ``stream_id`` values give statistically
 independent streams.
 
 Uniform deviates are built from the top 53 bits ``k`` of one 64-bit word
-each as ``(k + 0.5) / 2**53``, so they are positive and safe under
-logarithms.  They lie below 1 except for the one word in ``2**53`` whose
-top bits are all ones: there the half rounds to even and the uniform is
-exactly 1.0.  Normal deviates use the Box-Muller transform, one uniform
-pair per normal (the cosine branch only), so the stream position after
-``n`` normals is ``2n`` words regardless of batching.
+each as ``min((k + 0.5) / 2**53, 1 - 2**-53)``, so they lie strictly
+inside (0, 1) and are safe under logarithms.  The clamp only touches the
+one word in ``2**53`` whose top bits are all ones, where the half rounds
+to even and the quotient is 1.  Normal deviates use the Box-Muller
+transform, one uniform pair per normal (the cosine branch only), so the
+stream position after ``n`` normals is ``2n`` words regardless of
+batching.
 
 Death-year sampling
 -------------------
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 _TWO_POW_53 = float(1 << 53)
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 _BUCKETS = 4096
 _BUCKET_EDGES = np.arange(_BUCKETS + 1) / _BUCKETS
 
@@ -91,7 +93,7 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + int(offset))
 
     def uniform(self, size: int) -> np.ndarray:
-        """``size`` uniforms in (0, 1], one 64-bit word each (see the module notes)."""
+        """``size`` uniforms in (0, 1), one 64-bit word each (see the module notes)."""
         if size < 0:
             raise ValueError("size must be >= 0")
         words = self._gen.integers(0, 2**64, size=size, dtype=np.uint64)
@@ -99,6 +101,7 @@ class RngStream:
         u = words.astype(np.float64)
         u += 0.5
         u /= _TWO_POW_53
+        np.minimum(u, _BELOW_ONE, out=u)
         return u
 
     def normals(self, size: int) -> np.ndarray:
@@ -150,15 +153,14 @@ def _years_from_uniforms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _bucket_years(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_years_from_uniforms(cdf, u)`` by guide-table lookup, ``0 <= u <= 1``."""
+    """``_years_from_uniforms(cdf, u)`` by guide-table lookup, ``0 <= u < 1``."""
     # first[b] counts the CDF values <= edge b, so a draw in bucket b,
     # [edge b, edge b+1), counts between first[b] and first[b+1] of them:
-    # the bucket fixes the year unless the two differ.  The extra bucket
-    # 4096 holds u == 1.0 alone.
+    # the bucket fixes the year unless the two differ
     first = np.searchsorted(cdf, _BUCKET_EDGES, side="right")
-    mixed = np.append(first[:-1] != first[1:], False)
+    mixed = first[:-1] != first[1:]
     bucket = (u * _BUCKETS).astype(np.intp)
-    years = (np.minimum(first, cdf.size - 1) + 1)[bucket]
+    years = (np.minimum(first[:-1], cdf.size - 1) + 1)[bucket]
     fallback = np.flatnonzero(mixed[bucket])
     if fallback.size:
         years[fallback] = _years_from_uniforms(cdf, u[fallback])

@@ -523,6 +523,10 @@ GOLDEN_STDOUT = {
         b"mc_value=51.509364\nmc_std_error=0.694740\nexact_value=52.245218\n"
         b"pde_value=0.105552\n"
     ),
+    ("price-option", "--kind", "put", "--style", "american", "--strike", "100", "--rate",
+     "0.05", "--vol", "0.25", "--expiry", "1", "--grid", "400,400"): b"value=7.970472\n",
+    ("price-option", "--kind", "call", "--style", "european", "--strike", "90", "--rate",
+     "0.03", "--vol", "0.3", "--expiry", "2", "--grid", "800,800"): b"value=17.444047\n",
 }
 
 

@@ -191,6 +191,28 @@ def test_fitted_stencil_rows_stay_monotone(mu, sigma, h):
         assert center[0] < 0.0
 
 
+def test_fitted_stencil_mixed_regimes_match_row_by_row():
+    # one call whose rows take every branch of the assembly must give each
+    # row exactly as a call on that row alone does
+    h = 0.1
+    sigma = np.array([0.0, 1e-320, 1e4, 1.0, 1e-4, 0.0, 1.0])
+    mu = np.array([2.0, 1.0, 3.0, 5.0, 800.0, 0.0, 0.0])
+    sigma, mu = np.concatenate([sigma, sigma]), np.concatenate([mu, -mu])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = np.abs(mu * h / (2.0 * sigma))
+    assert np.any(sigma == 0.0) and np.any(np.isinf(q) & (sigma > 0.0))
+    assert np.any(q < 1e-4) and np.any((q > 0.1) & (q < 1.0)) and np.any(q[np.isfinite(q)] >= 350.0)
+    assert np.any(mu > 0.0) and np.any(mu < 0.0)
+
+    together = fitted_stencil(mu, h, sigma)
+    alone = [fitted_stencil(mu[j:j + 1], h, sigma[j:j + 1]) for j in range(mu.size)]
+    as_block = fitted_stencil(mu.reshape(2, -1), h, sigma.reshape(2, -1))
+    for side, got, block in zip(range(3), together, as_block):
+        want = np.concatenate([rows[side] for rows in alone])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(block.ravel().view(np.uint64), want.view(np.uint64))
+
+
 def test_fitted_stencil_rejects_a_mesh_too_coarse_to_square():
     with pytest.raises(ValueError, match="h must have a finite square"):
         fitted_stencil(np.ones(3), 1e155, np.ones(3))

@@ -95,7 +95,7 @@ def test_corner_mismatch_is_rejected():
 def test_explicit_march_blowup_is_reported():
     # theta = 0 with k far above the diffusive limit amplifies the sawtooth
     # mode past overflow; the march must stop and name the failing step
-    with pytest.raises(NumericalError, match="step"):
+    with pytest.raises(NumericalError, match="at step 141 of 200"):
         step_parabolic(heat_problem(1.0), Mesh1D(0.0, 1.0, 101),
                        n_steps=200, theta=0.0)
 
@@ -243,7 +243,8 @@ def test_american_call_never_exercised_early():
 # ------------------------------------- march against a dense reference #
 #
 # The reference re-assembles the fitted stencil at every level and solves
-# each step densely, so it shares no reuse logic with the march.
+# each step densely, so it shares no reuse logic with the march.  With a
+# floor it also returns, per level, the largest node on a positive floor.
 
 
 def reference_march(prob, mesh, thetas, floor=None):
@@ -263,6 +264,7 @@ def reference_march(prob, mesh, thetas, floor=None):
     if floor is not None:
         U = np.maximum(U, floor(x))
     A_o, left_o, right_o, f_o = level(0.0)
+    nodes = []
     for n, theta in enumerate(thetas):
         tau = (n + 1) * k
         A_n, left_n, right_n, f_n = level(tau)
@@ -277,8 +279,11 @@ def reference_march(prob, mesh, thetas, floor=None):
         U = np.concatenate([[g0], inner, [g1]])
         if floor is not None:
             U = np.maximum(U, floor(x))
+            tol = 1e-7 * (1.0 + float(np.max(floor(x))))
+            on_floor = (floor(x) > tol) & (U - floor(x) <= tol)
+            nodes.append(float(x[on_floor].max()) if np.any(on_floor) else math.nan)
         A_o, left_o, right_o, f_o = A_n, left_n, right_n, f_n
-    return U
+    return U, (np.array(nodes) if floor is not None else None)
 
 
 def assert_close(got, want):
@@ -327,9 +332,12 @@ def switching_problem():
 def test_pricers_match_the_dense_reference_march(kind, vol):
     vol_at = vol.at if isinstance(vol, VolatilityDecay) else (lambda tau: VOL)
     euro = price_european(kind, STRIKE, RATE, vol, EXPIRY, intervals=60, steps=60)
-    assert_close(euro.values, bs_reference(kind, vol_at, american=False))
+    assert_close(euro.values, bs_reference(kind, vol_at, american=False)[0])
     amer = price_american(kind, STRIKE, RATE, vol, EXPIRY, intervals=60, steps=60)
-    assert_close(amer.values, bs_reference(kind, vol_at, american=True))
+    values, nodes = bs_reference(kind, vol_at, american=True)
+    assert_close(amer.values, values)
+    np.testing.assert_array_equal(amer.exercise_boundary, nodes)
+    np.testing.assert_array_equal(amer.exercise_times, np.arange(1, 61) * (EXPIRY / 60))
 
 
 @pytest.mark.parametrize("prob", [heat_problem(0.1), switching_problem()], ids=["heat", "switch"])
@@ -337,7 +345,7 @@ def test_pricers_match_the_dense_reference_march(kind, vol):
 def test_step_parabolic_matches_the_dense_reference_march(prob, theta):
     mesh = Mesh1D(0.0, 1.0, 41)
     got = step_parabolic(prob, mesh, n_steps=30, theta=theta)
-    assert_close(got, reference_march(prob, mesh, [theta] * 30))
+    assert_close(got, reference_march(prob, mesh, [theta] * 30)[0])
 
 
 @pytest.fixture
@@ -415,9 +423,9 @@ def test_decaying_volatility_matches_the_reference_across_a_block_edge(offset):
     vol = VolatilityDecay(0.3, 0.8)
     steps = block_levels(60) + offset
     euro = price_european("put", STRIKE, RATE, vol, EXPIRY, intervals=60, steps=steps)
-    assert_close(euro.values, bs_reference("put", vol.at, american=False, steps=steps))
+    assert_close(euro.values, bs_reference("put", vol.at, american=False, steps=steps)[0])
     amer = price_american("call", STRIKE, RATE, vol, EXPIRY, intervals=60, steps=steps)
-    assert_close(amer.values, bs_reference("call", vol.at, american=True, steps=steps))
+    assert_close(amer.values, bs_reference("call", vol.at, american=True, steps=steps)[0])
 
 
 # ----------------------------------------------------- mortality option #

@@ -37,11 +37,32 @@ def test_uniform_is_the_documented_formula_bit_for_bit():
     key = np.array([5, 3], dtype=np.uint64)
     words = np.random.Generator(np.random.Philox(key=key)).integers(
         0, 2**64, size=n, dtype=np.uint64)
-    want = ((words >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0**53
+    want = np.minimum(((words >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0**53,
+                      1.0 - 2.0**-53)
     got = RngStream(5, stream_id=3).uniform(n)
     assert got.dtype == np.float64
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert RngStream(5).uniform(0).shape == (0,)
+
+
+class AllOnesWords:
+    """Stands in for the stream's generator: every 64-bit word has all bits set."""
+
+    def integers(self, low, high, size, dtype):
+        return np.full(size, np.iinfo(np.uint64).max, dtype=dtype)
+
+
+def test_the_all_ones_word_still_gives_a_uniform_below_one():
+    # its top 53 bits plus one half round to 2**53, a quotient of exactly 1
+    rng = RngStream(0)
+    rng._gen = AllOnesWords()
+    u = rng.uniform(3)
+    assert np.all(u < 1.0)
+    np.testing.assert_array_equal(u, np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(rng.normals(2)))
+    # certain death in year 1, so the time is 1 minus the fraction
+    times = sample_death_times(LifeTable(100, [1.0]), 100, 2, rng)
+    assert np.all((times > 0.0) & (times < 1.0))
 
 
 def test_stream_rejects_bad_seed():
@@ -111,10 +132,10 @@ EDGE_CASE_CDFS = {
 
 
 def _uniforms_around(cdf):
-    """Every bucket edge and CDF value, with its float neighbours in [0, 1]."""
+    """Every bucket edge and CDF value, with its float neighbours in [0, 1)."""
     points = np.concatenate([np.arange(4097) / 4096, cdf])
     near = np.concatenate([np.nextafter(points, 0.0), points, np.nextafter(points, 1.0)])
-    return near[(near >= 0.0) & (near <= 1.0)]
+    return near[(near >= 0.0) & (near < 1.0)]
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASE_CDFS))
