@@ -33,7 +33,10 @@ against.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,7 +91,30 @@ class Mesh1D:
 
 # ----------------------------------------------------------- tridiagonal #
 
-_lapack = None  # scipy.linalg.lapack, bound by the first factorization
+_lapack = None  # scipy.linalg._flapack, bound by the first factorization
+
+
+def _load_lapack():
+    """scipy's compiled LAPACK wrappers, without running ``scipy.linalg``'s init.
+
+    ``scipy.linalg.lapack.dgttrf`` and ``dgttrs`` are this extension's
+    functions, but importing ``scipy.linalg`` also loads its array-API layer,
+    which takes longer than numpy itself.  The extension is registered under
+    its own name, so a later ``import scipy.linalg`` reuses this instance, and
+    one already loaded is returned as it is.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy  # its package init: the numpy version check, not scipy.linalg
+    paths = [f"{p}/linalg" for p in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(name, paths)
+    if spec is None:
+        raise ImportError(f"no {name} extension in {paths}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
 
 def _require_finite_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
@@ -111,12 +137,13 @@ def _lu_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> t
     them itself; an exactly zero pivot raises :class:`NumericalError`.  A
     system of fewer than three rows, which the LAPACK wrappers reject, is
     factored with appended identity rows; they are decoupled, so the
-    system's own pivots and solution are unchanged.
+    system's own pivots and solution are unchanged.  The first call loads
+    the LAPACK wrappers (:func:`_load_lapack`), so loading the package (and
+    the CLI) pulls in no scipy.
     """
     global _lapack
     if _lapack is None:
-        # imported here so that loading the package (and the CLI) pulls in no scipy
-        from scipy.linalg import lapack as _lapack
+        _lapack = _load_lapack()
 
     pad = 3 - diag.size
     if pad > 0:

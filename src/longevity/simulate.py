@@ -197,10 +197,17 @@ def sample_death_times(table: LifeTable, x: int, n: int, rng: RngStream) -> np.n
 
     Each time is a curtate death year minus an independent uniform(0,1)
     fraction, so the values are continuous and positive.  Consumes ``n``
-    uniforms for the years, then ``n`` for the fractions.
+    uniforms for the years, then ``n`` for the fractions.  A difference
+    that rounds onto a whole number, ``year - 1`` or ``year`` (a fraction
+    within about ``year * 2**-53`` of 1 or 0), is moved to the nearest
+    float inside ``(year - 1, year)``, so ``ceil(time)`` is always the year.
     """
     years = sample_death_years(table, x, n, rng).astype(float)
-    return years - rng.uniform(n)
+    times = years - rng.uniform(n)
+    whole = np.flatnonzero(times == np.floor(times))
+    y = years[whole]
+    times[whole] = np.clip(times[whole], np.nextafter(y - 1.0, y), np.nextafter(y, 0.0))
+    return times
 
 
 @dataclass(frozen=True)

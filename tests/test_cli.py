@@ -527,6 +527,49 @@ GOLDEN_STDOUT = {
      "0.05", "--vol", "0.25", "--expiry", "1", "--grid", "400,400"): b"value=7.970472\n",
     ("price-option", "--kind", "call", "--style", "european", "--strike", "90", "--rate",
      "0.03", "--vol", "0.3", "--expiry", "2", "--grid", "800,800"): b"value=17.444047\n",
+    ("price-option", "--kind", "call", "--style", "american", "--strike", "80", "--rate",
+     "0.04", "--vol", "0.3", "--expiry", "0.5", "--grid", "100,100"): b"value=7.482763\n",
+    ("fdm-demo", "--scheme", "fitted", "--sigma", "0.01", "--J", "40"): (
+        b"x,numeric,exact,error\r\n0,1,1,0\r\n0.025,0.006737946999,0.006737946999,0\r\n"
+        b"0.05,4.539992976e-05,4.539992976e-05,0\r\n"
+        b"0.075,3.059023205e-07,3.059023205e-07,5.823351512e-22\r\n"
+        b"0.1,2.061153622e-09,2.061153622e-09,0\r\n"
+        b"0.125,1.388794386e-11,1.388794386e-11,0\r\n"
+        b"0.15,9.357622969e-14,9.357622969e-14,3.281661366e-28\r\n"
+        b"0.175,6.30511676e-16,6.30511676e-16,-9.860761315e-32\r\n"
+        b"0.2,4.248354255e-18,4.248354255e-18,-7.703719778e-34\r\n"
+        b"0.225,2.862518581e-20,2.862518581e-20,-1.203706215e-35\r\n"
+        b"0.25,1.928749848e-22,1.928749848e-22,-7.052966105e-38\r\n"
+        b"0.275,1.299581425e-24,1.299581425e-24,-5.510129769e-40\r\n"
+        b"0.3,8.756510763e-27,8.756510763e-27,5.883211473e-41\r\n"
+        b"0.325,5.900090542e-29,5.900090542e-29,-2.242077543e-44\r\n"
+        b"0.35,3.975449736e-31,3.975449736e-31,-1.75162308e-46\r\n"
+        b"0.375,2.678636962e-33,2.678636962e-33,-1.026341649e-48\r\n"
+        b"0.4,1.804851388e-35,1.804851388e-35,-8.01829413e-51\r\n"
+        b"0.425,1.216099299e-37,1.216099299e-37,1.670477944e-51\r\n"
+        b"0.45,8.194012624e-40,8.194012624e-40,-3.262652234e-55\r\n"
+        b"0.475,5.521082277e-42,5.521082277e-42,-1.911710293e-57\r\n"
+        b"0.5,3.720075976e-44,3.720075976e-44,-1.493523667e-59\r\n"
+        b"0.525,2.506567476e-46,2.506567476e-46,-7.778769097e-62\r\n"
+        b"0.55,1.68891188e-48,1.68891188e-48,-9.115745036e-64\r\n"
+        b"0.575,1.137979874e-50,1.137979874e-50,1.566768678e-64\r\n"
+        b"0.6,7.667648074e-53,7.667648074e-53,1.057123753e-66\r\n"
+        b"0.625,5.166420633e-55,5.166420633e-55,-2.897817305e-70\r\n"
+        b"0.65,3.48110684e-57,3.48110684e-57,-2.26391977e-72\r\n"
+        b"0.675,2.345551339e-59,2.345551339e-59,-1.76868732e-74\r\n"
+        b"0.7,1.58042006e-61,1.58042006e-61,-1.036340227e-76\r\n"
+        b"0.725,1.06487866e-63,1.06487866e-63,2.941694914e-77\r\n"
+        b"0.75,7.175095973e-66,7.175095973e-66,-6.325318766e-81\r\n"
+        b"0.775,4.834541638e-68,4.834541638e-68,-3.294436857e-83\r\n"
+        b"0.8,3.257488532e-70,3.257488532e-70,-2.573778795e-85\r\n"
+        b"0.825,2.194878508e-72,2.194878508e-72,-2.010764683e-87\r\n"
+        b"0.85,1.478897506e-74,1.478897506e-74,4.064729389e-88\r\n"
+        b"0.875,9.96473301e-77,9.96473301e-77,-9.204550247e-92\r\n"
+        b"0.9,6.714184274e-79,6.714184274e-79,-7.191054881e-94\r\n"
+        b"0.925,4.523980404e-81,4.523980404e-81,-4.681676355e-96\r\n"
+        b"0.95,3.048096561e-83,3.048096561e-83,-4.023315617e-98\r\n"
+        b"0.975,2.040045589e-85,2.040045589e-85,-2.57172163e-100\r\n1,0,0,0\r\n"
+    ),
 }
 
 
@@ -547,8 +590,8 @@ def test_seeded_run_is_byte_identical_across_processes():
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
-    # no scipy module at all: the one LAPACK user imports it on first call;
-    # and no numpy until a command works on arrays
+    # no scipy module at all: only a tridiagonal solve loads it (see the
+    # next test); and no numpy until a command works on arrays
     flows = tmp_path / "flows.csv"
     flows.write_text("period,amount\n0,-100\n1,-10\n2,130\n")
     policy = ["--premium", "100", "--benefit", "1000", "--rate", "0.05"]
@@ -580,6 +623,30 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
     want = ["longevity []", "cli []"] + [f"{argv[0]} {code} []" for argv, code in commands[:-1]]
     want.append("simulate 0 ['numpy']")
     assert done.stdout.decode().splitlines() == want
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["simulate", "--age", "70", "--n", "10", "--seed", "1"], []),
+    (["price-option", "--kind", "call", "--style", "american", "--strike", "80", "--rate",
+      "0.04", "--vol", "0.3", "--expiry", "0.5", "--grid", "100,100"],
+     ["scipy.linalg._flapack"]),
+    (["fdm-demo", "--scheme", "fitted", "--sigma", "0.01", "--J", "40"],
+     ["scipy.linalg._flapack"]),
+], ids=["simulate", "price-option", "fdm-demo"])
+def test_array_commands_load_only_the_lapack_wrappers_of_scipy(argv, loaded):
+    # a tridiagonal solve loads scipy's package init and its LAPACK
+    # extension, never the scipy.linalg package with its array-API layer
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import longevity.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    code = longevity.cli.run({argv!r})",
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy.linalg')),",
+        "      any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+    ])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().splitlines() == [f"0 {loaded} {bool(loaded)}"]
 
 
 # names the benchmark's tracer wraps on ``longevity.cli``

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -78,6 +81,48 @@ def test_pivoted_factor_rejects_an_exactly_singular_system(lower, diag, upper):
 def test_pivoted_factor_rejects_non_finite_coefficients():
     with pytest.raises(ValueError, match="finite"):
         _factor_tridiagonal(np.zeros(4), np.array([1.0, np.nan, 1.0, 1.0]), np.zeros(4))
+
+
+# each probe runs in a fresh process, so it alone decides which of fdm and
+# scipy.linalg loads the LAPACK extension first
+PRICE_THEN_LINALG = """
+    import sys
+    import numpy as np
+    from longevity import fdm
+    from longevity.pricing import price_american
+
+    def price():
+        return price_american("call", 80.0, 0.04, 0.3, 0.5, intervals=100, steps=100).values
+
+    first = price()
+    assert "scipy.linalg" not in sys.modules
+    import scipy.linalg
+    assert sys.modules["scipy.linalg._flapack"] is fdm._lapack
+    assert scipy.linalg.lapack.dgttrf is fdm._lapack.dgttrf
+    assert scipy.linalg.lapack.dgttrs is fdm._lapack.dgttrs
+    ab = np.array([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]])
+    x = scipy.linalg.solve_banded((1, 1), ab, np.array([2.0, -2.0, 2.0]))
+    np.testing.assert_allclose(x, [1.0, 0.0, 1.0], rtol=1e-15, atol=1e-15)
+    assert price().tobytes() == first.tobytes()
+"""
+
+LINALG_THEN_PRICE = """
+    import sys
+    import scipy.linalg
+    from longevity import fdm
+    from longevity.pricing import price_american
+
+    price_american("put", 100.0, 0.05, 0.25, 1.0, intervals=20, steps=20)
+    assert fdm._lapack is sys.modules["scipy.linalg._flapack"]
+"""
+
+
+@pytest.mark.parametrize("probe", [PRICE_THEN_LINALG, LINALG_THEN_PRICE],
+                         ids=["fdm-first", "linalg-first"])
+def test_fdm_and_scipy_linalg_share_one_lapack_extension(probe):
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(probe)],
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_layer_exact_endpoints_and_shape():

@@ -65,6 +65,24 @@ def test_the_all_ones_word_still_gives_a_uniform_below_one():
     assert np.all((times > 0.0) & (times < 1.0))
 
 
+class AllZerosWords:
+    """Stands in for the stream's generator: every 64-bit word is zero."""
+
+    def integers(self, low, high, size, dtype):
+        return np.zeros(size, dtype=dtype)
+
+
+@pytest.mark.parametrize("words", [AllOnesWords, AllZerosWords])
+def test_death_times_at_the_extreme_uniforms_stay_inside_their_year(words):
+    # the largest uniform gives 30 - u == 29 and the smallest 30 - u == 30
+    rng = RngStream(0)
+    rng._gen = words()
+    times = sample_death_times(LifeTable(70, [0.0] * 29 + [1.0]), 70, 4, rng)
+    years = np.full(4, 30.0)
+    assert np.all(times != np.floor(times))
+    np.testing.assert_array_equal(np.ceil(times), years)
+
+
 def test_stream_rejects_bad_seed():
     with pytest.raises(ValueError):
         RngStream(-1)
