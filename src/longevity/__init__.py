@@ -18,19 +18,19 @@ import importlib
 # home module -> the names the package exports from it
 _EXPORTS = {
     "errors": ("DataError", "NumericalError"),
-    "fdm": ("Mesh1D", "TwoPointBVP", "fitting_factor", "layer_exact", "solve_centered",
-            "solve_fitted", "solve_upwind"),
+    "fdm": ("Mesh1D", "TwoPointBVP", "layer_exact", "solve_centered", "solve_fitted",
+            "solve_upwind"),
     "lifetable": ("LifeTable", "MortalityAssumptions", "apply_assumptions",
                   "complete_expectation", "death_distribution", "lifetime_variance",
                   "load_table", "sample_table", "sample_table_path", "survival_probability"),
-    "markov": ("TwoStateModel", "rate_from_mean"),
+    "markov": ("TwoStateModel",),
     "pricing": ("MortalityOptionValue", "PriceResult", "price_american", "price_european",
                 "price_mortality_option"),
     "settlement": ("CashflowSeries", "FlatPolicy", "PolicySchedule", "critical_time", "irr",
                    "le_duration", "load_cashflows", "load_schedule", "lsv", "lsv_schedule",
                    "macaulay_duration", "npv"),
-    "simulate": ("GbmParams", "RngStream", "box_muller", "gbm_step", "gbm_terminal",
-                 "randomized_horizon_payoff", "sample_death_year", "simulate_deaths", "vole"),
+    "simulate": ("GbmParams", "RngStream", "box_muller", "randomized_horizon_payoff",
+                 "simulate_deaths", "vole"),
     "stable": ("StableParams", "alpha_age_profile", "estimate_alpha"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

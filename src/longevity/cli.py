@@ -93,6 +93,12 @@ def _parse_age_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+# the march keeps per-node arrays and per-step lists, so an unbounded grid
+# exhausts memory before it fails; both sizes are capped like a cash-flow
+# file's periods
+_MAX_GRID = 100_000
+
+
 def _parse_grid(text: str) -> tuple[int, int]:
     j, sep, n = text.partition(",")
     if not sep:
@@ -101,6 +107,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
         intervals, steps = int(j), int(n)
     except ValueError:
         raise ValueError(f"grid sizes must be integers, got {text!r}") from None
+    if max(intervals, steps) > _MAX_GRID:
+        raise ValueError(f"grid sizes must be at most {_MAX_GRID}, got {text!r}")
     return intervals, steps
 
 
@@ -426,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vol", type=float, required=True, help="volatility, per sqrt-year")
     p.add_argument("--expiry", type=float, required=True, help="time to expiry, years")
     p.add_argument("--grid", default="400,400", metavar="J,N",
-                   help="space intervals,time steps (default 400,400)")
+                   help=f"space intervals,time steps, each at most {_MAX_GRID} (default 400,400)")
     p.add_argument("--spot", type=float, default=None,
                    help="price level to report the value at, currency (default: the strike)")
     p.add_argument("--smax", type=float, default=None,
@@ -448,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="Monte Carlo paths, count")
     p.add_argument("--seed", type=int, required=True, help="random seed, integer in [0, 2**64)")
     p.add_argument("--grid", default="400,400", metavar="J,N",
-                   help="space intervals,time steps for the grid route (default 400,400)")
+                   help=f"space intervals,time steps for the grid route, each at most "
+                        f"{_MAX_GRID} (default 400,400)")
 
     p = add("fdm-demo", _cmd_fdm_demo,
             "Solve the boundary-layer model problem and tabulate the error.")

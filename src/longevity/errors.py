@@ -16,6 +16,8 @@ flows, policy schedules), so each loader states only its own.
 import csv
 import math
 
+__all__ = ["DataError", "NumericalError", "require_finite"]
+
 
 class DataError(ValueError):
     """Input data (a file, a table, a sample) failed validation."""

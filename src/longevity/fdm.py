@@ -50,7 +50,6 @@ __all__ = [
     "layer_exact",
     "solve_centered",
     "solve_upwind",
-    "fitting_factor",
     "fitted_stencil",
     "TwoPointBVP",
     "solve_fitted",
@@ -120,7 +119,7 @@ def _load_lapack():
 def _require_finite_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
     """``ValueError`` unless every coefficient a factorization reads is finite.
 
-    The vectors are laid out as for :func:`_factor_tridiagonal`.
+    The vectors are laid out as for :func:`_solve_tridiagonal`.
     """
     if not (np.isfinite(diag).all() and np.isfinite(lower[1:]).all()
             and np.isfinite(upper[:-1]).all()):
@@ -128,18 +127,18 @@ def _require_finite_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.n
 
 
 def _lu_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
-    """Unchecked core of :func:`_factor_tridiagonal`: the ``dgttrf`` factors.
+    """The ``dgttrf`` factors of a tridiagonal matrix, coefficients unchecked.
 
-    Takes the same vectors and returns ``(dl, d, du, du2, ipiv)`` for
-    :func:`_lu_solve`; the factors overwrite the vectors where they are
-    contiguous float arrays.  The coefficients are not tested for
-    finiteness, so a caller that skips :func:`_factor_tridiagonal` tests
-    them itself; an exactly zero pivot raises :class:`NumericalError`.  A
-    system of fewer than three rows, which the LAPACK wrappers reject, is
-    factored with appended identity rows; they are decoupled, so the
-    system's own pivots and solution are unchanged.  The first call loads
-    the LAPACK wrappers (:func:`_load_lapack`), so loading the package (and
-    the CLI) pulls in no scipy.
+    Takes the vectors of :func:`_solve_tridiagonal` and returns
+    ``(dl, d, du, du2, ipiv)`` for :func:`_lu_solve`; the factors overwrite
+    the vectors where they are contiguous float arrays.  The coefficients
+    are not tested for finiteness, so callers test them first with
+    :func:`_require_finite_tridiagonal`; an exactly zero pivot raises
+    :class:`NumericalError`.  A system of fewer than three rows, which the
+    LAPACK wrappers reject, is factored with appended identity rows; they
+    are decoupled, so the system's own pivots and solution are unchanged.
+    The first call loads the LAPACK wrappers (:func:`_load_lapack`), so
+    loading the package (and the CLI) pulls in no scipy.
     """
     global _lapack
     if _lapack is None:
@@ -171,30 +170,25 @@ def _lu_solve(lu: tuple, b: np.ndarray) -> None:
         b[:] = x[:n]
 
 
-def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray,
-                        upper: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Pivoted LU of a tridiagonal matrix, the one tridiagonal solver here.
+def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve one tridiagonal system by pivoted LU, into a new vector.
 
     Row ``j`` reads ``lower[j]*x[j-1] + diag[j]*x[j] + upper[j]*x[j+1]``;
-    all three vectors have the system size, and ``lower[0]`` and
-    ``upper[-1]`` are ignored.  This checked entry rejects non-finite
-    coefficients with ``ValueError`` and then factors through
+    all four vectors have the system size, and ``lower[0]`` and
+    ``upper[-1]`` are ignored.  Non-finite coefficients raise
+    ``ValueError``.  Copies of the vectors are factored by
     :func:`_lu_tridiagonal`: LAPACK ``dgttrf``, Gaussian elimination with
     partial pivoting, so it needs no diagonal dominance; an exactly zero
-    pivot raises :class:`NumericalError`.  The returned function solves one
-    right-hand side into a new vector with :func:`_lu_solve` (``dgttrs``),
-    so a fixed matrix is factored once however many systems it solves.
-    The solution is not checked, so callers that need a finite one test
-    for it.
+    pivot raises :class:`NumericalError`.  A copy of ``rhs`` is then
+    back-substituted by :func:`_lu_solve` (``dgttrs``).  The solution is
+    not checked, so callers that need a finite one test for it.
     """
     _require_finite_tridiagonal(lower, diag, upper)
     lu = _lu_tridiagonal(*(np.array(v, dtype=float) for v in (lower, diag, upper)))
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        x = np.array(rhs, dtype=float)
-        _lu_solve(lu, x)
-        return x
-    return solve
+    x = np.array(rhs, dtype=float)
+    _lu_solve(lu, x)
+    return x
 
 
 # ----------------------------------------------- classical demo schemes #
@@ -251,7 +245,7 @@ def _solve_layer(sigma: float, mesh: Mesh1D, sub: float, diag: float, sup: float
     rhs[0] = -sub
     values = np.empty(mesh.j_count)
     values[0], values[-1] = 1.0, 0.0
-    values[1:-1] = _factor_tridiagonal(*(np.full(n, c) for c in (sub, diag, sup)))(rhs)
+    values[1:-1] = _solve_tridiagonal(*(np.full(n, c) for c in (sub, diag, sup)), rhs)
     if not np.all(np.isfinite(values[1:-1])):
         raise NumericalError("layer solve produced non-finite values")
     return values
@@ -290,60 +284,25 @@ def solve_upwind(sigma: float, mesh: Mesh1D) -> LayerSolution:
 
 # ------------------------------------------------------- fitted scheme #
 
-def _q_coth_q(q: np.ndarray) -> np.ndarray:
-    """``q * coth(q)``, even in ``q``, series-expanded near zero.
-
-    Below ``|q| < 1e-4`` the Laurent series ``1 + q**2/3 - q**4/45`` avoids
-    the 0/0; above, ``s + 2s/expm1(2s)`` with ``s = |q|`` is exact and
-    saturates cleanly to ``|q|`` for large arguments.
-    """
-    s = np.abs(np.asarray(q, dtype=float))
-    small = s < 1e-4
-    out = np.empty_like(s)
-    out[small] = 1.0 + s[small] ** 2 / 3.0 - s[small] ** 4 / 45.0
-    big = ~small
-    # the transcendental term is below 1e-300 from s = 350 on, so clamping
-    # there changes nothing representable while keeping expm1 finite
-    t = np.minimum(s[big], 350.0)
-    out[big] = s[big] + 2.0 * t / np.expm1(2.0 * t)
-    return out
-
-
-def fitting_factor(mu: float, h: float, sigma: float) -> float:
-    """Il'in fitting factor ``q coth q`` with ``q = mu*h/(2*sigma)``.
-
-    Always at least 1; tends to 1 as ``q`` tends to 0 (recovering the
-    centered scheme) and grows like ``|q|`` for large ``q`` (approaching
-    upwinding).  ``sigma`` must be positive and ``q`` representable here;
-    the assembly handles the ``sigma = 0`` degradation separately.
-    """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got {h}")
-    require_finite(mu=mu, sigma=sigma)
-    if sigma <= 0.0:
-        raise ValueError("fitting factor needs sigma > 0; fitted_stencil upwinds the limit")
-    q = mu * h / (2.0 * sigma)
-    if not math.isfinite(q):
-        raise ValueError(f"mesh Peclet number mu*h/(2*sigma) overflows: mu={mu}, h={h}, "
-                         f"sigma={sigma}")
-    return float(_q_coth_q(np.array(q)))
-
-
 def _excess(s: np.ndarray) -> np.ndarray:
     """Excess ``q coth q - q`` of the fitting factor over ``q``, for ``s = |q|``.
 
     The excess is what makes the fitted sub-diagonal nonnegative, so it
     comes from the cancellation-free ``2s/expm1(2s)``, which cannot go
     negative in floating point; only the rows below ``s = 1e-4`` take the
-    series in :func:`_q_coth_q` instead of its 0/0.  A non-finite ``s``
-    gives a meaningless value, which the caller replaces.
+    Laurent series ``1 + s**2/3 - s**4/45`` of ``s coth s``, less ``s``,
+    instead of its 0/0.  A non-finite ``s`` gives a meaningless value,
+    which the caller replaces.
     """
-    excess = np.minimum(s, 350.0, out=np.empty_like(s))  # clamped as in _q_coth_q
+    # the transcendental term is below 1e-300 from s = 350 on, so clamping
+    # there changes nothing representable while keeping expm1 finite
+    excess = np.minimum(s, 350.0, out=np.empty_like(s))
     excess *= 2.0
     excess /= np.expm1(excess)
     if np.fmin.reduce(s, axis=None, initial=np.inf) < 1e-4:  # fmin skips a 0/0 row's nan
         small = s < 1e-4
-        excess[small] = _q_coth_q(s[small]) - s[small]
+        t = s[small]
+        excess[small] = (1.0 + t**2 / 3.0 - t**4 / 45.0) - t
     return excess
 
 
@@ -481,7 +440,7 @@ def solve_fitted(bvp: TwoPointBVP, mesh: Mesh1D) -> np.ndarray:
         rhs[-1] -= sup[-1] * bvp.beta1
     values = np.empty(mesh.j_count)
     values[0], values[-1] = bvp.beta0, bvp.beta1
-    values[1:-1] = _factor_tridiagonal(sub, diag, sup)(rhs)
+    values[1:-1] = _solve_tridiagonal(sub, diag, sup, rhs)
     if not np.all(np.isfinite(values[1:-1])):
         raise NumericalError("fitted solve produced non-finite values")
     return values

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["TwoStateModel", "MeanVariance", "rate_from_mean"]
+__all__ = ["TwoStateModel", "MeanVariance"]
 
 
 class MeanVariance(NamedTuple):
@@ -81,9 +81,3 @@ class TwoStateModel:
         out = -np.log(u) / self.rate
         return float(out) if out.ndim == 0 else out
 
-
-def rate_from_mean(mean_time: float) -> TwoStateModel:
-    """Model whose expected lifetime equals ``mean_time``."""
-    if not (mean_time > 0.0):
-        raise ValueError("mean lifetime must be positive")
-    return TwoStateModel(1.0 / mean_time)

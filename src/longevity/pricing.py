@@ -432,11 +432,15 @@ def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float
     _require_discountable(rate, expiry)
     if not strike < s_max:
         raise ValueError("strike must lie inside (0, s_max)")
-    if intervals < 2 or steps < 1:
-        raise ValueError("need at least 2 space intervals and 1 time step")
+    _check_grid(intervals, steps)
     if not 0 <= rannacher_steps <= steps:
         raise ValueError("rannacher_steps must lie in [0, steps]")
     return s_max
+
+
+def _check_grid(intervals: int, steps: int) -> None:
+    if intervals < 2 or steps < 1:
+        raise ValueError("need at least 2 space intervals and 1 time step")
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest x whose exp(x) is finite
@@ -559,6 +563,7 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
         raise ValueError("vole_sigma must lie in [0, 1)")
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
+    _check_grid(intervals, steps)
     require_finite(rate=r)
     spot = complete_expectation(table, x)
     t_max = table.omega - x + 1

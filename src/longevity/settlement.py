@@ -41,7 +41,6 @@ __all__ = [
     "lsv_dt",
     "le_duration",
     "macaulay_duration",
-    "duration_derivative",
     "critical_time",
     "irr",
     "npv",
@@ -234,32 +233,14 @@ def macaulay_duration(pol: FlatPolicy, t: int) -> float:
     return duration
 
 
-def duration_derivative(pol: FlatPolicy, t: float) -> float:
-    """Derivative of the Macaulay duration numerator in ``t``, over fixed value.
-
-    Differentiates the closed-form numerator with the present value held
-    constant, matching the construction of :func:`critical_time`:
-    ``(a**t / P) * (t*K*ln(a) + K - C*ln(a))`` with ``C = a*p/(a-1)**2`` and
-    ``K = C*(a-1) - b``.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    value = lsv(pol, t)
-    if value == 0.0:
-        raise ValueError(f"present value is zero at t={t}; derivative undefined")
-    a = pol.a
-    c = _c_constant(pol)
-    k = c * (a - 1.0) - pol.b
-    log_a = math.log(a)
-    return a**t * (t * k * log_a + k - c * log_a) / value
-
-
 def critical_time(pol: FlatPolicy) -> float:
     """Time of death at which the duration's sensitivity crosses zero.
 
-    ``t* = -1/ln(a) + a*p / (a*p*(a-1) - b*(a-1)**2)``.  At ``t*`` the braced
-    factor of :func:`duration_derivative` vanishes.  With no premiums this
-    collapses to ``-1/ln(a)``.
+    ``t* = -1/ln(a) + a*p / (a*p*(a-1) - b*(a-1)**2)``.  Differentiating the
+    closed-form Macaulay numerator in ``t`` with the present value ``P`` held
+    fixed gives ``(a**t / P) * (t*K*ln(a) + K - C*ln(a))`` with
+    ``C = a*p/(a-1)**2`` and ``K = C*(a-1) - b``; at ``t*`` the braced factor
+    vanishes.  With no premiums this collapses to ``-1/ln(a)``.
     """
     a = pol.a
     den = a * pol.p * (a - 1.0) - pol.b * (a - 1.0) ** 2

@@ -47,13 +47,10 @@ __all__ = [
     "box_muller",
     "SimSummary",
     "GbmParams",
-    "sample_death_year",
     "sample_death_years",
     "sample_death_times",
     "simulate_deaths",
     "vole",
-    "gbm_step",
-    "gbm_terminal",
     "gbm_terminal_samples",
     "randomized_horizon_payoff",
 ]
@@ -167,16 +164,6 @@ def _bucket_years(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return years
 
 
-def sample_death_year(table: LifeTable, x: int, rng: RngStream) -> int:
-    """Draw one curtate death year (1-based) by inverting the death CDF.
-
-    Consumes exactly one uniform from the stream.
-    """
-    cdf = _death_cdf(table, x)
-    u = rng.uniform(1)
-    return int(_years_from_uniforms(cdf, u)[0])
-
-
 def sample_death_years(table: LifeTable, x: int, n: int, rng: RngStream) -> np.ndarray:
     """Draw ``n`` curtate death years in one batch (``n`` uniforms).
 
@@ -251,7 +238,9 @@ def vole(e_complete: float, max_death: float) -> float:
     ``e_complete`` is the expected remaining lifetime and ``max_death`` the
     longest death year observed in simulation; the ratio of the two is the
     fraction of the worst case already expected, and one minus it lies in
-    ``[0, 1)`` with 0 meaning a fully predictable lifetime.
+    ``[0, 1)`` with 0 meaning a fully predictable lifetime.  In floats the
+    result is exactly 1.0 once the ratio is at most ``2**-54``, half the
+    gap below 1, e.g. ``vole(1e-320, 1e308)``.
     """
     require_finite(e_complete=e_complete, max_death=max_death)
     if not (max_death > 0.0):
@@ -285,32 +274,6 @@ class GbmParams:
             raise ValueError("s0 must be positive")
 
 
-def _lognormal_jump(params: GbmParams, s, dt: float, eps):
-    """Exact lognormal update of value ``s`` over ``dt`` with shock ``eps``."""
-    drift = (params.rate - 0.5 * params.sigma**2) * dt
-    shock = params.sigma * math.sqrt(dt) * eps
-    return s * np.exp(drift + shock)
-
-
-def gbm_step(params: GbmParams, dt: float, eps) -> float | np.ndarray:
-    """Advance the index from ``params.s0`` by ``dt`` via the exact update.
-
-    ``s0 * exp((rate - sigma**2/2) dt + sigma sqrt(dt) eps)`` with ``eps``
-    standard normal.  Exact in distribution for any ``dt``, so one long jump
-    and many short ones agree in law.  ``eps`` may be a scalar or an array
-    of shocks.
-    """
-    if dt < 0.0:
-        raise ValueError("dt must be >= 0")
-    out = _lognormal_jump(params, params.s0, dt, np.asarray(eps, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def gbm_terminal(params: GbmParams, t: float, rng: RngStream) -> float:
-    """One exact sample of the index at horizon ``t``; consumes one normal."""
-    return float(gbm_terminal_samples(params, t, 1, rng)[0])
-
-
 def gbm_terminal_samples(
     params: GbmParams, t: float, n: int, rng: RngStream, n_steps: int = 1
 ) -> np.ndarray:
@@ -329,8 +292,10 @@ def gbm_terminal_samples(
     if t == 0.0:
         return s
     dt = t / n_steps
+    drift = (params.rate - 0.5 * params.sigma**2) * dt
+    scale = params.sigma * math.sqrt(dt)
     for _ in range(n_steps):
-        s = _lognormal_jump(params, s, dt, rng.normals(n))
+        s = s * np.exp(drift + scale * rng.normals(n))
     return s
 
 

@@ -115,6 +115,31 @@ def test_price_option_explicit_rannacher_beyond_the_steps_exits_2(capsys):
     assert "rannacher" in err
 
 
+MORTALITY_OPTION_ARGS = ("price-mortality-option", "--age", "70", "--premium", "100",
+                         "--benefit", "1000", "--policy-rate", "0.05", "--rate", "0.05",
+                         "--vole-sigma", "0.1", "--n", "100", "--seed", "1")
+PRICING_COMMANDS = pytest.mark.parametrize("command", [PUT_ARGS, MORTALITY_OPTION_ARGS],
+                                           ids=["price-option", "price-mortality-option"])
+
+
+@PRICING_COMMANDS
+@pytest.mark.parametrize("grid", ["10,0", "10,-3", "1,10", "0,10"])
+def test_grid_without_two_intervals_and_a_step_exits_2(capsys, command, grid):
+    code, out, err = invoke(capsys, *command, "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least 2 space intervals and 1 time step\n"
+
+
+@PRICING_COMMANDS
+@pytest.mark.parametrize("grid", ["100001,10", "10,100001"])
+def test_grid_above_the_size_cap_exits_2(capsys, command, grid):
+    code, out, err = invoke(capsys, *command, "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: grid sizes must be at most 100000, got {grid!r}\n"
+
+
 @pytest.mark.parametrize("flag, value, name", [
     ("--rate", "nan", "rate"),
     ("--vol", "inf", "vol"),
@@ -237,7 +262,7 @@ def _one_of(name, options):
 
 
 def _fuzz_argv(tmp):
-    """Every subcommand, float flags wild, sizes fixed and small."""
+    """Every subcommand, float flags wild, sizes small; pricing grids include 0 and -1."""
     def write(name, text):
         path = tmp / name
         path.write_text(text)
@@ -249,6 +274,9 @@ def _fuzz_argv(tmp):
         lambda vs: ["--cashflows=" + write("flows.csv", "period,amount\n" + "".join(
             f"{k},{v}\n" for k, v in enumerate(vs)))])
     maybe = lambda name: st.one_of(st.just([]), *_wild(name))
+    # half the sizes at the edge of the smallest grid, -1..2
+    size = st.one_of(st.integers(-1, 2), st.integers(3, 30))
+    grid = st.tuples(size, size).map(lambda jn: ["--grid={},{}".format(*jn)])
     return st.one_of(
         _cmd("simulate", "--age=70", "--n=50", "--seed=1",
              *_wild("--multiplier", "--improvement")),
@@ -261,11 +289,14 @@ def _fuzz_argv(tmp):
         _cmd("duration", *_wild(*POLICY, "--t")),
         _cmd("critical-time", *_wild(*POLICY)),
         _cmd("irr", flows),
-        _cmd("price-option", "--grid=20,20", _one_of("--kind", ["put", "call"]),
+        _cmd("price-option", grid, _one_of("--kind", ["put", "call"]),
              _one_of("--style", ["european", "american"]),
              *_wild("--strike", "--rate", "--vol", "--expiry"), maybe("--spot"), maybe("--smax")),
-        _cmd("price-mortality-option", "--age=70", "--n=50", "--seed=1", "--grid=20,20",
+        _cmd("price-mortality-option", "--age=70", "--n=50", "--seed=1", grid,
              *_wild("--premium", "--benefit", "--policy-rate", "--rate", "--vole-sigma")),
+        _cmd("price-mortality-option", "--age=70", "--n=50", "--seed=1", grid, "--premium=100",
+             "--benefit=1000", "--policy-rate=0.05", "--rate=0.05",
+             _one_of("--vole-sigma", ["0", "0.1"])),
         _cmd("fdm-demo", "--J=10", _one_of("--scheme", ["centered", "upwind", "fitted"]),
              *_wild("--sigma")),
     )
@@ -291,6 +322,10 @@ def test_every_subcommand_exits_cleanly_on_wild_float_flags(tmp_path_factory):
                    "--vole-sigma=0.3"])
     @example(argv=["price-option", "--grid=20,20", "--kind=put", "--style=european",
                    "--strike=100", "--rate=-1e300", "--vol=0.2", "--expiry=1"])
+    # a grid without a time step once divided by zero in the march
+    @example(argv=["price-mortality-option", "--age=70", "--n=50", "--seed=1", "--grid=10,0",
+                   "--premium=100", "--benefit=1000", "--policy-rate=0.05", "--rate=0.05",
+                   "--vole-sigma=0.1"])
     @example(argv=["price-lsv", "--premium=1e308", "--benefit=1e308", "--rate=1e-10", "--t=5"])
     @example(argv=["duration", "--premium=1e308", "--benefit=1e308", "--rate=1e-10", "--t=5"])
     # overflows that once printed a numpy warning ahead of a clean result:

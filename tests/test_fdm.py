@@ -12,9 +12,8 @@ from longevity.errors import NumericalError
 from longevity.fdm import (
     Mesh1D,
     TwoPointBVP,
-    _factor_tridiagonal,
+    _solve_tridiagonal,
     fitted_stencil,
-    fitting_factor,
     layer_exact,
     solve_centered,
     solve_fitted,
@@ -47,7 +46,7 @@ def test_mesh_rejects_a_width_past_the_float_range(a, b):
         Mesh1D(a, b, 5)
 
 
-def test_pivoted_factor_matches_dense_for_every_right_hand_side():
+def test_pivoted_solve_matches_dense_for_every_right_hand_side():
     # no dominance: the diagonal can be smaller than its neighbours, so the
     # elimination has to pivot; sizes below three go through the padding
     rng = np.random.default_rng(11)
@@ -61,11 +60,17 @@ def test_pivoted_factor_matches_dense_for_every_right_hand_side():
 
     for lower, diag, upper in systems():
         n = diag.size
-        solve = _factor_tridiagonal(lower, diag, upper)
         dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+        coefficients = tuple(v.copy() for v in (lower, diag, upper))
         for _ in range(3):
             rhs = rng.uniform(-5.0, 5.0, n)
-            np.testing.assert_allclose(solve(rhs), np.linalg.solve(dense, rhs), rtol=1e-9)
+            given_rhs = rhs.copy()
+            x = _solve_tridiagonal(lower, diag, upper, rhs)
+            np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-9)
+            # the inputs are copied, never overwritten by the factors
+            np.testing.assert_array_equal(rhs, given_rhs)
+            for given, kept in zip((lower, diag, upper), coefficients):
+                np.testing.assert_array_equal(given, kept)
 
 
 @pytest.mark.parametrize("lower, diag, upper", [
@@ -73,14 +78,15 @@ def test_pivoted_factor_matches_dense_for_every_right_hand_side():
     ([0.0, 1.0], [1.0, 1.0], [1.0, 0.0]),
     ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]),  # rows 0 and 1 equal
 ])
-def test_pivoted_factor_rejects_an_exactly_singular_system(lower, diag, upper):
+def test_pivoted_solve_rejects_an_exactly_singular_system(lower, diag, upper):
     with pytest.raises(NumericalError, match="singular"):
-        _factor_tridiagonal(*(np.array(v) for v in (lower, diag, upper)))
+        _solve_tridiagonal(*(np.array(v) for v in (lower, diag, upper)), np.ones(len(diag)))
 
 
-def test_pivoted_factor_rejects_non_finite_coefficients():
+def test_pivoted_solve_rejects_non_finite_coefficients():
     with pytest.raises(ValueError, match="finite"):
-        _factor_tridiagonal(np.zeros(4), np.array([1.0, np.nan, 1.0, 1.0]), np.zeros(4))
+        _solve_tridiagonal(np.zeros(4), np.array([1.0, np.nan, 1.0, 1.0]), np.zeros(4),
+                           np.ones(4))
 
 
 # each probe runs in a fresh process, so it alone decides which of fdm and
@@ -183,34 +189,42 @@ def test_upwind_never_oscillates_but_smears_the_layer():
     assert sol.values[1] - exact[1] == pytest.approx(1.0 / 3.0 - math.exp(-2.0), abs=1e-6)
 
 
-def test_fitting_factor_known_value():
+def _factor_from_center(q):
+    """``q coth q`` read off the fitted stencil's center at ``h = sigma = 1``.
+
+    With ``mu = 2q`` the row is ``gamma*D+D- + mu*D0`` with
+    ``gamma = q coth q``, so its center is ``-2 * q coth q``.
+    """
+    _, center, _ = fitted_stencil(np.array([2.0 * q]), 1.0, np.array([1.0]))
+    return -center[0] / 2.0
+
+
+def test_fitted_stencil_center_is_the_fitting_factor():
     # mu*h/(2*sigma) = 1 gives exactly coth(1)
-    assert fitting_factor(2.0, 1.0, 1.0) == pytest.approx(1.0 / math.tanh(1.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        fitting_factor(2.0, 1.0, 0.0)
-    with pytest.raises(ValueError, match="overflows"):
-        fitting_factor(1.0, 1.0, 5e-324)
+    assert _factor_from_center(1.0) == pytest.approx(1.0 / math.tanh(1.0), rel=1e-15)
 
 
-def test_fitting_factor_small_argument_expansion():
-    # q coth q = 1 + q^2/3 - q^4/45 + ...
+def test_fitted_stencil_small_peclet_expansion():
+    # q coth q = 1 + q^2/3 - q^4/45 + ...; 1e-6 takes the series branch
     for q in (1e-6, 1e-3, 0.05):
-        rho = fitting_factor(2.0 * q, 1.0, 1.0)
-        assert rho == pytest.approx(1.0 + q * q / 3.0, rel=1e-6, abs=1e-12)
+        assert _factor_from_center(q) == pytest.approx(1.0 + q * q / 3.0, rel=1e-6, abs=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
 @given(q=st.floats(min_value=1e-8, max_value=700.0))
-def test_fitting_factor_dominates_the_drift(q):
+def test_fitted_stencil_factor_dominates_the_drift(q):
     """``q coth q`` exceeds ``q``, which is what keeps rows monotone.
 
-    Mathematically the excess over q is strictly positive; in floats it
-    drops below one ulp of q around q = 18, so the strict form is only
-    asserted where it is representable.
+    Mathematically the excess over q, the sub-diagonal here, is strictly
+    positive; in floats the factor's excess drops below one ulp of q around
+    q = 18, so the strict forms are only asserted where it is representable.
     """
-    rho = fitting_factor(2.0 * q, 1.0, 1.0)
+    sub, _, _ = fitted_stencil(np.array([2.0 * q]), 1.0, np.array([1.0]))
+    rho = _factor_from_center(q)
+    assert sub[0] >= 0.0
     assert rho >= q
     if q <= 15.0:
+        assert sub[0] > 0.0
         assert rho > q
 
 
@@ -364,9 +378,8 @@ def test_overflow_on_extreme_data_is_silent_and_ends_in_an_error():
     lambda v: layer_exact(v, 0.5),
     lambda v: fitted_stencil(np.array([v]), 0.1, np.array([1.0])),
     lambda v: fitted_stencil(np.array([2.0]), 0.1, np.array([v])),
-    lambda v: fitting_factor(2.0, 0.1, v),
-    lambda v: fitting_factor(2.0, v, 1.0),
-], ids=["layer_exact", "stencil-mu", "diffusion", "fitting_factor", "fitting_factor-h"])
+    lambda v: fitted_stencil(np.array([2.0]), v, np.array([1.0])),
+], ids=["layer_exact", "stencil-mu", "diffusion", "stencil-h"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_diffusion_or_drift_is_rejected(call, bad):
     # the layer solvers are covered through fdm-demo in test_cli.py

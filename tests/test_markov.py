@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from longevity.markov import MeanVariance, TwoStateModel, rate_from_mean
+from longevity.markov import MeanVariance, TwoStateModel
 
 TOL = 1e-12
 
@@ -54,13 +54,6 @@ def test_mean_and_variance_closed_form():
     assert isinstance(mv, MeanVariance)
     assert mv.mean == pytest.approx(20.0)
     assert mv.variance == pytest.approx(400.0)
-
-
-def test_rate_from_mean_round_trip():
-    model = rate_from_mean(17.5)
-    assert model.mean_and_variance().mean == pytest.approx(17.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        rate_from_mean(0.0)
 
 
 def test_sample_lifetime_inverse_cdf():

@@ -27,6 +27,13 @@ def test_star_import_binds_every_export():
     assert set(longevity.__all__) <= set(namespace)
 
 
+@pytest.mark.parametrize("module", longevity._SUBMODULES)
+def test_submodule_star_import_binds_its_whole_all(module):
+    namespace = {}
+    exec(f"from longevity.{module} import *", namespace)
+    assert set(importlib.import_module(f"longevity.{module}").__all__) <= set(namespace)
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         longevity.no_such_name

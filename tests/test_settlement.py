@@ -15,7 +15,6 @@ from longevity.settlement import (
     FlatPolicy,
     PolicySchedule,
     critical_time,
-    duration_derivative,
     irr,
     le_duration,
     load_cashflows,
@@ -194,26 +193,6 @@ def test_numerator_closed_form_equals_double_sum():
         for t in (1, 4, 17):
             direct = pol.p * sum(i * a**i for i in range(1, t + 1)) - t * pol.b * a**t
             assert c + (t * k - c) * a**t == pytest.approx(direct, rel=1e-10, abs=1e-8)
-
-
-def test_duration_derivative_matches_finite_difference():
-    rng = np.random.default_rng(99)
-    h = 1e-5
-    for _ in range(50):
-        pol = FlatPolicy(
-            p=float(rng.uniform(0.0, 300.0)),
-            b=float(rng.uniform(500.0, 20_000.0)),
-            r=float(rng.uniform(0.01, 0.3)),
-        )
-        t = float(rng.uniform(1.0, 30.0))
-        value = lsv(pol, t)
-        if abs(value) < 1e-3 * pol.b:
-            continue  # derivative blows up near a vanishing present value
-        c, k = _numerator_constants(pol)
-        a = pol.a
-        braced = lambda u: (u * k - c) * a**u  # noqa: E731
-        fd = (braced(t + h) - braced(t - h)) / (2.0 * h)
-        assert duration_derivative(pol, t) == pytest.approx(fd / value, rel=2e-6, abs=1e-10)
 
 
 def test_critical_time_no_premium_limit():

@@ -9,11 +9,8 @@ from longevity.simulate import (
     GbmParams,
     RngStream,
     box_muller,
-    gbm_step,
-    gbm_terminal,
     gbm_terminal_samples,
     randomized_horizon_payoff,
-    sample_death_year,
     sample_death_years,
     sample_death_times,
     simulate_deaths,
@@ -126,7 +123,7 @@ def test_normals_consume_two_uniforms_each():
 
 def test_certain_death_table():
     table = LifeTable(100, [1.0])
-    assert sample_death_year(table, 100, RngStream(0)) == 1
+    assert sample_death_years(table, 100, 1, RngStream(0)).tolist() == [1]
     summary = simulate_deaths(table, 100, 50, RngStream(0))
     assert summary.mode == 1
     assert summary.max_year == 1
@@ -221,6 +218,10 @@ def test_mode_tie_breaks_toward_smaller_year(monkeypatch):
 def test_vole_values_and_domain():
     assert vole(10.0, 10.0) == 0.0
     assert vole(5.0, 20.0) == 0.75
+    # a ratio at most half the gap below 1 rounds the result up to exactly 1
+    assert vole(1e-320, 1e308) == 1.0
+    assert vole(2.0**-54, 1.0) == 1.0
+    assert vole(2.0**-53, 1.0) == 1.0 - 2.0**-53
     with pytest.raises(ValueError):
         vole(21.0, 20.0)
     with pytest.raises(ValueError):
@@ -240,22 +241,25 @@ def test_gbm_sigma_with_an_overflowing_square_is_a_domain_error():
     assert GbmParams(0.05, 1e154, 1.0).sigma == 1e154
 
 
-def test_gbm_step_closed_forms():
+def test_gbm_terminal_samples_closed_forms():
     p = GbmParams(rate=0.05, sigma=0.0, s0=100.0)
-    assert gbm_step(p, 2.0, 0.0) == pytest.approx(100.0 * math.exp(0.1), rel=1e-15)
+    np.testing.assert_allclose(gbm_terminal_samples(p, 2.0, 3, RngStream(3)),
+                               100.0 * math.exp(0.1), rtol=1e-15)
+    # one jump is s0 * exp((rate - sigma**2/2) t + sigma sqrt(t) eps), one normal per path
     p2 = GbmParams(rate=0.05, sigma=0.2, s0=100.0)
-    assert gbm_step(p2, 1.0, 0.0) == pytest.approx(100.0 * math.exp(0.05 - 0.02), rel=1e-15)
-    with pytest.raises(ValueError):
-        gbm_step(p2, -1.0, 0.0)
+    eps = RngStream(3).normals(4)
+    np.testing.assert_allclose(gbm_terminal_samples(p2, 1.0, 4, RngStream(3)),
+                               100.0 * np.exp(0.05 - 0.02 + 0.2 * eps), rtol=1e-15)
 
 
-def test_gbm_terminal_edge_cases():
+def test_gbm_terminal_samples_edge_cases():
     p = GbmParams(rate=0.05, sigma=0.2, s0=50.0)
-    assert gbm_terminal(p, 0.0, RngStream(3)) == 50.0
+    assert gbm_terminal_samples(p, 0.0, 2, RngStream(3)).tolist() == [50.0, 50.0]
     p0 = GbmParams(rate=0.05, sigma=0.0, s0=50.0)
-    assert gbm_terminal(p0, 1.0, RngStream(3)) == pytest.approx(50.0 * math.exp(0.05), rel=1e-15)
+    assert gbm_terminal_samples(p0, 1.0, 1, RngStream(3))[0] == pytest.approx(
+        50.0 * math.exp(0.05), rel=1e-15)
     with pytest.raises(ValueError):
-        gbm_terminal(p, -0.5, RngStream(3))
+        gbm_terminal_samples(p, -0.5, 1, RngStream(3))
 
 
 def test_gbm_discounted_terminal_is_a_martingale():
