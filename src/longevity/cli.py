@@ -93,9 +93,9 @@ def _parse_age_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-# the march keeps per-node arrays and per-step lists, so an unbounded grid
-# exhausts memory before it fails; both sizes are capped like a cash-flow
-# file's periods
+# the march keeps per-node arrays and per-step lists, and fdm-demo builds
+# its table in memory, so an unbounded grid exhausts memory before it fails;
+# every size is capped like a cash-flow file's periods
 _MAX_GRID = 100_000
 
 
@@ -276,7 +276,7 @@ def _cmd_price_option(ns) -> str:
         s_max=ns.smax,
         intervals=intervals,
         steps=steps,
-        rannacher_steps=min(4, steps) if ns.rannacher is None else ns.rannacher,
+        rannacher_steps=ns.rannacher,
     )
     result = price_european(**kwargs) if ns.style == "european" else price_american(**kwargs)
     spot = ns.spot if ns.spot is not None else ns.strike
@@ -307,8 +307,8 @@ def _cmd_fdm_demo(ns) -> str:
 
     if ns.sigma <= 0.0:
         raise ValueError("--sigma must be positive")
-    if ns.J < 2:
-        raise ValueError("--J must be at least 2")
+    if not 2 <= ns.J <= _MAX_GRID:
+        raise ValueError(f"--J must lie in [2, {_MAX_GRID}], got {ns.J}")
     mesh = Mesh1D(0.0, 1.0, ns.J + 1)
     if ns.scheme == "centered":
         layer = solve_centered(ns.sigma, mesh)
@@ -464,7 +464,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("centered", "upwind", "fitted"), required=True,
                    help="spatial discretization")
     p.add_argument("--sigma", type=float, required=True, help="diffusion coefficient, dimensionless")
-    p.add_argument("--J", type=int, required=True, help="mesh intervals on (0,1), count")
+    p.add_argument("--J", type=int, required=True,
+                   help=f"mesh intervals on (0,1), count in [2, {_MAX_GRID}]")
 
     return parser
 
@@ -478,9 +479,6 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code == 0 else 1
     try:
         text = ns.handler(ns)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -19,15 +19,17 @@ critique of the Crank-Nicolson scheme", Wilmott 2004).
 A step works in place: it builds its right-hand side in a preallocated
 state vector, in the same order of operations as the textbook formula,
 back-substitutes it there with one LAPACK ``dgttrs`` call, and tests the
-new state for finiteness once.  A problem whose coefficients ignore
-``tau`` says so (``autonomous``); constant-volatility Black-Scholes and the
-mortality-option grid do.  Its coefficients are evaluated and its stencil
-assembled once per march, and each step matrix is LU-factored once per
-theta, so a step costs one explicit product and one back-substitution.
-Coefficients that move with ``tau``, as under :class:`VolatilityDecay`, are
-still evaluated one level at a time, but assembled a bounded block of
-levels per ``fitted_stencil`` call; the block's step matrices are formed
-together and checked for finiteness once, and each is factored afresh.
+new state for finiteness once.  Every pricer here values a claim on a
+lognormal index, so one builder assembles its equation (diffusion
+``vol**2 S**2 / 2``, drift ``rate S``, reaction ``-rate``, no source) and
+the march itself stays private.  Constant volatility makes that problem
+autonomous: its coefficients are evaluated and its stencil assembled once
+per march, and each step matrix is LU-factored once per theta, so a step
+costs one explicit product and one back-substitution.  Under
+:class:`VolatilityDecay` the coefficients move with ``tau``; they are still
+evaluated one level at a time, but assembled a bounded block of levels per
+``fitted_stencil`` call; the block's step matrices are formed together and
+checked for finiteness once, and each is factored afresh.
 
 Option valuation composes the march with payoff-specific boundary data.
 American exercise is handled by projecting each time level onto the payoff,
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -61,8 +63,6 @@ from .simulate import randomized_horizon_payoff  # noqa: F401
 
 __all__ = [
     "VolatilityDecay",
-    "ParabolicProblem",
-    "step_parabolic",
     "PriceResult",
     "price_european",
     "price_american",
@@ -226,7 +226,7 @@ def _factored(matrix: np.ndarray, check: bool):
 
 
 def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
-           payoff_floor: Callable | None = None, track_exercise: bool = False):
+           american: bool = False, track_exercise: bool = False):
     """Theta-march the problem over the horizon, one theta per step.
 
     Step ``n`` goes from ``tau = n*k`` to ``(n+1)*k`` with the operator of
@@ -243,16 +243,17 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     the buffers; the result is tested for finiteness once.  Thetas and the
     boundary values of every level are taken before the first step.
 
-    Optionally projects every level onto ``payoff_floor`` (American
-    constraint) and records, per level, the largest node where the value
-    sits on the floor.  Returns ``(U, times, boundary)``; the last two are
-    None when the exercise boundary is not tracked.
+    ``american`` projects every level onto the payoff ``phi(x)``, and
+    ``track_exercise`` records, per level, the largest node where the value
+    sits on it.  Returns ``(U, times, boundary)``; the last two are None
+    when the exercise boundary is not tracked.
     """
     x = mesh.points()
     n_steps = len(thetas)
     k = prob.horizon / n_steps
 
-    U = np.asarray(prob.phi(x), dtype=float).copy()
+    payoff = np.asarray(prob.phi(x), dtype=float)
+    U = payoff.copy()
     if U.shape != x.shape:
         raise ValueError("phi must evaluate to one value per mesh point")
     scale = max(1.0, float(np.max(np.abs(U))))
@@ -266,15 +267,13 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     g0s = [float(prob.g0(tau)) for tau in taus]
     g1s = [float(prob.g1(tau)) for tau in taus]
 
-    floor = None
     boundary = []
-    if payoff_floor is not None:
-        floor = np.asarray(payoff_floor(x), dtype=float)
-        np.maximum(U, floor, out=U)
+    if american:
+        np.maximum(U, payoff, out=U)
         if track_exercise:
-            # a node is on the floor when its value is within tol of a floor above tol
-            tol = 1e-7 * (1.0 + float(np.max(floor)))
-            positive = floor > tol
+            # a node is on the floor when its value is within tol of a payoff above tol
+            tol = 1e-7 * (1.0 + float(np.max(payoff)))
+            positive = payoff > tol
             gap = np.empty_like(U)
             on_floor = np.empty(U.shape, dtype=bool)
 
@@ -314,10 +313,10 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
             V[0], V[-1] = g0v, g1v
             if not np.isfinite(V).all():
                 raise _step_blowup(n, n_steps, k)
-            if floor is not None:
-                np.maximum(V, floor, out=V)
+            if american:
+                np.maximum(V, payoff, out=V)
             if track_exercise:
-                np.subtract(V, floor, out=gap)
+                np.subtract(V, payoff, out=gap)
                 np.less_equal(gap, tol, out=on_floor)
                 on_floor &= positive
                 last = on_floor.size - 1 - int(on_floor[::-1].argmax())
@@ -334,24 +333,6 @@ def _step_blowup(n: int, n_steps: int, k: float) -> NumericalError:
     return NumericalError(
         f"time march produced non-finite values at step {n + 1} of "
         f"{n_steps} (k = {k:g}); the step is too large for this data")
-
-
-def step_parabolic(prob: ParabolicProblem, mesh: Mesh1D, n_steps: int,
-                   theta: float = 0.5) -> np.ndarray:
-    """March the problem to its horizon and return the terminal mesh values.
-
-    ``theta = 0.5`` is Crank-Nicolson (second order in time on smooth
-    data), ``theta = 1`` fully implicit; both are unconditionally stable on
-    the fitted stencil.  Smaller theta admits explicit weight and is
-    accepted but can blow up for large steps, in which case the march
-    aborts with :class:`NumericalError` naming the failing step.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    U, _, _ = _march(prob, mesh, [theta] * n_steps)
-    return U
 
 
 # ------------------------------------------------------ option pricing #
@@ -379,44 +360,24 @@ class PriceResult:
         return float(np.interp(s, self.grid, self.values))
 
 
-def _vol_of_tau(vol) -> Callable[[float], float]:
-    if isinstance(vol, VolatilityDecay):
-        return vol.at
-    level = float(vol)
-    if not level > 0.0:
-        raise ValueError("volatility must be positive")
-    return lambda tau: level
+def _lognormal_problem(half_var: Callable[[float], float], autonomous: bool, rate: float,
+                       horizon: float, phi: Callable, g0: Callable,
+                       g1: Callable) -> ParabolicProblem:
+    """The pricing equation of a claim on a lognormal index, in remaining time.
 
-
-def _bs_problem(kind: str, strike: float, rate: float, vol, expiry: float,
-                s_max: float) -> ParabolicProblem:
-    vf = _vol_of_tau(vol)
-
-    def sigma(x, tau):
-        # v * v, not v ** 2: on a huge volatility the float power raises
-        # OverflowError, while the product overflows to inf, which the
-        # fitted stencil rejects as a domain error
-        v = vf(tau)
-        return 0.5 * v * v * x * x
-
-    mu = lambda x, tau: rate * x
-    b_coef = lambda x, tau: -rate
-    f = lambda x, tau: 0.0
-    if kind == "call":
-        phi = lambda x: np.maximum(x - strike, 0.0)
-        g0 = lambda tau: 0.0
-        g1 = lambda tau: s_max - strike * math.exp(-rate * tau)
-    else:
-        phi = lambda x: np.maximum(strike - x, 0.0)
-        g0 = lambda tau: strike * math.exp(-rate * tau)
-        g1 = lambda tau: 0.0
-    return ParabolicProblem(sigma, mu, b_coef, f, phi, g0, g1, expiry,
-                            autonomous=not isinstance(vol, VolatilityDecay))
+    Diffusion ``half_var(tau) * x * x``, drift ``rate * x``, reaction
+    ``-rate`` and no source; ``half_var`` is half the variance rate, and
+    ``autonomous`` says it ignores ``tau``.
+    """
+    return ParabolicProblem(lambda x, tau: half_var(tau) * x * x, lambda x, tau: rate * x,
+                            lambda x, tau: -rate, lambda x, tau: 0.0, phi, g0, g1, horizon,
+                            autonomous)
 
 
 def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float,
                        s_max: float | None, intervals: int, steps: int,
-                       rannacher_steps: int) -> float:
+                       rannacher_steps: int | None) -> tuple[float, list[float]]:
+    """The truncation level ``s_max`` and the step thetas of a valid vanilla request."""
     if kind not in ("call", "put"):
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
     require_finite(strike=strike, rate=rate, expiry=expiry)
@@ -433,9 +394,10 @@ def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float
     if not strike < s_max:
         raise ValueError("strike must lie inside (0, s_max)")
     _check_grid(intervals, steps)
-    if not 0 <= rannacher_steps <= steps:
-        raise ValueError("rannacher_steps must lie in [0, steps]")
-    return s_max
+    thetas = _thetas(steps, rannacher_steps)
+    if not isinstance(vol, VolatilityDecay) and not float(vol) > 0.0:
+        raise ValueError("volatility must be positive")
+    return s_max, thetas
 
 
 def _check_grid(intervals: int, steps: int) -> None:
@@ -453,52 +415,75 @@ def _require_discountable(rate: float, horizon: float) -> None:
                          f"got {rate!r}")
 
 
-def _thetas(steps: int, rannacher_steps: int) -> list[float]:
-    """Crank-Nicolson with a fully implicit start to damp payoff kinks."""
+def _thetas(steps: int, rannacher_steps: int | None = None) -> list[float]:
+    """Crank-Nicolson after ``rannacher_steps`` (None: ``min(4, steps)``) fully implicit steps."""
+    if rannacher_steps is None:
+        rannacher_steps = min(4, steps)
+    if not 0 <= rannacher_steps <= steps:
+        raise ValueError("rannacher_steps must lie in [0, steps]")
     return [1.0] * rannacher_steps + [0.5] * (steps - rannacher_steps)
+
+
+def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, expiry: float,
+                   s_max: float | None, intervals: int, steps: int,
+                   rannacher_steps: int | None) -> PriceResult:
+    s_max, thetas = _check_option_args(kind, strike, rate, vol, expiry, s_max, intervals,
+                                       steps, rannacher_steps)
+    decays = isinstance(vol, VolatilityDecay)
+    vol_at = vol.at if decays else (lambda tau, level=float(vol): level)
+
+    def half_var(tau):
+        # v * v, not v ** 2: on a huge volatility the float power raises
+        # OverflowError, while the product overflows to inf, which the
+        # fitted stencil rejects as a domain error
+        v = vol_at(tau)
+        return 0.5 * v * v
+
+    if kind == "call":
+        phi = lambda x: np.maximum(x - strike, 0.0)
+        g0 = lambda tau: 0.0
+        g1 = lambda tau: s_max - strike * math.exp(-rate * tau)
+    else:
+        phi = lambda x: np.maximum(strike - x, 0.0)
+        # an American put is exercised at S = 0, so that boundary holds the
+        # full strike rather than its discounted value
+        g0 = (lambda tau: float(strike)) if american else \
+            (lambda tau: strike * math.exp(-rate * tau))
+        g1 = lambda tau: 0.0
+    prob = _lognormal_problem(half_var, not decays, rate, expiry, phi, g0, g1)
+    mesh = Mesh1D(0.0, s_max, intervals + 1)
+    U, times, boundary = _march(prob, mesh, thetas, american, track_exercise=american)
+    return PriceResult(mesh.points(), U, times, boundary)
 
 
 def price_european(kind: str, strike: float, rate: float, vol, expiry: float,
                    s_max: float | None = None, intervals: int = 400, steps: int = 400,
-                   rannacher_steps: int = 4) -> PriceResult:
+                   rannacher_steps: int | None = None) -> PriceResult:
     """Value a European call or put by marching the pricing equation.
 
     ``vol`` is either a constant volatility or a :class:`VolatilityDecay`.
     The domain is truncated at ``s_max`` (four strikes by default) with the
-    discounted asymptotic payoff imposed there.
+    discounted asymptotic payoff imposed there.  The first
+    ``rannacher_steps`` steps are fully implicit, the rest Crank-Nicolson;
+    None means ``min(4, steps)``.
     """
-    s_max = _check_option_args(kind, strike, rate, vol, expiry, s_max, intervals, steps,
-                               rannacher_steps)
-    mesh = Mesh1D(0.0, s_max, intervals + 1)
-    prob = _bs_problem(kind, strike, rate, vol, expiry, s_max)
-    U, _, _ = _march(prob, mesh, _thetas(steps, rannacher_steps))
-    return PriceResult(grid=mesh.points(), values=U)
+    return _price_vanilla(False, kind, strike, rate, vol, expiry, s_max, intervals, steps,
+                          rannacher_steps)
 
 
 def price_american(kind: str, strike: float, rate: float, vol, expiry: float,
                    s_max: float | None = None, intervals: int = 400, steps: int = 400,
-                   rannacher_steps: int = 4) -> PriceResult:
+                   rannacher_steps: int | None = None) -> PriceResult:
     """Value an American call or put; each level is projected onto the payoff.
 
-    The comparison of continuation and intrinsic value happens node by
-    node after every step, so the returned values satisfy
-    ``value >= payoff`` everywhere.  The reported exercise boundary is the
-    largest underlying level sitting on the payoff at each time level.
+    Arguments are those of :func:`price_european`.  The comparison of
+    continuation and intrinsic value happens node by node after every
+    step, so the returned values satisfy ``value >= payoff`` everywhere.
+    The reported exercise boundary is the largest underlying level sitting
+    on the payoff at each time level.
     """
-    s_max = _check_option_args(kind, strike, rate, vol, expiry, s_max, intervals, steps,
-                               rannacher_steps)
-    mesh = Mesh1D(0.0, s_max, intervals + 1)
-    prob = _bs_problem(kind, strike, rate, vol, expiry, s_max)
-    if kind == "put":
-        # Immediate exercise is optimal at S = 0, so the boundary holds the
-        # full strike rather than its discounted value.
-        prob = replace(prob, g0=lambda tau: float(strike))
-    payoff = (lambda x: np.maximum(x - strike, 0.0)) if kind == "call" \
-        else (lambda x: np.maximum(strike - x, 0.0))
-    U, times, boundary = _march(prob, mesh, _thetas(steps, rannacher_steps),
-                                payoff_floor=payoff, track_exercise=True)
-    return PriceResult(grid=mesh.points(), values=U,
-                       exercise_times=times, exercise_boundary=boundary)
+    return _price_vanilla(True, kind, strike, rate, vol, expiry, s_max, intervals, steps,
+                          rannacher_steps)
 
 
 # ---------------------------------------------------- mortality option #
@@ -582,22 +567,13 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
 
     s_max = max(4.0 * spot, float(t_max + 1))
     mesh = Mesh1D(0.0, s_max, intervals + 1)
-    payoff_grid = lambda s: by_year[np.clip(np.rint(s), 1, t_max).astype(int) - 1]
-    if vole_sigma > 0.0:
-        sigma = lambda s, tau: 0.5 * vole_sigma ** 2 * s * s
-    else:
-        sigma = lambda s, tau: np.zeros_like(s)
-    prob = ParabolicProblem(
-        sigma=sigma,
-        mu=lambda s, tau: r * s,
-        b_coef=lambda s, tau: np.full_like(s, -r),
-        f=lambda s, tau: np.zeros_like(s),
-        phi=payoff_grid,
+    half_var = 0.5 * vole_sigma ** 2
+    prob = _lognormal_problem(
+        lambda tau: half_var, True, r, float(t_max),
+        phi=lambda s: by_year[np.clip(np.rint(s), 1, t_max).astype(int) - 1],
         g0=lambda tau: float(by_year[0]),
-        g1=lambda tau: float(by_year[-1]),
-        horizon=float(t_max),
-        autonomous=True)
-    U, _, _ = _march(prob, mesh, _thetas(steps, min(4, steps)), payoff_floor=payoff_grid)
+        g1=lambda tau: float(by_year[-1]))
+    U, _, _ = _march(prob, mesh, _thetas(steps), american=True)
     pde_value = float(np.interp(spot, mesh.points(), U))
     return MortalityOptionValue(mc_value=mc_mean, mc_std_error=mc_se, pde_value=pde_value,
                                 exact_value=exact)

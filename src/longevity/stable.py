@@ -16,6 +16,7 @@ to rank how heavy death-time tails get with age.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +170,7 @@ def alpha_age_profile(
     for position, age in enumerate(sorted(int(a) for a in ages)):
         sub = rng.spawn(1 + position)
         times = sample_death_times(table, age, n, sub)
-        if np.unique(np.ceil(times)).size == 1:
+        if math.ceil(times.min()) == math.ceil(times.max()):
             raise DataError(
                 f"age {age}: degenerate death-year distribution (zero dispersion)"
             )

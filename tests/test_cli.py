@@ -131,13 +131,23 @@ def test_grid_without_two_intervals_and_a_step_exits_2(capsys, command, grid):
     assert err == "error: need at least 2 space intervals and 1 time step\n"
 
 
-@PRICING_COMMANDS
-@pytest.mark.parametrize("grid", ["100001,10", "10,100001"])
-def test_grid_above_the_size_cap_exits_2(capsys, command, grid):
-    code, out, err = invoke(capsys, *command, "--grid", grid)
+SIZE_CAP_CASES = {
+    f"{grid}-{name}": ((*command, "--grid", grid),
+                       f"grid sizes must be at most 100000, got {grid!r}")
+    for grid in ("100001,10", "10,100001")
+    for name, command in (("price-option", PUT_ARGS),
+                          ("price-mortality-option", MORTALITY_OPTION_ARGS))
+}
+SIZE_CAP_CASES["fdm-demo"] = (("fdm-demo", "--scheme", "fitted", "--sigma", "0.01",
+                               "--J", "100001"), "--J must lie in [2, 100000], got 100001")
+
+
+@pytest.mark.parametrize("args, message", SIZE_CAP_CASES.values(), ids=SIZE_CAP_CASES.keys())
+def test_grid_above_the_size_cap_exits_2(capsys, args, message):
+    code, out, err = invoke(capsys, *args)
     assert code == 2
     assert out == ""
-    assert err == f"error: grid sizes must be at most 100000, got {grid!r}\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flag, value, name", [

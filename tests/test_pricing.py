@@ -18,13 +18,17 @@ from longevity.pricing import (
     price_american,
     price_european,
     price_mortality_option,
-    step_parabolic,
 )
 from longevity.settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
 from longevity.simulate import RngStream, sample_death_years
 from oracles import binomial_american_put, bs_price
 
 # ------------------------------------------------------------ marching #
+
+
+def march(prob, mesh, n_steps, theta=0.5):
+    # terminal mesh values of a march taking n_steps steps at one theta
+    return pricing._march(prob, mesh, [theta] * n_steps)[0]
 
 
 def heat_problem(horizon):
@@ -43,7 +47,7 @@ def heat_problem(horizon):
 
 def test_heat_equation_matches_separated_solution():
     mesh = Mesh1D(0.0, 1.0, 65)
-    U = step_parabolic(heat_problem(0.1), mesh, n_steps=64)
+    U = march(heat_problem(0.1), mesh, 64)
     exact = math.exp(-np.pi**2 * 0.1) * np.sin(np.pi * mesh.points())
     assert np.max(np.abs(U - exact)) < 2e-3
 
@@ -52,7 +56,7 @@ def test_crank_nicolson_is_second_order_in_space_and_time():
     errs = []
     for j in (16, 32, 64):
         mesh = Mesh1D(0.0, 1.0, j + 1)
-        U = step_parabolic(heat_problem(0.1), mesh, n_steps=j)
+        U = march(heat_problem(0.1), mesh, j)
         exact = math.exp(-np.pi**2 * 0.1) * np.sin(np.pi * mesh.points())
         errs.append(np.max(np.abs(U - exact)))
     assert errs[0] / errs[1] > 3.4
@@ -72,7 +76,7 @@ def test_implicit_march_obeys_discrete_bounds():
         g1=lambda tau: 0.0,
         horizon=2.0,
     )
-    U = step_parabolic(prob, Mesh1D(0.0, 1.0, 41), n_steps=10, theta=1.0)
+    U = march(prob, Mesh1D(0.0, 1.0, 41), 10, theta=1.0)
     assert np.all(U >= -1e-9)
     assert np.all(U <= 0.25 + 1e-9)
 
@@ -89,25 +93,22 @@ def test_corner_mismatch_is_rejected():
         horizon=1.0,
     )
     with pytest.raises(ValueError, match="corner"):
-        step_parabolic(prob, Mesh1D(0.0, 1.0, 11), n_steps=4)
+        march(prob, Mesh1D(0.0, 1.0, 11), 4)
 
 
 def test_explicit_march_blowup_is_reported():
     # theta = 0 with k far above the diffusive limit amplifies the sawtooth
     # mode past overflow; the march must stop and name the failing step
     with pytest.raises(NumericalError, match="at step 141 of 200"):
-        step_parabolic(heat_problem(1.0), Mesh1D(0.0, 1.0, 101),
-                       n_steps=200, theta=0.0)
+        march(heat_problem(1.0), Mesh1D(0.0, 1.0, 101), 200, theta=0.0)
 
 
 def test_march_argument_validation():
     prob = heat_problem(1.0)
     mesh = Mesh1D(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        step_parabolic(prob, mesh, n_steps=0)
-    with pytest.raises(ValueError):
-        step_parabolic(prob, mesh, n_steps=4, theta=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+        march(prob, mesh, 4, theta=1.5)
+    with pytest.raises(ValueError, match="horizon must be positive"):
         ParabolicProblem(
             sigma=lambda x, tau: x, mu=lambda x, tau: x,
             b_coef=lambda x, tau: x, f=lambda x, tau: x,
@@ -201,6 +202,16 @@ def test_option_argument_validation():
                                  (price_european, -1.0, 1000.0)):
         with pytest.raises(ValueError, match="rate must keep"):
             pricer("put", STRIKE, rate, VOL, expiry, intervals=20, steps=20)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("price", [price_european, price_american])
+def test_default_rannacher_count_fits_a_march_of_fewer_than_four_steps(price, steps):
+    # the default means min(4, steps): every step of a short march is implicit
+    got = price("put", STRIKE, RATE, VOL, EXPIRY, intervals=40, steps=steps)
+    want = price("put", STRIKE, RATE, VOL, EXPIRY, intervals=40, steps=steps,
+                 rannacher_steps=steps)
+    assert np.array_equal(got.values, want.values)
 
 
 def test_value_at_rejects_levels_off_the_grid():
@@ -342,9 +353,9 @@ def test_pricers_match_the_dense_reference_march(kind, vol):
 
 @pytest.mark.parametrize("prob", [heat_problem(0.1), switching_problem()], ids=["heat", "switch"])
 @pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_step_parabolic_matches_the_dense_reference_march(prob, theta):
+def test_march_matches_the_dense_reference_march(prob, theta):
     mesh = Mesh1D(0.0, 1.0, 41)
-    got = step_parabolic(prob, mesh, n_steps=30, theta=theta)
+    got = march(prob, mesh, 30, theta=theta)
     assert_close(got, reference_march(prob, mesh, [theta] * 30)[0])
 
 
@@ -376,7 +387,7 @@ def test_stencil_is_assembled_once_while_the_coefficients_ignore_tau(stencil_cal
         price("put", STRIKE, RATE, VolatilityDecay(VOL, 0.5), EXPIRY, intervals=50, steps=steps)
         assert len(stencil_calls) == math.ceil((steps + 1) / block_levels(50)) == 3
     stencil_calls.clear()
-    step_parabolic(switching_problem(), Mesh1D(0.0, 1.0, 41), n_steps=steps)
+    march(switching_problem(), Mesh1D(0.0, 1.0, 41), steps)
     assert len(stencil_calls) == math.ceil((steps + 1) / block_levels(40)) == 2
     stencil_calls.clear()
     price_mortality_option(FlatPolicy(p=100.0, b=1000.0, r=0.05), LifeTable(90, [0.5, 1.0]),
@@ -403,14 +414,14 @@ def counted_coefficients(prob, autonomous):
 def test_autonomous_problem_evaluates_each_coefficient_once():
     prob, calls = counted_coefficients(heat_problem(0.1), autonomous=True)
     mesh = Mesh1D(0.0, 1.0, 41)
-    got = step_parabolic(prob, mesh, n_steps=25)
+    got = march(prob, mesh, 25)
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
-    assert np.array_equal(got, step_parabolic(heat_problem(0.1), mesh, n_steps=25))
+    assert np.array_equal(got, march(heat_problem(0.1), mesh, 25))
 
 
 def test_tau_dependent_problem_evaluates_each_coefficient_once_per_level():
     prob, calls = counted_coefficients(switching_problem(), autonomous=False)
-    step_parabolic(prob, Mesh1D(0.0, 1.0, 41), n_steps=150)
+    march(prob, Mesh1D(0.0, 1.0, 41), 150)
     for name, taus in calls.items():
         assert len(taus) == 150 + 1, name
         assert set(taus) == {float}, name
@@ -508,7 +519,7 @@ def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, s
         g1=lambda tau: float(payoff_year(t_max)),
         horizon=float(t_max))
     thetas = [1.0] * min(4, steps) + [0.5] * (steps - min(4, steps))
-    U, _, _ = pricing._march(prob, mesh, thetas, payoff_floor=grid)
+    U, _, _ = pricing._march(prob, mesh, thetas, american=True)
     return mc, se, float(np.interp(spot, mesh.points(), U))
 
 
