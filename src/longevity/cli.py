@@ -93,10 +93,19 @@ def _parse_age_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-# the march keeps per-node arrays and per-step lists, and fdm-demo builds
-# its table in memory, so an unbounded grid exhausts memory before it fails;
-# every size is capped like a cash-flow file's periods
+# the march keeps per-node arrays and per-step lists, and fdm-demo and
+# markov build their tables in memory, so an unbounded grid exhausts memory
+# before it fails; every size is capped like a cash-flow file's periods
 _MAX_GRID = 100_000
+
+# simulated lives and Monte Carlo paths take a few arrays of n floats each,
+# so --n is capped before anything is allocated
+_MAX_N = 10_000_000
+
+
+def _check_n(n: int) -> None:
+    if n > _MAX_N:
+        raise ValueError(f"--n must be at most {_MAX_N}, got {n}")
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -115,6 +124,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
 def _cmd_simulate(ns) -> str:
     from .simulate import RngStream, simulate_deaths
 
+    _check_n(ns.n)
     table = _load_table_arg(ns)
     summary = simulate_deaths(table, ns.age, ns.n, RngStream(ns.seed))
     if ns.csv:
@@ -140,6 +150,7 @@ def _cmd_vole(ns) -> str:
         return _kv("vole", vole(ns.e_complete, ns.max_death))
     if ns.age is None or ns.n is None or ns.seed is None:
         raise ValueError("pipeline mode needs --age, --n and --seed")
+    _check_n(ns.n)
     table = _load_table_arg(ns)
     e = complete_expectation(table, ns.age)
     summary = simulate_deaths(table, ns.age, ns.n, RngStream(ns.seed))
@@ -165,8 +176,8 @@ def _cmd_markov(ns) -> str:
     require_finite(horizon=ns.horizon)
     if ns.horizon <= 0.0:
         raise ValueError("--horizon must be positive")
-    if ns.points < 2:
-        raise ValueError("--points must be at least 2")
+    if not 2 <= ns.points <= _MAX_GRID:
+        raise ValueError(f"--points must lie in [2, {_MAX_GRID}], got {ns.points}")
     rows = [(f"{t:.10g}", f"{model.survival(t):.10g}") for t in _linspace(ns.horizon, ns.points)]
     return _csv_text(("t", "survival"), rows)
 
@@ -206,10 +217,13 @@ def _cmd_alpha_profile(ns) -> str:
     from .simulate import RngStream
     from .stable import alpha_age_profile
 
+    _check_n(ns.n)
     table = _load_table_arg(ns)
     lo, hi = _parse_age_range(ns.ages)
     if ns.step < 1:
         raise ValueError("--step must be at least 1")
+    for age in (lo, hi):  # every age lies between them, so the list stays table-sized
+        table._check_age(age)
     ages = list(range(lo, hi + 1, ns.step))
     profile = alpha_age_profile(table, ages, ns.n, RngStream(ns.seed))
     rows = [(age, f"{alpha:.6f}") for age, alpha in profile]
@@ -287,6 +301,7 @@ def _cmd_price_mortality_option(ns) -> str:
     from .pricing import price_mortality_option
     from .simulate import RngStream
 
+    _check_n(ns.n)
     table = _load_table_arg(ns)
     pol = _policy(ns, rate="policy_rate")
     intervals, steps = _parse_grid(ns.grid)
@@ -375,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("simulate", _cmd_simulate, "Simulate death years and summarise them.")
     _add_table_flags(p, with_assumptions=True)
     p.add_argument("--age", type=int, required=True, help="age at issue, whole years")
-    p.add_argument("--n", type=int, required=True, help="number of simulated lives, count")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"number of simulated lives, count, at most {_MAX_N}")
     p.add_argument("--seed", type=int, required=True, help="random seed, integer in [0, 2**64)")
     p.add_argument("--csv", action="store_true",
                    help="emit the death-year histogram as CSV year,count instead of the summary")
@@ -387,13 +403,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="maximum observed death year, years (direct mode)")
     _add_table_flags(p)
     p.add_argument("--age", type=int, default=None, help="age at issue, whole years (pipeline mode)")
-    p.add_argument("--n", type=int, default=None, help="simulated lives for the maximum, count")
+    p.add_argument("--n", type=int, default=None,
+                   help=f"simulated lives for the maximum, count, at most {_MAX_N}")
     p.add_argument("--seed", type=int, default=None, help="random seed, integer in [0, 2**64)")
 
     p = add("markov", _cmd_markov, "Survival curve of the constant-intensity two-state model.")
     p.add_argument("--rate", type=float, required=True, help="death intensity, per year")
     p.add_argument("--horizon", type=float, required=True, help="curve horizon, years")
-    p.add_argument("--points", type=int, default=11, help="number of curve points, count (default 11)")
+    p.add_argument("--points", type=int, default=11,
+                   help=f"number of curve points, count in [2, {_MAX_GRID}] (default 11)")
 
     p = add("fit-stable", _cmd_fit_stable, "Estimate the stability index of a sample.")
     p.add_argument("file", nargs="?", default=None,
@@ -402,9 +420,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("alpha-profile", _cmd_alpha_profile, "Tail index of simulated death times, age by age.")
     _add_table_flags(p)
     p.add_argument("--ages", required=True, metavar="A..B",
-                   help="inclusive age range, e.g. 60..95, whole years")
+                   help="inclusive age range inside the table's, e.g. 60..95, whole years")
     p.add_argument("--step", type=int, default=5, help="age spacing, years (default 5)")
-    p.add_argument("--n", type=int, required=True, help="simulated lives per age, count")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"simulated lives per age, count, at most {_MAX_N}")
     p.add_argument("--seed", type=int, required=True, help="random seed, integer in [0, 2**64)")
 
     p = add("price-lsv", _cmd_price_lsv, "Settlement value for death at a given time.")
@@ -453,7 +472,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="discount and drift rate for the option, per year")
     p.add_argument("--vole-sigma", type=float, required=True, dest="vole_sigma",
                    help="volatility of life expectancy, dimensionless in [0, 1)")
-    p.add_argument("--n", type=int, required=True, help="Monte Carlo paths, count")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"Monte Carlo paths, count, at most {_MAX_N}")
     p.add_argument("--seed", type=int, required=True, help="random seed, integer in [0, 2**64)")
     p.add_argument("--grid", default="400,400", metavar="J,N",
                    help=f"space intervals,time steps for the grid route, each at most "

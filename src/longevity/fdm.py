@@ -307,14 +307,18 @@ def _excess(s: np.ndarray) -> np.ndarray:
 
 
 def _fitted_coefficients(mu, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """``mu`` and ``sigma`` broadcast to float arrays, finite and ``sigma >= 0``.
+    """``mu`` and ``sigma`` as float arrays, finite and ``sigma >= 0``.
 
-    A nan ``sigma`` fails every comparison, so without the finiteness test
-    its row would pass for a degenerate one and be silently upwinded.
+    ``sigma`` is broadcast to the shape of the pair; ``mu`` keeps its own,
+    so a drift narrower than the diffusion is tested once, not per row of
+    the broadcast.  A nan ``sigma`` fails every comparison, so without the
+    finiteness test its row would pass for a degenerate one and be
+    silently upwinded.
     """
     mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
-    if mu.shape != sigma.shape:
-        mu, sigma = np.broadcast_arrays(mu, sigma)
+    shape = np.broadcast(mu, sigma).shape
+    if sigma.shape != shape:
+        sigma = np.broadcast_to(sigma, shape)
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise ValueError("diffusion sigma and convection mu must be finite")
     if (sigma < 0.0).any():
@@ -354,20 +358,22 @@ def fitted_stencil(mu, h: float, sigma) -> tuple[np.ndarray, np.ndarray, np.ndar
     # number is not finite (0/0 included) get meaningless values there,
     # without a warning, and are replaced below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q = mu * h
-        q /= 2.0 * sigma
+        # mu * h and |mu| / h are formed at mu's own width and broadcast
+        # by the arithmetic with sigma's rows
+        q = np.divide(mu * h, 2.0 * sigma)
         # on extreme data a row overflows to inf (or inf * 0 = nan), which
         # the caller's factorization or finiteness check rejects
         against_wind = sigma / h_squared
         against_wind *= _excess(np.abs(q))
         with_wind = np.abs(mu)
         with_wind /= h
-        with_wind += against_wind
+        with_wind = against_wind + with_wind
         downwind = q >= 0.0
         sub = np.where(downwind, against_wind, with_wind)
         sup = np.where(downwind, with_wind, against_wind)
         if not np.isfinite(q).all():
             degenerate = ~np.isfinite(q)
+            mu = np.broadcast_to(mu, q.shape)
             sub[degenerate] = np.maximum(-mu[degenerate], 0.0) / h
             sup[degenerate] = np.maximum(mu[degenerate], 0.0) / h
     center = -(sub + sup)

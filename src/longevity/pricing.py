@@ -26,10 +26,13 @@ the march itself stays private.  Constant volatility makes that problem
 autonomous: its coefficients are evaluated and its stencil assembled once
 per march, and each step matrix is LU-factored once per theta, so a step
 costs one explicit product and one back-substitution.  Under
-:class:`VolatilityDecay` the coefficients move with ``tau``; they are still
-evaluated one level at a time, but assembled a bounded block of levels per
-``fitted_stencil`` call; the block's step matrices are formed together and
-checked for finiteness once, and each is factored afresh.
+:class:`VolatilityDecay` the coefficients move with ``tau``; they are
+evaluated once per bounded block of levels, each callable taking the
+block's ``tau`` values as one column, and the block is assembled by one
+``fitted_stencil`` call; its step matrices are formed together and checked
+for finiteness once, and each is factored afresh.  A source that is
+``+0.0`` at every node, as the pricing equation's is, is not subtracted
+at all, since taking away ``+0.0`` leaves every value as it was.
 
 Option valuation composes the march with payoff-specific boundary data.
 American exercise is handled by projecting each time level onto the payoff,
@@ -98,16 +101,22 @@ class ParabolicProblem:
     """Initial-boundary value problem in remaining-time coordinates.
 
     Coefficients ``sigma``, ``mu``, ``b_coef`` and ``f`` are callables of
-    ``(x, tau)`` accepting array ``x`` and a scalar ``tau``, returning an
-    array shaped like ``x`` or a scalar for every node; ``phi`` is the
-    state at ``tau = 0``; ``g0`` and ``g1`` give the left and right boundary
-    values as functions of ``tau``; ``horizon`` is the total remaining time
-    to march.  ``phi`` must agree with ``g0``/``g1`` at the domain corners
-    (checked against the mesh when stepping starts).
+    ``(x, tau)`` evaluated on a block of time levels at once: ``x`` is the
+    1-D array of interior nodes and ``tau`` a float column of shape
+    ``(levels, 1)``.  Each returns an array or scalar that broadcasts to
+    ``(levels, x.size)``, row ``i`` holding the coefficient at
+    ``tau[i, 0]``, so a coefficient that ignores ``tau`` may return one row
+    or one scalar; branch on ``tau`` with ``np.where``, not a Python
+    ``if``.  ``phi`` is the state at ``tau = 0``; ``g0`` and ``g1`` give the
+    left and right boundary values as functions of a scalar ``tau``;
+    ``horizon`` is the total remaining time to march.  ``phi`` must agree
+    with ``g0``/``g1`` at the domain corners (checked against the mesh when
+    stepping starts).
 
     ``autonomous`` states that the four coefficients ignore ``tau`` (the
     boundary values may still move).  The march then calls each of them
-    once, at ``tau = 0``, and keeps that operator for the whole horizon.
+    once, with ``tau = [[0.0]]``, and keeps that operator for the whole
+    horizon.
     Declaring it for coefficients that do move with ``tau`` is not
     detected: the march silently solves the problem frozen at ``tau = 0``.
     Leaving it False on a problem that is autonomous only costs time.
@@ -134,40 +143,65 @@ class ParabolicProblem:
 _BLOCK_NODES = 4096
 
 
-def _coefficients(prob: ParabolicProblem, xi: np.ndarray, taus: Sequence[float]) -> np.ndarray:
-    """``sigma``, ``mu``, ``b_coef`` and ``f`` on the interior nodes, one row per ``tau``.
+def _coefficients(prob: ParabolicProblem, xi: np.ndarray, tau: np.ndarray) -> tuple:
+    """``sigma``, ``mu``, ``b_coef`` and ``f`` on the interior nodes at the column ``tau``.
 
-    Shape ``(4, len(taus), len(xi))``.  Each callable is called once per
-    level with a scalar ``tau``, and its value is copied out at once, so a
-    callable that refills one buffer in place is still read correctly.
+    Each callable is called once, for every level of the column together,
+    and each value keeps the shape it came in, broadcastable to
+    ``(levels, nodes)``.  The source is None when it is ``+0.0`` at every
+    node of every level: no nonzero entry, no ``-0.0`` and no NaN.
+    Otherwise it is copied out at once, so a callable that refills one
+    buffer in place is still read correctly; the other three are used up
+    before the next block is evaluated.
     """
-    out = np.empty((4, len(taus), xi.size))
-    for i, tau in enumerate(taus):
-        for j, c in enumerate((prob.sigma, prob.mu, prob.b_coef, prob.f)):
-            out[j, i] = np.asarray(c(xi, tau), dtype=float)
-    return out
+    sigma, mu, b = (np.asarray(c(xi, tau), dtype=float)
+                    for c in (prob.sigma, prob.mu, prob.b_coef))
+    f = np.asarray(prob.f(xi, tau), dtype=float)
+    if not (f.any() or np.signbit(f).any()):  # any() counts a NaN as nonzero
+        return sigma, mu, b, None
+    return sigma, mu, b, f.copy()
+
+
+def _assembled(prob: ParabolicProblem, xi: np.ndarray, h: float, tau: np.ndarray) -> tuple:
+    """``(sub, diag, sup, f, left, right)`` of the levels at the column ``tau``, row by level.
+
+    One ``fitted_stencil`` call (looked up as this module's global, where
+    tracers and tests replace it) assembles every level.  The operator rows
+    come out shaped ``(levels, nodes)``, broadcast only where a coefficient
+    was narrower; ``f[i]`` is level ``i``'s source row, or None for a
+    ``+0.0`` source.  ``left`` and ``right`` list the weights of the
+    boundary values, ``sub[:, 0]`` and ``sup[:, -1]``, as Python floats.
+    """
+    shape = (tau.shape[0], xi.size)
+    sg, mu, bb, f = _coefficients(prob, xi, tau)
+    sub, center, sup = fitted_stencil(mu, h, sg)
+    sub, dia, sup = (v if v.shape == shape else np.broadcast_to(v, shape)
+                     for v in (sub, center + bb, sup))
+    f = [None] * shape[0] if f is None else np.broadcast_to(f, shape)
+    return sub, dia, sup, f, sub[:, 0].tolist(), sup[:, -1].tolist()
 
 
 def _levels(prob: ParabolicProblem, xi: np.ndarray, h: float, k: float,
             thetas: Sequence[float]) -> Iterator[tuple]:
-    """``(sub, diag, sup, f, lu)`` of every level ``tau = n*k``, ``n = 0 .. len(thetas)``.
+    """``(sub, diag, sup, f, left, right, lu)`` of each level ``tau = n*k``, ``n <= len(thetas)``.
 
     ``sub``, ``diag`` and ``sup`` are the rows of the semi-discrete operator
-    ``A`` (``diag`` includes the reaction term).  ``lu`` is
+    ``A`` (``diag`` includes the reaction term), ``f`` is the source row,
+    or None where the source is ``+0.0`` throughout, and ``left`` and
+    ``right`` are ``sub[0]`` and ``sup[-1]`` as Python floats.  ``lu`` is
     :func:`_factored` for the matrix ``I - k*theta*A`` of the step that
     ends at the level, ``theta = thetas[n - 1]``, and None at ``n = 0``.
 
-    An autonomous problem is evaluated and assembled once, and its step
-    matrix factored once per distinct theta.  Any other is assembled in
-    blocks of levels, one ``fitted_stencil`` call each (looked up as this
-    module's global, where tracers and tests replace it); a block's step
-    matrices are formed together and tested for finiteness in one pass,
-    then factored one level at a time.
+    An autonomous problem is evaluated and assembled once, at
+    ``tau = [[0.0]]``, and its step matrix factored once per distinct
+    theta.  Any other is evaluated and assembled in blocks of levels, each
+    coefficient called once per block with the block's ``tau`` column
+    (:func:`_assembled`); a block's step matrices are formed together and
+    tested for finiteness in one pass, then factored one level at a time.
     """
     if prob.autonomous:
-        sg, mu, bb, f = _coefficients(prob, xi, [0.0])[:, 0]
-        sub, center, sup = fitted_stencil(mu, h, sg)
-        level = (sub, center + bb, sup, f)
+        sub, dia, sup, f, left, right = _assembled(prob, xi, h, np.zeros((1, 1)))
+        level = (sub[0], dia[0], sup[0], f[0], left[0], right[0])
         yield *level, None
         factored = {}
         for theta in thetas:
@@ -180,9 +214,8 @@ def _levels(prob: ParabolicProblem, xi: np.ndarray, h: float, k: float,
     n_levels = len(thetas) + 1
     for start in range(0, n_levels, block):
         levels = range(start, min(start + block, n_levels))
-        sg, mu, bb, f = _coefficients(prob, xi, [n * k for n in levels])
-        sub, center, sup = fitted_stencil(mu, h, sg)
-        dia = center + bb
+        tau = np.array([n * k for n in levels])[:, None]
+        sub, dia, sup, f, left, right = _assembled(prob, xi, h, tau)
         # k*theta of the step that ends at each level; level 0 ends none
         kt = np.array([k * thetas[n - 1] if n else 0.0 for n in levels])[:, None]
         matrices = _step_matrix(sub, dia, sup, kt)
@@ -190,7 +223,7 @@ def _levels(prob: ParabolicProblem, xi: np.ndarray, h: float, k: float,
         check = not np.isfinite(matrices).all()
         for i, n in enumerate(levels):
             lu = _factored(matrices[:, i], check) if n else None
-            yield sub[i], dia[i], sup[i], f[i], lu
+            yield sub[i], dia[i], sup[i], f[i], left[i], right[i], lu
 
 
 def _step_matrix(sub, dia, sup, kt) -> np.ndarray:
@@ -240,8 +273,13 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     right-hand side ``U + k(1-theta)(A_old U - f_old) - k theta f_new``
     in the interior of the other state buffer, in that order of
     operations, back-substitutes it there with one ``dgttrs``, and swaps
-    the buffers; the result is tested for finiteness once.  Thetas and the
-    boundary values of every level are taken before the first step.
+    the buffers; the result is tested for finiteness once, into a
+    preallocated mask.  A level whose source is ``+0.0`` throughout has
+    none, and its term is skipped: ``k*theta >= 0``, so the term is
+    ``+0.0`` at every node, and subtracting it changes no value, not even
+    a ``-0.0``.  The two boundary increments are formed in Python floats.
+    Thetas and the boundary values of every level are taken before the
+    first step.
 
     ``american`` projects every level onto the payoff ``phi(x)``, and
     ``track_exercise`` records, per level, the largest node where the value
@@ -281,14 +319,15 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     # writes the other
     state, other = ((u, u[:-2], u[1:-1], u[2:]) for u in (U, np.empty_like(U)))
     scratch = np.empty(x.size - 2)
+    finite = np.empty(x.size, dtype=bool)
     # an overflow in the coefficients or the step arithmetic leaves a
     # non-finite value, which fitted_stencil, the factorization or the
     # state check rejects
     with np.errstate(over="ignore", invalid="ignore"):
         levels = _levels(prob, x[1:-1], mesh.h, k, thetas)
-        sub_o, dia_o, sup_o, f_o, _ = next(levels)
+        sub_o, dia_o, sup_o, f_o, *_ = next(levels)
         for n, theta in enumerate(thetas):
-            sub_n, dia_n, sup_n, f_n, lu = next(levels)
+            sub_n, dia_n, sup_n, f_n, left_n, right_n, lu = next(levels)
             _, left, mid, right = state
             V, _, b, _ = other
             kt = k * theta
@@ -297,21 +336,23 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
             b += scratch
             np.multiply(sup_o, right, out=scratch)
             b += scratch
-            b -= f_o
+            if f_o is not None:
+                b -= f_o
             b *= k * (1.0 - theta)
             b += mid
-            np.multiply(f_n, kt, out=scratch)
-            b -= scratch
+            if f_n is not None:
+                np.multiply(f_n, kt, out=scratch)
+                b -= scratch
             g0v, g1v = g0s[n], g1s[n]
-            b[0] += kt * sub_n[0] * g0v
-            b[-1] += kt * sup_n[-1] * g1v
+            b[0] += kt * left_n * g0v
+            b[-1] += kt * right_n * g1v
             if isinstance(lu, Exception):  # the step matrix failed to factor
                 if not np.isfinite(b).all():
                     raise _step_blowup(n, n_steps, k)
                 raise lu
             _lu_solve(lu, b)
             V[0], V[-1] = g0v, g1v
-            if not np.isfinite(V).all():
+            if not np.isfinite(V, out=finite).all():
                 raise _step_blowup(n, n_steps, k)
             if american:
                 np.maximum(V, payoff, out=V)
@@ -366,12 +407,16 @@ def _lognormal_problem(half_var: Callable[[float], float], autonomous: bool, rat
     """The pricing equation of a claim on a lognormal index, in remaining time.
 
     Diffusion ``half_var(tau) * x * x``, drift ``rate * x``, reaction
-    ``-rate`` and no source; ``half_var`` is half the variance rate, and
-    ``autonomous`` says it ignores ``tau``.
+    ``-rate`` and no source; ``half_var`` is half the variance rate, a
+    function of one float ``tau``, and ``autonomous`` says it ignores
+    ``tau``.  It is called in Python floats level by level, so every value
+    has the bits of the scalar formula; the drift stays one row wide.
     """
-    return ParabolicProblem(lambda x, tau: half_var(tau) * x * x, lambda x, tau: rate * x,
-                            lambda x, tau: -rate, lambda x, tau: 0.0, phi, g0, g1, horizon,
-                            autonomous)
+    def sigma(x, tau):
+        return np.array([half_var(t) for t in tau.ravel().tolist()])[:, None] * x * x
+
+    return ParabolicProblem(sigma, lambda x, tau: rate * x, lambda x, tau: -rate,
+                            lambda x, tau: 0.0, phi, g0, g1, horizon, autonomous)
 
 
 def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float,

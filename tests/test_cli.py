@@ -150,6 +150,39 @@ def test_grid_above_the_size_cap_exits_2(capsys, args, message):
     assert err == f"error: {message}\n"
 
 
+# one above each cap; a size that passed would be allocated in full
+COUNT_CAP_CASES = {
+    "markov": (("markov", "--rate", "0.1", "--horizon", "30", "--points", "100001"),
+               "--points must lie in [2, 100000], got 100001"),
+    **{name: (args, "--n must be at most 10000000, got 10000001") for name, args in (
+        ("simulate", ("simulate", "--age", "70", "--n", "10000001", "--seed", "1")),
+        ("vole", ("vole", "--age", "70", "--n", "10000001", "--seed", "1")),
+        ("alpha-profile", ("alpha-profile", "--ages", "60..70", "--n", "10000001",
+                           "--seed", "1")),
+        ("price-mortality-option", (*MORTALITY_OPTION_ARGS, "--n", "10000001")),
+    )},
+}
+
+
+@pytest.mark.parametrize("args, message", COUNT_CAP_CASES.values(), ids=COUNT_CAP_CASES.keys())
+def test_count_above_its_cap_exits_2(capsys, args, message):
+    code, out, err = invoke(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("ages, bad", [("0..100000000000000", 0),
+                                       ("60..100000000000000", 100000000000000),
+                                       ("60..120", 120)])
+def test_alpha_profile_age_outside_the_table_exits_2_naming_it(capsys, ages, bad):
+    # both endpoints are checked before the ages between them are listed
+    code, out, err = invoke(capsys, "alpha-profile", "--ages", ages, "--n", "1000", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: age {bad} outside table range [50, 115]\n"
+
+
 @pytest.mark.parametrize("flag, value, name", [
     ("--rate", "nan", "rate"),
     ("--vol", "inf", "vol"),

@@ -1,5 +1,6 @@
 """Parabolic marching and the option pricers built on it."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -323,14 +324,15 @@ def bs_reference(kind, vol_at, american, intervals=60, steps=60):
 
 def switching_problem():
     # sigma jumps up over the middle third of the horizon and back down, so
-    # the march must re-assemble (and re-factor) twice and f varies with tau
+    # the march must re-assemble (and re-factor) twice and f varies with tau;
+    # both take a scalar tau or the march's column of taus
     def sigma(x, tau):
-        return (0.1 + x * x) * (4.0 if 1.0 / 3.0 < tau <= 2.0 / 3.0 else 1.0)
+        return (0.1 + x * x) * np.where((1.0 / 3.0 < tau) & (tau <= 2.0 / 3.0), 4.0, 1.0)
     return ParabolicProblem(
         sigma=sigma,
         mu=lambda x, tau: 5.0 * (1.0 - 2.0 * x),
         b_coef=lambda x, tau: np.full_like(x, -0.5),
-        f=lambda x, tau: np.sin(np.pi * x) * math.cos(tau),
+        f=lambda x, tau: np.sin(np.pi * x) * np.cos(tau),
         phi=lambda x: x * (1.0 - x),
         g0=lambda tau: 0.0,
         g1=lambda tau: 0.0,
@@ -396,15 +398,14 @@ def test_stencil_is_assembled_once_while_the_coefficients_ignore_tau(stencil_cal
 
 
 def counted_coefficients(prob, autonomous):
-    # the problem with each coefficient callable counting its calls and the
-    # type of the tau it was given
+    # the problem with each coefficient callable recording the tau of each call
     calls = {name: [] for name in ("sigma", "mu", "b_coef", "f")}
 
     def counting(name):
         inner = getattr(prob, name)
 
         def wrapper(x, tau):
-            calls[name].append(type(tau))
+            calls[name].append(tau)
             return inner(x, tau)
         return wrapper
     return replace(prob, autonomous=autonomous,
@@ -419,12 +420,17 @@ def test_autonomous_problem_evaluates_each_coefficient_once():
     assert np.array_equal(got, march(heat_problem(0.1), mesh, 25))
 
 
-def test_tau_dependent_problem_evaluates_each_coefficient_once_per_level():
+def test_tau_dependent_problem_evaluates_each_coefficient_once_per_block():
+    # one call per block of levels, given the block's taus as a float column
     prob, calls = counted_coefficients(switching_problem(), autonomous=False)
-    march(prob, Mesh1D(0.0, 1.0, 41), 150)
+    steps = 150
+    march(prob, Mesh1D(0.0, 1.0, 41), steps)
+    k = prob.horizon / steps
     for name, taus in calls.items():
-        assert len(taus) == 150 + 1, name
-        assert set(taus) == {float}, name
+        assert len(taus) == math.ceil((steps + 1) / block_levels(40)) == 2, name
+        for tau in taus:
+            assert tau.dtype == np.float64 and tau.ndim == 2 and tau.shape[1] == 1, name
+        assert np.concatenate(taus).ravel().tolist() == [n * k for n in range(steps + 1)], name
 
 
 @pytest.mark.parametrize("offset", [-2, -1, 0])
@@ -437,6 +443,107 @@ def test_decaying_volatility_matches_the_reference_across_a_block_edge(offset):
     assert_close(euro.values, bs_reference("put", vol.at, american=False, steps=steps)[0])
     amer = price_american("call", STRIKE, RATE, vol, EXPIRY, intervals=60, steps=steps)
     assert_close(amer.values, bs_reference("call", vol.at, american=True, steps=steps)[0])
+
+
+def bits(*arrays):
+    # sha256 of the arrays' float64 bytes, None skipped
+    h = hashlib.sha256()
+    for a in arrays:
+        if a is not None:
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+# Digests of (values, exercise_boundary) under VolatilityDecay(0.3, 0.8), by
+# (kind, style, intervals, steps).  On 60 intervals a block holds
+# block_levels(60) = 69 levels, so 68, 69 and 70 steps fill one block
+# exactly, overrun it by one level and by two; 800 intervals take blocks of
+# 5 levels.  The bits were taken when each coefficient was still evaluated
+# one level at a time, so they pin that block evaluation changes none.
+DECAY_BITS = {
+    ('call', 'european', 60, 68): '7cfe22a5a3eeb5296a19d052c15fec012887069b91a63b1b6532b05ecb264ca6',
+    ('call', 'american', 60, 68): 'e11172d6e608356e62960a1b5e2c1893cc4da4ad947022208c007f8293be9906',
+    ('put', 'european', 60, 68): '4dad605cceb55add32f85047b8d1bea36fd5cc445614170bf86656dea55fa573',
+    ('put', 'american', 60, 68): 'ad3c238163b3229d2ec684b1a8ee4d0776971eae33624a69c809ab20be9a201e',
+    ('call', 'european', 60, 69): 'b9cd119ffdd12e72721fb712023a55f411ecc6d30ddb0c7ce399f4fa5a9070f3',
+    ('call', 'american', 60, 69): 'eacc5e1d85429cd1fa1d2d36cc024e88fd09eac1b08fa22413f536cfd201b057',
+    ('put', 'european', 60, 69): 'c3e56f921b659e623f2a60a96cd531ff3d8eba06e5836939c19317c8810bf9a9',
+    ('put', 'american', 60, 69): '83051497c0efd7d21b65a6146624a949d91711ec331f6b4eb1a0fbbceac17c0f',
+    ('call', 'european', 60, 70): '71bbd19e5821717e6f10e3652b7294c3400794f3b1923ebcd8976dfa6748fe6d',
+    ('call', 'american', 60, 70): '8098211d47634d5e09968a0402e1f360080cb93139d39347aad0a53c0929ce57',
+    ('put', 'european', 60, 70): '8c21194419faa248b034fb2ef5a3b72a93155329a2a65e2c95c57e4b1439aa14',
+    ('put', 'american', 60, 70): '00ff51248825bcbaaea33a8f0e5c47366cb716afbf6dd4575106c7552e77c0ab',
+    ('call', 'european', 800, 37): '5cea29a37af1fc0c89bcfe9143ec35a1f4bbd47077597a0a492f93f9d377242a',
+    ('call', 'american', 800, 37): 'c4060a446f37bb719333f2d86c444ae689fe6e11ce46a95b95cb3623c0949601',
+    ('put', 'european', 800, 37): '5956d0355b228aaca38ac9d5b4bba32b68caab5d13da511ca97d14746fe28661',
+    ('put', 'american', 800, 37): 'cee40c1693a10bcbb5ffa1b2b3dc908f221b7e0341df37860432617f4326da58',
+}
+
+
+@pytest.mark.parametrize("case", list(DECAY_BITS), ids=lambda c: "-".join(map(str, c)))
+def test_decaying_volatility_keeps_its_bits(case):
+    kind, style, intervals, steps = case
+    price = price_european if style == "european" else price_american
+    res = price(kind, STRIKE, RATE, VolatilityDecay(0.3, 0.8), EXPIRY, intervals=intervals,
+                steps=steps)
+    assert bits(res.values, res.exercise_boundary) == DECAY_BITS[case]
+
+
+# Digests of a 30-step march on 40 intervals by (source, theta): the switching
+# problem's own source, and -0.0 everywhere, which is not a source the march
+# may skip (subtracting it turns a -0.0 into +0.0)
+SWITCHING_BITS = {
+    ("switch", 0.5): "6463fa5a723877b4963544bc0789463c42aa8b1032315d58ddfc8362f0429f5a",
+    ("switch", 1.0): "9b970f949b56de4e367f3ada53bd8eaf82b99359f3dce0572d4cd830443c8894",
+    ("switch-negative-zero", 0.5): "e95a7d60ffe41d894f87d3179bb9f74d99b305793a826716beb0a39eb1905d4e",
+    ("switch-negative-zero", 1.0): "902bacd20007742a9e2bb12e494bff27db3297e3691488b8f1898681f11578c4",
+}
+
+
+@pytest.mark.parametrize("case", list(SWITCHING_BITS), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_switching_march_keeps_its_bits(case):
+    source, theta = case
+    prob = switching_problem()
+    if source == "switch-negative-zero":
+        prob = replace(prob, f=lambda x, tau: np.full_like(x, -0.0))
+    got = march(prob, Mesh1D(0.0, 1.0, 41), 30, theta=theta)
+    assert bits(got) == SWITCHING_BITS[case]
+
+
+@pytest.mark.parametrize("source, skipped", [
+    (np.zeros(5), True),
+    (0.0, True),
+    (np.array([0.0, 0.0, -0.0, 0.0, 0.0]), False),
+    (np.array([0.0, 0.0, math.nan, 0.0, 0.0]), False),
+    (np.array([0.0, 0.0, 5e-324, 0.0, 0.0]), False),
+], ids=["zeros", "scalar-zero", "negative-zero", "nan", "subnormal"])
+def test_only_a_positive_zero_source_is_dropped(source, skipped):
+    prob = replace(heat_problem(0.1), f=lambda x, tau: source)
+    *_, f = pricing._coefficients(prob, np.linspace(0.1, 0.9, 5), np.zeros((1, 1)))
+    assert (f is None) == skipped
+
+
+def test_a_negative_zero_source_still_signs_the_march():
+    # a state of -0.0 under a strong positive reaction stays zero, and the
+    # sign of each zero depends on whether a zero source was subtracted:
+    # -0.0 is, and leaves -0.0 everywhere; +0.0 is skipped, which leaves
+    # the signs the march had without any source
+    def zero_march(source):
+        prob = ParabolicProblem(
+            sigma=lambda x, tau: 0.1 + x * x,
+            mu=lambda x, tau: 5.0 * (1.0 - 2.0 * x),
+            b_coef=lambda x, tau: np.full_like(x, 1e4),
+            f=lambda x, tau: np.full_like(x, source),
+            phi=lambda x: np.full_like(x, -0.0),
+            g0=lambda tau: -0.0,
+            g1=lambda tau: -0.0,
+            horizon=1.0,
+        )
+        return march(prob, Mesh1D(0.0, 1.0, 41), 3)
+    negative, positive = zero_march(-0.0), zero_march(0.0)
+    assert not negative.any() and not positive.any()
+    assert np.signbit(negative).all()
+    assert not np.signbit(positive).all()
 
 
 # ----------------------------------------------------- mortality option #
