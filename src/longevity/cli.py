@@ -141,7 +141,7 @@ def _cmd_vole(ns) -> str:
     from .simulate import RngStream, simulate_deaths, vole
 
     direct = ns.e_complete is not None or ns.max_death is not None
-    pipeline = ns.table is not None or ns.age is not None
+    pipeline = any(v is not None for v in (ns.table, ns.age, ns.n, ns.seed))
     if direct and pipeline:
         raise ValueError("give either --e-complete/--max-death or --table/--age/--n/--seed, not both")
     if direct:

@@ -4,46 +4,51 @@ Everything here lives in remaining-time coordinates: ``tau`` is time left,
 the initial condition is the payoff at ``tau = 0``, and the march runs
 forward in ``tau``.  The equation being stepped is
 
-    u_tau = sigma(x, tau) u_xx + mu(x, tau) u_x + b(x, tau) u - f(x, tau)
+    u_tau = sigma(x) u_xx + mu(x) u_x + b(x) u - f(x)
 
 with Dirichlet values at both ends of the mesh.  The spatial operator is
 discretized with the exponentially fitted stencil from :mod:`.fdm`, which
 keeps every time level monotone regardless of how convection-dominated the
-coefficients are; the Black-Scholes operators used below become exactly
-that near ``S = 0``, where the diffusion ``vol**2 S**2 / 2`` vanishes.
+coefficients are.
 
 Time is stepped by the theta scheme: a few fully implicit steps damp the
 payoff kink, then Crank-Nicolson takes over (Rannacher 1984; Duffy, "A
 critique of the Crank-Nicolson scheme", Wilmott 2004).
 
-A step works in place: it builds its right-hand side in a preallocated
-state vector, in the same order of operations as the textbook formula,
-back-substitutes it there with one LAPACK ``dgttrs`` call, and tests the
-new state for finiteness once.  Every pricer here values a claim on a
-lognormal index, so one builder assembles its equation (diffusion
-``vol**2 S**2 / 2``, drift ``rate S``, reaction ``-rate``, no source) and
-the march itself stays private.  Constant volatility makes that problem
-autonomous: its coefficients are evaluated and its stencil assembled once
-per march, and each step matrix is LU-factored once per theta, so a step
-costs one explicit product and one back-substitution.  Under
-:class:`VolatilityDecay` the coefficients move with ``tau``; they are
-evaluated once per bounded block of levels, each callable taking the
-block's ``tau`` values as one column, and the block is assembled by one
-``fitted_stencil`` call; its step matrices are formed together and checked
-for finiteness once, and each is factored afresh.  A source that is
-``+0.0`` at every node, as the pricing equation's is, is not subtracted
-at all, since taking away ``+0.0`` leaves every value as it was.
+The coefficients do not move with ``tau``: each is evaluated once per
+march, the stencil assembled once, and each step matrix LU-factored once
+per theta, so a step costs one explicit product and one
+back-substitution.  A step works in place: it builds its right-hand side
+in a preallocated state vector, in the same order of operations as the
+textbook formula, back-substitutes it there with one LAPACK ``dgttrs``
+call, and tests the new state for finiteness once.  A source that is
+``+0.0`` at every node is not subtracted at all, since taking away
+``+0.0`` leaves every value as it was.
+
+Every pricer here values a claim on a lognormal index, so one builder
+assembles its equation (diffusion ``vol**2 S**2 / 2``, drift ``rate S``,
+reaction ``-rate``, no source).  The vanilla pricers march that
+equation on the variance clock (Merton 1973; Wilmott, Howison & Dewynne
+1995, ch. 5): with ``E`` the expiry,
+``x = S e^{r(tau - E)}``, ``v = e^{r(tau - E)} u`` and
+``T(tau) = int_0^tau vol(s)**2 / 2 ds``, the value solves
+``v_T = x**2 v_xx``, with no drift, no reaction and no time dependence,
+for constant and decaying volatility alike.  At ``tau = E`` the new
+variables are the old ones, so the grid and the values come back
+unchanged.  The mortality option's grid leg still marches the equation in
+``S`` at its own constant volatility.
 
 Option valuation composes the march with payoff-specific boundary data.
-American exercise is handled by projecting each time level onto the payoff,
-which is the discrete form of comparing continuation and intrinsic value
-node by node.  The mortality option values a policy position both by Monte
-Carlo over the death-year distribution and by the same PDE machinery on a
-notional index; both numbers are reported side by side.  Its payoff depends
-on the death year alone, so it is valued once per year and gathered by
-index, by every path and every grid node; the same per-year vector summed
-against the death-year probabilities gives the exact value the Monte Carlo
-estimate targets.
+American exercise is handled by projecting each time level onto the
+payoff seen at that level, which is the discrete form of comparing
+continuation and intrinsic value node by node.  The mortality option
+values a policy position both by Monte Carlo over the death-year
+distribution and by the same PDE machinery on a notional index; both
+numbers are reported side by side.  Its payoff depends on the death year
+alone, so it is valued once per year and gathered by index, by every path
+and every grid node; the same per-year vector summed against the
+death-year probabilities gives the exact value the Monte Carlo estimate
+targets.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,7 +84,10 @@ class VolatilityDecay:
     """Volatility that relaxes as expiry approaches: ``sigma0 * exp(-decay * tau)``.
 
     ``tau`` is remaining time, so the level at expiry itself is ``sigma0``
-    and the level seen far from expiry is damped.
+    and the level seen far from expiry is damped.  :meth:`clock` is the
+    variance clock the vanilla pricers march on, half the variance
+    accumulated over ``tau``, and :meth:`clock_inverse` maps a clock
+    reading back to remaining time; both are closed forms.
     """
 
     sigma0: float
@@ -95,31 +103,51 @@ class VolatilityDecay:
     def at(self, tau: float) -> float:
         return self.sigma0 * math.exp(-self.decay * tau)
 
+    def clock(self, tau: float) -> float:
+        """``T(tau)``, the integral of ``at(s)**2 / 2`` over ``s`` in ``[0, tau]``.
+
+        ``sigma0**2 * (1 - exp(-2 decay tau)) / (4 decay)``, through
+        ``expm1`` so it keeps its digits as ``decay * tau`` goes to zero;
+        ``decay = 0`` gives the constant-volatility ``0.5 * v * v * tau``.
+        ``v * v``, not ``v ** 2``: a huge volatility overflows to an infinite
+        clock, which the pricers reject as a domain error, instead of
+        raising ``OverflowError``.
+        """
+        v, d = self.sigma0, self.decay
+        if d == 0.0:
+            return 0.5 * v * v * tau
+        return v * v * -math.expm1(-2.0 * d * tau) / 4.0 / d
+
+    def clock_inverse(self, t: float) -> float:
+        """The remaining time whose :meth:`clock` reads ``t``.
+
+        ``-log1p(-4 decay t / sigma0**2) / (2 decay)``, or ``2 t / sigma0**2``
+        without decay.  The clock never reaches ``sigma0**2 / (4 decay)``; a
+        reading at or past it maps to ``inf``.  Where the
+        clock has all but stopped (``decay * tau`` beyond about 10) a
+        rounding of ``t`` moves the answer far, so the round trip keeps its
+        digits only short of that.
+        """
+        v, d = self.sigma0, self.decay
+        if d == 0.0:
+            return 2.0 * t / v / v
+        ratio = d * t * 4.0 / v / v
+        return -math.log1p(-ratio) / 2.0 / d if ratio < 1.0 else math.inf
+
 
 @dataclass(frozen=True)
 class ParabolicProblem:
     """Initial-boundary value problem in remaining-time coordinates.
 
     Coefficients ``sigma``, ``mu``, ``b_coef`` and ``f`` are callables of
-    ``(x, tau)`` evaluated on a block of time levels at once: ``x`` is the
-    1-D array of interior nodes and ``tau`` a float column of shape
-    ``(levels, 1)``.  Each returns an array or scalar that broadcasts to
-    ``(levels, x.size)``, row ``i`` holding the coefficient at
-    ``tau[i, 0]``, so a coefficient that ignores ``tau`` may return one row
-    or one scalar; branch on ``tau`` with ``np.where``, not a Python
-    ``if``.  ``phi`` is the state at ``tau = 0``; ``g0`` and ``g1`` give the
-    left and right boundary values as functions of a scalar ``tau``;
+    the 1-D array ``x`` of interior nodes, each returning an array or a
+    scalar that broadcasts to ``x``.  They do not move with ``tau``, so the
+    march evaluates each of them once and keeps that operator for the whole
+    horizon.  ``phi`` is the state at ``tau = 0``; ``g0`` and ``g1`` give
+    the left and right boundary values as functions of a scalar ``tau``;
     ``horizon`` is the total remaining time to march.  ``phi`` must agree
     with ``g0``/``g1`` at the domain corners (checked against the mesh when
     stepping starts).
-
-    ``autonomous`` states that the four coefficients ignore ``tau`` (the
-    boundary values may still move).  The march then calls each of them
-    once, with ``tau = [[0.0]]``, and keeps that operator for the whole
-    horizon.
-    Declaring it for coefficients that do move with ``tau`` is not
-    detected: the march silently solves the problem frozen at ``tau = 0``.
-    Leaving it False on a problem that is autonomous only costs time.
     """
 
     sigma: Callable
@@ -130,107 +158,34 @@ class ParabolicProblem:
     g0: Callable
     g1: Callable
     horizon: float
-    autonomous: bool = False
 
     def __post_init__(self):
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
 
 
-# Coefficient values per array in one batched stencil assembly: a
-# tau-dependent problem is assembled _BLOCK_NODES // (interior nodes) levels
-# at a time, which keeps the temporaries a few hundred kB on any mesh.
-_BLOCK_NODES = 4096
+def _operator(prob: ParabolicProblem, xi: np.ndarray, h: float) -> tuple:
+    """``(sub, diag, sup, f)`` of the semi-discrete operator ``A`` on the interior nodes ``xi``.
 
-
-def _coefficients(prob: ParabolicProblem, xi: np.ndarray, tau: np.ndarray) -> tuple:
-    """``sigma``, ``mu``, ``b_coef`` and ``f`` on the interior nodes at the column ``tau``.
-
-    Each callable is called once, for every level of the column together,
-    and each value keeps the shape it came in, broadcastable to
-    ``(levels, nodes)``.  The source is None when it is ``+0.0`` at every
-    node of every level: no nonzero entry, no ``-0.0`` and no NaN.
-    Otherwise it is copied out at once, so a callable that refills one
-    buffer in place is still read correctly; the other three are used up
-    before the next block is evaluated.
+    Each coefficient is called once, and one ``fitted_stencil`` call
+    (looked up as this module's global, where tracers and tests replace it)
+    assembles the rows; ``diag`` includes the reaction term.  ``f`` is the
+    source row, or None when it is ``+0.0`` at every node: no nonzero
+    entry, no ``-0.0`` and no NaN.
     """
-    sigma, mu, b = (np.asarray(c(xi, tau), dtype=float)
-                    for c in (prob.sigma, prob.mu, prob.b_coef))
-    f = np.asarray(prob.f(xi, tau), dtype=float)
+    sigma, mu, b = (np.asarray(c(xi), dtype=float) for c in (prob.sigma, prob.mu, prob.b_coef))
+    f = np.asarray(prob.f(xi), dtype=float)
+    sub, center, sup = fitted_stencil(mu, h, sigma)
+    rows = [np.broadcast_to(v, xi.shape) for v in (sub, center + b, sup)]
     if not (f.any() or np.signbit(f).any()):  # any() counts a NaN as nonzero
-        return sigma, mu, b, None
-    return sigma, mu, b, f.copy()
+        return *rows, None
+    return *rows, np.broadcast_to(f, xi.shape)
 
 
-def _assembled(prob: ParabolicProblem, xi: np.ndarray, h: float, tau: np.ndarray) -> tuple:
-    """``(sub, diag, sup, f, left, right)`` of the levels at the column ``tau``, row by level.
-
-    One ``fitted_stencil`` call (looked up as this module's global, where
-    tracers and tests replace it) assembles every level.  The operator rows
-    come out shaped ``(levels, nodes)``, broadcast only where a coefficient
-    was narrower; ``f[i]`` is level ``i``'s source row, or None for a
-    ``+0.0`` source.  ``left`` and ``right`` list the weights of the
-    boundary values, ``sub[:, 0]`` and ``sup[:, -1]``, as Python floats.
-    """
-    shape = (tau.shape[0], xi.size)
-    sg, mu, bb, f = _coefficients(prob, xi, tau)
-    sub, center, sup = fitted_stencil(mu, h, sg)
-    sub, dia, sup = (v if v.shape == shape else np.broadcast_to(v, shape)
-                     for v in (sub, center + bb, sup))
-    f = [None] * shape[0] if f is None else np.broadcast_to(f, shape)
-    return sub, dia, sup, f, sub[:, 0].tolist(), sup[:, -1].tolist()
-
-
-def _levels(prob: ParabolicProblem, xi: np.ndarray, h: float, k: float,
-            thetas: Sequence[float]) -> Iterator[tuple]:
-    """``(sub, diag, sup, f, left, right, lu)`` of each level ``tau = n*k``, ``n <= len(thetas)``.
-
-    ``sub``, ``diag`` and ``sup`` are the rows of the semi-discrete operator
-    ``A`` (``diag`` includes the reaction term), ``f`` is the source row,
-    or None where the source is ``+0.0`` throughout, and ``left`` and
-    ``right`` are ``sub[0]`` and ``sup[-1]`` as Python floats.  ``lu`` is
-    :func:`_factored` for the matrix ``I - k*theta*A`` of the step that
-    ends at the level, ``theta = thetas[n - 1]``, and None at ``n = 0``.
-
-    An autonomous problem is evaluated and assembled once, at
-    ``tau = [[0.0]]``, and its step matrix factored once per distinct
-    theta.  Any other is evaluated and assembled in blocks of levels, each
-    coefficient called once per block with the block's ``tau`` column
-    (:func:`_assembled`); a block's step matrices are formed together and
-    tested for finiteness in one pass, then factored one level at a time.
-    """
-    if prob.autonomous:
-        sub, dia, sup, f, left, right = _assembled(prob, xi, h, np.zeros((1, 1)))
-        level = (sub[0], dia[0], sup[0], f[0], left[0], right[0])
-        yield *level, None
-        factored = {}
-        for theta in thetas:
-            if theta not in factored:
-                matrix = _step_matrix(*level[:3], k * theta)
-                factored[theta] = _factored(matrix, check=True)
-            yield *level, factored[theta]
-        return
-    block = max(1, _BLOCK_NODES // xi.size)
-    n_levels = len(thetas) + 1
-    for start in range(0, n_levels, block):
-        levels = range(start, min(start + block, n_levels))
-        tau = np.array([n * k for n in levels])[:, None]
-        sub, dia, sup, f, left, right = _assembled(prob, xi, h, tau)
-        # k*theta of the step that ends at each level; level 0 ends none
-        kt = np.array([k * thetas[n - 1] if n else 0.0 for n in levels])[:, None]
-        matrices = _step_matrix(sub, dia, sup, kt)
-        # one pass for the block; only a block that fails it is checked level by level
-        check = not np.isfinite(matrices).all()
-        for i, n in enumerate(levels):
-            lu = _factored(matrices[:, i], check) if n else None
-            yield sub[i], dia[i], sup[i], f[i], left[i], right[i], lu
-
-
-def _step_matrix(sub, dia, sup, kt) -> np.ndarray:
+def _step_matrix(sub, dia, sup, kt: float) -> np.ndarray:
     """``lower``, ``diag`` and ``upper`` of ``I - kt*A`` stacked on a new first axis.
 
-    Rows of 2-D operators take a column ``kt``.  The entries no
-    factorization reads, ``lower[..., 0]`` and ``upper[..., -1]``, are
+    The entries no factorization reads, ``lower[0]`` and ``upper[-1]``, are
     zeroed, so one finiteness pass over the stack checks all the others.
     """
     matrix = np.empty((3,) + sub.shape)
@@ -239,59 +194,58 @@ def _step_matrix(sub, dia, sup, kt) -> np.ndarray:
     np.multiply(kt, dia, out=diag)
     np.subtract(1.0, diag, out=diag)
     np.multiply(-kt, sup, out=upper)
-    lower[..., 0] = upper[..., -1] = 0.0
+    lower[0] = upper[-1] = 0.0
     return matrix
 
 
-def _factored(matrix: np.ndarray, check: bool):
-    """``dgttrf`` factors of a step matrix, or the error factoring it raised.
+def _factored(matrix: np.ndarray):
+    """``dgttrf`` factors of a finite step matrix, or the error checking or factoring it raised.
 
     The factors overwrite ``matrix``.  The error is returned, not raised,
     so that the march raises it only after testing the step's right-hand
     side: a step that blows up on its own reports that first.
     """
     try:
-        if check:
-            _require_finite_tridiagonal(*matrix)
+        _require_finite_tridiagonal(*matrix)
         return _lu_tridiagonal(*matrix)
     except (ValueError, NumericalError) as exc:
         return exc
 
 
 def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
-           american: bool = False, track_exercise: bool = False):
+           project: Callable[[float, np.ndarray], None] | None = None,
+           times: Sequence[float] | None = None) -> np.ndarray:
     """Theta-march the problem over the horizon, one theta per step.
 
-    Step ``n`` goes from ``tau = n*k`` to ``(n+1)*k`` with the operator of
-    both levels (:func:`_levels`).  For an autonomous problem the operator
-    never changes, so the step matrix ``I - k*theta*A`` is LU-factored once
-    per distinct theta: a Rannacher start followed by Crank-Nicolson costs
-    two factorizations in all.  Otherwise every step factors its own, and
-    the step matrices are tested for finiteness once per assembled block.
+    Step ``n`` goes from ``tau = n*k`` to ``(n+1)*k``.  The operator ``A``
+    is assembled once (:func:`_operator`) and never changes, so the step
+    matrix ``I - k*theta*A`` is LU-factored once per distinct theta, when
+    the first step at that theta is taken: a Rannacher start followed by
+    Crank-Nicolson costs two factorizations in all.
 
     A step works in place on preallocated vectors: it builds the
-    right-hand side ``U + k(1-theta)(A_old U - f_old) - k theta f_new``
-    in the interior of the other state buffer, in that order of
-    operations, back-substitutes it there with one ``dgttrs``, and swaps
-    the buffers; the result is tested for finiteness once, into a
-    preallocated mask.  A level whose source is ``+0.0`` throughout has
-    none, and its term is skipped: ``k*theta >= 0``, so the term is
-    ``+0.0`` at every node, and subtracting it changes no value, not even
-    a ``-0.0``.  The two boundary increments are formed in Python floats.
-    Thetas and the boundary values of every level are taken before the
-    first step.
+    right-hand side ``U + k(1-theta)(A U - f) - k theta f`` in the
+    interior of the other state buffer, in that order of operations,
+    back-substitutes it there with one ``dgttrs``, and swaps the buffers;
+    the result is tested for finiteness once, into a preallocated mask.  A
+    source that is ``+0.0`` throughout is skipped: ``k*theta >= 0``, so its
+    terms are ``+0.0`` at every node, and subtracting them changes no
+    value, not even a ``-0.0``.  The two boundary increments are formed in
+    Python floats.
 
-    ``american`` projects every level onto the payoff ``phi(x)``, and
-    ``track_exercise`` records, per level, the largest node where the value
-    sits on it.  Returns ``(U, times, boundary)``; the last two are None
-    when the exercise boundary is not tracked.
+    ``times`` labels levels ``1..N``; it defaults to ``(n+1)*k``, and a
+    caller marching on another clock passes the times its boundary data
+    are functions of.  ``g0`` and ``g1`` are read at ``0.0`` and at every
+    label before the first step.  ``project``, for an American claim, is
+    called as ``project(tau, U)`` on the initial state with ``tau = 0.0``
+    and on every finished level with its label, and projects the state in
+    place onto the claim's floor.  Returns the state of the last level.
     """
     x = mesh.points()
     n_steps = len(thetas)
     k = prob.horizon / n_steps
 
-    payoff = np.asarray(prob.phi(x), dtype=float)
-    U = payoff.copy()
+    U = np.asarray(prob.phi(x), dtype=float).copy()
     if U.shape != x.shape:
         raise ValueError("phi must evaluate to one value per mesh point")
     scale = max(1.0, float(np.max(np.abs(U))))
@@ -301,19 +255,13 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     U[0], U[-1] = g0_0, g1_0
     if not all(0.0 <= theta <= 1.0 for theta in thetas):
         raise ValueError("theta must lie in [0, 1]")
-    taus = [(n + 1) * k for n in range(n_steps)]
-    g0s = [float(prob.g0(tau)) for tau in taus]
-    g1s = [float(prob.g1(tau)) for tau in taus]
+    if times is None:
+        times = [(n + 1) * k for n in range(n_steps)]
+    g0s = [float(prob.g0(tau)) for tau in times]
+    g1s = [float(prob.g1(tau)) for tau in times]
 
-    boundary = []
-    if american:
-        np.maximum(U, payoff, out=U)
-        if track_exercise:
-            # a node is on the floor when its value is within tol of a payoff above tol
-            tol = 1e-7 * (1.0 + float(np.max(payoff)))
-            positive = payoff > tol
-            gap = np.empty_like(U)
-            on_floor = np.empty(U.shape, dtype=bool)
+    if project is not None:
+        project(0.0, U)
 
     # two state buffers with their neighbour views: a step reads one and
     # writes the other
@@ -324,28 +272,31 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     # non-finite value, which fitted_stencil, the factorization or the
     # state check rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = _levels(prob, x[1:-1], mesh.h, k, thetas)
-        sub_o, dia_o, sup_o, f_o, *_ = next(levels)
+        sub, dia, sup, f = _operator(prob, x[1:-1], mesh.h)
+        left_w, right_w = float(sub[0]), float(sup[-1])
+        factored = {}
         for n, theta in enumerate(thetas):
-            sub_n, dia_n, sup_n, f_n, left_n, right_n, lu = next(levels)
+            if theta not in factored:
+                factored[theta] = _factored(_step_matrix(sub, dia, sup, k * theta))
+            lu = factored[theta]
             _, left, mid, right = state
             V, _, b, _ = other
             kt = k * theta
-            np.multiply(sub_o, left, out=b)
-            np.multiply(dia_o, mid, out=scratch)
+            np.multiply(sub, left, out=b)
+            np.multiply(dia, mid, out=scratch)
             b += scratch
-            np.multiply(sup_o, right, out=scratch)
+            np.multiply(sup, right, out=scratch)
             b += scratch
-            if f_o is not None:
-                b -= f_o
+            if f is not None:
+                b -= f
             b *= k * (1.0 - theta)
             b += mid
-            if f_n is not None:
-                np.multiply(f_n, kt, out=scratch)
+            if f is not None:
+                np.multiply(f, kt, out=scratch)
                 b -= scratch
             g0v, g1v = g0s[n], g1s[n]
-            b[0] += kt * left_n * g0v
-            b[-1] += kt * right_n * g1v
+            b[0] += kt * left_w * g0v
+            b[-1] += kt * right_w * g1v
             if isinstance(lu, Exception):  # the step matrix failed to factor
                 if not np.isfinite(b).all():
                     raise _step_blowup(n, n_steps, k)
@@ -354,20 +305,10 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
             V[0], V[-1] = g0v, g1v
             if not np.isfinite(V, out=finite).all():
                 raise _step_blowup(n, n_steps, k)
-            if american:
-                np.maximum(V, payoff, out=V)
-            if track_exercise:
-                np.subtract(V, payoff, out=gap)
-                np.less_equal(gap, tol, out=on_floor)
-                on_floor &= positive
-                last = on_floor.size - 1 - int(on_floor[::-1].argmax())
-                boundary.append(float(x[last]) if on_floor[last] else math.nan)
-            sub_o, dia_o, sup_o, f_o = sub_n, dia_n, sup_n, f_n
+            if project is not None:
+                project(times[n], V)
             state, other = other, state
-    U = state[0]
-    if track_exercise:
-        return U, np.asarray(taus), np.asarray(boundary)
-    return U, None, None
+    return state[0]
 
 
 def _step_blowup(n: int, n_steps: int, k: float) -> NumericalError:
@@ -385,8 +326,19 @@ class PriceResult:
     ``grid`` holds the underlying levels, ``values`` the option values.
     For American styles, ``exercise_times`` and ``exercise_boundary`` give
     the per-level largest underlying value at which immediate exercise is
-    optimal (NaN where no node exercises, e.g. an American call on a
-    non-dividend underlying).
+    optimal, or NaN where no node exercises, e.g. an American call on a
+    non-dividend underlying.  The times are equal steps of the variance
+    clock, so under decaying volatility they are not evenly spaced; the
+    last is the expiry.
+
+    The march's mesh is uniform in ``x = S e^{r(tau - E)}``, so a level's
+    boundary is resolved in ``S`` only to the mesh spacing times
+    ``e^{r(E - tau)}``.  Once ``r(E - tau)`` passes
+    ``ln(1e-7 (1 + max payoff) / (2**-40 s_max))``, about 10.2 for a put
+    and 11.3 for a call with the default ``s_max``, the level cannot tell
+    its values from its floor and its boundary is NaN even where exercise
+    pays; at ``r = 700`` and ``E = 1`` that is every level but the last
+    1.5 % of the time to expiry.
     """
 
     grid: np.ndarray
@@ -401,22 +353,15 @@ class PriceResult:
         return float(np.interp(s, self.grid, self.values))
 
 
-def _lognormal_problem(half_var: Callable[[float], float], autonomous: bool, rate: float,
-                       horizon: float, phi: Callable, g0: Callable,
-                       g1: Callable) -> ParabolicProblem:
+def _lognormal_problem(half_var: float, rate: float, horizon: float, phi: Callable,
+                       g0: Callable, g1: Callable) -> ParabolicProblem:
     """The pricing equation of a claim on a lognormal index, in remaining time.
 
-    Diffusion ``half_var(tau) * x * x``, drift ``rate * x``, reaction
-    ``-rate`` and no source; ``half_var`` is half the variance rate, a
-    function of one float ``tau``, and ``autonomous`` says it ignores
-    ``tau``.  It is called in Python floats level by level, so every value
-    has the bits of the scalar formula; the drift stays one row wide.
+    Diffusion ``half_var * x * x``, drift ``rate * x``, reaction ``-rate``
+    and no source; ``half_var`` is half the variance rate.
     """
-    def sigma(x, tau):
-        return np.array([half_var(t) for t in tau.ravel().tolist()])[:, None] * x * x
-
-    return ParabolicProblem(sigma, lambda x, tau: rate * x, lambda x, tau: -rate,
-                            lambda x, tau: 0.0, phi, g0, g1, horizon, autonomous)
+    return ParabolicProblem(lambda x: half_var * x * x, lambda x: rate * x, lambda x: -rate,
+                            lambda x: 0.0, phi, g0, g1, horizon)
 
 
 def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float,
@@ -469,36 +414,118 @@ def _thetas(steps: int, rannacher_steps: int | None = None) -> list[float]:
     return [1.0] * rannacher_steps + [0.5] * (steps - rannacher_steps)
 
 
+def _level_times(clock: VolatilityDecay, expiry: float, steps: int) -> list[float]:
+    """Remaining time at the end of each of ``steps`` equal steps of ``clock`` over ``expiry``.
+
+    Without decay the clock runs at a constant rate, so these are
+    ``(n+1) * expiry / steps``.  With decay they are :meth:`clock_inverse`
+    of the step ends, clamped to ``expiry``, taken on the clock of unit
+    ``sigma0``: ``sigma0`` only scales the clock, and a clock that
+    underflows would have lost them.  The last time is ``expiry`` exactly.
+    """
+    if clock.decay == 0.0:
+        k = expiry / steps
+        times = [(n + 1) * k for n in range(steps - 1)]
+    else:
+        shape = VolatilityDecay(1.0, clock.decay)
+        k = shape.clock(expiry) / steps
+        times = [min(shape.clock_inverse((n + 1) * k), expiry) for n in range(steps - 1)]
+    return times + [expiry]
+
+
 def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, expiry: float,
                    s_max: float | None, intervals: int, steps: int,
                    rannacher_steps: int | None) -> PriceResult:
+    """Value a vanilla claim by marching ``v_T = x**2 v_xx`` on the variance clock.
+
+    The variables are the module docstring's.  The march runs in
+    ``T / m``, where ``m = T(E) / E`` is the mean half-variance rate: its
+    horizon is ``E`` and its ``steps`` equal steps of ``E / steps`` are
+    equal steps of the clock, and under constant volatility it is
+    remaining time itself.  A clock that underflows gives ``m = 0``, a
+    march that leaves the payoff as it is.  The mesh is the same at every
+    level, so the grid ends at ``s_max``.
+
+    The payoff at ``T = 0`` has strike ``K e^{-rE}``.  The boundary values
+    are that payoff at ``x = 0`` and ``x = s_max``, constants the driftless
+    equation leaves in place far from the strike: ``s_max - K e^{-rE}`` for
+    a call and ``K e^{-rE}`` for a put while that strike lies inside the
+    mesh.  An American claim is projected at
+    level ``n`` onto the payoff of the moving strike ``K e^{r(tau_n - E)}``
+    and takes the larger of the two at each boundary, so the American put
+    holds ``K e^{r(tau_n - E)}`` at ``x = 0`` for ``r >= 0``.  No factor
+    exceeds ``e^{-rE}``, which :func:`_require_discountable` keeps finite.
+    Exercise nodes ``x`` map back to ``x e^{r(E - tau_n)}``.
+    """
     s_max, thetas = _check_option_args(kind, strike, rate, vol, expiry, s_max, intervals,
                                        steps, rannacher_steps)
-    decays = isinstance(vol, VolatilityDecay)
-    vol_at = vol.at if decays else (lambda tau, level=float(vol): level)
-
-    def half_var(tau):
-        # v * v, not v ** 2: on a huge volatility the float power raises
-        # OverflowError, while the product overflows to inf, which the
-        # fitted stencil rejects as a domain error
-        v = vol_at(tau)
-        return 0.5 * v * v
-
-    if kind == "call":
-        phi = lambda x: np.maximum(x - strike, 0.0)
-        g0 = lambda tau: 0.0
-        g1 = lambda tau: s_max - strike * math.exp(-rate * tau)
-    else:
-        phi = lambda x: np.maximum(strike - x, 0.0)
-        # an American put is exercised at S = 0, so that boundary holds the
-        # full strike rather than its discounted value
-        g0 = (lambda tau: float(strike)) if american else \
-            (lambda tau: strike * math.exp(-rate * tau))
-        g1 = lambda tau: 0.0
-    prob = _lognormal_problem(half_var, not decays, rate, expiry, phi, g0, g1)
+    clock = vol if isinstance(vol, VolatilityDecay) else VolatilityDecay(float(vol), 0.0)
     mesh = Mesh1D(0.0, s_max, intervals + 1)
-    U, times, boundary = _march(prob, mesh, thetas, american, track_exercise=american)
-    return PriceResult(mesh.points(), U, times, boundary)
+    x = mesh.points()
+    call = kind == "call"
+
+    def exercise(s, k):
+        return max(s - k, 0.0) if call else max(k - s, 0.0)
+
+    strike_0 = strike * math.exp(-rate * expiry)
+    left, right = exercise(0.0, strike_0), exercise(s_max, strike_0)
+    phi = (lambda x: np.maximum(x - strike_0, 0.0)) if call else \
+        (lambda x: np.maximum(strike_0 - x, 0.0))
+    if american:
+        def edge(s, held):
+            # the larger of holding to expiry and exercising now; the moving
+            # strike runs monotonely from strike_0, where exercising pays
+            # held, to strike, so if it pays no more there it never does
+            if exercise(s, strike) <= held:
+                return lambda tau: held
+            return lambda tau: max(held, exercise(s, strike * math.exp(rate * (tau - expiry))))
+        g0, g1 = edge(0.0, left), edge(s_max, right)
+    else:
+        g0, g1 = (lambda tau: left), (lambda tau: right)
+    prob = _lognormal_problem(clock.clock(expiry) / expiry, 0.0, expiry, phi, g0, g1)
+    if not american:
+        return PriceResult(x, _march(prob, mesh, thetas))
+
+    # a node is on the floor when its value is within tol of a floor above
+    # tol, tol taken in S's units and scaled to the level's; a level whose
+    # tol is at most about 4000 roundings of s_max, 2**-40 s_max, cannot
+    # tell its floor from its value: that is r(E - tau) past
+    # ln(tol / (2**-40 s_max)), about 10.2 for a put and 11.3 for a call
+    # with the default s_max
+    tol = 1e-7 * (1.0 + max(exercise(0.0, strike), exercise(s_max, strike)))
+    resolvable = 2.0 ** -40 * s_max
+    floor, gap = np.empty_like(x), np.empty_like(x)
+    on_floor = np.empty(x.shape, dtype=bool)
+    nodes = []
+
+    def project(tau, V):
+        scale = math.exp(rate * (tau - expiry))  # v / u at this level
+        k, level_tol = strike * scale, tol * scale
+        if call:
+            np.subtract(x, k, out=floor)
+        else:
+            np.subtract(k, x, out=floor)
+        np.maximum(V, floor, out=V)
+        np.maximum(V, 0.0, out=V)
+        if not level_tol > resolvable:
+            nodes.append(math.nan)
+            return
+        # the floor exceeds tol on a suffix of the mesh for a call, a prefix for a put
+        lo, hi = (x.searchsorted(k + level_tol, "right"), x.size) if call else \
+            (0, x.searchsorted(k - level_tol))
+        np.subtract(V, floor, out=gap)
+        np.less_equal(gap, level_tol, out=on_floor)
+        last = hi - 1 - int(on_floor[lo:hi][::-1].argmax()) if lo < hi else 0
+        nodes.append(float(x[last]) if lo < hi and on_floor[last] else math.nan)
+
+    times = _level_times(clock, expiry, steps)
+    U = _march(prob, mesh, thetas, project, times)
+    times = np.asarray(times)
+    # nodes[0] is the payoff level's; the factor back to S overflows only
+    # on an unresolved level, whose node is NaN already
+    with np.errstate(over="ignore", invalid="ignore"):
+        boundary = np.asarray(nodes[1:]) * np.exp(rate * (expiry - times))
+    return PriceResult(x, U, times, boundary)
 
 
 def price_european(kind: str, strike: float, rate: float, vol, expiry: float,
@@ -508,7 +535,8 @@ def price_european(kind: str, strike: float, rate: float, vol, expiry: float,
 
     ``vol`` is either a constant volatility or a :class:`VolatilityDecay`.
     The domain is truncated at ``s_max`` (four strikes by default) with the
-    discounted asymptotic payoff imposed there.  The first
+    discounted asymptotic payoff imposed there, and the equation is marched
+    on the variance clock (see the module docstring).  The first
     ``rannacher_steps`` steps are fully implicit, the rest Crank-Nicolson;
     None means ``min(4, steps)``.
     """
@@ -612,13 +640,13 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
 
     s_max = max(4.0 * spot, float(t_max + 1))
     mesh = Mesh1D(0.0, s_max, intervals + 1)
-    half_var = 0.5 * vole_sigma ** 2
     prob = _lognormal_problem(
-        lambda tau: half_var, True, r, float(t_max),
+        0.5 * vole_sigma ** 2, r, float(t_max),
         phi=lambda s: by_year[np.clip(np.rint(s), 1, t_max).astype(int) - 1],
         g0=lambda tau: float(by_year[0]),
         g1=lambda tau: float(by_year[-1]))
-    U, _, _ = _march(prob, mesh, _thetas(steps), american=True)
+    payoff = prob.phi(mesh.points())
+    U = _march(prob, mesh, _thetas(steps), lambda tau, V: np.maximum(V, payoff, out=V))
     pde_value = float(np.interp(spot, mesh.points(), U))
     return MortalityOptionValue(mc_value=mc_mean, mc_std_error=mc_se, pde_value=pde_value,
                                 exact_value=exact)

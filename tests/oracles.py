@@ -9,6 +9,7 @@ its own test oracle.
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.stats import norm
 
 
@@ -44,6 +45,25 @@ def bs_price(kind: str, s: float, k: float, r: float, vol: float, t: float) -> f
     if kind == "put":
         return k * np.exp(-r * t) * norm.cdf(-d2) - s * norm.cdf(-d1)
     raise ValueError(kind)
+
+
+def half_variance_by_quadrature(sigma0: float, decay: float, tau: float) -> float:
+    """Integral of ``(sigma0 * exp(-decay * s))**2 / 2`` over ``s`` in ``[0, tau]``, by quadrature."""
+    value, _ = quad(lambda s: 0.5 * (sigma0 * np.exp(-decay * s)) ** 2, 0.0, tau,
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    return value
+
+
+def effective_vol(sigma0: float, decay: float, t: float) -> float:
+    """Constant volatility with the variance of ``sigma0 * exp(-decay * tau)`` over ``[0, t]``."""
+    if decay == 0.0:
+        return sigma0
+    return sigma0 * np.sqrt((1.0 - np.exp(-2.0 * decay * t)) / (2.0 * decay * t))
+
+
+def grid_tolerance(strike: float, intervals: int) -> float:
+    """Allowed |finite-difference - closed form| at spot = strike: 4e-3 * strike at 100 intervals, first order."""
+    return 4e-3 * strike * 100.0 / intervals
 
 
 def binomial_american_put(s: float, k: float, r: float, vol: float, t: float,

@@ -537,6 +537,17 @@ def test_vole_mode_conflict_exits_2(capsys):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("flags", [("--n", "5"), ("--seed", "3"), ("--n", "5", "--seed", "3")],
+                         ids=["n", "seed", "both"])
+def test_vole_direct_mode_rejects_pipeline_sizes(capsys, flags):
+    # --n and --seed only size and seed the pipeline's simulation; direct
+    # mode would ignore them
+    code, out, err = invoke(capsys, "vole", "--e-complete", "15", "--max-death", "30", *flags)
+    assert code == 2
+    assert out == ""
+    assert "not both" in err
+
+
 def test_fit_stable_bad_sample_exits_2(capsys, tmp_path):
     path = tmp_path / "samples.txt"
     path.write_text("1.0\n2.0\nabc\n")
@@ -602,11 +613,11 @@ GOLDEN_STDOUT = {
         b"pde_value=0.105552\n"
     ),
     ("price-option", "--kind", "put", "--style", "american", "--strike", "100", "--rate",
-     "0.05", "--vol", "0.25", "--expiry", "1", "--grid", "400,400"): b"value=7.970472\n",
+     "0.05", "--vol", "0.25", "--expiry", "1", "--grid", "400,400"): b"value=7.971270\n",
     ("price-option", "--kind", "call", "--style", "european", "--strike", "90", "--rate",
-     "0.03", "--vol", "0.3", "--expiry", "2", "--grid", "800,800"): b"value=17.444047\n",
+     "0.03", "--vol", "0.3", "--expiry", "2", "--grid", "800,800"): b"value=17.444289\n",
     ("price-option", "--kind", "call", "--style", "american", "--strike", "80", "--rate",
-     "0.04", "--vol", "0.3", "--expiry", "0.5", "--grid", "100,100"): b"value=7.482763\n",
+     "0.04", "--vol", "0.3", "--expiry", "0.5", "--grid", "100,100"): b"value=7.513091\n",
     ("fdm-demo", "--scheme", "fitted", "--sigma", "0.01", "--J", "40"): (
         b"x,numeric,exact,error\r\n0,1,1,0\r\n0.025,0.006737946999,0.006737946999,0\r\n"
         b"0.05,4.539992976e-05,4.539992976e-05,0\r\n"

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -22,23 +23,24 @@ from longevity.pricing import (
 )
 from longevity.settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
 from longevity.simulate import RngStream, sample_death_years
-from oracles import binomial_american_put, bs_price
+from oracles import (binomial_american_put, bs_price, effective_vol, grid_tolerance,
+                     half_variance_by_quadrature)
 
 # ------------------------------------------------------------ marching #
 
 
 def march(prob, mesh, n_steps, theta=0.5):
     # terminal mesh values of a march taking n_steps steps at one theta
-    return pricing._march(prob, mesh, [theta] * n_steps)[0]
+    return pricing._march(prob, mesh, [theta] * n_steps)
 
 
 def heat_problem(horizon):
     # u_tau = u_xx on [0, 1] with u(x, 0) = sin(pi x); exact decay rate pi**2
     return ParabolicProblem(
-        sigma=lambda x, tau: np.ones_like(x),
-        mu=lambda x, tau: np.zeros_like(x),
-        b_coef=lambda x, tau: np.zeros_like(x),
-        f=lambda x, tau: np.zeros_like(x),
+        sigma=lambda x: np.ones_like(x),
+        mu=lambda x: np.zeros_like(x),
+        b_coef=lambda x: np.zeros_like(x),
+        f=lambda x: np.zeros_like(x),
         phi=lambda x: np.sin(np.pi * x),
         g0=lambda tau: 0.0,
         g1=lambda tau: 0.0,
@@ -68,10 +70,10 @@ def test_implicit_march_obeys_discrete_bounds():
     # no source, no reaction: fully implicit fitted rows are monotone, so
     # every level stays between the data extremes
     prob = ParabolicProblem(
-        sigma=lambda x, tau: 0.1 + x * x,
-        mu=lambda x, tau: 5.0 * (1.0 - 2.0 * x),
-        b_coef=lambda x, tau: np.zeros_like(x),
-        f=lambda x, tau: np.zeros_like(x),
+        sigma=lambda x: 0.1 + x * x,
+        mu=lambda x: 5.0 * (1.0 - 2.0 * x),
+        b_coef=lambda x: np.zeros_like(x),
+        f=lambda x: np.zeros_like(x),
         phi=lambda x: x * (1.0 - x),
         g0=lambda tau: 0.0,
         g1=lambda tau: 0.0,
@@ -84,10 +86,10 @@ def test_implicit_march_obeys_discrete_bounds():
 
 def test_corner_mismatch_is_rejected():
     prob = ParabolicProblem(
-        sigma=lambda x, tau: np.ones_like(x),
-        mu=lambda x, tau: np.zeros_like(x),
-        b_coef=lambda x, tau: np.zeros_like(x),
-        f=lambda x, tau: np.zeros_like(x),
+        sigma=lambda x: np.ones_like(x),
+        mu=lambda x: np.zeros_like(x),
+        b_coef=lambda x: np.zeros_like(x),
+        f=lambda x: np.zeros_like(x),
         phi=lambda x: np.ones_like(x),
         g0=lambda tau: 0.0,
         g1=lambda tau: 1.0,
@@ -111,8 +113,8 @@ def test_march_argument_validation():
         march(prob, mesh, 4, theta=1.5)
     with pytest.raises(ValueError, match="horizon must be positive"):
         ParabolicProblem(
-            sigma=lambda x, tau: x, mu=lambda x, tau: x,
-            b_coef=lambda x, tau: x, f=lambda x, tau: x,
+            sigma=lambda x: x, mu=lambda x: x,
+            b_coef=lambda x: x, f=lambda x: x,
             phi=lambda x: x, g0=lambda tau: 0.0, g1=lambda tau: 1.0,
             horizon=0.0)
 
@@ -252,49 +254,229 @@ def test_american_call_never_exercised_early():
     assert euro.exercise_boundary is None
 
 
+# ------------------------------------------------------ variance clock #
+
+
+@pytest.mark.parametrize("sigma0, decay", [(0.3, 0.0), (0.3, 1e-12), (0.2, 0.8), (0.45, 1.5),
+                                           (0.3, 50.0)])
+def test_variance_clock_matches_quadrature(sigma0, decay):
+    vol = VolatilityDecay(sigma0, decay)
+    for tau in (1e-6, 0.01, 0.25, 1.0, 2.0):
+        assert vol.clock(tau) == pytest.approx(
+            half_variance_by_quadrature(sigma0, decay, tau), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("decay", [0.0, 1e-12, 1e-6, 1.0, 50.0])
+def test_variance_clock_inverse_round_trips(decay):
+    # past decay * tau of about 4 the clock has all but stopped, and its
+    # inverse amplifies a rounding by e^{2 decay tau}, so the trip is
+    # checked short of that
+    vol = VolatilityDecay(0.3, decay)
+    taus = [tau for tau in (1e-9, 1e-6, 1e-3, 0.02, 0.05, 0.08, 0.25, 1.0, 2.0, 10.0)
+            if decay * tau <= 4.0]
+    assert len(taus) >= 5
+    for tau in taus:
+        assert vol.clock_inverse(vol.clock(tau)) == pytest.approx(tau, rel=1e-12, abs=0.0)
+    # the reading the clock never reaches, and beyond it
+    if decay > 0.0:
+        for limit in (1.0, 2.0):
+            assert vol.clock_inverse(limit * 0.3**2 / (4.0 * decay)) == math.inf
+
+
+def test_variance_clock_is_continuous_as_decay_vanishes():
+    for tau in (1e-3, 1.0, 5.0):
+        flat = VolatilityDecay(0.3, 0.0).clock(tau)
+        assert flat == 0.5 * 0.3 * 0.3 * tau
+        for decay in (1e-300, 1e-15, 1e-12):
+            assert VolatilityDecay(0.3, decay).clock(tau) == pytest.approx(
+                flat, rel=2.0 * decay * tau + 1e-15, abs=0.0)
+
+
+def test_american_exercise_times_step_the_variance_clock():
+    vol = VolatilityDecay(0.3, 0.8)
+    res = price_american("put", STRIKE, RATE, vol, EXPIRY, intervals=40, steps=40)
+    times = res.exercise_times
+    assert times[-1] == EXPIRY
+    assert np.all(np.diff(times) > 0.0)
+    # equal steps of the clock, which runs slower as tau grows
+    steps = np.diff([vol.clock(t) for t in [0.0, *times]])
+    np.testing.assert_allclose(steps, vol.clock(EXPIRY) / 40, rtol=1e-12)
+    assert np.all(np.diff(np.diff(times)) > 0.0)
+
+
+# Extreme inputs that price: rates far above and below zero, a volatility
+# whose clock underflows to zero (the discounted intrinsic value), and a
+# decay that drives exp(-2 decay E) to zero
+EXTREMES = [(700.0, 0.2, 1.0), (5.0, 0.2, 1.0), (-0.9, 0.2, 1.0), (-0.9, 0.2, 2.0),
+            (0.05, 1e-200, 1.0), (0.05, VolatilityDecay(0.3, 1e6), 1.0)]
+
+
+@pytest.mark.parametrize("rate, vol, expiry", EXTREMES, ids=lambda v: str(v))
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_extreme_inputs_still_price(kind, rate, vol, expiry):
+    euro = price_european(kind, STRIKE, rate, vol, expiry, intervals=200, steps=200)
+    amer = price_american(kind, STRIKE, rate, vol, expiry, intervals=200, steps=200)
+    assert np.all(np.isfinite(euro.values)) and np.all(np.isfinite(amer.values))
+    flat = effective_vol(vol.sigma0, vol.decay, expiry) if isinstance(vol, VolatilityDecay) \
+        else vol
+    want = bs_price(kind, STRIKE, STRIKE, rate, flat, expiry)
+    assert abs(euro.value_at(STRIKE) - want) <= grid_tolerance(STRIKE, 200)
+    intrinsic = np.maximum(amer.grid - STRIKE, 0.0) if kind == "call" else \
+        np.maximum(STRIKE - amer.grid, 0.0)
+    assert np.all(amer.values >= euro.values - 1e-9 * STRIKE)
+    assert np.all(amer.values >= intrinsic - 1e-9 * STRIKE)
+
+
+def test_negative_rate_makes_early_call_exercise_pay():
+    euro = price_european("call", STRIKE, -0.9, VOL, EXPIRY, intervals=400, steps=400)
+    amer = price_american("call", STRIKE, -0.9, VOL, EXPIRY, intervals=400, steps=400)
+    assert euro.value_at(STRIKE) < 1e-3
+    assert amer.value_at(STRIKE) > 0.5
+    assert not np.all(np.isnan(amer.exercise_boundary))
+
+
+def test_a_rate_far_above_zero_reports_no_spurious_call_exercise():
+    # at r = 700 most levels' strike K e^{r(tau-E)} is below the rounding of
+    # the mesh values, so no node can be told to sit on the floor; those
+    # levels read NaN, like every level of a call that is never exercised
+    res = price_american("call", STRIKE, 700.0, VOL, 2.0, intervals=200, steps=200)
+    assert np.all(np.isnan(res.exercise_boundary))
+    assert res.value_at(STRIKE) == pytest.approx(STRIKE, rel=1e-12)
+
+
+def test_volatility_whose_clock_underflows_prices_the_discounted_intrinsic_value():
+    for price in (price_european, price_american):
+        res = price("call", STRIKE, RATE, 1e-200, EXPIRY, intervals=50, steps=50)
+        want = np.maximum(res.grid - STRIKE * math.exp(-RATE * EXPIRY), 0.0)
+        np.testing.assert_allclose(res.values, want, rtol=1e-14, atol=1e-12)
+
+
+# Worst |error| / strike at spot = strike on a fixed sample, per grid size:
+# six European requests (half of them under VolatilityDecay) against the
+# closed form on the effective volatility, and two American puts against a
+# 4000-step lattice.  The bounds are the errors of the march in S with the
+# drift and reaction terms, which the variance clock replaced, on the same
+# sample: (european, american put).  The clock measured 1.344e-4, 5.771e-5,
+# 7.861e-6, 2.470e-6 and 1.070e-4, 9.188e-5, 3.369e-5, 1.802e-5.
+ACCURACY_BOUNDS = {
+    100: (5.505e-4, 3.521e-4),
+    200: (1.346e-4, 1.196e-4),
+    400: (3.313e-5, 4.582e-5),
+    800: (1.533e-5, 2.053e-5),
+}
+
+
+def accuracy_sample(label, intervals, n_euro, expiry, decay):
+    # n_euro Europeans, every other one under VolatilityDecay, and two
+    # American puts, drawn from a generator seeded "{label}:{intervals}"
+    rng = random.Random(f"{label}:{intervals}")
+    euro = [dict(kind=rng.choice(("call", "put")), strike=round(rng.uniform(50.0, 150.0), 4),
+                 rate=round(rng.uniform(0.01, 0.08), 5), expiry=round(rng.uniform(*expiry), 4),
+                 sigma0=round(rng.uniform(0.15, 0.45), 4),
+                 decay=round(rng.uniform(*decay), 4) if i % 2 else None)
+            for i in range(n_euro)]
+    amer = [dict(strike=round(rng.uniform(50.0, 150.0), 4), rate=round(rng.uniform(0.01, 0.08), 5),
+                 expiry=round(rng.uniform(*expiry), 4), sigma0=round(rng.uniform(0.15, 0.45), 4))
+            for _ in range(2)]
+    return euro, amer
+
+
+def worst_errors(euro, amer, intervals):
+    # worst European |error|/K against the closed form, and worst American
+    # put |error|/K against a 4000-step lattice
+    worst_euro = 0.0
+    for r in euro:
+        vol = r["sigma0"] if r["decay"] is None else VolatilityDecay(r["sigma0"], r["decay"])
+        got = price_european(r["kind"], r["strike"], r["rate"], vol, r["expiry"],
+                             intervals=intervals, steps=intervals).value_at(r["strike"])
+        flat = r["sigma0"] if r["decay"] is None else \
+            effective_vol(r["sigma0"], r["decay"], r["expiry"])
+        want = bs_price(r["kind"], r["strike"], r["strike"], r["rate"], flat, r["expiry"])
+        worst_euro = max(worst_euro, abs(got - want) / r["strike"])
+    worst_amer = 0.0
+    for r in amer:
+        got = price_american("put", r["strike"], r["rate"], r["sigma0"], r["expiry"],
+                             intervals=intervals, steps=intervals).value_at(r["strike"])
+        want = binomial_american_put(r["strike"], r["strike"], r["rate"], r["sigma0"],
+                                     r["expiry"], steps=4000)
+        worst_amer = max(worst_amer, abs(got - want) / r["strike"])
+    return worst_euro, worst_amer
+
+
+@pytest.mark.parametrize("intervals", list(ACCURACY_BOUNDS))
+def test_accuracy_is_no_worse_than_the_march_in_s(intervals):
+    sample = accuracy_sample("variance-clock", intervals, 6, (0.25, 2.0), (0.1, 1.5))
+    worst_euro, worst_amer = worst_errors(*sample, intervals)
+    assert worst_euro <= ACCURACY_BOUNDS[intervals][0]
+    assert worst_amer <= ACCURACY_BOUNDS[intervals][1]
+
+
+# Long-dated requests, expiry 10 to 30 years, in the same form.  The
+# clock's payoff at T = 0 has its strike at K e^{-rE}, up to e^{rE} (11 at
+# r = 0.08, E = 30) times nearer x = 0, so fewer cells lie under it than
+# lay under K in the march in S.  Bounds are the march in S's worst errors
+# on the same sample; the clock measured 8.941e-3, 1.917e-3, 1.075e-5,
+# 2.686e-4 and 8.672e-3, 3.259e-3, 1.157e-2, 1.595e-3.  The largest errors
+# on both sides come from truncating at s_max = 4K where vol * sqrt(E)
+# nears 2.  The bound is on the worst request, not on each one.
+LONG_DATED_BOUNDS = {
+    100: (1.819e-2, 1.858e-2),
+    200: (4.946e-3, 8.816e-3),
+    400: (6.505e-4, 2.202e-2),
+    800: (1.504e-3, 5.208e-3),
+}
+
+
+@pytest.mark.parametrize("intervals", list(LONG_DATED_BOUNDS))
+def test_long_dated_accuracy_is_no_worse_than_the_march_in_s(intervals):
+    sample = accuracy_sample("long-dated", intervals, 4, (10.0, 30.0), (0.02, 0.2))
+    worst_euro, worst_amer = worst_errors(*sample, intervals)
+    assert worst_euro <= LONG_DATED_BOUNDS[intervals][0]
+    assert worst_amer <= LONG_DATED_BOUNDS[intervals][1]
+
+
 # ------------------------------------- march against a dense reference #
 #
-# The reference re-assembles the fitted stencil at every level and solves
-# each step densely, so it shares no reuse logic with the march.  With a
-# floor it also returns, per level, the largest node on a positive floor.
+# The reference assembles the fitted stencil into a dense matrix and
+# solves each step densely, so it shares no factorization or in-place
+# logic with the march.  Given a floor(x, tau) and a tolerance tol(tau) it
+# also returns, per level, the largest node on a floor above the tolerance.
 
 
-def reference_march(prob, mesh, thetas, floor=None):
+def reference_march(prob, mesh, thetas, floor=None, tol=None, times=None):
     x = mesh.points()
     xi = x[1:-1]
     k = prob.horizon / len(thetas)
+    if times is None:
+        times = [(n + 1) * k for n in range(len(thetas))]
 
-    def level(tau):
-        def coef(c):
-            return np.broadcast_to(np.asarray(c(xi, tau), dtype=float), xi.shape)
-        sub, center, sup = fitted_stencil(coef(prob.mu), mesh.h, coef(prob.sigma))
-        A = np.diag(center + coef(prob.b_coef)) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-        return A, sub[0], sup[-1], coef(prob.f)
+    def coef(c):
+        return np.broadcast_to(np.asarray(c(xi), dtype=float), xi.shape)
+    sub, center, sup = fitted_stencil(coef(prob.mu), mesh.h, coef(prob.sigma))
+    A = np.diag(center + coef(prob.b_coef)) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+    left, right, f = sub[0], sup[-1], coef(prob.f)
 
     U = np.asarray(prob.phi(x), dtype=float).copy()
     U[0], U[-1] = prob.g0(0.0), prob.g1(0.0)
     if floor is not None:
-        U = np.maximum(U, floor(x))
-    A_o, left_o, right_o, f_o = level(0.0)
+        U = np.maximum(U, floor(x, 0.0))
     nodes = []
     for n, theta in enumerate(thetas):
-        tau = (n + 1) * k
-        A_n, left_n, right_n, f_n = level(tau)
-        g0, g1 = prob.g0(tau), prob.g1(tau)
-        explicit = A_o @ U[1:-1]
-        explicit[0] += left_o * U[0]
-        explicit[-1] += right_o * U[-1]
-        rhs = U[1:-1] + k * (1.0 - theta) * (explicit - f_o) - k * theta * f_n
-        rhs[0] += k * theta * left_n * g0
-        rhs[-1] += k * theta * right_n * g1
-        inner = np.linalg.solve(np.eye(xi.size) - k * theta * A_n, rhs)
+        g0, g1 = prob.g0(times[n]), prob.g1(times[n])
+        explicit = A @ U[1:-1]
+        explicit[0] += left * U[0]
+        explicit[-1] += right * U[-1]
+        rhs = U[1:-1] + k * (1.0 - theta) * (explicit - f) - k * theta * f
+        rhs[0] += k * theta * left * g0
+        rhs[-1] += k * theta * right * g1
+        inner = np.linalg.solve(np.eye(xi.size) - k * theta * A, rhs)
         U = np.concatenate([[g0], inner, [g1]])
         if floor is not None:
-            U = np.maximum(U, floor(x))
-            tol = 1e-7 * (1.0 + float(np.max(floor(x))))
-            on_floor = (floor(x) > tol) & (U - floor(x) <= tol)
+            lower = floor(x, times[n])
+            U = np.maximum(U, lower)
+            eps = tol(times[n])
+            on_floor = (lower > eps) & (U - lower <= eps)
             nodes.append(float(x[on_floor].max()) if np.any(on_floor) else math.nan)
-        A_o, left_o, right_o, f_o = A_n, left_n, right_n, f_n
     return U, (np.array(nodes) if floor is not None else None)
 
 
@@ -302,37 +484,54 @@ def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-def bs_reference(kind, vol_at, american, intervals=60, steps=60):
+def bs_reference(kind, vol, american, intervals=60, steps=60):
+    # the pricing equation on the variance clock, written out independently:
+    # x = S e^{r(tau-E)}, v = e^{r(tau-E)} u and v_T = x^2 v_xx, marched in
+    # T / m with m = T(E) / E; levels sit at equal steps of the clock.
+    # Returns the values, the level times and each level's exercise node in x
     s_max = 4.0 * STRIKE
-    sigma = lambda x, tau: 0.5 * vol_at(tau) ** 2 * x * x
-    mu = lambda x, tau: RATE * x
-    b_coef = lambda x, tau: np.full_like(x, -RATE)
-    f = lambda x, tau: np.zeros_like(x)
-    if kind == "call":
-        payoff = lambda x: np.maximum(x - STRIKE, 0.0)
-        g0 = lambda tau: 0.0
-        g1 = lambda tau: s_max - STRIKE * math.exp(-RATE * tau)
+    if isinstance(vol, VolatilityDecay):
+        sigma0, decay = vol.sigma0, vol.decay
+        m = sigma0**2 * (1.0 - np.exp(-2.0 * decay * EXPIRY)) / (4.0 * decay) / EXPIRY
+        fraction = np.arange(1, steps) / steps * (1.0 - np.exp(-2.0 * decay * EXPIRY))
+        times = list(-np.log(1.0 - fraction) / (2.0 * decay)) + [EXPIRY]
     else:
-        payoff = lambda x: np.maximum(STRIKE - x, 0.0)
-        g0 = (lambda tau: STRIKE) if american else (lambda tau: STRIKE * math.exp(-RATE * tau))
-        g1 = lambda tau: 0.0
-    prob = ParabolicProblem(sigma, mu, b_coef, f, payoff, g0, g1, EXPIRY)
+        m = 0.5 * vol**2
+        times = [(n + 1) * (EXPIRY / steps) for n in range(steps - 1)] + [EXPIRY]
+    scale = lambda tau: math.exp(RATE * (tau - EXPIRY))
+
+    def payoff(x, strike):
+        return np.maximum(x - strike, 0.0) if kind == "call" else np.maximum(strike - x, 0.0)
+
+    ends = [float(payoff(end, STRIKE * scale(0.0))) for end in (0.0, s_max)]
+    if american:
+        g0 = lambda tau: max(ends[0], float(payoff(0.0, STRIKE * scale(tau))))
+        g1 = lambda tau: max(ends[1], float(payoff(s_max, STRIKE * scale(tau))))
+    else:
+        g0, g1 = (lambda tau: ends[0]), (lambda tau: ends[1])
+    prob = ParabolicProblem(
+        sigma=lambda x: m * x * x,
+        mu=lambda x: np.zeros_like(x),
+        b_coef=lambda x: np.zeros_like(x),
+        f=lambda x: np.zeros_like(x),
+        phi=lambda x: payoff(x, STRIKE * scale(0.0)),
+        g0=g0, g1=g1, horizon=EXPIRY)
     thetas = [1.0] * 4 + [0.5] * (steps - 4)
-    return reference_march(prob, Mesh1D(0.0, s_max, intervals + 1), thetas,
-                           floor=payoff if american else None)
+    top = STRIKE if kind == "put" else s_max - STRIKE  # the largest payoff on the grid
+    values, nodes = reference_march(
+        prob, Mesh1D(0.0, s_max, intervals + 1), thetas,
+        floor=(lambda x, tau: payoff(x, STRIKE * scale(tau))) if american else None,
+        tol=lambda tau: 1e-7 * (1.0 + top) * scale(tau), times=times)
+    return values, (np.array(times) if american else None), nodes
 
 
-def switching_problem():
-    # sigma jumps up over the middle third of the horizon and back down, so
-    # the march must re-assemble (and re-factor) twice and f varies with tau;
-    # both take a scalar tau or the march's column of taus
-    def sigma(x, tau):
-        return (0.1 + x * x) * np.where((1.0 / 3.0 < tau) & (tau <= 2.0 / 3.0), 4.0, 1.0)
+def convection_problem():
+    # strong drift, a reaction and a source, none of which the heat problem has
     return ParabolicProblem(
-        sigma=sigma,
-        mu=lambda x, tau: 5.0 * (1.0 - 2.0 * x),
-        b_coef=lambda x, tau: np.full_like(x, -0.5),
-        f=lambda x, tau: np.sin(np.pi * x) * np.cos(tau),
+        sigma=lambda x: 0.1 + x * x,
+        mu=lambda x: 5.0 * (1.0 - 2.0 * x),
+        b_coef=lambda x: np.full_like(x, -0.5),
+        f=lambda x: np.sin(np.pi * x),
         phi=lambda x: x * (1.0 - x),
         g0=lambda tau: 0.0,
         g1=lambda tau: 0.0,
@@ -343,17 +542,23 @@ def switching_problem():
 @pytest.mark.parametrize("vol", [VOL, VolatilityDecay(0.3, 0.8)], ids=["const", "decay"])
 @pytest.mark.parametrize("kind", ["call", "put"])
 def test_pricers_match_the_dense_reference_march(kind, vol):
-    vol_at = vol.at if isinstance(vol, VolatilityDecay) else (lambda tau: VOL)
     euro = price_european(kind, STRIKE, RATE, vol, EXPIRY, intervals=60, steps=60)
-    assert_close(euro.values, bs_reference(kind, vol_at, american=False)[0])
+    assert_close(euro.values, bs_reference(kind, vol, american=False)[0])
     amer = price_american(kind, STRIKE, RATE, vol, EXPIRY, intervals=60, steps=60)
-    values, nodes = bs_reference(kind, vol_at, american=True)
+    values, times, nodes = bs_reference(kind, vol, american=True)
     assert_close(amer.values, values)
-    np.testing.assert_array_equal(amer.exercise_boundary, nodes)
-    np.testing.assert_array_equal(amer.exercise_times, np.arange(1, 61) * (EXPIRY / 60))
+    if isinstance(vol, VolatilityDecay):
+        # the reference's level times come from an independent closed form
+        np.testing.assert_allclose(amer.exercise_times, times, rtol=1e-12, atol=0.0)
+    else:
+        np.testing.assert_array_equal(amer.exercise_times, np.arange(1, 61) * (EXPIRY / 60))
+    # the same exercise node at every level, mapped back to S at the pricer's own times
+    np.testing.assert_array_equal(amer.exercise_boundary,
+                                  nodes * np.exp(RATE * (EXPIRY - amer.exercise_times)))
 
 
-@pytest.mark.parametrize("prob", [heat_problem(0.1), switching_problem()], ids=["heat", "switch"])
+@pytest.mark.parametrize("prob", [heat_problem(0.1), convection_problem()],
+                         ids=["heat", "convection"])
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_march_matches_the_dense_reference_march(prob, theta):
     mesh = Mesh1D(0.0, 1.0, 41)
@@ -372,77 +577,40 @@ def stencil_calls(monkeypatch):
     return calls
 
 
-def block_levels(intervals):
-    # time levels assembled per fitted_stencil call on a tau-dependent problem
-    return max(1, pricing._BLOCK_NODES // (intervals - 1))
-
-
 def test_stencil_is_assembled_once_while_the_coefficients_ignore_tau(stencil_calls):
-    # autonomous problems assemble once; tau-dependent ones once per block
-    # of levels, and a march of `steps` steps has steps + 1 levels
-    steps = 2 * block_levels(50)  # three blocks, the last of one level
+    # every pricer marches one operator, decaying volatility included,
+    # since the vanilla pricers step the variance clock
     for price in (price_european, price_american):
-        stencil_calls.clear()
-        price("put", STRIKE, RATE, VOL, EXPIRY, intervals=50, steps=steps)
-        assert len(stencil_calls) == 1
-        stencil_calls.clear()
-        price("put", STRIKE, RATE, VolatilityDecay(VOL, 0.5), EXPIRY, intervals=50, steps=steps)
-        assert len(stencil_calls) == math.ceil((steps + 1) / block_levels(50)) == 3
-    stencil_calls.clear()
-    march(switching_problem(), Mesh1D(0.0, 1.0, 41), steps)
-    assert len(stencil_calls) == math.ceil((steps + 1) / block_levels(40)) == 2
+        for vol in (VOL, VolatilityDecay(VOL, 0.5)):
+            stencil_calls.clear()
+            price("put", STRIKE, RATE, vol, EXPIRY, intervals=50, steps=150)
+            assert len(stencil_calls) == 1
     stencil_calls.clear()
     price_mortality_option(FlatPolicy(p=100.0, b=1000.0, r=0.05), LifeTable(90, [0.5, 1.0]),
-                           90, 0.2, 0.05, 10, RngStream(1), intervals=50, steps=steps)
+                           90, 0.2, 0.05, 10, RngStream(1), intervals=50, steps=150)
     assert len(stencil_calls) == 1
 
 
-def counted_coefficients(prob, autonomous):
-    # the problem with each coefficient callable recording the tau of each call
-    calls = {name: [] for name in ("sigma", "mu", "b_coef", "f")}
+def counted_coefficients(prob):
+    # the problem with each coefficient callable counting its calls
+    calls = dict.fromkeys(("sigma", "mu", "b_coef", "f"), 0)
 
     def counting(name):
         inner = getattr(prob, name)
 
-        def wrapper(x, tau):
-            calls[name].append(tau)
-            return inner(x, tau)
+        def wrapper(x):
+            calls[name] += 1
+            return inner(x)
         return wrapper
-    return replace(prob, autonomous=autonomous,
-                   **{name: counting(name) for name in calls}), calls
+    return replace(prob, **{name: counting(name) for name in calls}), calls
 
 
 def test_autonomous_problem_evaluates_each_coefficient_once():
-    prob, calls = counted_coefficients(heat_problem(0.1), autonomous=True)
+    prob, calls = counted_coefficients(convection_problem())
     mesh = Mesh1D(0.0, 1.0, 41)
     got = march(prob, mesh, 25)
-    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
-    assert np.array_equal(got, march(heat_problem(0.1), mesh, 25))
-
-
-def test_tau_dependent_problem_evaluates_each_coefficient_once_per_block():
-    # one call per block of levels, given the block's taus as a float column
-    prob, calls = counted_coefficients(switching_problem(), autonomous=False)
-    steps = 150
-    march(prob, Mesh1D(0.0, 1.0, 41), steps)
-    k = prob.horizon / steps
-    for name, taus in calls.items():
-        assert len(taus) == math.ceil((steps + 1) / block_levels(40)) == 2, name
-        for tau in taus:
-            assert tau.dtype == np.float64 and tau.ndim == 2 and tau.shape[1] == 1, name
-        assert np.concatenate(taus).ravel().tolist() == [n * k for n in range(steps + 1)], name
-
-
-@pytest.mark.parametrize("offset", [-2, -1, 0])
-def test_decaying_volatility_matches_the_reference_across_a_block_edge(offset):
-    # steps + 1 levels fill one block short, one block exactly, and one
-    # block plus a single level
-    vol = VolatilityDecay(0.3, 0.8)
-    steps = block_levels(60) + offset
-    euro = price_european("put", STRIKE, RATE, vol, EXPIRY, intervals=60, steps=steps)
-    assert_close(euro.values, bs_reference("put", vol.at, american=False, steps=steps)[0])
-    amer = price_american("call", STRIKE, RATE, vol, EXPIRY, intervals=60, steps=steps)
-    assert_close(amer.values, bs_reference("call", vol.at, american=True, steps=steps)[0])
+    assert calls == dict.fromkeys(calls, 1)
+    assert np.array_equal(got, march(convection_problem(), mesh, 25))
 
 
 def bits(*arrays):
@@ -455,28 +623,26 @@ def bits(*arrays):
 
 
 # Digests of (values, exercise_boundary) under VolatilityDecay(0.3, 0.8), by
-# (kind, style, intervals, steps).  On 60 intervals a block holds
-# block_levels(60) = 69 levels, so 68, 69 and 70 steps fill one block
-# exactly, overrun it by one level and by two; 800 intervals take blocks of
-# 5 levels.  The bits were taken when each coefficient was still evaluated
-# one level at a time, so they pin that block evaluation changes none.
+# (kind, style, intervals, steps): 68, 69 and 70 steps on 60 intervals and
+# 37 steps on 800.  They pin the bits of the march on the variance clock;
+# its accuracy is pinned by the closed-form and lattice checks above.
 DECAY_BITS = {
-    ('call', 'european', 60, 68): '7cfe22a5a3eeb5296a19d052c15fec012887069b91a63b1b6532b05ecb264ca6',
-    ('call', 'american', 60, 68): 'e11172d6e608356e62960a1b5e2c1893cc4da4ad947022208c007f8293be9906',
-    ('put', 'european', 60, 68): '4dad605cceb55add32f85047b8d1bea36fd5cc445614170bf86656dea55fa573',
-    ('put', 'american', 60, 68): 'ad3c238163b3229d2ec684b1a8ee4d0776971eae33624a69c809ab20be9a201e',
-    ('call', 'european', 60, 69): 'b9cd119ffdd12e72721fb712023a55f411ecc6d30ddb0c7ce399f4fa5a9070f3',
-    ('call', 'american', 60, 69): 'eacc5e1d85429cd1fa1d2d36cc024e88fd09eac1b08fa22413f536cfd201b057',
-    ('put', 'european', 60, 69): 'c3e56f921b659e623f2a60a96cd531ff3d8eba06e5836939c19317c8810bf9a9',
-    ('put', 'american', 60, 69): '83051497c0efd7d21b65a6146624a949d91711ec331f6b4eb1a0fbbceac17c0f',
-    ('call', 'european', 60, 70): '71bbd19e5821717e6f10e3652b7294c3400794f3b1923ebcd8976dfa6748fe6d',
-    ('call', 'american', 60, 70): '8098211d47634d5e09968a0402e1f360080cb93139d39347aad0a53c0929ce57',
-    ('put', 'european', 60, 70): '8c21194419faa248b034fb2ef5a3b72a93155329a2a65e2c95c57e4b1439aa14',
-    ('put', 'american', 60, 70): '00ff51248825bcbaaea33a8f0e5c47366cb716afbf6dd4575106c7552e77c0ab',
-    ('call', 'european', 800, 37): '5cea29a37af1fc0c89bcfe9143ec35a1f4bbd47077597a0a492f93f9d377242a',
-    ('call', 'american', 800, 37): 'c4060a446f37bb719333f2d86c444ae689fe6e11ce46a95b95cb3623c0949601',
-    ('put', 'european', 800, 37): '5956d0355b228aaca38ac9d5b4bba32b68caab5d13da511ca97d14746fe28661',
-    ('put', 'american', 800, 37): 'cee40c1693a10bcbb5ffa1b2b3dc908f221b7e0341df37860432617f4326da58',
+    ('call', 'european', 60, 68): '7caef55415855c60562e10625f790c909d1cada22e5b9fb7c5d2e25e07044053',
+    ('call', 'american', 60, 68): '3362ebc8252005f1214677e8c6f54d3544c24651e39b2eef95eecd9e9c97c6a4',
+    ('put', 'european', 60, 68): '9d94102732f8898515e6c247165baa6243988166d58249798933b78820e42e5f',
+    ('put', 'american', 60, 68): '9b572c40eeaa4d28d1d89ae9a9a3b50a892c6b28fafb71f65b7fea4c307a59e6',
+    ('call', 'european', 60, 69): '576f722cf923cedd9159d8fe1d46de041f7bb335a5116181a874ce8037ff6f94',
+    ('call', 'american', 60, 69): 'abc68e79a8f8d5919472dbfcf28fe82a1767b5a9824cba707ce84d69a177787b',
+    ('put', 'european', 60, 69): 'ef0c501a32d1c8820c7f55c4488bf1458e26ce703e5633f17c90c96308a4f66e',
+    ('put', 'american', 60, 69): '3e193ddda500ef8ad19bc2fee3d81460af75913d3663f9ca6843463c06c98bb2',
+    ('call', 'european', 60, 70): '7fe6bca42693e69add815b0da4041ccd3e948928950b310f0f5544cc83f17cad',
+    ('call', 'american', 60, 70): 'f51237e6e4d1416ae585d37c9e804f59bb926388ebeb2c656965676b8eeaedf1',
+    ('put', 'european', 60, 70): '1e55b51faf771802356c7117ba2cb1c622d3d81a1a358fd4da402e6755ba0e7f',
+    ('put', 'american', 60, 70): '69468f80bdfc40544ad53b72fc6840526ede7a45afa3b656e0cc43eee23b8c92',
+    ('call', 'european', 800, 37): 'f51ded9ccdea5e009dd49fe1706f47883a469c0f50dc30cd794bb3c65aacee79',
+    ('call', 'american', 800, 37): '002a527023e0292d2a2b81f6fb014ee042f621a0d8319873003d18cdc9dd3d6f',
+    ('put', 'european', 800, 37): '731414ecf56b3c3fe8550ded5b85a00a1eab7fe6ed98434a34c54b7d35a7ee91',
+    ('put', 'american', 800, 37): 'd9b65b7274d5d0eb5502c5e184541b5f7b63d93e62d8883e330e30258ca53b47',
 }
 
 
@@ -489,27 +655,6 @@ def test_decaying_volatility_keeps_its_bits(case):
     assert bits(res.values, res.exercise_boundary) == DECAY_BITS[case]
 
 
-# Digests of a 30-step march on 40 intervals by (source, theta): the switching
-# problem's own source, and -0.0 everywhere, which is not a source the march
-# may skip (subtracting it turns a -0.0 into +0.0)
-SWITCHING_BITS = {
-    ("switch", 0.5): "6463fa5a723877b4963544bc0789463c42aa8b1032315d58ddfc8362f0429f5a",
-    ("switch", 1.0): "9b970f949b56de4e367f3ada53bd8eaf82b99359f3dce0572d4cd830443c8894",
-    ("switch-negative-zero", 0.5): "e95a7d60ffe41d894f87d3179bb9f74d99b305793a826716beb0a39eb1905d4e",
-    ("switch-negative-zero", 1.0): "902bacd20007742a9e2bb12e494bff27db3297e3691488b8f1898681f11578c4",
-}
-
-
-@pytest.mark.parametrize("case", list(SWITCHING_BITS), ids=lambda c: f"{c[0]}-{c[1]}")
-def test_switching_march_keeps_its_bits(case):
-    source, theta = case
-    prob = switching_problem()
-    if source == "switch-negative-zero":
-        prob = replace(prob, f=lambda x, tau: np.full_like(x, -0.0))
-    got = march(prob, Mesh1D(0.0, 1.0, 41), 30, theta=theta)
-    assert bits(got) == SWITCHING_BITS[case]
-
-
 @pytest.mark.parametrize("source, skipped", [
     (np.zeros(5), True),
     (0.0, True),
@@ -518,8 +663,8 @@ def test_switching_march_keeps_its_bits(case):
     (np.array([0.0, 0.0, 5e-324, 0.0, 0.0]), False),
 ], ids=["zeros", "scalar-zero", "negative-zero", "nan", "subnormal"])
 def test_only_a_positive_zero_source_is_dropped(source, skipped):
-    prob = replace(heat_problem(0.1), f=lambda x, tau: source)
-    *_, f = pricing._coefficients(prob, np.linspace(0.1, 0.9, 5), np.zeros((1, 1)))
+    prob = replace(heat_problem(0.1), f=lambda x: source)
+    *_, f = pricing._operator(prob, np.linspace(0.1, 0.9, 5), 0.1)
     assert (f is None) == skipped
 
 
@@ -530,10 +675,10 @@ def test_a_negative_zero_source_still_signs_the_march():
     # the signs the march had without any source
     def zero_march(source):
         prob = ParabolicProblem(
-            sigma=lambda x, tau: 0.1 + x * x,
-            mu=lambda x, tau: 5.0 * (1.0 - 2.0 * x),
-            b_coef=lambda x, tau: np.full_like(x, 1e4),
-            f=lambda x, tau: np.full_like(x, source),
+            sigma=lambda x: 0.1 + x * x,
+            mu=lambda x: 5.0 * (1.0 - 2.0 * x),
+            b_coef=lambda x: np.full_like(x, 1e4),
+            f=lambda x: np.full_like(x, source),
             phi=lambda x: np.full_like(x, -0.0),
             g0=lambda tau: -0.0,
             g1=lambda tau: -0.0,
@@ -616,17 +761,18 @@ def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, s
     mesh = Mesh1D(0.0, max(4.0 * spot, float(t_max + 1)), intervals + 1)
     grid = lambda s: np.array([payoff_year(int(round(v))) for v in np.atleast_1d(s)])
     prob = ParabolicProblem(
-        sigma=lambda s, tau: (0.5 * vole_sigma ** 2 * s * s if vole_sigma > 0.0
+        sigma=lambda s: (0.5 * vole_sigma ** 2 * s * s if vole_sigma > 0.0
                               else np.zeros_like(s)),
-        mu=lambda s, tau: r * s,
-        b_coef=lambda s, tau: np.full_like(s, -r),
-        f=lambda s, tau: np.zeros_like(s),
+        mu=lambda s: r * s,
+        b_coef=lambda s: np.full_like(s, -r),
+        f=lambda s: np.zeros_like(s),
         phi=grid,
         g0=lambda tau: float(payoff_year(1)),
         g1=lambda tau: float(payoff_year(t_max)),
         horizon=float(t_max))
     thetas = [1.0] * min(4, steps) + [0.5] * (steps - min(4, steps))
-    U, _, _ = pricing._march(prob, mesh, thetas, american=True)
+    payoff = grid(mesh.points())
+    U = pricing._march(prob, mesh, thetas, lambda tau, V: np.maximum(V, payoff, out=V))
     return mc, se, float(np.interp(spot, mesh.points(), U))
 
 
