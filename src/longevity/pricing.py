@@ -12,18 +12,21 @@ keeps every time level monotone regardless of how convection-dominated the
 coefficients are.
 
 Time is stepped by the theta scheme: a few fully implicit steps damp the
-payoff kink, then Crank-Nicolson takes over (Rannacher 1984; Duffy, "A
-critique of the Crank-Nicolson scheme", Wilmott 2004).
+payoff kink, then Crank-Nicolson takes over (Rannacher 1984; Giles &
+Carter 2006; Duffy, "A critique of the Crank-Nicolson scheme", Wilmott
+2004).
 
 The coefficients do not move with ``tau``: each is evaluated once per
 march, the stencil assembled once, and each step matrix LU-factored once
-per theta, so a step costs one explicit product and one
-back-substitution.  A step works in place: it builds its right-hand side
-in a preallocated state vector, in the same order of operations as the
-textbook formula, back-substitutes it there with one LAPACK ``dgttrs``
-call, and tests the new state for finiteness once.  A source that is
-``+0.0`` at every node is not subtracted at all, since taking away
-``+0.0`` leaves every value as it was.
+per theta.  A step of any theta in ``(0, 1]`` is an implicit step of
+length ``k theta`` followed by a linear extrapolation, so it costs one
+back-substitution and one axpy, and never forms the explicit product
+``A U``.  A step works in place: it builds its right-hand side in a
+preallocated state vector, back-substitutes it there with one LAPACK
+``dgttrs`` call, extrapolates there, and tests the new state for
+finiteness with one dot product.  A source that is ``+0.0`` at every
+node is not subtracted at all, since taking away ``+0.0`` leaves every
+value as it was.
 
 Every pricer here values a claim on a lognormal index, so one builder
 assembles its equation (diffusion ``vol**2 S**2 / 2``, drift ``rate S``,
@@ -215,7 +218,7 @@ def _factored(matrix: np.ndarray):
 def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
            project: Callable[[float, np.ndarray], None] | None = None,
            times: Sequence[float] | None = None) -> np.ndarray:
-    """Theta-march the problem over the horizon, one theta per step.
+    """Theta-march the problem over the horizon, one theta in ``(0, 1]`` per step.
 
     Step ``n`` goes from ``tau = n*k`` to ``(n+1)*k``.  The operator ``A``
     is assembled once (:func:`_operator`) and never changes, so the step
@@ -223,15 +226,21 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     the first step at that theta is taken: a Rannacher start followed by
     Crank-Nicolson costs two factorizations in all.
 
-    A step works in place on preallocated vectors: it builds the
-    right-hand side ``U + k(1-theta)(A U - f) - k theta f`` in the
-    interior of the other state buffer, in that order of operations,
-    back-substitutes it there with one ``dgttrs``, and swaps the buffers;
-    the result is tested for finiteness once, into a preallocated mask.  A
-    source that is ``+0.0`` throughout is skipped: ``k*theta >= 0``, so its
-    terms are ``+0.0`` at every node, and subtracting them changes no
-    value, not even a ``-0.0``.  The two boundary increments are formed in
-    Python floats.
+    No step forms ``A U0``: the theta step
+    ``(I - k theta A) U1 = (I + k(1-theta) A) U0 - k f`` is one implicit
+    step of length ``k theta`` to ``Y = theta U1 + (1-theta) U0``
+    followed by the linear extrapolation ``U1 = (Y - (1-theta) U0) / theta``.
+    A step builds ``U0/theta - k f`` (exact at ``theta = 1`` and ``1/2``)
+    plus the boundary increments ``k w (theta g(tau_{n+1}) + (1-theta) U0[edge])``,
+    formed in Python floats, in the interior of the other state buffer,
+    back-substitutes it there to ``Y/theta`` with one ``dgttrs``, subtracts
+    ``(1-theta)/theta U0`` in place (nothing at ``theta = 1``, ``U0`` at
+    ``1/2``) and swaps the buffers.  One dot product of the new state with
+    itself tests it for finiteness: squares cannot cancel, so any inf or
+    NaN makes it non-finite, and only when it overflows are the values
+    tested one by one.  A source that is ``+0.0`` throughout is skipped:
+    ``k > 0``, so ``k f`` is ``+0.0`` at every node, and subtracting it
+    changes no value, not even a ``-0.0``.
 
     ``times`` labels levels ``1..N``; it defaults to ``(n+1)*k``, and a
     caller marching on another clock passes the times its boundary data
@@ -253,8 +262,8 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     if abs(U[0] - g0_0) > 1e-8 * scale or abs(U[-1] - g1_0) > 1e-8 * scale:
         raise ValueError("initial state disagrees with boundary data at a domain corner")
     U[0], U[-1] = g0_0, g1_0
-    if not all(0.0 <= theta <= 1.0 for theta in thetas):
-        raise ValueError("theta must lie in [0, 1]")
+    if not all(0.0 < theta <= 1.0 for theta in thetas):
+        raise ValueError("theta must lie in (0, 1]")
     if times is None:
         times = [(n + 1) * k for n in range(n_steps)]
     g0s = [float(prob.g0(tau)) for tau in times]
@@ -263,47 +272,40 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
     if project is not None:
         project(0.0, U)
 
-    # two state buffers with their neighbour views: a step reads one and
+    # two state buffers with their interior views: a step reads one and
     # writes the other
-    state, other = ((u, u[:-2], u[1:-1], u[2:]) for u in (U, np.empty_like(U)))
-    scratch = np.empty(x.size - 2)
-    finite = np.empty(x.size, dtype=bool)
+    state, other = ((u, u[1:-1]) for u in (U, np.empty_like(U)))
     # an overflow in the coefficients or the step arithmetic leaves a
     # non-finite value, which fitted_stencil, the factorization or the
     # state check rejects
     with np.errstate(over="ignore", invalid="ignore"):
         sub, dia, sup, f = _operator(prob, x[1:-1], mesh.h)
-        left_w, right_w = float(sub[0]), float(sup[-1])
+        kf = None if f is None else k * f
+        left_w, right_w = k * float(sub[0]), k * float(sup[-1])
         factored = {}
         for n, theta in enumerate(thetas):
             if theta not in factored:
                 factored[theta] = _factored(_step_matrix(sub, dia, sup, k * theta))
             lu = factored[theta]
-            _, left, mid, right = state
-            V, _, b, _ = other
-            kt = k * theta
-            np.multiply(sub, left, out=b)
-            np.multiply(dia, mid, out=scratch)
-            b += scratch
-            np.multiply(sup, right, out=scratch)
-            b += scratch
-            if f is not None:
-                b -= f
-            b *= k * (1.0 - theta)
-            b += mid
-            if f is not None:
-                np.multiply(f, kt, out=scratch)
-                b -= scratch
+            U, mid = state
+            V, b = other
+            np.divide(mid, theta, out=b)
+            if kf is not None:
+                b -= kf
             g0v, g1v = g0s[n], g1s[n]
-            b[0] += kt * left_w * g0v
-            b[-1] += kt * right_w * g1v
+            b[0] += left_w * (theta * g0v + (1.0 - theta) * float(U[0]))
+            b[-1] += right_w * (theta * g1v + (1.0 - theta) * float(U[-1]))
             if isinstance(lu, Exception):  # the step matrix failed to factor
                 if not np.isfinite(b).all():
                     raise _step_blowup(n, n_steps, k)
                 raise lu
             _lu_solve(lu, b)
+            if theta == 0.5:
+                b -= mid
+            elif theta != 1.0:
+                b -= (1.0 - theta) / theta * mid
             V[0], V[-1] = g0v, g1v
-            if not np.isfinite(V, out=finite).all():
+            if not (math.isfinite(V.dot(V)) or np.isfinite(V).all()):
                 raise _step_blowup(n, n_steps, k)
             if project is not None:
                 project(times[n], V)

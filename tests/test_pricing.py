@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -100,16 +101,17 @@ def test_corner_mismatch_is_rejected():
 
 
 def test_explicit_march_blowup_is_reported():
-    # theta = 0 with k far above the diffusive limit amplifies the sawtooth
-    # mode past overflow; the march must stop and name the failing step
-    with pytest.raises(NumericalError, match="at step 141 of 200"):
-        march(heat_problem(1.0), Mesh1D(0.0, 1.0, 101), 200, theta=0.0)
+    # theta = 0.01 with k far above the diffusive limit amplifies the
+    # sawtooth mode about 49-fold per step, past overflow; the march must
+    # stop and name the failing step
+    with pytest.raises(NumericalError, match="at step 192 of 400"):
+        march(heat_problem(1.0), Mesh1D(0.0, 1.0, 101), 400, theta=0.01)
 
 
 def test_march_argument_validation():
     prob = heat_problem(1.0)
     mesh = Mesh1D(0.0, 1.0, 11)
-    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
         march(prob, mesh, 4, theta=1.5)
     with pytest.raises(ValueError, match="horizon must be positive"):
         ParabolicProblem(
@@ -117,6 +119,29 @@ def test_march_argument_validation():
             b_coef=lambda x: x, f=lambda x: x,
             phi=lambda x: x, g0=lambda tau: 0.0, g1=lambda tau: 1.0,
             horizon=0.0)
+
+
+def test_explicit_euler_is_rejected():
+    # theta = 0 has no implicit part to extrapolate from
+    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
+        march(heat_problem(1.0), Mesh1D(0.0, 1.0, 11), 4, theta=0.0)
+    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
+        pricing._march(heat_problem(1.0), Mesh1D(0.0, 1.0, 11), [1.0, 0.5, 0.0, 0.5])
+
+
+def test_a_state_whose_squares_overflow_still_marches():
+    # the finiteness check's dot product overflows, so the march tests the
+    # values one by one; scaling by a power of two is exact at every step
+    thetas = pricing._thetas(40)
+    mesh = Mesh1D(0.0, 1.0, 51)
+    prob = heat_problem(0.1)
+    scaled = replace(prob, phi=lambda x: 2.0 ** 600 * np.sin(np.pi * x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pricing._march(scaled, mesh, thetas)
+    want = pricing._march(prob, mesh, thetas)
+    assert np.max(np.abs(got)) > 2.0 ** 512  # every level's squares overflow
+    assert got.tobytes() == (2.0 ** 600 * want).tobytes()
 
 
 # ------------------------------------------------------ vanilla options #
@@ -566,6 +591,24 @@ def test_march_matches_the_dense_reference_march(prob, theta):
     assert_close(got, reference_march(prob, mesh, [theta] * 30)[0])
 
 
+def moving_boundary_problem():
+    # the convection problem with boundary values that move with tau
+    return replace(convection_problem(), g0=lambda tau: math.sin(3.0 * tau),
+                   g1=lambda tau: tau * tau - 0.5 * tau)
+
+
+@pytest.mark.parametrize("thetas", [
+    [0.7] * 30,
+    [1.0, 1.0, 0.5, 0.7] * 7 + [0.5, 1.0],
+], ids=["theta-0.7", "mixed"])
+def test_any_theta_matches_the_dense_reference_march(thetas):
+    # a theta other than 1 and 1/2 extrapolates with a general axpy, and a
+    # mixed sequence reuses each theta's factors out of order
+    prob = moving_boundary_problem()
+    mesh = Mesh1D(0.0, 1.0, 41)
+    assert_close(pricing._march(prob, mesh, thetas), reference_march(prob, mesh, thetas)[0])
+
+
 @pytest.fixture
 def stencil_calls(monkeypatch):
     calls = []
@@ -627,22 +670,22 @@ def bits(*arrays):
 # 37 steps on 800.  They pin the bits of the march on the variance clock;
 # its accuracy is pinned by the closed-form and lattice checks above.
 DECAY_BITS = {
-    ('call', 'european', 60, 68): '7caef55415855c60562e10625f790c909d1cada22e5b9fb7c5d2e25e07044053',
-    ('call', 'american', 60, 68): '3362ebc8252005f1214677e8c6f54d3544c24651e39b2eef95eecd9e9c97c6a4',
-    ('put', 'european', 60, 68): '9d94102732f8898515e6c247165baa6243988166d58249798933b78820e42e5f',
-    ('put', 'american', 60, 68): '9b572c40eeaa4d28d1d89ae9a9a3b50a892c6b28fafb71f65b7fea4c307a59e6',
-    ('call', 'european', 60, 69): '576f722cf923cedd9159d8fe1d46de041f7bb335a5116181a874ce8037ff6f94',
-    ('call', 'american', 60, 69): 'abc68e79a8f8d5919472dbfcf28fe82a1767b5a9824cba707ce84d69a177787b',
-    ('put', 'european', 60, 69): 'ef0c501a32d1c8820c7f55c4488bf1458e26ce703e5633f17c90c96308a4f66e',
-    ('put', 'american', 60, 69): '3e193ddda500ef8ad19bc2fee3d81460af75913d3663f9ca6843463c06c98bb2',
-    ('call', 'european', 60, 70): '7fe6bca42693e69add815b0da4041ccd3e948928950b310f0f5544cc83f17cad',
-    ('call', 'american', 60, 70): 'f51237e6e4d1416ae585d37c9e804f59bb926388ebeb2c656965676b8eeaedf1',
-    ('put', 'european', 60, 70): '1e55b51faf771802356c7117ba2cb1c622d3d81a1a358fd4da402e6755ba0e7f',
-    ('put', 'american', 60, 70): '69468f80bdfc40544ad53b72fc6840526ede7a45afa3b656e0cc43eee23b8c92',
-    ('call', 'european', 800, 37): 'f51ded9ccdea5e009dd49fe1706f47883a469c0f50dc30cd794bb3c65aacee79',
-    ('call', 'american', 800, 37): '002a527023e0292d2a2b81f6fb014ee042f621a0d8319873003d18cdc9dd3d6f',
-    ('put', 'european', 800, 37): '731414ecf56b3c3fe8550ded5b85a00a1eab7fe6ed98434a34c54b7d35a7ee91',
-    ('put', 'american', 800, 37): 'd9b65b7274d5d0eb5502c5e184541b5f7b63d93e62d8883e330e30258ca53b47',
+    ('call', 'european', 60, 68): 'a060672f704159668d9d72ab365e7afec326ab8d64345876e341db54b9aa1158',
+    ('call', 'american', 60, 68): '3ba6f42bc20fcf70042fadde5cfd48791d455daef5bce79f099f5ad55fbd2dd1',
+    ('put', 'european', 60, 68): '9424435c450226c85ca1a3974d6597c0504f24321acd87f48b14a22149cc31f9',
+    ('put', 'american', 60, 68): 'df24af40550ed43e8242fb8c42497e95434d2c5b6724096968edddc4e6e206b2',
+    ('call', 'european', 60, 69): '4d7a7d8f75188eb21bfa80b4872d7eec5465d40fb102bb9315548420a96a91aa',
+    ('call', 'american', 60, 69): 'dd093848380076ab887eb0cf8cf2933077ea9acaf6b00d8a02367af8d9847661',
+    ('put', 'european', 60, 69): '38124759bcc2601f1839543b35d7551c9bea492443948a5a7b2cc2031150147b',
+    ('put', 'american', 60, 69): '80c8ee999f3aeddfb0147b334e5d111edda6bf7387f9a3f7b21fc332c66ad47d',
+    ('call', 'european', 60, 70): 'd23fd44d0232eca9b00fab5a61a523faaa8c7fecc42edb69b037ac7aedbb716f',
+    ('call', 'american', 60, 70): '71c9a69d32a45a1ecd782b79109ac93f68fe22e4f2403d7371108c774d047909',
+    ('put', 'european', 60, 70): 'd172b82ede528dac25a1694d75a623baa15c506ea6df18484c281011359fcca5',
+    ('put', 'american', 60, 70): '7a8d2aee5867ca41ac4e5f5b2493aad64452ceb092e8313cb7cd76a24dacbe35',
+    ('call', 'european', 800, 37): '42f1c03e6e3a2738fcc30c92324bbeb2fa115728ba75b70ac5956fea6120941c',
+    ('call', 'american', 800, 37): 'defb40814992d0da30b9f10282b540275acbdc725e95fa143730852a12d74d38',
+    ('put', 'european', 800, 37): '1cb3adde4a43b5c30954ec106764a0377af854d9dee4ae27a3f99e9a04d66e6c',
+    ('put', 'american', 800, 37): 'f630c1f1e2904790f6d1dc70e59e9c2779904b72c6d069ec406d0e71c1fffd2d',
 }
 
 
@@ -668,27 +711,39 @@ def test_only_a_positive_zero_source_is_dropped(source, skipped):
     assert (f is None) == skipped
 
 
-def test_a_negative_zero_source_still_signs_the_march():
-    # a state of -0.0 under a strong positive reaction stays zero, and the
-    # sign of each zero depends on whether a zero source was subtracted:
-    # -0.0 is, and leaves -0.0 everywhere; +0.0 is skipped, which leaves
-    # the signs the march had without any source
-    def zero_march(source):
-        prob = ParabolicProblem(
-            sigma=lambda x: 0.1 + x * x,
-            mu=lambda x: 5.0 * (1.0 - 2.0 * x),
-            b_coef=lambda x: np.full_like(x, 1e4),
-            f=lambda x: np.full_like(x, source),
-            phi=lambda x: np.full_like(x, -0.0),
-            g0=lambda tau: -0.0,
-            g1=lambda tau: -0.0,
-            horizon=1.0,
-        )
-        return march(prob, Mesh1D(0.0, 1.0, 41), 3)
-    negative, positive = zero_march(-0.0), zero_march(0.0)
-    assert not negative.any() and not positive.any()
-    assert np.signbit(negative).all()
-    assert not np.signbit(positive).all()
+def zero_state_problem():
+    # a state of -0.0 under a strong positive reaction, which stays zero
+    return ParabolicProblem(
+        sigma=lambda x: 0.1 + x * x,
+        mu=lambda x: 5.0 * (1.0 - 2.0 * x),
+        b_coef=lambda x: np.full_like(x, 1e4),
+        f=lambda x: 0.0,
+        phi=lambda x: np.full_like(x, -0.0),
+        g0=lambda tau: -0.0,
+        g1=lambda tau: -0.0,
+        horizon=1.0,
+    )
+
+
+@pytest.mark.parametrize("prob", [
+    zero_state_problem(),
+    replace(convection_problem(), f=lambda x: 0.0),
+], ids=["zero-state", "convection"])
+def test_skipping_a_positive_zero_source_keeps_every_bit(prob, monkeypatch):
+    # the march that skips a +0.0 source equals, sign of every zero
+    # included, the march that subtracts it as an explicit row of zeros
+    mesh = Mesh1D(0.0, 1.0, 41)
+    thetas = pricing._thetas(12)
+    skipped = pricing._march(prob, mesh, thetas)
+    operator = pricing._operator
+
+    def explicit_zero_row(*args):
+        *rows, f = operator(*args)
+        assert f is None
+        return *rows, np.zeros(rows[0].shape)
+    monkeypatch.setattr(pricing, "_operator", explicit_zero_row)
+    subtracted = pricing._march(prob, mesh, thetas)
+    assert skipped.tobytes() == subtracted.tobytes()
 
 
 # ----------------------------------------------------- mortality option #
