@@ -1,45 +1,38 @@
-"""Parabolic marching and option valuation on the fitted spatial stencil.
+"""Parabolic marching and option valuation on a fixed tridiagonal operator.
 
 Everything here lives in remaining-time coordinates: ``tau`` is time left,
 the initial condition is the payoff at ``tau = 0``, and the march runs
-forward in ``tau``.  The equation being stepped is
-
-    u_tau = sigma(x) u_xx + mu(x) u_x + b(x) u - f(x)
-
-with Dirichlet values at both ends of the mesh.  The spatial operator is
-discretized with the exponentially fitted stencil from :mod:`.fdm`, which
-keeps every time level monotone regardless of how convection-dominated the
-coefficients are.
+forward in ``tau``.  The march steps ``u_tau = A u`` with Dirichlet values
+at both ends of the mesh, where ``A`` is one tridiagonal operator on the
+interior nodes that each pricer assembles itself.
 
 Time is stepped by the theta scheme: a few fully implicit steps damp the
 payoff kink, then Crank-Nicolson takes over (Rannacher 1984; Giles &
 Carter 2006; Duffy, "A critique of the Crank-Nicolson scheme", Wilmott
 2004).
 
-The coefficients do not move with ``tau``: each is evaluated once per
-march, the stencil assembled once, and each step matrix LU-factored once
-per theta.  A step of any theta in ``(0, 1]`` is an implicit step of
-length ``k theta`` followed by a linear extrapolation, so it costs one
-back-substitution and one axpy, and never forms the explicit product
-``A U``.  A step works in place: it builds its right-hand side in a
-preallocated state vector, back-substitutes it there with one LAPACK
+The operator does not move with ``tau``, so each step matrix is
+LU-factored once per theta.  A step of any theta in ``(0, 1]`` is an
+implicit step of length ``k theta`` followed by a linear extrapolation, so
+it costs one back-substitution and one axpy, and never forms the explicit
+product ``A U``.  A step works in place: it builds its right-hand side in
+a preallocated state vector, back-substitutes it there with one LAPACK
 ``dgttrs`` call, extrapolates there, and tests the new state for
-finiteness with one dot product.  A source that is ``+0.0`` at every
-node is not subtracted at all, since taking away ``+0.0`` leaves every
-value as it was.
+finiteness with one dot product.
 
-Every pricer here values a claim on a lognormal index, so one builder
-assembles its equation (diffusion ``vol**2 S**2 / 2``, drift ``rate S``,
-reaction ``-rate``, no source).  The vanilla pricers march that
-equation on the variance clock (Merton 1973; Wilmott, Howison & Dewynne
-1995, ch. 5): with ``E`` the expiry,
+Every pricer here values a claim on a lognormal index, whose pricing
+equation has diffusion ``vol**2 S**2 / 2``, drift ``rate S`` and reaction
+``-rate``.  The vanilla pricers march it on the variance clock (Merton
+1973; Wilmott, Howison & Dewynne 1995, ch. 5): with ``E`` the expiry,
 ``x = S e^{r(tau - E)}``, ``v = e^{r(tau - E)} u`` and
 ``T(tau) = int_0^tau vol(s)**2 / 2 ds``, the value solves
 ``v_T = x**2 v_xx``, with no drift, no reaction and no time dependence,
-for constant and decaying volatility alike.  At ``tau = E`` the new
-variables are the old ones, so the grid and the values come back
-unchanged.  The mortality option's grid leg still marches the equation in
-``S`` at its own constant volatility.
+for constant and decaying volatility alike, so its rows are plain second
+differences.  At ``tau = E`` the new variables are the old ones, so the
+grid and the values come back unchanged.  The mortality option's grid leg
+still marches the equation in ``S`` at its own constant volatility, on
+the exponentially fitted stencil from :mod:`.fdm`, which keeps every time
+level monotone however convection-dominated the rows are.
 
 Option valuation composes the march with payoff-specific boundary data.
 American exercise is handled by projecting each time level onto the
@@ -138,53 +131,6 @@ class VolatilityDecay:
         return -math.log1p(-ratio) / 2.0 / d if ratio < 1.0 else math.inf
 
 
-@dataclass(frozen=True)
-class ParabolicProblem:
-    """Initial-boundary value problem in remaining-time coordinates.
-
-    Coefficients ``sigma``, ``mu``, ``b_coef`` and ``f`` are callables of
-    the 1-D array ``x`` of interior nodes, each returning an array or a
-    scalar that broadcasts to ``x``.  They do not move with ``tau``, so the
-    march evaluates each of them once and keeps that operator for the whole
-    horizon.  ``phi`` is the state at ``tau = 0``; ``g0`` and ``g1`` give
-    the left and right boundary values as functions of a scalar ``tau``;
-    ``horizon`` is the total remaining time to march.  ``phi`` must agree
-    with ``g0``/``g1`` at the domain corners (checked against the mesh when
-    stepping starts).
-    """
-
-    sigma: Callable
-    mu: Callable
-    b_coef: Callable
-    f: Callable
-    phi: Callable
-    g0: Callable
-    g1: Callable
-    horizon: float
-
-    def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
-
-
-def _operator(prob: ParabolicProblem, xi: np.ndarray, h: float) -> tuple:
-    """``(sub, diag, sup, f)`` of the semi-discrete operator ``A`` on the interior nodes ``xi``.
-
-    Each coefficient is called once, and one ``fitted_stencil`` call
-    (looked up as this module's global, where tracers and tests replace it)
-    assembles the rows; ``diag`` includes the reaction term.  ``f`` is the
-    source row, or None when it is ``+0.0`` at every node: no nonzero
-    entry, no ``-0.0`` and no NaN.
-    """
-    sigma, mu, b = (np.asarray(c(xi), dtype=float) for c in (prob.sigma, prob.mu, prob.b_coef))
-    f = np.asarray(prob.f(xi), dtype=float)
-    sub, center, sup = fitted_stencil(mu, h, sigma)
-    rows = [np.broadcast_to(v, xi.shape) for v in (sub, center + b, sup)]
-    if not (f.any() or np.signbit(f).any()):  # any() counts a NaN as nonzero
-        return *rows, None
-    return *rows, np.broadcast_to(f, xi.shape)
-
-
 def _step_matrix(sub, dia, sup, kt: float) -> np.ndarray:
     """``lower``, ``diag`` and ``upper`` of ``I - kt*A`` stacked on a new first axis.
 
@@ -215,72 +161,52 @@ def _factored(matrix: np.ndarray):
         return exc
 
 
-def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
-           project: Callable[[float, np.ndarray], None] | None = None,
-           times: Sequence[float] | None = None) -> np.ndarray:
-    """Theta-march the problem over the horizon, one theta in ``(0, 1]`` per step.
+def _march(rows: tuple, U: np.ndarray, k: float, thetas: Sequence[float],
+           g0s: Sequence[float], g1s: Sequence[float],
+           project: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
+    """Theta-march ``u_tau = A u`` from ``U`` in steps of ``k``, one theta in ``(0, 1]`` per step.
 
-    Step ``n`` goes from ``tau = n*k`` to ``(n+1)*k``.  The operator ``A``
-    is assembled once (:func:`_operator`) and never changes, so the step
-    matrix ``I - k*theta*A`` is LU-factored once per distinct theta, when
-    the first step at that theta is taken: a Rannacher start followed by
-    Crank-Nicolson costs two factorizations in all.
+    ``rows`` is ``(sub, dia, sup)`` of ``A`` on the interior nodes, and
+    ``U`` the state at ``tau = 0`` on every node, its ends already at the
+    boundary values; the march overwrites it.  ``g0s`` and ``g1s`` are the
+    left and right boundary values of levels ``1..N`` as floats.  ``A``
+    never changes, so the step matrix ``I - k*theta*A`` is LU-factored
+    once per distinct theta, when the first step at that theta is taken: a
+    Rannacher start followed by Crank-Nicolson costs two factorizations in
+    all.
 
     No step forms ``A U0``: the theta step
-    ``(I - k theta A) U1 = (I + k(1-theta) A) U0 - k f`` is one implicit
+    ``(I - k theta A) U1 = (I + k(1-theta) A) U0`` is one implicit
     step of length ``k theta`` to ``Y = theta U1 + (1-theta) U0``
     followed by the linear extrapolation ``U1 = (Y - (1-theta) U0) / theta``.
-    A step builds ``U0/theta - k f`` (exact at ``theta = 1`` and ``1/2``)
-    plus the boundary increments ``k w (theta g(tau_{n+1}) + (1-theta) U0[edge])``,
+    A step builds ``U0/theta`` (exact at ``theta = 1`` and ``1/2``)
+    plus the boundary increments ``k w (theta g_{n+1} + (1-theta) U0[edge])``,
     formed in Python floats, in the interior of the other state buffer,
     back-substitutes it there to ``Y/theta`` with one ``dgttrs``, subtracts
     ``(1-theta)/theta U0`` in place (nothing at ``theta = 1``, ``U0`` at
     ``1/2``) and swaps the buffers.  One dot product of the new state with
     itself tests it for finiteness: squares cannot cancel, so any inf or
     NaN makes it non-finite, and only when it overflows are the values
-    tested one by one.  A source that is ``+0.0`` throughout is skipped:
-    ``k > 0``, so ``k f`` is ``+0.0`` at every node, and subtracting it
-    changes no value, not even a ``-0.0``.
+    tested one by one.
 
-    ``times`` labels levels ``1..N``; it defaults to ``(n+1)*k``, and a
-    caller marching on another clock passes the times its boundary data
-    are functions of.  ``g0`` and ``g1`` are read at ``0.0`` and at every
-    label before the first step.  ``project``, for an American claim, is
-    called as ``project(tau, U)`` on the initial state with ``tau = 0.0``
-    and on every finished level with its label, and projects the state in
-    place onto the claim's floor.  Returns the state of the last level.
+    ``project``, for an American claim, is called as ``project(n, V)`` on
+    every level ``n``, with ``n = 0`` for the initial state, and projects
+    the state in place onto the claim's floor.  Returns the state of the
+    last level.
     """
-    x = mesh.points()
     n_steps = len(thetas)
-    k = prob.horizon / n_steps
-
-    U = np.asarray(prob.phi(x), dtype=float).copy()
-    if U.shape != x.shape:
-        raise ValueError("phi must evaluate to one value per mesh point")
-    scale = max(1.0, float(np.max(np.abs(U))))
-    g0_0, g1_0 = float(prob.g0(0.0)), float(prob.g1(0.0))
-    if abs(U[0] - g0_0) > 1e-8 * scale or abs(U[-1] - g1_0) > 1e-8 * scale:
-        raise ValueError("initial state disagrees with boundary data at a domain corner")
-    U[0], U[-1] = g0_0, g1_0
     if not all(0.0 < theta <= 1.0 for theta in thetas):
         raise ValueError("theta must lie in (0, 1]")
-    if times is None:
-        times = [(n + 1) * k for n in range(n_steps)]
-    g0s = [float(prob.g0(tau)) for tau in times]
-    g1s = [float(prob.g1(tau)) for tau in times]
-
     if project is not None:
-        project(0.0, U)
+        project(0, U)
 
     # two state buffers with their interior views: a step reads one and
     # writes the other
     state, other = ((u, u[1:-1]) for u in (U, np.empty_like(U)))
-    # an overflow in the coefficients or the step arithmetic leaves a
-    # non-finite value, which fitted_stencil, the factorization or the
-    # state check rejects
+    sub, dia, sup = rows
+    # an overflow in the step arithmetic leaves a non-finite value, which
+    # the factorization or the state check rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        sub, dia, sup, f = _operator(prob, x[1:-1], mesh.h)
-        kf = None if f is None else k * f
         left_w, right_w = k * float(sub[0]), k * float(sup[-1])
         factored = {}
         for n, theta in enumerate(thetas):
@@ -290,8 +216,6 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
             U, mid = state
             V, b = other
             np.divide(mid, theta, out=b)
-            if kf is not None:
-                b -= kf
             g0v, g1v = g0s[n], g1s[n]
             b[0] += left_w * (theta * g0v + (1.0 - theta) * float(U[0]))
             b[-1] += right_w * (theta * g1v + (1.0 - theta) * float(U[-1]))
@@ -308,7 +232,7 @@ def _march(prob: ParabolicProblem, mesh: Mesh1D, thetas: Sequence[float],
             if not (math.isfinite(V.dot(V)) or np.isfinite(V).all()):
                 raise _step_blowup(n, n_steps, k)
             if project is not None:
-                project(times[n], V)
+                project(n + 1, V)
             state, other = other, state
     return state[0]
 
@@ -353,17 +277,6 @@ class PriceResult:
         if not self.grid[0] <= s <= self.grid[-1]:
             raise ValueError(f"s={s} outside the solved range [{self.grid[0]}, {self.grid[-1]}]")
         return float(np.interp(s, self.grid, self.values))
-
-
-def _lognormal_problem(half_var: float, rate: float, horizon: float, phi: Callable,
-                       g0: Callable, g1: Callable) -> ParabolicProblem:
-    """The pricing equation of a claim on a lognormal index, in remaining time.
-
-    Diffusion ``half_var * x * x``, drift ``rate * x``, reaction ``-rate``
-    and no source; ``half_var`` is half the variance rate.
-    """
-    return ParabolicProblem(lambda x: half_var * x * x, lambda x: rate * x, lambda x: -rate,
-                            lambda x: 0.0, phi, g0, g1, horizon)
 
 
 def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float,
@@ -446,7 +359,10 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     equal steps of the clock, and under constant volatility it is
     remaining time itself.  A clock that underflows gives ``m = 0``, a
     march that leaves the payoff as it is.  The mesh is the same at every
-    level, so the grid ends at ``s_max``.
+    level, so the grid ends at ``s_max``.  The rows are the plain second
+    differences ``a (1, -2, 1)`` with ``a = m x**2 / h**2``; with no drift
+    they are, bit for bit, the rows the fitted stencil would assemble.  A
+    volatility whose rows overflow is a ``ValueError``.
 
     The payoff at ``T = 0`` has strike ``K e^{-rE}``.  The boundary values
     are that payoff at ``x = 0`` and ``x = s_max``, constants the driftless
@@ -465,29 +381,32 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     mesh = Mesh1D(0.0, s_max, intervals + 1)
     x = mesh.points()
     call = kind == "call"
+    try:
+        h_squared = mesh.h ** 2
+    except OverflowError:
+        raise ValueError(f"h must have a finite square, got {mesh.h}") from None
+    m, xi = clock.clock(expiry) / expiry, x[1:-1]
+    with np.errstate(over="ignore"):
+        a = m * xi * xi / h_squared
+    if not np.isfinite(a).all():
+        raise ValueError("diffusion rows must be finite: the volatility is too large for this mesh")
+    rows = (a, -(a + a), a)
 
     def exercise(s, k):
         return max(s - k, 0.0) if call else max(k - s, 0.0)
 
     strike_0 = strike * math.exp(-rate * expiry)
     left, right = exercise(0.0, strike_0), exercise(s_max, strike_0)
-    phi = (lambda x: np.maximum(x - strike_0, 0.0)) if call else \
-        (lambda x: np.maximum(strike_0 - x, 0.0))
-    if american:
-        def edge(s, held):
-            # the larger of holding to expiry and exercising now; the moving
-            # strike runs monotonely from strike_0, where exercising pays
-            # held, to strike, so if it pays no more there it never does
-            if exercise(s, strike) <= held:
-                return lambda tau: held
-            return lambda tau: max(held, exercise(s, strike * math.exp(rate * (tau - expiry))))
-        g0, g1 = edge(0.0, left), edge(s_max, right)
-    else:
-        g0, g1 = (lambda tau: left), (lambda tau: right)
-    prob = _lognormal_problem(clock.clock(expiry) / expiry, 0.0, expiry, phi, g0, g1)
+    U = np.maximum(x - strike_0, 0.0) if call else np.maximum(strike_0 - x, 0.0)
     if not american:
-        return PriceResult(x, _march(prob, mesh, thetas))
+        return PriceResult(x, _march(rows, U, expiry / steps, thetas, [left] * steps,
+                                      [right] * steps))
 
+    times = _level_times(clock, expiry, steps)
+    scales = [math.exp(rate * (tau - expiry)) for tau in [0.0, *times]]  # v / u at each level
+    # the larger of holding to expiry and exercising at the level's strike
+    g0s = [max(left, exercise(0.0, strike * scale)) for scale in scales[1:]]
+    g1s = [max(right, exercise(s_max, strike * scale)) for scale in scales[1:]]
     # a node is on the floor when its value is within tol of a floor above
     # tol, tol taken in S's units and scaled to the level's; a level whose
     # tol is at most about 4000 roundings of s_max, 2**-40 s_max, cannot
@@ -500,9 +419,8 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     on_floor = np.empty(x.shape, dtype=bool)
     nodes = []
 
-    def project(tau, V):
-        scale = math.exp(rate * (tau - expiry))  # v / u at this level
-        k, level_tol = strike * scale, tol * scale
+    def project(n, V):
+        k, level_tol = strike * scales[n], tol * scales[n]
         if call:
             np.subtract(x, k, out=floor)
         else:
@@ -520,8 +438,7 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
         last = hi - 1 - int(on_floor[lo:hi][::-1].argmax()) if lo < hi else 0
         nodes.append(float(x[last]) if lo < hi and on_floor[last] else math.nan)
 
-    times = _level_times(clock, expiry, steps)
-    U = _march(prob, mesh, thetas, project, times)
+    U = _march(rows, U, expiry / steps, thetas, g0s, g1s, project)
     times = np.asarray(times)
     # nodes[0] is the payoff level's; the factor back to S overflows only
     # on an unresolved level, whose node is NaN already
@@ -642,13 +559,18 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
 
     s_max = max(4.0 * spot, float(t_max + 1))
     mesh = Mesh1D(0.0, s_max, intervals + 1)
-    prob = _lognormal_problem(
-        0.5 * vole_sigma ** 2, r, float(t_max),
-        phi=lambda s: by_year[np.clip(np.rint(s), 1, t_max).astype(int) - 1],
-        g0=lambda tau: float(by_year[0]),
-        g1=lambda tau: float(by_year[-1]))
-    payoff = prob.phi(mesh.points())
-    U = _march(prob, mesh, _thetas(steps), lambda tau, V: np.maximum(V, payoff, out=V))
-    pde_value = float(np.interp(spot, mesh.points(), U))
+    s = mesh.points()
+    si = s[1:-1]
+    # diffusion vole_sigma**2 S**2 / 2, drift r S and reaction -r on the fitted
+    # stencil, looked up as this module's global, where tracers and tests
+    # replace it; it rejects a coefficient that overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        sub, center, sup = fitted_stencil(r * si, mesh.h, 0.5 * vole_sigma ** 2 * si * si)
+        rows = (sub, center - r, sup)
+    payoff = by_year[np.clip(np.rint(s), 1, t_max).astype(int) - 1]
+    g0s, g1s = [float(by_year[0])] * steps, [float(by_year[-1])] * steps
+    U = _march(rows, payoff.copy(), t_max / steps, _thetas(steps), g0s, g1s,
+               lambda n, V: np.maximum(V, payoff, out=V))
+    pde_value = float(np.interp(spot, s, U))
     return MortalityOptionValue(mc_value=mc_mean, mc_std_error=mc_se, pde_value=pde_value,
                                 exact_value=exact)

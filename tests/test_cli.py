@@ -240,9 +240,10 @@ def test_fdm_demo_non_finite_sigma_exits_2(capsys, scheme, sigma):
     assert "must be finite" in err
 
 
-def test_price_option_huge_volatility_is_a_one_line_error(capsys):
+@pytest.mark.parametrize("vol", ["1e200", "1e152"])
+def test_price_option_huge_volatility_is_a_one_line_error(capsys, vol):
     args = list(PUT_ARGS)
-    args[args.index("--vol") + 1] = "1e200"
+    args[args.index("--vol") + 1] = vol
     code, out, err = invoke(capsys, *args, "--grid", "50,50")
     assert code == 2
     assert out == ""

@@ -4,7 +4,6 @@ import hashlib
 import math
 import random
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from longevity.fdm import Mesh1D, fitted_stencil
 from longevity.lifetable import LifeTable, complete_expectation, death_distribution
 from longevity.pricing import (
     MortalityOptionValue,
-    ParabolicProblem,
     PriceResult,
     VolatilityDecay,
     price_american,
@@ -30,23 +28,39 @@ from oracles import (binomial_american_put, bs_price, effective_vol, grid_tolera
 # ------------------------------------------------------------ marching #
 
 
+def problem(phi, horizon, sigma=1.0, mu=0.0, b=0.0, g0=lambda tau: 0.0, g1=lambda tau: 0.0):
+    # u_tau = sigma u_xx + mu u_x + b u in remaining time, with u(x, 0) = phi(x)
+    # and boundary values g0(tau), g1(tau); coefficients are constants or
+    # callables of x
+    return dict(phi=phi, horizon=horizon, sigma=sigma, mu=mu, b=b, g0=g0, g1=g1)
+
+
+def march_args(prob, mesh, thetas, times=None):
+    # the march's arguments for prob: its fitted rows on the interior nodes,
+    # the state at tau = 0 with its corners on the boundary values, and the
+    # boundary values at the level times, (n+1) k unless given
+    xi = mesh.points()[1:-1]
+    sigma, mu, b = (np.broadcast_to(np.asarray(c(xi) if callable(c) else c, dtype=float),
+                                    xi.shape) for c in (prob["sigma"], prob["mu"], prob["b"]))
+    sub, center, sup = fitted_stencil(mu, mesh.h, sigma)
+    k = prob["horizon"] / len(thetas)
+    if times is None:
+        times = [(n + 1) * k for n in range(len(thetas))]
+    U = np.asarray(prob["phi"](mesh.points()), dtype=float).copy()
+    U[0], U[-1] = prob["g0"](0.0), prob["g1"](0.0)
+    return dict(rows=(sub, center + b, sup), U=U, k=k, thetas=list(thetas),
+                g0s=[float(prob["g0"](tau)) for tau in times],
+                g1s=[float(prob["g1"](tau)) for tau in times])
+
+
 def march(prob, mesh, n_steps, theta=0.5):
     # terminal mesh values of a march taking n_steps steps at one theta
-    return pricing._march(prob, mesh, [theta] * n_steps)
+    return pricing._march(**march_args(prob, mesh, [theta] * n_steps))
 
 
 def heat_problem(horizon):
     # u_tau = u_xx on [0, 1] with u(x, 0) = sin(pi x); exact decay rate pi**2
-    return ParabolicProblem(
-        sigma=lambda x: np.ones_like(x),
-        mu=lambda x: np.zeros_like(x),
-        b_coef=lambda x: np.zeros_like(x),
-        f=lambda x: np.zeros_like(x),
-        phi=lambda x: np.sin(np.pi * x),
-        g0=lambda tau: 0.0,
-        g1=lambda tau: 0.0,
-        horizon=horizon,
-    )
+    return problem(lambda x: np.sin(np.pi * x), horizon)
 
 
 def test_heat_equation_matches_separated_solution():
@@ -70,34 +84,11 @@ def test_crank_nicolson_is_second_order_in_space_and_time():
 def test_implicit_march_obeys_discrete_bounds():
     # no source, no reaction: fully implicit fitted rows are monotone, so
     # every level stays between the data extremes
-    prob = ParabolicProblem(
-        sigma=lambda x: 0.1 + x * x,
-        mu=lambda x: 5.0 * (1.0 - 2.0 * x),
-        b_coef=lambda x: np.zeros_like(x),
-        f=lambda x: np.zeros_like(x),
-        phi=lambda x: x * (1.0 - x),
-        g0=lambda tau: 0.0,
-        g1=lambda tau: 0.0,
-        horizon=2.0,
-    )
+    prob = problem(lambda x: x * (1.0 - x), 2.0, sigma=lambda x: 0.1 + x * x,
+                   mu=lambda x: 5.0 * (1.0 - 2.0 * x))
     U = march(prob, Mesh1D(0.0, 1.0, 41), 10, theta=1.0)
     assert np.all(U >= -1e-9)
     assert np.all(U <= 0.25 + 1e-9)
-
-
-def test_corner_mismatch_is_rejected():
-    prob = ParabolicProblem(
-        sigma=lambda x: np.ones_like(x),
-        mu=lambda x: np.zeros_like(x),
-        b_coef=lambda x: np.zeros_like(x),
-        f=lambda x: np.zeros_like(x),
-        phi=lambda x: np.ones_like(x),
-        g0=lambda tau: 0.0,
-        g1=lambda tau: 1.0,
-        horizon=1.0,
-    )
-    with pytest.raises(ValueError, match="corner"):
-        march(prob, Mesh1D(0.0, 1.0, 11), 4)
 
 
 def test_explicit_march_blowup_is_reported():
@@ -113,12 +104,6 @@ def test_march_argument_validation():
     mesh = Mesh1D(0.0, 1.0, 11)
     with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
         march(prob, mesh, 4, theta=1.5)
-    with pytest.raises(ValueError, match="horizon must be positive"):
-        ParabolicProblem(
-            sigma=lambda x: x, mu=lambda x: x,
-            b_coef=lambda x: x, f=lambda x: x,
-            phi=lambda x: x, g0=lambda tau: 0.0, g1=lambda tau: 1.0,
-            horizon=0.0)
 
 
 def test_explicit_euler_is_rejected():
@@ -126,7 +111,8 @@ def test_explicit_euler_is_rejected():
     with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
         march(heat_problem(1.0), Mesh1D(0.0, 1.0, 11), 4, theta=0.0)
     with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
-        pricing._march(heat_problem(1.0), Mesh1D(0.0, 1.0, 11), [1.0, 0.5, 0.0, 0.5])
+        pricing._march(**march_args(heat_problem(1.0), Mesh1D(0.0, 1.0, 11),
+                                    [1.0, 0.5, 0.0, 0.5]))
 
 
 def test_a_state_whose_squares_overflow_still_marches():
@@ -135,11 +121,11 @@ def test_a_state_whose_squares_overflow_still_marches():
     thetas = pricing._thetas(40)
     mesh = Mesh1D(0.0, 1.0, 51)
     prob = heat_problem(0.1)
-    scaled = replace(prob, phi=lambda x: 2.0 ** 600 * np.sin(np.pi * x))
+    scaled = dict(prob, phi=lambda x: 2.0 ** 600 * np.sin(np.pi * x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = pricing._march(scaled, mesh, thetas)
-    want = pricing._march(prob, mesh, thetas)
+        got = pricing._march(**march_args(scaled, mesh, thetas))
+    want = pricing._march(**march_args(prob, mesh, thetas))
     assert np.max(np.abs(got)) > 2.0 ** 512  # every level's squares overflow
     assert got.tobytes() == (2.0 ** 600 * want).tobytes()
 
@@ -197,11 +183,14 @@ def test_positive_decay_lowers_the_call_value():
     assert decayed.value_at(STRIKE) < flat.value_at(STRIKE)
 
 
-def test_huge_decaying_volatility_is_rejected_not_an_overflow_traceback():
+@pytest.mark.parametrize("vol", [1e200, 1e152])
+def test_huge_decaying_volatility_is_rejected_not_an_overflow_traceback(vol):
     # squaring 1e200 with a float power raised OverflowError; the product
-    # overflows to an infinite diffusion, which the stencil rejects
+    # overflows to an infinite clock.  At 1e152 the clock is finite but the
+    # diffusion rows m x**2 / h**2 overflow at the far nodes; the pricer
+    # rejects both before the march
     with pytest.raises(ValueError, match="finite"):
-        price_european("put", STRIKE, RATE, VolatilityDecay(1e200, 0.0), EXPIRY,
+        price_european("put", STRIKE, RATE, VolatilityDecay(vol, 0.0), EXPIRY,
                        intervals=20, steps=20)
 
 
@@ -224,6 +213,9 @@ def test_option_argument_validation():
             price_american("put", *args)
     with pytest.raises(ValueError, match="s_max must be finite"):
         price_european("call", STRIKE, RATE, VOL, EXPIRY, s_max=math.inf)
+    # a mesh spacing whose square overflows
+    with pytest.raises(ValueError, match="h must have a finite square"):
+        price_american("put", 1e200, RATE, VOL, EXPIRY, intervals=20, steps=20)
     # a discount factor over the expiry that overflows
     for pricer, rate, expiry in ((price_european, -1e300, EXPIRY),
                                  (price_american, -1e300, EXPIRY),
@@ -462,47 +454,36 @@ def test_long_dated_accuracy_is_no_worse_than_the_march_in_s(intervals):
 
 # ------------------------------------- march against a dense reference #
 #
-# The reference assembles the fitted stencil into a dense matrix and
-# solves each step densely, so it shares no factorization or in-place
-# logic with the march.  Given a floor(x, tau) and a tolerance tol(tau) it
-# also returns, per level, the largest node on a floor above the tolerance.
+# The reference assembles the march's rows into a dense matrix and solves
+# each step densely, so it shares no factorization or in-place logic with
+# the march.  Given each level's floor and tolerance it also returns, per
+# level, the mask of nodes on a floor above the tolerance.
 
 
-def reference_march(prob, mesh, thetas, floor=None, tol=None, times=None):
-    x = mesh.points()
-    xi = x[1:-1]
-    k = prob.horizon / len(thetas)
-    if times is None:
-        times = [(n + 1) * k for n in range(len(thetas))]
-
-    def coef(c):
-        return np.broadcast_to(np.asarray(c(xi), dtype=float), xi.shape)
-    sub, center, sup = fitted_stencil(coef(prob.mu), mesh.h, coef(prob.sigma))
-    A = np.diag(center + coef(prob.b_coef)) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-    left, right, f = sub[0], sup[-1], coef(prob.f)
-
-    U = np.asarray(prob.phi(x), dtype=float).copy()
-    U[0], U[-1] = prob.g0(0.0), prob.g1(0.0)
+def reference_march(rows, U, k, thetas, g0s, g1s, floor=None):
+    # floor(n) is level n's (floor, tolerance); level 0 is the initial state
+    sub, dia, sup = rows
+    A = np.diag(dia) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+    left, right = sub[0], sup[-1]
+    U = np.array(U, dtype=float)
     if floor is not None:
-        U = np.maximum(U, floor(x, 0.0))
-    nodes = []
+        U = np.maximum(U, floor(0)[0])
+    masks = []
     for n, theta in enumerate(thetas):
-        g0, g1 = prob.g0(times[n]), prob.g1(times[n])
+        g0, g1 = g0s[n], g1s[n]
         explicit = A @ U[1:-1]
         explicit[0] += left * U[0]
         explicit[-1] += right * U[-1]
-        rhs = U[1:-1] + k * (1.0 - theta) * (explicit - f) - k * theta * f
+        rhs = U[1:-1] + k * (1.0 - theta) * explicit
         rhs[0] += k * theta * left * g0
         rhs[-1] += k * theta * right * g1
-        inner = np.linalg.solve(np.eye(xi.size) - k * theta * A, rhs)
+        inner = np.linalg.solve(np.eye(U.size - 2) - k * theta * A, rhs)
         U = np.concatenate([[g0], inner, [g1]])
         if floor is not None:
-            lower = floor(x, times[n])
+            lower, eps = floor(n + 1)
             U = np.maximum(U, lower)
-            eps = tol(times[n])
-            on_floor = (lower > eps) & (U - lower <= eps)
-            nodes.append(float(x[on_floor].max()) if np.any(on_floor) else math.nan)
-    return U, (np.array(nodes) if floor is not None else None)
+            masks.append((lower > eps) & (U - lower <= eps))
+    return U, masks
 
 
 def assert_close(got, want):
@@ -512,8 +493,9 @@ def assert_close(got, want):
 def bs_reference(kind, vol, american, intervals=60, steps=60):
     # the pricing equation on the variance clock, written out independently:
     # x = S e^{r(tau-E)}, v = e^{r(tau-E)} u and v_T = x^2 v_xx, marched in
-    # T / m with m = T(E) / E; levels sit at equal steps of the clock.
-    # Returns the values, the level times and each level's exercise node in x
+    # T / m with m = T(E) / E on the fitted stencil with zero drift; levels
+    # sit at equal steps of the clock.  Returns the values, the level times
+    # and each level's exercise node in x
     s_max = 4.0 * STRIKE
     if isinstance(vol, VolatilityDecay):
         sigma0, decay = vol.sigma0, vol.decay
@@ -534,34 +516,25 @@ def bs_reference(kind, vol, american, intervals=60, steps=60):
         g1 = lambda tau: max(ends[1], float(payoff(s_max, STRIKE * scale(tau))))
     else:
         g0, g1 = (lambda tau: ends[0]), (lambda tau: ends[1])
-    prob = ParabolicProblem(
-        sigma=lambda x: m * x * x,
-        mu=lambda x: np.zeros_like(x),
-        b_coef=lambda x: np.zeros_like(x),
-        f=lambda x: np.zeros_like(x),
-        phi=lambda x: payoff(x, STRIKE * scale(0.0)),
-        g0=g0, g1=g1, horizon=EXPIRY)
+    prob = problem(lambda x: payoff(x, STRIKE * scale(0.0)), EXPIRY, sigma=lambda x: m * x * x,
+                   g0=g0, g1=g1)
     thetas = [1.0] * 4 + [0.5] * (steps - 4)
+    mesh = Mesh1D(0.0, s_max, intervals + 1)
+    x, levels = mesh.points(), [0.0, *times]
     top = STRIKE if kind == "put" else s_max - STRIKE  # the largest payoff on the grid
-    values, nodes = reference_march(
-        prob, Mesh1D(0.0, s_max, intervals + 1), thetas,
-        floor=(lambda x, tau: payoff(x, STRIKE * scale(tau))) if american else None,
-        tol=lambda tau: 1e-7 * (1.0 + top) * scale(tau), times=times)
+
+    def floor(n):
+        return payoff(x, STRIKE * scale(levels[n])), 1e-7 * (1.0 + top) * scale(levels[n])
+    values, masks = reference_march(**march_args(prob, mesh, thetas, times),
+                                    floor=floor if american else None)
+    nodes = np.array([x[mask].max() if mask.any() else math.nan for mask in masks])
     return values, (np.array(times) if american else None), nodes
 
 
 def convection_problem():
-    # strong drift, a reaction and a source, none of which the heat problem has
-    return ParabolicProblem(
-        sigma=lambda x: 0.1 + x * x,
-        mu=lambda x: 5.0 * (1.0 - 2.0 * x),
-        b_coef=lambda x: np.full_like(x, -0.5),
-        f=lambda x: np.sin(np.pi * x),
-        phi=lambda x: x * (1.0 - x),
-        g0=lambda tau: 0.0,
-        g1=lambda tau: 0.0,
-        horizon=1.0,
-    )
+    # strong drift and a reaction, neither of which the heat problem has
+    return problem(lambda x: x * (1.0 - x), 1.0, sigma=lambda x: 0.1 + x * x,
+                   mu=lambda x: 5.0 * (1.0 - 2.0 * x), b=-0.5)
 
 
 @pytest.mark.parametrize("vol", [VOL, VolatilityDecay(0.3, 0.8)], ids=["const", "decay"])
@@ -588,13 +561,13 @@ def test_pricers_match_the_dense_reference_march(kind, vol):
 def test_march_matches_the_dense_reference_march(prob, theta):
     mesh = Mesh1D(0.0, 1.0, 41)
     got = march(prob, mesh, 30, theta=theta)
-    assert_close(got, reference_march(prob, mesh, [theta] * 30)[0])
+    assert_close(got, reference_march(**march_args(prob, mesh, [theta] * 30))[0])
 
 
 def moving_boundary_problem():
     # the convection problem with boundary values that move with tau
-    return replace(convection_problem(), g0=lambda tau: math.sin(3.0 * tau),
-                   g1=lambda tau: tau * tau - 0.5 * tau)
+    return dict(convection_problem(), g0=lambda tau: math.sin(3.0 * tau),
+                g1=lambda tau: tau * tau - 0.5 * tau)
 
 
 @pytest.mark.parametrize("thetas", [
@@ -606,54 +579,37 @@ def test_any_theta_matches_the_dense_reference_march(thetas):
     # mixed sequence reuses each theta's factors out of order
     prob = moving_boundary_problem()
     mesh = Mesh1D(0.0, 1.0, 41)
-    assert_close(pricing._march(prob, mesh, thetas), reference_march(prob, mesh, thetas)[0])
+    assert_close(pricing._march(**march_args(prob, mesh, thetas)),
+                 reference_march(**march_args(prob, mesh, thetas))[0])
 
 
 @pytest.fixture
-def stencil_calls(monkeypatch):
-    calls = []
+def calls(monkeypatch):
+    # calls of pricing.fitted_stencil and pricing._lu_tridiagonal, by name
+    counts = {}
+    for name in ("fitted_stencil", "_lu_tridiagonal"):
+        def counting(*args, name=name, inner=getattr(pricing, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args)
+        monkeypatch.setattr(pricing, name, counting)
+    return counts
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return fitted_stencil(*args, **kwargs)
-    monkeypatch.setattr(pricing, "fitted_stencil", counting)
-    return calls
 
-
-def test_stencil_is_assembled_once_while_the_coefficients_ignore_tau(stencil_calls):
-    # every pricer marches one operator, decaying volatility included,
-    # since the vanilla pricers step the variance clock
+@pytest.mark.parametrize("steps, distinct_thetas", [(150, 2), (3, 1)])
+def test_only_the_mortality_leg_assembles_a_stencil_and_each_theta_is_factored_once(
+        calls, steps, distinct_thetas):
+    # the vanilla pricers march plain differences on the variance clock,
+    # decaying volatility included; the mortality leg assembles its fitted
+    # rows once.  Every pricer factors one step matrix per distinct theta
     for price in (price_european, price_american):
         for vol in (VOL, VolatilityDecay(VOL, 0.5)):
-            stencil_calls.clear()
-            price("put", STRIKE, RATE, vol, EXPIRY, intervals=50, steps=150)
-            assert len(stencil_calls) == 1
-    stencil_calls.clear()
+            calls.clear()
+            price("put", STRIKE, RATE, vol, EXPIRY, intervals=50, steps=steps)
+            assert calls == {"_lu_tridiagonal": distinct_thetas}
+    calls.clear()
     price_mortality_option(FlatPolicy(p=100.0, b=1000.0, r=0.05), LifeTable(90, [0.5, 1.0]),
-                           90, 0.2, 0.05, 10, RngStream(1), intervals=50, steps=150)
-    assert len(stencil_calls) == 1
-
-
-def counted_coefficients(prob):
-    # the problem with each coefficient callable counting its calls
-    calls = dict.fromkeys(("sigma", "mu", "b_coef", "f"), 0)
-
-    def counting(name):
-        inner = getattr(prob, name)
-
-        def wrapper(x):
-            calls[name] += 1
-            return inner(x)
-        return wrapper
-    return replace(prob, **{name: counting(name) for name in calls}), calls
-
-
-def test_autonomous_problem_evaluates_each_coefficient_once():
-    prob, calls = counted_coefficients(convection_problem())
-    mesh = Mesh1D(0.0, 1.0, 41)
-    got = march(prob, mesh, 25)
-    assert calls == dict.fromkeys(calls, 1)
-    assert np.array_equal(got, march(convection_problem(), mesh, 25))
+                           90, 0.2, 0.05, 10, RngStream(1), intervals=50, steps=steps)
+    assert calls == {"fitted_stencil": 1, "_lu_tridiagonal": distinct_thetas}
 
 
 def bits(*arrays):
@@ -698,52 +654,27 @@ def test_decaying_volatility_keeps_its_bits(case):
     assert bits(res.values, res.exercise_boundary) == DECAY_BITS[case]
 
 
-@pytest.mark.parametrize("source, skipped", [
-    (np.zeros(5), True),
-    (0.0, True),
-    (np.array([0.0, 0.0, -0.0, 0.0, 0.0]), False),
-    (np.array([0.0, 0.0, math.nan, 0.0, 0.0]), False),
-    (np.array([0.0, 0.0, 5e-324, 0.0, 0.0]), False),
-], ids=["zeros", "scalar-zero", "negative-zero", "nan", "subnormal"])
-def test_only_a_positive_zero_source_is_dropped(source, skipped):
-    prob = replace(heat_problem(0.1), f=lambda x: source)
-    *_, f = pricing._operator(prob, np.linspace(0.1, 0.9, 5), 0.1)
-    assert (f is None) == skipped
+# The same digests at the constant volatility VOL, by (kind, style,
+# intervals, steps), taken while the vanilla rows still came from the
+# fitted stencil with zero drift; the plain differences must keep them.
+CONST_BITS = {
+    ('call', 'european', 60, 60): '657f3696e0fe8f21708dd9922dd52323bd90ec3bf320f4ec8d58a443a31f3fd7',
+    ('call', 'american', 60, 60): '1a1f72598e6aa231f23c2fb26da87d626715769fb172916e16e6a86e84ee4adf',
+    ('put', 'european', 60, 60): '3ae53c9ec3e8af28a373945bb4289500e9db13a8051edca855f814c18f7f0198',
+    ('put', 'american', 60, 60): 'a872f86dc2942fd52c0ba64be2b38d1f6a7526373c506310e222fbfe1012acd4',
+    ('call', 'european', 800, 37): '5bd92b7e8a5ec13a5bcfef6d0e2b9eaccb71a7038faa8a83faf0caa6530a77b5',
+    ('call', 'american', 800, 37): 'e36c1dc1abded0b50a42f4eb7d35bc21ca4d39134cacc9adc4a3a539888d2f96',
+    ('put', 'european', 800, 37): '00c4ef260458b96ed51b840d0a82dfac05d97137fa4c555a0a640c03808b83d2',
+    ('put', 'american', 800, 37): '798e237dfa2e63c784a3e03202a36fe89752d823c609d762ebd37af52b2575bc',
+}
 
 
-def zero_state_problem():
-    # a state of -0.0 under a strong positive reaction, which stays zero
-    return ParabolicProblem(
-        sigma=lambda x: 0.1 + x * x,
-        mu=lambda x: 5.0 * (1.0 - 2.0 * x),
-        b_coef=lambda x: np.full_like(x, 1e4),
-        f=lambda x: 0.0,
-        phi=lambda x: np.full_like(x, -0.0),
-        g0=lambda tau: -0.0,
-        g1=lambda tau: -0.0,
-        horizon=1.0,
-    )
-
-
-@pytest.mark.parametrize("prob", [
-    zero_state_problem(),
-    replace(convection_problem(), f=lambda x: 0.0),
-], ids=["zero-state", "convection"])
-def test_skipping_a_positive_zero_source_keeps_every_bit(prob, monkeypatch):
-    # the march that skips a +0.0 source equals, sign of every zero
-    # included, the march that subtracts it as an explicit row of zeros
-    mesh = Mesh1D(0.0, 1.0, 41)
-    thetas = pricing._thetas(12)
-    skipped = pricing._march(prob, mesh, thetas)
-    operator = pricing._operator
-
-    def explicit_zero_row(*args):
-        *rows, f = operator(*args)
-        assert f is None
-        return *rows, np.zeros(rows[0].shape)
-    monkeypatch.setattr(pricing, "_operator", explicit_zero_row)
-    subtracted = pricing._march(prob, mesh, thetas)
-    assert skipped.tobytes() == subtracted.tobytes()
+@pytest.mark.parametrize("case", list(CONST_BITS), ids=lambda c: "-".join(map(str, c)))
+def test_constant_volatility_keeps_its_bits(case):
+    kind, style, intervals, steps = case
+    price = price_european if style == "european" else price_american
+    res = price(kind, STRIKE, RATE, VOL, EXPIRY, intervals=intervals, steps=steps)
+    assert bits(res.values, res.exercise_boundary) == CONST_BITS[case]
 
 
 # ----------------------------------------------------- mortality option #
@@ -815,30 +746,32 @@ def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, s
     spot = complete_expectation(table, x)
     mesh = Mesh1D(0.0, max(4.0 * spot, float(t_max + 1)), intervals + 1)
     grid = lambda s: np.array([payoff_year(int(round(v))) for v in np.atleast_1d(s)])
-    prob = ParabolicProblem(
-        sigma=lambda s: (0.5 * vole_sigma ** 2 * s * s if vole_sigma > 0.0
-                              else np.zeros_like(s)),
-        mu=lambda s: r * s,
-        b_coef=lambda s: np.full_like(s, -r),
-        f=lambda s: np.zeros_like(s),
-        phi=grid,
-        g0=lambda tau: float(payoff_year(1)),
-        g1=lambda tau: float(payoff_year(t_max)),
-        horizon=float(t_max))
+    prob = problem(grid, float(t_max),
+                   sigma=lambda s: (0.5 * vole_sigma ** 2 * s * s if vole_sigma > 0.0
+                                    else np.zeros_like(s)),
+                   mu=lambda s: r * s, b=-r,
+                   g0=lambda tau: float(payoff_year(1)),
+                   g1=lambda tau: float(payoff_year(t_max)))
     thetas = [1.0] * min(4, steps) + [0.5] * (steps - min(4, steps))
     payoff = grid(mesh.points())
-    U = pricing._march(prob, mesh, thetas, lambda tau, V: np.maximum(V, payoff, out=V))
+    U = pricing._march(**march_args(prob, mesh, thetas),
+                       project=lambda n, V: np.maximum(V, payoff, out=V))
     return mc, se, float(np.interp(spot, mesh.points(), U))
 
 
+# ``pde`` is float.hex of the case's pde_value, taken while the grid leg
+# still marched a problem of coefficient callables; the reference shares
+# the march, so only these pin its bits
 @pytest.mark.parametrize("case", [
-    dict(pol=FlatPolicy(p=100.0, b=1000.0, r=0.05), x=70, vole_sigma=0.1, n=5000),
-    dict(pol=FlatPolicy(p=30.0, b=800.0, r=0.04), x=85, vole_sigma=0.0, n=2),
+    dict(pol=FlatPolicy(p=100.0, b=1000.0, r=0.05), x=70, vole_sigma=0.1, n=5000,
+         pde="0x1.0a699f6c91c28p-3"),
+    dict(pol=FlatPolicy(p=30.0, b=800.0, r=0.04), x=85, vole_sigma=0.0, n=2,
+         pde="0x1.1f7926c8b9374p+9"),
     dict(pol=PolicySchedule([40.0 + k for k in range(60)], [1000.0] * 60, 0.05),
-         x=65, vole_sigma=0.2, n=3000),
+         x=65, vole_sigma=0.2, n=3000, pde="0x1.03146d25a0174p+6"),
     # schedule shorter than the table's horizon: later years take its last value
     dict(pol=PolicySchedule([60.0] * 12, [900.0 + 10.0 * k for k in range(12)], 0.06),
-         x=72, vole_sigma=0.0, n=4000),
+         x=72, vole_sigma=0.0, n=4000, pde="0x0.0p+0"),
 ])
 def test_mortality_option_matches_the_per_path_reference_bitwise(bundled_table, case):
     args = (case["pol"], bundled_table, case["x"], case["vole_sigma"], 0.045, case["n"])
@@ -847,6 +780,7 @@ def test_mortality_option_matches_the_per_path_reference_bitwise(bundled_table, 
     assert value.mc_value == mc
     assert value.mc_std_error == se
     assert value.pde_value == pde
+    assert value.pde_value.hex() == case["pde"]
 
 
 def test_mortality_option_values_each_death_year_once(bundled_table, monkeypatch):
