@@ -122,9 +122,11 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _cmd_simulate(ns) -> str:
+    _check_n(ns.n)
+    if ns.n < 1:  # before numpy loads, as the library would reject it
+        raise ValueError("n must be positive")
     from .simulate import RngStream, simulate_deaths
 
-    _check_n(ns.n)
     table = _load_table_arg(ns)
     summary = simulate_deaths(table, ns.age, ns.n, RngStream(ns.seed))
     if ns.csv:

@@ -96,11 +96,13 @@ _lapack = None  # scipy.linalg._flapack, bound by the first factorization
 def _load_lapack():
     """scipy's compiled LAPACK wrappers, without running ``scipy.linalg``'s init.
 
-    ``scipy.linalg.lapack.dgttrf`` and ``dgttrs`` are this extension's
-    functions, but importing ``scipy.linalg`` also loads its array-API layer,
-    which takes longer than numpy itself.  The extension is registered under
-    its own name, so a later ``import scipy.linalg`` reuses this instance, and
-    one already loaded is returned as it is.
+    ``scipy.linalg.lapack.dgttrf``/``dgttrs`` (pivoted LU) and
+    ``dpttrf``/``dpttrs`` (``L D L^T`` of a symmetric positive-definite
+    matrix) are this extension's functions, but importing ``scipy.linalg``
+    also loads its array-API layer, which takes longer than numpy itself.
+    The extension is registered under its own name, so a later
+    ``import scipy.linalg`` reuses this instance, and one already loaded is
+    returned as it is.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -114,6 +116,18 @@ def _load_lapack():
     spec.loader.exec_module(module)
     sys.modules[name] = module
     return module
+
+
+def _wrappers():
+    """The LAPACK wrappers, loaded by the first call (:func:`_load_lapack`).
+
+    Loading the package (and the CLI) pulls in no scipy; the first
+    factorization does.
+    """
+    global _lapack
+    if _lapack is None:
+        _lapack = _load_lapack()
+    return _lapack
 
 
 def _require_finite_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
@@ -137,20 +151,16 @@ def _lu_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> t
     :class:`NumericalError`.  A system of fewer than three rows, which the
     LAPACK wrappers reject, is factored with appended identity rows; they
     are decoupled, so the system's own pivots and solution are unchanged.
-    The first call loads the LAPACK wrappers (:func:`_load_lapack`), so
-    loading the package (and the CLI) pulls in no scipy.
+    The first factorization loads the LAPACK wrappers (:func:`_wrappers`).
     """
-    global _lapack
-    if _lapack is None:
-        _lapack = _load_lapack()
-
     pad = 3 - diag.size
     if pad > 0:
         lower = np.concatenate([lower, np.zeros(pad)])
         diag = np.concatenate([diag, np.ones(pad)])
         upper = np.concatenate([upper[:-1], np.zeros(pad + 1)])
-    dl, d, du, du2, ipiv, info = _lapack.dgttrf(lower[1:], diag, upper[:-1], overwrite_dl=1,
-                                                overwrite_d=1, overwrite_du=1)
+    dl, d, du, du2, ipiv, info = _wrappers().dgttrf(lower[1:], diag, upper[:-1],
+                                                    overwrite_dl=1, overwrite_d=1,
+                                                    overwrite_du=1)
     if info > 0:
         raise NumericalError(f"singular tridiagonal system: zero pivot at row {info - 1}")
     return dl, d, du, du2, ipiv
@@ -166,6 +176,47 @@ def _lu_solve(lu: tuple, b: np.ndarray) -> None:
     n, m = b.size, lu[1].size
     rhs = b if n == m else np.concatenate([b, np.zeros(m - n)])
     x = _lapack.dgttrs(*lu, rhs, overwrite_b=1)[0]
+    if x is not b:
+        b[:] = x[:n]
+
+
+def _ldl_tridiagonal(diag: np.ndarray, upper: np.ndarray) -> tuple:
+    """The ``dpttrf`` factors of a symmetric tridiagonal matrix, coefficients unchecked.
+
+    ``diag`` is the diagonal and ``upper[j]`` couples rows ``j`` and
+    ``j + 1``; both have the system size and ``upper[-1]`` is ignored, as in
+    :func:`_solve_tridiagonal`.  Returns ``(d, e)`` of ``L D L^T`` for
+    :func:`_ldl_solve`; the factors overwrite the vectors where they are
+    contiguous float arrays.  ``dpttrf`` takes no pivots, so the matrix must
+    be positive definite: a pivot that is not positive raises
+    :class:`NumericalError`.  The coefficients are not tested for
+    finiteness, so callers test them first with
+    :func:`_require_finite_tridiagonal`.  A one-row system, which the
+    LAPACK wrapper rejects, is factored with an appended identity row; it
+    is decoupled, so the system's own pivot and solution are unchanged.
+    """
+    if diag.size < 2:
+        diag, upper = np.append(diag, 1.0), np.zeros(1)
+    else:
+        upper = upper[:-1]
+    d, e, info = _wrappers().dpttrf(diag, upper, overwrite_d=1, overwrite_e=1)
+    if info > 0:
+        raise NumericalError(f"tridiagonal system not positive definite: pivot {info - 1} "
+                             "is not positive")
+    return d, e
+
+
+def _ldl_solve(ldl: tuple, b: np.ndarray) -> None:
+    """Overwrite the float vector ``b`` with the solution through ``ldl``.
+
+    One ``dpttrs`` back-substitution, in place when ``b`` is contiguous;
+    a padded system's extra row gets a zero and solves to zero.  The
+    result is not checked, so callers that need a finite solution test
+    for it.
+    """
+    n, m = b.size, ldl[0].size
+    rhs = b if n == m else np.append(b, 0.0)
+    x = _lapack.dpttrs(*ldl, rhs, overwrite_b=1)[0]
     if x is not b:
         b[:] = x[:n]
 

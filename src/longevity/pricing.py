@@ -12,13 +12,19 @@ Carter 2006; Duffy, "A critique of the Crank-Nicolson scheme", Wilmott
 2004).
 
 The operator does not move with ``tau``, so each step matrix is
-LU-factored once per theta.  A step of any theta in ``(0, 1]`` is an
+factored once per theta.  A step of any theta in ``(0, 1]`` is an
 implicit step of length ``k theta`` followed by a linear extrapolation, so
 it costs one back-substitution and one axpy, and never forms the explicit
 product ``A U``.  A step works in place: it builds its right-hand side in
 a preallocated state vector, back-substitutes it there with one LAPACK
-``dgttrs`` call, extrapolates there, and tests the new state for
-finiteness with one dot product.
+call, extrapolates there, and tests the new state for finiteness with one
+dot product.  The back-substitution depends on the rows.  The vanilla
+pricers' rows, scaled row by row, make every step matrix symmetric
+positive definite, so it is factored as ``L D L^T`` and solved by
+``dpttrs``, with no pivots.  The mortality leg's rows carry convection,
+and at zero volatility they are pure upwinding with a zero entry on one
+side of the diagonal, which no row scaling makes symmetric; its steps
+keep pivoted LU and ``dgttrs``.
 
 Every pricer here values a claim on a lognormal index, whose pricing
 equation has diffusion ``vol**2 S**2 / 2``, drift ``rate S`` and reaction
@@ -52,12 +58,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, require_finite
-from .fdm import Mesh1D, _lu_solve, _lu_tridiagonal, _require_finite_tridiagonal, fitted_stencil
+from .fdm import (Mesh1D, _ldl_solve, _ldl_tridiagonal, _lu_solve, _lu_tridiagonal,
+                  _require_finite_tridiagonal, fitted_stencil)
 from .lifetable import LifeTable, complete_expectation, death_distribution
 from .settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
 from .simulate import RngStream, sample_death_years
@@ -131,63 +139,81 @@ class VolatilityDecay:
         return -math.log1p(-ratio) / 2.0 / d if ratio < 1.0 else math.inf
 
 
-def _step_matrix(sub, dia, sup, kt: float) -> np.ndarray:
-    """``lower``, ``diag`` and ``upper`` of ``I - kt*A`` stacked on a new first axis.
+def _step_matrix(sub, dia, sup, kt: float, weights) -> np.ndarray:
+    """``lower``, ``diag`` and ``upper`` of ``diag(weights) - kt*rows`` stacked on a new first axis.
 
-    The entries no factorization reads, ``lower[0]`` and ``upper[-1]``, are
-    zeroed, so one finiteness pass over the stack checks all the others.
+    ``weights`` is a vector or the scalar 1.0, which gives ``I - kt*A`` for
+    rows ``(sub, dia, sup)`` of ``A``.  The entries no factorization reads,
+    ``lower[0]`` and ``upper[-1]``, are zeroed, so one finiteness pass over
+    the stack checks all the others.
     """
     matrix = np.empty((3,) + sub.shape)
     lower, diag, upper = matrix
     np.multiply(-kt, sub, out=lower)
     np.multiply(kt, dia, out=diag)
-    np.subtract(1.0, diag, out=diag)
+    np.subtract(weights, diag, out=diag)
     np.multiply(-kt, sup, out=upper)
     lower[0] = upper[-1] = 0.0
     return matrix
 
 
-def _factored(matrix: np.ndarray):
-    """``dgttrf`` factors of a finite step matrix, or the error checking or factoring it raised.
+def _factored(matrix: np.ndarray, symmetric: bool):
+    """The back-substitution through a finite step matrix's factors, or the error raised on the way.
 
-    The factors overwrite ``matrix``.  The error is returned, not raised,
-    so that the march raises it only after testing the step's right-hand
-    side: a step that blows up on its own reports that first.
+    A symmetric matrix is factored as ``L D L^T`` by ``dpttrf`` and solved
+    by ``dpttrs``, with no pivots; any other by pivoted LU, ``dgttrf`` and
+    ``dgttrs``.  The factors overwrite ``matrix``, and the returned
+    callable overwrites its argument with the solution.  The error from
+    checking or factoring the matrix is returned, not raised, so that the
+    march raises it only after testing the step's right-hand side: a step
+    that blows up on its own reports that first.
     """
     try:
         _require_finite_tridiagonal(*matrix)
-        return _lu_tridiagonal(*matrix)
+        if symmetric:
+            return partial(_ldl_solve, _ldl_tridiagonal(matrix[1], matrix[2]))
+        return partial(_lu_solve, _lu_tridiagonal(*matrix))
     except (ValueError, NumericalError) as exc:
         return exc
 
 
 def _march(rows: tuple, U: np.ndarray, k: float, thetas: Sequence[float],
            g0s: Sequence[float], g1s: Sequence[float],
-           project: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
+           project: Callable[[int, np.ndarray], None] | None = None,
+           weights: np.ndarray | None = None) -> np.ndarray:
     """Theta-march ``u_tau = A u`` from ``U`` in steps of ``k``, one theta in ``(0, 1]`` per step.
 
     ``rows`` is ``(sub, dia, sup)`` of ``A`` on the interior nodes, and
     ``U`` the state at ``tau = 0`` on every node, its ends already at the
     boundary values; the march overwrites it.  ``g0s`` and ``g1s`` are the
     left and right boundary values of levels ``1..N`` as floats.  ``A``
-    never changes, so the step matrix ``I - k*theta*A`` is LU-factored
-    once per distinct theta, when the first step at that theta is taken: a
-    Rannacher start followed by Crank-Nicolson costs two factorizations in
-    all.
+    never changes, so the step matrix is factored once per distinct theta,
+    when the first step at that theta is taken: a Rannacher start followed
+    by Crank-Nicolson costs two factorizations in all.
+
+    Given positive ``weights``, ``rows`` are those of ``diag(weights) A``
+    instead, and must be symmetric (``sub[1:] == sup[:-1]``, of which the
+    factorization reads ``sup``).  Each step then solves the scaled system
+    ``diag(weights) (I - k theta A)``, symmetric positive definite when
+    ``diag(weights) A`` is negative semidefinite, by ``L D L^T``: one
+    ``dpttrs`` back-substitution, with no pivots to test and its divisions
+    off the row-to-row chain.  Without weights the step matrix
+    ``I - k theta A`` is factored by pivoted LU and solved by ``dgttrs``.
 
     No step forms ``A U0``: the theta step
     ``(I - k theta A) U1 = (I + k(1-theta) A) U0`` is one implicit
     step of length ``k theta`` to ``Y = theta U1 + (1-theta) U0``
     followed by the linear extrapolation ``U1 = (Y - (1-theta) U0) / theta``.
-    A step builds ``U0/theta`` (exact at ``theta = 1`` and ``1/2``)
-    plus the boundary increments ``k w (theta g_{n+1} + (1-theta) U0[edge])``,
-    formed in Python floats, in the interior of the other state buffer,
-    back-substitutes it there to ``Y/theta`` with one ``dgttrs``, subtracts
-    ``(1-theta)/theta U0`` in place (nothing at ``theta = 1``, ``U0`` at
-    ``1/2``) and swaps the buffers.  One dot product of the new state with
-    itself tests it for finiteness: squares cannot cancel, so any inf or
-    NaN makes it non-finite, and only when it overflows are the values
-    tested one by one.
+    A step builds ``U0 * (weights/theta)`` (unit weights without them;
+    exact at ``theta = 1`` and ``1/2``) plus the boundary increments
+    ``k c (theta g_{n+1} + (1-theta) U0[edge])``, with ``c`` the edge row's
+    entry for the boundary node, formed in Python floats, in the interior
+    of the other state buffer; back-substitutes it there to ``Y/theta``;
+    subtracts ``(1-theta)/theta U0`` in place (nothing at ``theta = 1``,
+    ``U0`` at ``1/2``) and swaps the buffers.  One dot product of the new
+    state with itself tests it for finiteness: squares cannot cancel, so
+    any inf or NaN makes it non-finite, and only when it overflows are the
+    values tested one by one.
 
     ``project``, for an American claim, is called as ``project(n, V)`` on
     every level ``n``, with ``n = 0`` for the initial state, and projects
@@ -204,26 +230,29 @@ def _march(rows: tuple, U: np.ndarray, k: float, thetas: Sequence[float],
     # writes the other
     state, other = ((u, u[1:-1]) for u in (U, np.empty_like(U)))
     sub, dia, sup = rows
+    symmetric = weights is not None
+    w = weights if symmetric else 1.0
     # an overflow in the step arithmetic leaves a non-finite value, which
     # the factorization or the state check rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        left_w, right_w = k * float(sub[0]), k * float(sup[-1])
-        factored = {}
+        left_c, right_c = k * float(sub[0]), k * float(sup[-1])
+        steps = {}  # theta -> (the step's solve or its error, right-hand-side scale)
         for n, theta in enumerate(thetas):
-            if theta not in factored:
-                factored[theta] = _factored(_step_matrix(sub, dia, sup, k * theta))
-            lu = factored[theta]
+            if theta not in steps:
+                matrix = _step_matrix(sub, dia, sup, k * theta, w)
+                steps[theta] = (_factored(matrix, symmetric), w / theta)
+            solve, scale = steps[theta]
             U, mid = state
             V, b = other
-            np.divide(mid, theta, out=b)
+            np.multiply(mid, scale, out=b)
             g0v, g1v = g0s[n], g1s[n]
-            b[0] += left_w * (theta * g0v + (1.0 - theta) * float(U[0]))
-            b[-1] += right_w * (theta * g1v + (1.0 - theta) * float(U[-1]))
-            if isinstance(lu, Exception):  # the step matrix failed to factor
+            b[0] += left_c * (theta * g0v + (1.0 - theta) * float(U[0]))
+            b[-1] += right_c * (theta * g1v + (1.0 - theta) * float(U[-1]))
+            if isinstance(solve, Exception):  # the step matrix failed to factor
                 if not np.isfinite(b).all():
                     raise _step_blowup(n, n_steps, k)
-                raise lu
-            _lu_solve(lu, b)
+                raise solve
+            solve(b)
             if theta == 0.5:
                 b -= mid
             elif theta != 1.0:
@@ -360,9 +389,14 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     remaining time itself.  A clock that underflows gives ``m = 0``, a
     march that leaves the payoff as it is.  The mesh is the same at every
     level, so the grid ends at ``s_max``.  The rows are the plain second
-    differences ``a (1, -2, 1)`` with ``a = m x**2 / h**2``; with no drift
-    they are, bit for bit, the rows the fitted stencil would assemble.  A
-    volatility whose rows overflow is a ``ValueError``.
+    differences ``a (1, -2, 1)`` with ``a = m x**2 / h**2``.  Scaled by
+    ``w = (h / x)**2`` they are ``m (1, -2, 1)``, so the step matrix
+    ``I - k theta A`` scaled the same way is ``diag(w) + k theta m``
+    times ``(-1, 2, -1)``: symmetric positive definite for every
+    ``m >= 0``, and ``diag(w)`` itself at ``m = 0``.  The march takes the
+    scaled rows and ``w`` and solves each step by ``L D L^T``.  A volatility
+    whose unscaled rows overflow is a ``ValueError``, and so is a mesh
+    spacing whose square overflows or underflows to zero.
 
     The payoff at ``T = 0`` has strike ``K e^{-rE}``.  The boundary values
     are that payoff at ``x = 0`` and ``x = s_max``, constants the driftless
@@ -385,35 +419,41 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
         h_squared = mesh.h ** 2
     except OverflowError:
         raise ValueError(f"h must have a finite square, got {mesh.h}") from None
+    if h_squared == 0.0:
+        raise ValueError(f"h must have a nonzero square, got {mesh.h}")
     m, xi = clock.clock(expiry) / expiry, x[1:-1]
     with np.errstate(over="ignore"):
-        a = m * xi * xi / h_squared
-    if not np.isfinite(a).all():
+        a_max = m * xi[-1] * xi[-1] / h_squared  # a grows with x
+    if not np.isfinite(a_max):
         raise ValueError("diffusion rows must be finite: the volatility is too large for this mesh")
-    rows = (a, -(a + a), a)
+    weights = (mesh.h / xi) ** 2
+    rows = (np.full_like(xi, m), np.full_like(xi, -(m + m)), np.full_like(xi, m))
 
-    def exercise(s, k):
-        return max(s - k, 0.0) if call else max(k - s, 0.0)
+    def exercise(s, k):  # the payoff at s of strike k, for floats and arrays alike
+        return np.maximum(s - k, 0.0) if call else np.maximum(k - s, 0.0)
 
     strike_0 = strike * math.exp(-rate * expiry)
-    left, right = exercise(0.0, strike_0), exercise(s_max, strike_0)
-    U = np.maximum(x - strike_0, 0.0) if call else np.maximum(strike_0 - x, 0.0)
+    left, right = float(exercise(0.0, strike_0)), float(exercise(s_max, strike_0))
+    U = exercise(x, strike_0)
     if not american:
         return PriceResult(x, _march(rows, U, expiry / steps, thetas, [left] * steps,
-                                      [right] * steps))
+                                      [right] * steps, weights=weights))
 
     times = _level_times(clock, expiry, steps)
     scales = [math.exp(rate * (tau - expiry)) for tau in [0.0, *times]]  # v / u at each level
-    # the larger of holding to expiry and exercising at the level's strike
-    g0s = [max(left, exercise(0.0, strike * scale)) for scale in scales[1:]]
-    g1s = [max(right, exercise(s_max, strike * scale)) for scale in scales[1:]]
+    # the larger of holding to expiry and exercising at the level's strike,
+    # which is inf past the float range, as a product of floats would be
+    with np.errstate(over="ignore"):
+        strikes = strike * np.array(scales[1:])
+    g0s = np.maximum(left, exercise(0.0, strikes)).tolist()
+    g1s = np.maximum(right, exercise(s_max, strikes)).tolist()
     # a node is on the floor when its value is within tol of a floor above
     # tol, tol taken in S's units and scaled to the level's; a level whose
     # tol is at most about 4000 roundings of s_max, 2**-40 s_max, cannot
     # tell its floor from its value: that is r(E - tau) past
     # ln(tol / (2**-40 s_max)), about 10.2 for a put and 11.3 for a call
     # with the default s_max
-    tol = 1e-7 * (1.0 + max(exercise(0.0, strike), exercise(s_max, strike)))
+    tol = 1e-7 * (1.0 + float(np.maximum(exercise(0.0, strike), exercise(s_max, strike))))
     resolvable = 2.0 ** -40 * s_max
     floor, gap = np.empty_like(x), np.empty_like(x)
     on_floor = np.empty(x.shape, dtype=bool)
@@ -438,7 +478,7 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
         last = hi - 1 - int(on_floor[lo:hi][::-1].argmax()) if lo < hi else 0
         nodes.append(float(x[last]) if lo < hi and on_floor[last] else math.nan)
 
-    U = _march(rows, U, expiry / steps, thetas, g0s, g1s, project)
+    U = _march(rows, U, expiry / steps, thetas, g0s, g1s, project, weights)
     times = np.asarray(times)
     # nodes[0] is the payoff level's; the factor back to S overflows only
     # on an unresolved level, whose node is NaN already

@@ -172,6 +172,14 @@ def test_count_above_its_cap_exits_2(capsys, args, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_simulate_without_a_life_exits_2(capsys, n):
+    code, out, err = invoke(capsys, "simulate", "--age", "70", "--n", n, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be positive\n"
+
+
 @pytest.mark.parametrize("ages, bad", [("0..100000000000000", 0),
                                        ("60..100000000000000", 100000000000000),
                                        ("60..120", 120)])
@@ -378,6 +386,11 @@ def test_every_subcommand_exits_cleanly_on_wild_float_flags(tmp_path_factory):
     @example(argv=["fdm-demo", "--J=10", "--scheme=fitted", "--sigma=1e-320"])
     @example(argv=["price-option", "--grid=20,20", "--kind=put", "--style=european",
                    "--strike=1e308", "--rate=0.05", "--vol=0.2", "--expiry=1"])
+    # a mesh spacing whose square underflows, and a system of one interior row
+    @example(argv=["price-option", "--grid=2,1", "--kind=put", "--style=european",
+                   "--strike=1e-320", "--rate=1e308", "--vol=0.05", "--expiry=0.05"])
+    @example(argv=["price-option", "--grid=2,1", "--kind=call", "--style=american",
+                   "--strike=100", "--rate=0.05", "--vol=0.3", "--expiry=1"])
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -692,6 +705,7 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
         (["irr", "--cashflows", str(flows)], 0),
         (["markov", "--rate", "0.1", "--horizon", "30", "--points", "7"], 0),
         (["price-lsv", "--premium=-5", "--benefit", "1000", "--rate", "0.05", "--t", "8"], 2),
+        (["simulate", "--age", "70", "--n", "0", "--seed", "1"], 2),
         (["simulate", "--age", "70", "--n", "10", "--seed", "1"], 0),
     ]
     probe = "\n".join([

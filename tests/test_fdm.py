@@ -12,6 +12,8 @@ from longevity.errors import NumericalError
 from longevity.fdm import (
     Mesh1D,
     TwoPointBVP,
+    _ldl_solve,
+    _ldl_tridiagonal,
     _solve_tridiagonal,
     fitted_stencil,
     layer_exact,
@@ -87,6 +89,34 @@ def test_pivoted_solve_rejects_non_finite_coefficients():
     with pytest.raises(ValueError, match="finite"):
         _solve_tridiagonal(np.zeros(4), np.array([1.0, np.nan, 1.0, 1.0]), np.zeros(4),
                            np.ones(4))
+
+
+def test_symmetric_solve_matches_dense_for_every_right_hand_side():
+    # diagonally dominant symmetric systems; a one-row system goes through
+    # the padding, and a strong coupling drives the pivots far below the
+    # diagonal
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 40):
+        for coupling in (1.0, 1e6):
+            upper = -coupling * rng.uniform(0.0, 1.0, n)
+            diag = rng.uniform(0.1, 1.0, n) - upper - np.roll(upper, 1) * (np.arange(n) > 0)
+            dense = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(upper[:-1], -1)
+            ldl = _ldl_tridiagonal(diag.copy(), upper.copy())
+            for _ in range(3):
+                rhs = rng.uniform(-5.0, 5.0, n)
+                x = rhs.copy()
+                _ldl_solve(ldl, x)
+                np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-9)
+
+
+@pytest.mark.parametrize("diag, upper", [
+    ([0.0], [0.0]),
+    ([1.0, 1.0], [1.0, 0.0]),  # singular
+    ([1.0, 1.0, -1.0], [0.0, 0.0, 0.0]),  # indefinite
+])
+def test_symmetric_factorization_rejects_a_matrix_that_is_not_positive_definite(diag, upper):
+    with pytest.raises(NumericalError, match="not positive definite"):
+        _ldl_tridiagonal(np.array(diag), np.array(upper))
 
 
 # each probe runs in a fresh process, so it alone decides which of fdm and

@@ -216,6 +216,11 @@ def test_option_argument_validation():
     # a mesh spacing whose square overflows
     with pytest.raises(ValueError, match="h must have a finite square"):
         price_american("put", 1e200, RATE, VOL, EXPIRY, intervals=20, steps=20)
+    # and one whose square underflows to zero, with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="h must have a nonzero square"):
+            price_european("put", 1e-320, RATE, VOL, EXPIRY, intervals=2, steps=1)
     # a discount factor over the expiry that overflows
     for pricer, rate, expiry in ((price_european, -1e300, EXPIRY),
                                  (price_american, -1e300, EXPIRY),
@@ -537,13 +542,16 @@ def convection_problem():
                    mu=lambda x: 5.0 * (1.0 - 2.0 * x), b=-0.5)
 
 
+# 2 to 4 intervals leave 1 to 3 interior rows; one row is a system the
+# symmetric factorization pads
+@pytest.mark.parametrize("intervals", [60, 2, 3, 4])
 @pytest.mark.parametrize("vol", [VOL, VolatilityDecay(0.3, 0.8)], ids=["const", "decay"])
 @pytest.mark.parametrize("kind", ["call", "put"])
-def test_pricers_match_the_dense_reference_march(kind, vol):
-    euro = price_european(kind, STRIKE, RATE, vol, EXPIRY, intervals=60, steps=60)
-    assert_close(euro.values, bs_reference(kind, vol, american=False)[0])
-    amer = price_american(kind, STRIKE, RATE, vol, EXPIRY, intervals=60, steps=60)
-    values, times, nodes = bs_reference(kind, vol, american=True)
+def test_pricers_match_the_dense_reference_march(kind, vol, intervals):
+    euro = price_european(kind, STRIKE, RATE, vol, EXPIRY, intervals=intervals, steps=60)
+    assert_close(euro.values, bs_reference(kind, vol, american=False, intervals=intervals)[0])
+    amer = price_american(kind, STRIKE, RATE, vol, EXPIRY, intervals=intervals, steps=60)
+    values, times, nodes = bs_reference(kind, vol, american=True, intervals=intervals)
     assert_close(amer.values, values)
     if isinstance(vol, VolatilityDecay):
         # the reference's level times come from an independent closed form
@@ -553,6 +561,52 @@ def test_pricers_match_the_dense_reference_march(kind, vol):
     # the same exercise node at every level, mapped back to S at the pricer's own times
     np.testing.assert_array_equal(amer.exercise_boundary,
                                   nodes * np.exp(RATE * (EXPIRY - amer.exercise_times)))
+
+
+def clock_march_args(m, n_rows, theta):
+    # one step of the vanilla pricers' march: rows m x**2 / h**2 (1, -2, 1)
+    # of A on n_rows interior nodes of [0, 400], given to the march scaled
+    # by the weights (h / x)**2, from a random state to boundary values 7
+    # and 300; also returns A itself
+    mesh = Mesh1D(0.0, 400.0, n_rows + 2)
+    x, h = mesh.points(), mesh.h
+    xi = x[1:-1]
+    a = m * xi * xi / h ** 2
+    A = np.diag(-(a + a)) + np.diag(a[1:], -1) + np.diag(a[:-1], 1)
+    U = np.random.default_rng(n_rows).uniform(0.0, 100.0, x.size)
+    rows = tuple(np.full(n_rows, c) for c in (m, -(m + m), m))
+    return dict(rows=rows, U=U, k=0.01, thetas=[theta], g0s=[7.0], g1s=[300.0],
+                weights=(h / xi) ** 2), A, a
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5, 0.7])
+@pytest.mark.parametrize("m", [0.0, 5e-324, 0.02], ids=["zero", "subnormal", "ordinary"])
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 799])
+def test_symmetric_step_matches_a_dense_solve_of_the_unscaled_system(n_rows, m, theta):
+    args, A, a = clock_march_args(m, n_rows, theta)
+    U, k = args["U"], args["k"]
+    rhs = U[1:-1] + k * (1.0 - theta) * (A @ U[1:-1])
+    rhs[0] += k * a[0] * ((1.0 - theta) * U[0] + theta * 7.0)
+    rhs[-1] += k * a[-1] * ((1.0 - theta) * U[-1] + theta * 300.0)
+    want = np.concatenate([[7.0], np.linalg.solve(np.eye(n_rows) - k * theta * A, rhs), [300.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pricing._march(**dict(args, U=U.copy()))
+    assert_close(got, want)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["ldl", "lu"])
+def test_rows_that_are_not_finite_raise_after_the_right_hand_side_test(symmetric):
+    args, _, _ = clock_march_args(0.02, 5, 1.0)
+    if not symmetric:
+        del args["weights"]
+    args["rows"][1][2] = math.inf
+    with pytest.raises(ValueError, match="tridiagonal coefficients must be finite"):
+        pricing._march(**args)
+    # a right-hand side that is not finite either reports the step first
+    args["U"][3] = math.nan
+    with pytest.raises(NumericalError, match="at step 1 of 1"):
+        pricing._march(**args)
 
 
 @pytest.mark.parametrize("prob", [heat_problem(0.1), convection_problem()],
@@ -585,9 +639,9 @@ def test_any_theta_matches_the_dense_reference_march(thetas):
 
 @pytest.fixture
 def calls(monkeypatch):
-    # calls of pricing.fitted_stencil and pricing._lu_tridiagonal, by name
+    # calls of pricing's fitted_stencil and its two factorizations, by name
     counts = {}
-    for name in ("fitted_stencil", "_lu_tridiagonal"):
+    for name in ("fitted_stencil", "_lu_tridiagonal", "_ldl_tridiagonal"):
         def counting(*args, name=name, inner=getattr(pricing, name)):
             counts[name] = counts.get(name, 0) + 1
             return inner(*args)
@@ -599,13 +653,14 @@ def calls(monkeypatch):
 def test_only_the_mortality_leg_assembles_a_stencil_and_each_theta_is_factored_once(
         calls, steps, distinct_thetas):
     # the vanilla pricers march plain differences on the variance clock,
-    # decaying volatility included; the mortality leg assembles its fitted
-    # rows once.  Every pricer factors one step matrix per distinct theta
+    # decaying volatility included, and factor their symmetric step matrices
+    # by LDL^T; the mortality leg assembles its fitted rows once and factors
+    # by pivoted LU.  Every pricer factors one step matrix per distinct theta
     for price in (price_european, price_american):
         for vol in (VOL, VolatilityDecay(VOL, 0.5)):
             calls.clear()
             price("put", STRIKE, RATE, vol, EXPIRY, intervals=50, steps=steps)
-            assert calls == {"_lu_tridiagonal": distinct_thetas}
+            assert calls == {"_ldl_tridiagonal": distinct_thetas}
     calls.clear()
     price_mortality_option(FlatPolicy(p=100.0, b=1000.0, r=0.05), LifeTable(90, [0.5, 1.0]),
                            90, 0.2, 0.05, 10, RngStream(1), intervals=50, steps=steps)
@@ -623,25 +678,26 @@ def bits(*arrays):
 
 # Digests of (values, exercise_boundary) under VolatilityDecay(0.3, 0.8), by
 # (kind, style, intervals, steps): 68, 69 and 70 steps on 60 intervals and
-# 37 steps on 800.  They pin the bits of the march on the variance clock;
-# its accuracy is pinned by the closed-form and lattice checks above.
+# 37 steps on 800.  They pin the bits of the march on the variance clock,
+# each step solved as the symmetric scaled system; its accuracy is pinned by
+# the closed-form and lattice checks above.
 DECAY_BITS = {
-    ('call', 'european', 60, 68): 'a060672f704159668d9d72ab365e7afec326ab8d64345876e341db54b9aa1158',
-    ('call', 'american', 60, 68): '3ba6f42bc20fcf70042fadde5cfd48791d455daef5bce79f099f5ad55fbd2dd1',
-    ('put', 'european', 60, 68): '9424435c450226c85ca1a3974d6597c0504f24321acd87f48b14a22149cc31f9',
-    ('put', 'american', 60, 68): 'df24af40550ed43e8242fb8c42497e95434d2c5b6724096968edddc4e6e206b2',
-    ('call', 'european', 60, 69): '4d7a7d8f75188eb21bfa80b4872d7eec5465d40fb102bb9315548420a96a91aa',
-    ('call', 'american', 60, 69): 'dd093848380076ab887eb0cf8cf2933077ea9acaf6b00d8a02367af8d9847661',
-    ('put', 'european', 60, 69): '38124759bcc2601f1839543b35d7551c9bea492443948a5a7b2cc2031150147b',
-    ('put', 'american', 60, 69): '80c8ee999f3aeddfb0147b334e5d111edda6bf7387f9a3f7b21fc332c66ad47d',
-    ('call', 'european', 60, 70): 'd23fd44d0232eca9b00fab5a61a523faaa8c7fecc42edb69b037ac7aedbb716f',
-    ('call', 'american', 60, 70): '71c9a69d32a45a1ecd782b79109ac93f68fe22e4f2403d7371108c774d047909',
-    ('put', 'european', 60, 70): 'd172b82ede528dac25a1694d75a623baa15c506ea6df18484c281011359fcca5',
-    ('put', 'american', 60, 70): '7a8d2aee5867ca41ac4e5f5b2493aad64452ceb092e8313cb7cd76a24dacbe35',
-    ('call', 'european', 800, 37): '42f1c03e6e3a2738fcc30c92324bbeb2fa115728ba75b70ac5956fea6120941c',
-    ('call', 'american', 800, 37): 'defb40814992d0da30b9f10282b540275acbdc725e95fa143730852a12d74d38',
-    ('put', 'european', 800, 37): '1cb3adde4a43b5c30954ec106764a0377af854d9dee4ae27a3f99e9a04d66e6c',
-    ('put', 'american', 800, 37): 'f630c1f1e2904790f6d1dc70e59e9c2779904b72c6d069ec406d0e71c1fffd2d',
+    ('call', 'european', 60, 68): '3dba347d07915a92bfdd521d4c11c143cddcf052460cf4a137b97dd766b86ea5',
+    ('call', 'american', 60, 68): 'd82a340768f8ebffa9f8421c921f0e4f96e7ee6fda64a17792e1614d84c1c1a6',
+    ('put', 'european', 60, 68): '4b06c4df80c13c1baae7af91f7f064278daf5a31ebacdf1076cdd712e103f58a',
+    ('put', 'american', 60, 68): '4ae23fe71565d6c4aaf1d212f5e26ae2e20395b51245665c877c92aab7a3d7b1',
+    ('call', 'european', 60, 69): 'b08bdf359b8ec47afe7d7d1028a719cbc0117ca862b67dcd68792dd0718dfb28',
+    ('call', 'american', 60, 69): '2a46de79ffef2644695f2c27ce8a44419fddd515f8df45f77bba8c4d2e9977ee',
+    ('put', 'european', 60, 69): 'b701357fb106c77b7a8c49babf1ba9f8452e228fbda8cad73ab1b228a797ec6f',
+    ('put', 'american', 60, 69): '02dd0f8ef76ef239bc2e5acdfeba0e57517d66189ce36410aaae2d4c55cd72f0',
+    ('call', 'european', 60, 70): '2cc105400270ad649a8f433fc54ef8f6f83df634942e17da2431bcb0f59c0dc1',
+    ('call', 'american', 60, 70): 'b38f851bcfb65d80112a88742cf2928c28afafc5b118927b52e3f5b23994a901',
+    ('put', 'european', 60, 70): '7878d7a1109f991e159b09a68bde2f101cb3d13f4513ed1b08280b8072cb6957',
+    ('put', 'american', 60, 70): 'bcefea2a3d591a65f0e9d28d6c3b264ecb3386c4b4fcea039fd61a724c918b83',
+    ('call', 'european', 800, 37): '749ae4e29e9d7888b9e0854fb1f426b457dd8db37c466bffc1b27eb7069c2cf0',
+    ('call', 'american', 800, 37): 'c6953e16162197b4b5cc3fe4ceec41c71e103c65d020ccaea15bfb7f93d32069',
+    ('put', 'european', 800, 37): '65a90ddedb755a65e8c716abc1f90943d59c95590dabe1154f23fb1a00d4f5df',
+    ('put', 'american', 800, 37): 'cd2d779b955f2eb73a1bd514b94e140b91c399be348e834d9a4ae4837e4f11c0',
 }
 
 
@@ -655,17 +711,16 @@ def test_decaying_volatility_keeps_its_bits(case):
 
 
 # The same digests at the constant volatility VOL, by (kind, style,
-# intervals, steps), taken while the vanilla rows still came from the
-# fitted stencil with zero drift; the plain differences must keep them.
+# intervals, steps).
 CONST_BITS = {
-    ('call', 'european', 60, 60): '657f3696e0fe8f21708dd9922dd52323bd90ec3bf320f4ec8d58a443a31f3fd7',
-    ('call', 'american', 60, 60): '1a1f72598e6aa231f23c2fb26da87d626715769fb172916e16e6a86e84ee4adf',
-    ('put', 'european', 60, 60): '3ae53c9ec3e8af28a373945bb4289500e9db13a8051edca855f814c18f7f0198',
-    ('put', 'american', 60, 60): 'a872f86dc2942fd52c0ba64be2b38d1f6a7526373c506310e222fbfe1012acd4',
-    ('call', 'european', 800, 37): '5bd92b7e8a5ec13a5bcfef6d0e2b9eaccb71a7038faa8a83faf0caa6530a77b5',
-    ('call', 'american', 800, 37): 'e36c1dc1abded0b50a42f4eb7d35bc21ca4d39134cacc9adc4a3a539888d2f96',
-    ('put', 'european', 800, 37): '00c4ef260458b96ed51b840d0a82dfac05d97137fa4c555a0a640c03808b83d2',
-    ('put', 'american', 800, 37): '798e237dfa2e63c784a3e03202a36fe89752d823c609d762ebd37af52b2575bc',
+    ('call', 'european', 60, 60): '7e735f681f2538a37f78c7f5e4b6376148580958ceacdf4f33ba495d61cfabf6',
+    ('call', 'american', 60, 60): '89acaed3e1a640cffb9c4467f480ff54e7b84805dee07bddc4c23a2f82a3be37',
+    ('put', 'european', 60, 60): '46d3142a9be1fd55ff0922040af27a6079f07277afb56b0d9b104af6face681f',
+    ('put', 'american', 60, 60): '0becbd22cae71cef0553e82bb54231337eb1c3fd3f4a67834ca9930bb5cf1a10',
+    ('call', 'european', 800, 37): 'a8a600a1f9f4f26681f99b675be53f7f7da34af186a79350bf51cd3a3d0174c9',
+    ('call', 'american', 800, 37): '4df555f552a4932cd4f2c559022d850c86542e714d7fc6919b86f7eda85b0718',
+    ('put', 'european', 800, 37): 'd229c43515289e38624b58bc7ec3d8f678bc64cd55a1adb985ebf3a521b3b983',
+    ('put', 'american', 800, 37): 'd06d190586c3ced955358570e590570bd59a1a63a2eb46e6d3d2cefabbd550f7',
 }
 
 
