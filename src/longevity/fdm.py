@@ -358,18 +358,15 @@ def _excess(s: np.ndarray) -> np.ndarray:
 
 
 def _fitted_coefficients(mu, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """``mu`` and ``sigma`` as float arrays, finite and ``sigma >= 0``.
+    """``mu`` and ``sigma`` as float arrays of one shape, finite and ``sigma >= 0``.
 
-    ``sigma`` is broadcast to the shape of the pair; ``mu`` keeps its own,
-    so a drift narrower than the diffusion is tested once, not per row of
-    the broadcast.  A nan ``sigma`` fails every comparison, so without the
-    finiteness test its row would pass for a degenerate one and be
-    silently upwinded.
+    A nan ``sigma`` fails every comparison, so without the finiteness test
+    its row would pass for a degenerate one and be silently upwinded.
     """
     mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
-    shape = np.broadcast(mu, sigma).shape
-    if sigma.shape != shape:
-        sigma = np.broadcast_to(sigma, shape)
+    if mu.shape != sigma.shape:
+        raise ValueError(f"convection mu and diffusion sigma must have one shape, "
+                         f"got {mu.shape} and {sigma.shape}")
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise ValueError("diffusion sigma and convection mu must be finite")
     if (sigma < 0.0).any():
@@ -392,7 +389,8 @@ def fitted_stencil(mu, h: float, sigma) -> tuple[np.ndarray, np.ndarray, np.ndar
     Rows where ``sigma`` is zero, or so small that the mesh Peclet number
     is not representable, degrade to the one-sided upwind stencil.
 
-    Inputs of any shape are assembled row-wise with no masking on the
+    ``mu`` and ``sigma`` must have one shape, any shape; a mismatch raises
+    ``ValueError``.  They are assembled row-wise with no masking on the
     common path: every row takes the fitted formula and ``np.where`` picks
     its wind side.  Only the rare rows with ``|q| < 1e-4`` (the series) or
     a non-finite ``q`` (upwinding) are patched by boolean indexing, so a
@@ -409,8 +407,6 @@ def fitted_stencil(mu, h: float, sigma) -> tuple[np.ndarray, np.ndarray, np.ndar
     # number is not finite (0/0 included) get meaningless values there,
     # without a warning, and are replaced below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # mu * h and |mu| / h are formed at mu's own width and broadcast
-        # by the arithmetic with sigma's rows
         q = np.divide(mu * h, 2.0 * sigma)
         # on extreme data a row overflows to inf (or inf * 0 = nan), which
         # the caller's factorization or finiteness check rejects
@@ -424,7 +420,6 @@ def fitted_stencil(mu, h: float, sigma) -> tuple[np.ndarray, np.ndarray, np.ndar
         sup = np.where(downwind, with_wind, against_wind)
         if not np.isfinite(q).all():
             degenerate = ~np.isfinite(q)
-            mu = np.broadcast_to(mu, q.shape)
             sub[degenerate] = np.maximum(-mu[degenerate], 0.0) / h
             sup[degenerate] = np.maximum(mu[degenerate], 0.0) / h
     center = -(sub + sup)

@@ -11,20 +11,20 @@ payoff kink, then Crank-Nicolson takes over (Rannacher 1984; Giles &
 Carter 2006; Duffy, "A critique of the Crank-Nicolson scheme", Wilmott
 2004).
 
-The operator does not move with ``tau``, so each step matrix is
-factored once per theta.  A step of any theta in ``(0, 1]`` is an
-implicit step of length ``k theta`` followed by a linear extrapolation, so
-it costs one back-substitution and one axpy, and never forms the explicit
-product ``A U``.  A step works in place: it builds its right-hand side in
-a preallocated state vector, back-substitutes it there with one LAPACK
-call, extrapolates there, and tests the new state for finiteness with one
-dot product.  The back-substitution depends on the rows.  The vanilla
-pricers' rows, scaled row by row, make every step matrix symmetric
-positive definite, so it is factored as ``L D L^T`` and solved by
-``dpttrs``, with no pivots.  The mortality leg's rows carry convection,
-and at zero volatility they are pure upwinding with a zero entry on one
-side of the diagonal, which no row scaling makes symmetric; its steps
-keep pivoted LU and ``dgttrs``.
+The operator does not move with ``tau``, so the march factors its one or
+two step matrices, implicit and Crank-Nicolson, before its first step.
+A Crank-Nicolson step is an implicit half step followed by a linear
+extrapolation, so every step costs one back-substitution and at most one
+vector subtraction, and none forms the explicit product ``A U``.  A step
+works in place: it builds its right-hand side in a preallocated state
+vector, back-substitutes it there with one LAPACK call, extrapolates
+there, and tests the new state for finiteness with one dot product.  The
+back-substitution depends on the rows.  The vanilla pricers' rows, scaled
+row by row, make every step matrix symmetric positive definite, so it is
+factored as ``L D L^T`` and solved by ``dpttrs``, with no pivots.  The
+mortality leg's rows carry convection, and at zero volatility they are
+pure upwinding with a zero entry on one side of the diagonal, which no
+row scaling makes symmetric; its steps keep pivoted LU and ``dgttrs``.
 
 Every pricer here values a claim on a lognormal index, whose pricing
 equation has diffusion ``vol**2 S**2 / 2``, drift ``rate S`` and reaction
@@ -104,11 +104,8 @@ class VolatilityDecay:
         if self.decay < 0.0:
             raise ValueError("decay must be >= 0")
 
-    def at(self, tau: float) -> float:
-        return self.sigma0 * math.exp(-self.decay * tau)
-
     def clock(self, tau: float) -> float:
-        """``T(tau)``, the integral of ``at(s)**2 / 2`` over ``s`` in ``[0, tau]``.
+        """``T(tau)``, the integral of ``vol(s)**2 / 2`` over ``s`` in ``[0, tau]``.
 
         ``sigma0**2 * (1 - exp(-2 decay tau)) / (4 decay)``, through
         ``expm1`` so it keeps its digits as ``decay * tau`` goes to zero;
@@ -143,9 +140,9 @@ def _step_matrix(sub, dia, sup, kt: float, weights) -> np.ndarray:
     """``lower``, ``diag`` and ``upper`` of ``diag(weights) - kt*rows`` stacked on a new first axis.
 
     ``weights`` is a vector or the scalar 1.0, which gives ``I - kt*A`` for
-    rows ``(sub, dia, sup)`` of ``A``.  The entries no factorization reads,
-    ``lower[0]`` and ``upper[-1]``, are zeroed, so one finiteness pass over
-    the stack checks all the others.
+    rows ``(sub, dia, sup)`` of ``A``.  As in :func:`.fdm._solve_tridiagonal`,
+    ``lower[0]`` and ``upper[-1]`` lie outside the matrix; no check or
+    factorization reads them.
     """
     matrix = np.empty((3,) + sub.shape)
     lower, diag, upper = matrix
@@ -153,43 +150,41 @@ def _step_matrix(sub, dia, sup, kt: float, weights) -> np.ndarray:
     np.multiply(kt, dia, out=diag)
     np.subtract(weights, diag, out=diag)
     np.multiply(-kt, sup, out=upper)
-    lower[0] = upper[-1] = 0.0
     return matrix
 
 
 def _factored(matrix: np.ndarray, symmetric: bool):
-    """The back-substitution through a finite step matrix's factors, or the error raised on the way.
+    """The back-substitution through a step matrix's factors.
 
     A symmetric matrix is factored as ``L D L^T`` by ``dpttrf`` and solved
     by ``dpttrs``, with no pivots; any other by pivoted LU, ``dgttrf`` and
     ``dgttrs``.  The factors overwrite ``matrix``, and the returned
-    callable overwrites its argument with the solution.  The error from
-    checking or factoring the matrix is returned, not raised, so that the
-    march raises it only after testing the step's right-hand side: a step
-    that blows up on its own reports that first.
+    callable overwrites its argument with the solution.  A coefficient
+    that is not finite raises ``ValueError``, a failed factorization
+    :class:`NumericalError`.
     """
-    try:
-        _require_finite_tridiagonal(*matrix)
-        if symmetric:
-            return partial(_ldl_solve, _ldl_tridiagonal(matrix[1], matrix[2]))
-        return partial(_lu_solve, _lu_tridiagonal(*matrix))
-    except (ValueError, NumericalError) as exc:
-        return exc
+    _require_finite_tridiagonal(*matrix)
+    if symmetric:
+        return partial(_ldl_solve, _ldl_tridiagonal(matrix[1], matrix[2]))
+    return partial(_lu_solve, _lu_tridiagonal(*matrix))
 
 
-def _march(rows: tuple, U: np.ndarray, k: float, thetas: Sequence[float],
+def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
            g0s: Sequence[float], g1s: Sequence[float],
            project: Callable[[int, np.ndarray], None] | None = None,
            weights: np.ndarray | None = None) -> np.ndarray:
-    """Theta-march ``u_tau = A u`` from ``U`` in steps of ``k``, one theta in ``(0, 1]`` per step.
+    """March ``u_tau = A u`` from ``U``: ``implicit_steps`` implicit steps, then Crank-Nicolson.
 
     ``rows`` is ``(sub, dia, sup)`` of ``A`` on the interior nodes, and
     ``U`` the state at ``tau = 0`` on every node, its ends already at the
-    boundary values; the march overwrites it.  ``g0s`` and ``g1s`` are the
-    left and right boundary values of levels ``1..N`` as floats.  ``A``
-    never changes, so the step matrix is factored once per distinct theta,
-    when the first step at that theta is taken: a Rannacher start followed
-    by Crank-Nicolson costs two factorizations in all.
+    boundary values; the march overwrites it.  Step ``n`` produces level
+    ``n + 1``, whose left and right boundary values are the floats
+    ``g0s[n]`` and ``g1s[n]``; there are ``len(g0s)`` steps.  ``A`` never
+    changes, so the march factors the step matrix ``I - k theta A`` of each
+    kind of step it takes, ``theta = 1`` for an implicit step and ``1/2``
+    for Crank-Nicolson, before the first step, and a matrix that is not
+    finite or fails to factor raises there: a Rannacher start followed by
+    Crank-Nicolson costs two factorizations in all.
 
     Given positive ``weights``, ``rows`` are those of ``diag(weights) A``
     instead, and must be symmetric (``sub[1:] == sup[:-1]``, of which the
@@ -200,32 +195,26 @@ def _march(rows: tuple, U: np.ndarray, k: float, thetas: Sequence[float],
     off the row-to-row chain.  Without weights the step matrix
     ``I - k theta A`` is factored by pivoted LU and solved by ``dgttrs``.
 
-    No step forms ``A U0``: the theta step
-    ``(I - k theta A) U1 = (I + k(1-theta) A) U0`` is one implicit
-    step of length ``k theta`` to ``Y = theta U1 + (1-theta) U0``
-    followed by the linear extrapolation ``U1 = (Y - (1-theta) U0) / theta``.
-    A step builds ``U0 * (weights/theta)`` (unit weights without them;
-    exact at ``theta = 1`` and ``1/2``) plus the boundary increments
-    ``k c (theta g_{n+1} + (1-theta) U0[edge])``, with ``c`` the edge row's
-    entry for the boundary node, formed in Python floats, in the interior
-    of the other state buffer; back-substitutes it there to ``Y/theta``;
-    subtracts ``(1-theta)/theta U0`` in place (nothing at ``theta = 1``,
-    ``U0`` at ``1/2``) and swaps the buffers.  One dot product of the new
-    state with itself tests it for finiteness: squares cannot cancel, so
-    any inf or NaN makes it non-finite, and only when it overflows are the
-    values tested one by one.
+    No step forms ``A U0``: the step
+    ``(I - k theta A) U1 = (I + k(1-theta) A) U0`` is one implicit step of
+    length ``k theta`` to ``Y = theta U1 + (1-theta) U0``, followed at
+    ``theta = 1/2`` by the extrapolation ``U1 = 2 Y - U0``.  A step builds
+    ``U0 * (weights/theta)`` (unit weights without them) plus the boundary
+    increments ``k c (theta g_{n+1} + (1-theta) U0[edge])``, with ``c`` the
+    edge row's entry for the boundary node, formed in Python floats, in the
+    interior of the other state buffer; back-substitutes it there to
+    ``Y/theta``; subtracts ``U0`` in place at ``theta = 1/2`` and swaps the
+    buffers.  One dot product of the new state with itself tests it for
+    finiteness: squares cannot cancel, so any inf or NaN makes it
+    non-finite, and only when it overflows are the values tested one by
+    one.
 
-    ``project``, for an American claim, is called as ``project(n, V)`` on
-    every level ``n``, with ``n = 0`` for the initial state, and projects
-    the state in place onto the claim's floor.  Returns the state of the
-    last level.
+    ``project``, for an American claim, is called as ``project(n, V)`` with
+    the level ``V`` that step ``n`` produced, and projects it in place onto
+    the claim's floor; the initial state must lie on or above its floor
+    already.  Returns the state of the last level.
     """
-    n_steps = len(thetas)
-    if not all(0.0 < theta <= 1.0 for theta in thetas):
-        raise ValueError("theta must lie in (0, 1]")
-    if project is not None:
-        project(0, U)
-
+    n_steps = len(g0s)
     # two state buffers with their interior views: a step reads one and
     # writes the other
     state, other = ((u, u[1:-1]) for u in (U, np.empty_like(U)))
@@ -235,12 +224,14 @@ def _march(rows: tuple, U: np.ndarray, k: float, thetas: Sequence[float],
     # an overflow in the step arithmetic leaves a non-finite value, which
     # the factorization or the state check rejects
     with np.errstate(over="ignore", invalid="ignore"):
+        # theta -> (the step's solve, right-hand-side scale) for each kind
+        # of step the march takes, factored before the first step
+        kinds = ((1.0, implicit_steps), (0.5, n_steps - implicit_steps))
+        steps = {theta: (_factored(_step_matrix(sub, dia, sup, k * theta, w), symmetric),
+                         w / theta) for theta, count in kinds if count > 0}
         left_c, right_c = k * float(sub[0]), k * float(sup[-1])
-        steps = {}  # theta -> (the step's solve or its error, right-hand-side scale)
-        for n, theta in enumerate(thetas):
-            if theta not in steps:
-                matrix = _step_matrix(sub, dia, sup, k * theta, w)
-                steps[theta] = (_factored(matrix, symmetric), w / theta)
+        for n in range(n_steps):
+            theta = 1.0 if n < implicit_steps else 0.5
             solve, scale = steps[theta]
             U, mid = state
             V, b = other
@@ -248,20 +239,14 @@ def _march(rows: tuple, U: np.ndarray, k: float, thetas: Sequence[float],
             g0v, g1v = g0s[n], g1s[n]
             b[0] += left_c * (theta * g0v + (1.0 - theta) * float(U[0]))
             b[-1] += right_c * (theta * g1v + (1.0 - theta) * float(U[-1]))
-            if isinstance(solve, Exception):  # the step matrix failed to factor
-                if not np.isfinite(b).all():
-                    raise _step_blowup(n, n_steps, k)
-                raise solve
             solve(b)
             if theta == 0.5:
                 b -= mid
-            elif theta != 1.0:
-                b -= (1.0 - theta) / theta * mid
             V[0], V[-1] = g0v, g1v
             if not (math.isfinite(V.dot(V)) or np.isfinite(V).all()):
                 raise _step_blowup(n, n_steps, k)
             if project is not None:
-                project(n + 1, V)
+                project(n, V)
             state, other = other, state
     return state[0]
 
@@ -310,8 +295,13 @@ class PriceResult:
 
 def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float,
                        s_max: float | None, intervals: int, steps: int,
-                       rannacher_steps: int | None) -> tuple[float, list[float]]:
-    """The truncation level ``s_max`` and the step thetas of a valid vanilla request."""
+                       rannacher_steps: int | None) -> tuple[float, int]:
+    """The truncation level ``s_max`` and the implicit step count of a valid vanilla request.
+
+    The mesh spacing ``s_max / intervals`` must be a normal float: a
+    subnormal one has lost the relative precision that the mesh points
+    and the row weights ``(h / x)**2`` are formed to.
+    """
     if kind not in ("call", "put"):
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
     require_finite(strike=strike, rate=rate, expiry=expiry)
@@ -328,10 +318,13 @@ def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float
     if not strike < s_max:
         raise ValueError("strike must lie inside (0, s_max)")
     _check_grid(intervals, steps)
-    thetas = _thetas(steps, rannacher_steps)
+    implicit_steps = _implicit_steps(steps, rannacher_steps)
     if not isinstance(vol, VolatilityDecay) and not float(vol) > 0.0:
         raise ValueError("volatility must be positive")
-    return s_max, thetas
+    if not s_max / intervals >= sys.float_info.min:
+        raise ValueError(f"mesh spacing s_max / intervals must be at least "
+                         f"{sys.float_info.min:g}, got {s_max / intervals:g}")
+    return s_max, implicit_steps
 
 
 def _check_grid(intervals: int, steps: int) -> None:
@@ -349,13 +342,13 @@ def _require_discountable(rate: float, horizon: float) -> None:
                          f"got {rate!r}")
 
 
-def _thetas(steps: int, rannacher_steps: int | None = None) -> list[float]:
-    """Crank-Nicolson after ``rannacher_steps`` (None: ``min(4, steps)``) fully implicit steps."""
+def _implicit_steps(steps: int, rannacher_steps: int | None = None) -> int:
+    """The count of fully implicit steps before Crank-Nicolson; None means ``min(4, steps)``."""
     if rannacher_steps is None:
         rannacher_steps = min(4, steps)
     if not 0 <= rannacher_steps <= steps:
         raise ValueError("rannacher_steps must lie in [0, steps]")
-    return [1.0] * rannacher_steps + [0.5] * (steps - rannacher_steps)
+    return rannacher_steps
 
 
 def _level_times(clock: VolatilityDecay, expiry: float, steps: int) -> list[float]:
@@ -394,9 +387,11 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     ``I - k theta A`` scaled the same way is ``diag(w) + k theta m``
     times ``(-1, 2, -1)``: symmetric positive definite for every
     ``m >= 0``, and ``diag(w)`` itself at ``m = 0``.  The march takes the
-    scaled rows and ``w`` and solves each step by ``L D L^T``.  A volatility
-    whose unscaled rows overflow is a ``ValueError``, and so is a mesh
-    spacing whose square overflows or underflows to zero.
+    scaled rows and ``w`` and solves each step by ``L D L^T``.  These are
+    the rows it builds, so its checks are on them and do not depend on the
+    strike's magnitude: a volatility whose implicit step ``2 k m`` (with
+    ``k = E / steps``) overflows is a ``ValueError``, and so is a mesh
+    spacing below the smallest normal float (:func:`_check_option_args`).
 
     The payoff at ``T = 0`` has strike ``K e^{-rE}``.  The boundary values
     are that payoff at ``x = 0`` and ``x = s_max``, constants the driftless
@@ -409,23 +404,17 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     exceeds ``e^{-rE}``, which :func:`_require_discountable` keeps finite.
     Exercise nodes ``x`` map back to ``x e^{r(E - tau_n)}``.
     """
-    s_max, thetas = _check_option_args(kind, strike, rate, vol, expiry, s_max, intervals,
-                                       steps, rannacher_steps)
+    s_max, implicit_steps = _check_option_args(kind, strike, rate, vol, expiry, s_max,
+                                               intervals, steps, rannacher_steps)
     clock = vol if isinstance(vol, VolatilityDecay) else VolatilityDecay(float(vol), 0.0)
+    k, m = expiry / steps, clock.clock(expiry) / expiry
+    if not math.isfinite(k * (m + m)):
+        raise ValueError("the implicit step's diffusion 2 k m must be finite: the volatility "
+                         "is too large for this expiry and step count")
     mesh = Mesh1D(0.0, s_max, intervals + 1)
     x = mesh.points()
+    xi = x[1:-1]
     call = kind == "call"
-    try:
-        h_squared = mesh.h ** 2
-    except OverflowError:
-        raise ValueError(f"h must have a finite square, got {mesh.h}") from None
-    if h_squared == 0.0:
-        raise ValueError(f"h must have a nonzero square, got {mesh.h}")
-    m, xi = clock.clock(expiry) / expiry, x[1:-1]
-    with np.errstate(over="ignore"):
-        a_max = m * xi[-1] * xi[-1] / h_squared  # a grows with x
-    if not np.isfinite(a_max):
-        raise ValueError("diffusion rows must be finite: the volatility is too large for this mesh")
     weights = (mesh.h / xi) ** 2
     rows = (np.full_like(xi, m), np.full_like(xi, -(m + m)), np.full_like(xi, m))
 
@@ -436,15 +425,15 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     left, right = float(exercise(0.0, strike_0)), float(exercise(s_max, strike_0))
     U = exercise(x, strike_0)
     if not american:
-        return PriceResult(x, _march(rows, U, expiry / steps, thetas, [left] * steps,
+        return PriceResult(x, _march(rows, U, k, implicit_steps, [left] * steps,
                                       [right] * steps, weights=weights))
 
     times = _level_times(clock, expiry, steps)
-    scales = [math.exp(rate * (tau - expiry)) for tau in [0.0, *times]]  # v / u at each level
+    scales = [math.exp(rate * (tau - expiry)) for tau in times]  # v / u at levels 1..N
     # the larger of holding to expiry and exercising at the level's strike,
     # which is inf past the float range, as a product of floats would be
     with np.errstate(over="ignore"):
-        strikes = strike * np.array(scales[1:])
+        strikes = strike * np.array(scales)
     g0s = np.maximum(left, exercise(0.0, strikes)).tolist()
     g1s = np.maximum(right, exercise(s_max, strikes)).tolist()
     # a node is on the floor when its value is within tol of a floor above
@@ -459,31 +448,31 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     on_floor = np.empty(x.shape, dtype=bool)
     nodes = []
 
-    def project(n, V):
-        k, level_tol = strike * scales[n], tol * scales[n]
+    def project(n, V):  # level n + 1, whose strike is strikes[n]
+        level_strike, level_tol = strike * scales[n], tol * scales[n]
         if call:
-            np.subtract(x, k, out=floor)
+            np.subtract(x, level_strike, out=floor)
         else:
-            np.subtract(k, x, out=floor)
+            np.subtract(level_strike, x, out=floor)
         np.maximum(V, floor, out=V)
         np.maximum(V, 0.0, out=V)
         if not level_tol > resolvable:
             nodes.append(math.nan)
             return
         # the floor exceeds tol on a suffix of the mesh for a call, a prefix for a put
-        lo, hi = (x.searchsorted(k + level_tol, "right"), x.size) if call else \
-            (0, x.searchsorted(k - level_tol))
+        lo, hi = (x.searchsorted(level_strike + level_tol, "right"), x.size) if call else \
+            (0, x.searchsorted(level_strike - level_tol))
         np.subtract(V, floor, out=gap)
         np.less_equal(gap, level_tol, out=on_floor)
         last = hi - 1 - int(on_floor[lo:hi][::-1].argmax()) if lo < hi else 0
         nodes.append(float(x[last]) if lo < hi and on_floor[last] else math.nan)
 
-    U = _march(rows, U, expiry / steps, thetas, g0s, g1s, project, weights)
+    U = _march(rows, U, k, implicit_steps, g0s, g1s, project, weights)
     times = np.asarray(times)
-    # nodes[0] is the payoff level's; the factor back to S overflows only
-    # on an unresolved level, whose node is NaN already
+    # the factor back to S overflows only on an unresolved level, whose
+    # node is NaN already
     with np.errstate(over="ignore", invalid="ignore"):
-        boundary = np.asarray(nodes[1:]) * np.exp(rate * (expiry - times))
+        boundary = np.asarray(nodes) * np.exp(rate * (expiry - times))
     return PriceResult(x, U, times, boundary)
 
 
@@ -609,7 +598,7 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
         rows = (sub, center - r, sup)
     payoff = by_year[np.clip(np.rint(s), 1, t_max).astype(int) - 1]
     g0s, g1s = [float(by_year[0])] * steps, [float(by_year[-1])] * steps
-    U = _march(rows, payoff.copy(), t_max / steps, _thetas(steps), g0s, g1s,
+    U = _march(rows, payoff.copy(), t_max / steps, _implicit_steps(steps), g0s, g1s,
                lambda n, V: np.maximum(V, payoff, out=V))
     pde_value = float(np.interp(spot, s, U))
     return MortalityOptionValue(mc_value=mc_mean, mc_std_error=mc_se, pde_value=pde_value,

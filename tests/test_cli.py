@@ -248,14 +248,32 @@ def test_fdm_demo_non_finite_sigma_exits_2(capsys, scheme, sigma):
     assert "must be finite" in err
 
 
-@pytest.mark.parametrize("vol", ["1e200", "1e152"])
+def _with(args, **flags):
+    """``args`` with each ``--flag`` given in ``flags`` set to its new value."""
+    args = list(args)
+    for name, value in flags.items():
+        args[args.index(f"--{name}") + 1] = value
+    return args
+
+
+@pytest.mark.parametrize("vol", ["1e200"])
 def test_price_option_huge_volatility_is_a_one_line_error(capsys, vol):
-    args = list(PUT_ARGS)
-    args[args.index("--vol") + 1] = vol
-    code, out, err = invoke(capsys, *args, "--grid", "50,50")
+    # the clock overflows, so the implicit step 2 k m is not finite
+    code, out, err = invoke(capsys, *_with(PUT_ARGS, vol=vol), "--grid", "50,50")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2 k m must be finite" in err
+
+
+@pytest.mark.parametrize("strike", ["100", "0.001"])
+def test_price_option_huge_volatility_with_a_finite_clock_step_prices(capsys, strike):
+    # vol 1e152 gives 2 k m = 2e302 on 50 steps: the march's rows are
+    # finite at every strike; both values are 0.7134 of the strike
+    code, out, err = invoke(capsys, *_with(PUT_ARGS, vol="1e152", strike=strike),
+                            "--grid", "50,50")
+    assert (code, err) == (0, "")
+    assert out == {"100": "value=71.342207\n", "0.001": "value=0.000713\n"}[strike]
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -279,16 +297,18 @@ def test_overflowing_input_exits_2_with_one_line_naming_it(capsys, argv, name):
     assert name in err
 
 
-def test_price_option_huge_strike_fails_without_an_overflow_warning(capsys):
-    args = list(PUT_ARGS)
-    args[args.index("--strike") + 1] = "1e300"
+def test_price_option_huge_strike_prices_without_an_overflow_warning(capsys):
+    # the state's squares overflow at every level, and the value per unit
+    # strike is the one at strike 100
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = invoke(capsys, *args, "--grid", "20,20")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, err = invoke(capsys, *_with(PUT_ARGS, strike="1e300"), "--grid", "20,20")
+        _, small, _ = invoke(capsys, *PUT_ARGS, "--grid", "20,20")
+    assert (code, err) == (0, "")
     assert [str(w.message) for w in caught] == []
+    value = float(out.removeprefix("value="))
+    per_unit = float(small.removeprefix("value=")) / 100.0
+    assert value / 1e300 == pytest.approx(per_unit, rel=1e-7)
 
 
 # ------------------------------------------------------ fuzzed inputs #
@@ -386,9 +406,17 @@ def test_every_subcommand_exits_cleanly_on_wild_float_flags(tmp_path_factory):
     @example(argv=["fdm-demo", "--J=10", "--scheme=fitted", "--sigma=1e-320"])
     @example(argv=["price-option", "--grid=20,20", "--kind=put", "--style=european",
                    "--strike=1e308", "--rate=0.05", "--vol=0.2", "--expiry=1"])
-    # a mesh spacing whose square underflows, and a system of one interior row
+    # mesh spacings below the smallest normal float, one of them zero, a
+    # huge strike whose states' squares overflow, and a system of one
+    # interior row
     @example(argv=["price-option", "--grid=2,1", "--kind=put", "--style=european",
                    "--strike=1e-320", "--rate=1e308", "--vol=0.05", "--expiry=0.05"])
+    @example(argv=["price-option", "--grid=50,50", "--kind=put", "--style=american",
+                   "--strike=5e-324", "--rate=0.05", "--vol=0.2", "--expiry=1"])
+    @example(argv=["price-option", "--grid=50,50", "--kind=call", "--style=european",
+                   "--strike=1e-323", "--rate=0.05", "--vol=0.2", "--expiry=1"])
+    @example(argv=["price-option", "--grid=20,20", "--kind=put", "--style=american",
+                   "--strike=1e300", "--rate=0.05", "--vol=0.2", "--expiry=1"])
     @example(argv=["price-option", "--grid=2,1", "--kind=call", "--style=american",
                    "--strike=100", "--rate=0.05", "--vol=0.3", "--expiry=1"])
     def check(argv):
@@ -586,6 +614,21 @@ def test_fit_stable_non_finite_sample_names_its_line(capsys, monkeypatch, tmp_pa
     assert code == 2
     assert out == ""
     assert err == f"error: {where}:4: sample {token!r} is not a finite number\n"
+
+
+def test_price_mortality_option_step_matrix_overflow_exits_2(capsys):
+    # at rate 4e306 the fitted rows overflow, and so does the first
+    # right-hand side; the march factors its step matrices before it
+    # steps, so the rows are reported as a bad argument, not a blow-up
+    argv = list(MORTALITY_OPTION_ARGS)
+    argv[argv.index("--rate") + 1] = "4e306"
+    argv[argv.index("--vole-sigma") + 1] = "0.9"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, *argv, "--grid", "2,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: tridiagonal coefficients must be finite\n"
 
 
 def test_numerical_failure_exits_3(capsys, tmp_path):

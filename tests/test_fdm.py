@@ -302,21 +302,13 @@ def test_fitted_stencil_mixed_regimes_match_row_by_row():
         np.testing.assert_array_equal(block.ravel().view(np.uint64), want.view(np.uint64))
 
 
-def test_fitted_stencil_narrow_drift_matches_its_broadcast():
-    # a drift row shared by every row of the diffusion gives each row the
-    # bits of the broadcast drift, the upwinded rows of zero diffusion included
-    h = 0.1
-    mu = np.array([2.0, 1.0, 3.0, -5.0, 800.0, 0.0, -1.0])
-    sigma = np.array([[0.0, 1e-320, 1e4, 1.0, 1e-4, 0.0, 1.0],
-                      [1.0, 0.0, 0.5, 0.0, 2.0, 1.0, 0.0],
-                      [1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 1e-3]])
-    narrow = fitted_stencil(mu, h, sigma)
-    wide = fitted_stencil(np.broadcast_to(mu, sigma.shape).copy(), h, sigma)
-    for got, want in zip(narrow, wide):
-        assert got.shape == sigma.shape
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-    with pytest.raises(ValueError, match="must be finite"):
-        fitted_stencil(np.where(mu == 0.0, np.nan, mu), h, sigma)
+def test_fitted_stencil_rejects_coefficients_of_different_shapes():
+    # every caller builds mu and sigma row by row, so a shape mismatch is
+    # an error, not a broadcast
+    mu, sigma = np.array([2.0, 1.0, 3.0]), np.ones((2, 3))
+    for args in ((mu, 0.1, sigma), (mu, 0.1, 1.0), (2.0, 0.1, mu)):
+        with pytest.raises(ValueError, match="must have one shape"):
+            fitted_stencil(*args)
 
 
 def test_fitted_stencil_rejects_a_mesh_too_coarse_to_square():

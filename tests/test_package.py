@@ -49,10 +49,27 @@ def test_submodules_load_on_attribute_access():
     assert done.stdout == b"False longevity.pricing longevity.cli\n"
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_quick_start_runs():
-    root = Path(__file__).resolve().parents[1]
-    blocks = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    root = README.parent
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     done = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_mortality_option_example_prints_what_it_shows(capsys):
+    # the README's seeded price-mortality-option command, run in process,
+    # prints its text block byte for byte
+    from longevity.cli import run
+
+    text = README.read_text()
+    commands = re.findall(r"^longevity (price-mortality-option (?:.*\\\n)*.*)$", text, re.M)
+    assert len(commands) == 1 and commands[0].endswith("--seed 7")
+    blocks = re.findall(r"```text\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    assert run(commands[0].replace("\\\n", " ").split()) == 0
+    assert capsys.readouterr() == (blocks[0], "")

@@ -35,7 +35,7 @@ def problem(phi, horizon, sigma=1.0, mu=0.0, b=0.0, g0=lambda tau: 0.0, g1=lambd
     return dict(phi=phi, horizon=horizon, sigma=sigma, mu=mu, b=b, g0=g0, g1=g1)
 
 
-def march_args(prob, mesh, thetas, times=None):
+def march_args(prob, mesh, n_steps, implicit_steps, times=None):
     # the march's arguments for prob: its fitted rows on the interior nodes,
     # the state at tau = 0 with its corners on the boundary values, and the
     # boundary values at the level times, (n+1) k unless given
@@ -43,19 +43,20 @@ def march_args(prob, mesh, thetas, times=None):
     sigma, mu, b = (np.broadcast_to(np.asarray(c(xi) if callable(c) else c, dtype=float),
                                     xi.shape) for c in (prob["sigma"], prob["mu"], prob["b"]))
     sub, center, sup = fitted_stencil(mu, mesh.h, sigma)
-    k = prob["horizon"] / len(thetas)
+    k = prob["horizon"] / n_steps
     if times is None:
-        times = [(n + 1) * k for n in range(len(thetas))]
+        times = [(n + 1) * k for n in range(n_steps)]
     U = np.asarray(prob["phi"](mesh.points()), dtype=float).copy()
     U[0], U[-1] = prob["g0"](0.0), prob["g1"](0.0)
-    return dict(rows=(sub, center + b, sup), U=U, k=k, thetas=list(thetas),
+    return dict(rows=(sub, center + b, sup), U=U, k=k, implicit_steps=implicit_steps,
                 g0s=[float(prob["g0"](tau)) for tau in times],
                 g1s=[float(prob["g1"](tau)) for tau in times])
 
 
 def march(prob, mesh, n_steps, theta=0.5):
-    # terminal mesh values of a march taking n_steps steps at one theta
-    return pricing._march(**march_args(prob, mesh, [theta] * n_steps))
+    # terminal mesh values of a march taking n_steps steps at one theta:
+    # 1 for implicit steps, 1/2 for Crank-Nicolson
+    return pricing._march(**march_args(prob, mesh, n_steps, n_steps if theta == 1.0 else 0))
 
 
 def heat_problem(horizon):
@@ -91,41 +92,41 @@ def test_implicit_march_obeys_discrete_bounds():
     assert np.all(U <= 0.25 + 1e-9)
 
 
-def test_explicit_march_blowup_is_reported():
-    # theta = 0.01 with k far above the diffusive limit amplifies the
-    # sawtooth mode about 49-fold per step, past overflow; the march must
-    # stop and name the failing step
-    with pytest.raises(NumericalError, match="at step 192 of 400"):
-        march(heat_problem(1.0), Mesh1D(0.0, 1.0, 101), 400, theta=0.01)
+@pytest.mark.parametrize("implicit_steps", [0, 4, 10],
+                         ids=["crank-nicolson", "rannacher", "implicit"])
+def test_march_blowup_is_reported(implicit_steps):
+    # a boundary value that turns infinite at step 6 makes that level
+    # non-finite; the march must stop there and name the step
+    args = march_args(heat_problem(1.0), Mesh1D(0.0, 1.0, 11), 10, implicit_steps)
+    args["g0s"][5] = math.inf
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="at step 6 of 10"):
+            pricing._march(**args, project=lambda n, V: calls.append(n))
+    assert calls == [0, 1, 2, 3, 4]
 
 
 def test_march_argument_validation():
-    prob = heat_problem(1.0)
-    mesh = Mesh1D(0.0, 1.0, 11)
-    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
-        march(prob, mesh, 4, theta=1.5)
-
-
-def test_explicit_euler_is_rejected():
-    # theta = 0 has no implicit part to extrapolate from
-    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
-        march(heat_problem(1.0), Mesh1D(0.0, 1.0, 11), 4, theta=0.0)
-    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
-        pricing._march(**march_args(heat_problem(1.0), Mesh1D(0.0, 1.0, 11),
-                                    [1.0, 0.5, 0.0, 0.5]))
+    # the march's count of implicit steps defaults to min(4, steps) and
+    # must lie in [0, steps]
+    assert [pricing._implicit_steps(steps) for steps in (1, 3, 4, 50)] == [1, 3, 4, 4]
+    assert [pricing._implicit_steps(4, r) for r in (0, 2, 4)] == [0, 2, 4]
+    for steps, rannacher_steps in ((4, 5), (4, -1), (1, 2)):
+        with pytest.raises(ValueError, match=r"rannacher_steps must lie in \[0, steps\]"):
+            pricing._implicit_steps(steps, rannacher_steps)
 
 
 def test_a_state_whose_squares_overflow_still_marches():
     # the finiteness check's dot product overflows, so the march tests the
     # values one by one; scaling by a power of two is exact at every step
-    thetas = pricing._thetas(40)
     mesh = Mesh1D(0.0, 1.0, 51)
     prob = heat_problem(0.1)
     scaled = dict(prob, phi=lambda x: 2.0 ** 600 * np.sin(np.pi * x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = pricing._march(**march_args(scaled, mesh, thetas))
-    want = pricing._march(**march_args(prob, mesh, thetas))
+        got = pricing._march(**march_args(scaled, mesh, 40, pricing._implicit_steps(40)))
+    want = pricing._march(**march_args(prob, mesh, 40, pricing._implicit_steps(40)))
     assert np.max(np.abs(got)) > 2.0 ** 512  # every level's squares overflow
     assert got.tobytes() == (2.0 ** 600 * want).tobytes()
 
@@ -138,10 +139,9 @@ VOL = 0.2
 EXPIRY = 1.0
 
 
-def test_volatility_decay_validation_and_level():
-    vd = VolatilityDecay(sigma0=0.3, decay=0.5)
-    assert vd.at(0.0) == 0.3
-    assert vd.at(1.0) == pytest.approx(0.3 * math.exp(-0.5))
+def test_volatility_decay_validation():
+    # the level sigma0 * exp(-decay * tau) is checked through its clock
+    # against quadrature in test_variance_clock_matches_quadrature
     with pytest.raises(ValueError):
         VolatilityDecay(sigma0=0.0, decay=0.1)
     with pytest.raises(ValueError):
@@ -183,15 +183,29 @@ def test_positive_decay_lowers_the_call_value():
     assert decayed.value_at(STRIKE) < flat.value_at(STRIKE)
 
 
-@pytest.mark.parametrize("vol", [1e200, 1e152])
+@pytest.mark.parametrize("vol", [1e200])
 def test_huge_decaying_volatility_is_rejected_not_an_overflow_traceback(vol):
     # squaring 1e200 with a float power raised OverflowError; the product
-    # overflows to an infinite clock.  At 1e152 the clock is finite but the
-    # diffusion rows m x**2 / h**2 overflow at the far nodes; the pricer
-    # rejects both before the march
-    with pytest.raises(ValueError, match="finite"):
+    # overflows to an infinite clock, whose implicit step 2 k m the pricer
+    # rejects before the march
+    with pytest.raises(ValueError, match="2 k m must be finite"):
         price_european("put", STRIKE, RATE, VolatilityDecay(vol, 0.0), EXPIRY,
                        intervals=20, steps=20)
+
+
+@pytest.mark.parametrize("price", [price_european, price_american])
+@pytest.mark.parametrize("vol", [VOL, 1e152, VolatilityDecay(1e152, 0.0)], ids=str)
+def test_value_per_unit_strike_does_not_depend_on_the_strike(price, vol):
+    # the march solves rows m (1, -2, 1) scaled to mesh units, so value /
+    # strike at spot = strike is the same for every strike up to rounding:
+    # a volatility whose clock is finite at one strike prices at all of them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = price("put", 1e-3, RATE, vol, EXPIRY, intervals=50, steps=50).value_at(1e-3) / 1e-3
+        for strike in (1e-300, STRIKE) + ((1e300,) if vol == VOL else ()):
+            got = price("put", strike, RATE, vol, EXPIRY, intervals=50,
+                        steps=50).value_at(strike) / strike
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_option_argument_validation():
@@ -201,8 +215,10 @@ def test_option_argument_validation():
         price_european("call", -1.0, RATE, VOL, EXPIRY)
     with pytest.raises(ValueError):
         price_european("call", STRIKE, RATE, VOL, EXPIRY, s_max=50.0)
-    with pytest.raises(ValueError):
-        price_european("call", STRIKE, RATE, VOL, EXPIRY, steps=4, rannacher_steps=10)
+    for rannacher_steps in (10, -1):
+        with pytest.raises(ValueError, match=r"rannacher_steps must lie in \[0, steps\]"):
+            price_european("call", STRIKE, RATE, VOL, EXPIRY, steps=4,
+                           rannacher_steps=rannacher_steps)
     with pytest.raises(ValueError):
         price_european("call", STRIKE, RATE, 0.0, EXPIRY)
     for name, args in (("rate", (STRIKE, math.nan, VOL, EXPIRY)),
@@ -213,14 +229,13 @@ def test_option_argument_validation():
             price_american("put", *args)
     with pytest.raises(ValueError, match="s_max must be finite"):
         price_european("call", STRIKE, RATE, VOL, EXPIRY, s_max=math.inf)
-    # a mesh spacing whose square overflows
-    with pytest.raises(ValueError, match="h must have a finite square"):
-        price_american("put", 1e200, RATE, VOL, EXPIRY, intervals=20, steps=20)
-    # and one whose square underflows to zero, with no warning on the way
+    # a mesh spacing below the smallest normal float, with no warning on
+    # the way, at a spacing that underflows to zero too
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="h must have a nonzero square"):
-            price_european("put", 1e-320, RATE, VOL, EXPIRY, intervals=2, steps=1)
+        for strike, intervals in ((1e-320, 2), (1e-308, 50), (1e-323, 50)):
+            with pytest.raises(ValueError, match="mesh spacing s_max / intervals must be at least"):
+                price_european("put", strike, RATE, VOL, EXPIRY, intervals=intervals, steps=1)
     # a discount factor over the expiry that overflows
     for pricer, rate, expiry in ((price_european, -1e300, EXPIRY),
                                  (price_american, -1e300, EXPIRY),
@@ -465,8 +480,10 @@ def test_long_dated_accuracy_is_no_worse_than_the_march_in_s(intervals):
 # level, the mask of nodes on a floor above the tolerance.
 
 
-def reference_march(rows, U, k, thetas, g0s, g1s, floor=None):
-    # floor(n) is level n's (floor, tolerance); level 0 is the initial state
+def reference_march(rows, U, k, implicit_steps, g0s, g1s, floor=None):
+    # implicit_steps fully implicit steps, then Crank-Nicolson; floor(n) is
+    # level n's (floor, tolerance), and level 0 is the initial state
+    thetas = [1.0] * implicit_steps + [0.5] * (len(g0s) - implicit_steps)
     sub, dia, sup = rows
     A = np.diag(dia) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
     left, right = sub[0], sup[-1]
@@ -523,14 +540,13 @@ def bs_reference(kind, vol, american, intervals=60, steps=60):
         g0, g1 = (lambda tau: ends[0]), (lambda tau: ends[1])
     prob = problem(lambda x: payoff(x, STRIKE * scale(0.0)), EXPIRY, sigma=lambda x: m * x * x,
                    g0=g0, g1=g1)
-    thetas = [1.0] * 4 + [0.5] * (steps - 4)
     mesh = Mesh1D(0.0, s_max, intervals + 1)
     x, levels = mesh.points(), [0.0, *times]
     top = STRIKE if kind == "put" else s_max - STRIKE  # the largest payoff on the grid
 
     def floor(n):
         return payoff(x, STRIKE * scale(levels[n])), 1e-7 * (1.0 + top) * scale(levels[n])
-    values, masks = reference_march(**march_args(prob, mesh, thetas, times),
+    values, masks = reference_march(**march_args(prob, mesh, steps, 4, times),
                                     floor=floor if american else None)
     nodes = np.array([x[mask].max() if mask.any() else math.nan for mask in masks])
     return values, (np.array(times) if american else None), nodes
@@ -564,7 +580,8 @@ def test_pricers_match_the_dense_reference_march(kind, vol, intervals):
 
 
 def clock_march_args(m, n_rows, theta):
-    # one step of the vanilla pricers' march: rows m x**2 / h**2 (1, -2, 1)
+    # one step of the vanilla pricers' march, implicit at theta = 1 and
+    # Crank-Nicolson at 1/2: rows m x**2 / h**2 (1, -2, 1)
     # of A on n_rows interior nodes of [0, 400], given to the march scaled
     # by the weights (h / x)**2, from a random state to boundary values 7
     # and 300; also returns A itself
@@ -575,11 +592,11 @@ def clock_march_args(m, n_rows, theta):
     A = np.diag(-(a + a)) + np.diag(a[1:], -1) + np.diag(a[:-1], 1)
     U = np.random.default_rng(n_rows).uniform(0.0, 100.0, x.size)
     rows = tuple(np.full(n_rows, c) for c in (m, -(m + m), m))
-    return dict(rows=rows, U=U, k=0.01, thetas=[theta], g0s=[7.0], g1s=[300.0],
+    return dict(rows=rows, U=U, k=0.01, implicit_steps=int(theta == 1.0), g0s=[7.0], g1s=[300.0],
                 weights=(h / xi) ** 2), A, a
 
 
-@pytest.mark.parametrize("theta", [1.0, 0.5, 0.7])
+@pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("m", [0.0, 5e-324, 0.02], ids=["zero", "subnormal", "ordinary"])
 @pytest.mark.parametrize("n_rows", [1, 2, 3, 799])
 def test_symmetric_step_matches_a_dense_solve_of_the_unscaled_system(n_rows, m, theta):
@@ -596,17 +613,32 @@ def test_symmetric_step_matches_a_dense_solve_of_the_unscaled_system(n_rows, m, 
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["ldl", "lu"])
-def test_rows_that_are_not_finite_raise_after_the_right_hand_side_test(symmetric):
+def test_non_finite_rows_raise_before_the_first_step(symmetric):
+    # the march factors every step matrix it takes before it steps, so rows
+    # that are not finite raise there, even when the first right-hand side
+    # is not finite either, and no level is reached
     args, _, _ = clock_march_args(0.02, 5, 1.0)
     if not symmetric:
         del args["weights"]
     args["rows"][1][2] = math.inf
-    with pytest.raises(ValueError, match="tridiagonal coefficients must be finite"):
-        pricing._march(**args)
-    # a right-hand side that is not finite either reports the step first
     args["U"][3] = math.nan
-    with pytest.raises(NumericalError, match="at step 1 of 1"):
-        pricing._march(**args)
+    args.update(implicit_steps=1, g0s=[7.0] * 3, g1s=[300.0] * 3)
+    before = args["U"].copy()
+    levels = []
+    with pytest.raises(ValueError, match="tridiagonal coefficients must be finite"):
+        pricing._march(**args, project=lambda n, V: levels.append(n))
+    assert levels == []
+    np.testing.assert_array_equal(args["U"], before)
+
+
+def test_a_crank_nicolson_matrix_that_fails_to_factor_raises_before_the_implicit_steps():
+    # one interior row with k = 1/2 and A = (4): I - k A / 2 is exactly
+    # singular while I - k A is not
+    levels = []
+    with pytest.raises(NumericalError, match="singular tridiagonal system"):
+        pricing._march((np.ones(1), np.full(1, 4.0), np.ones(1)), np.zeros(3), 0.5, 2,
+                       [0.0] * 4, [0.0] * 4, project=lambda n, V: levels.append(n))
+    assert levels == []
 
 
 @pytest.mark.parametrize("prob", [heat_problem(0.1), convection_problem()],
@@ -615,7 +647,8 @@ def test_rows_that_are_not_finite_raise_after_the_right_hand_side_test(symmetric
 def test_march_matches_the_dense_reference_march(prob, theta):
     mesh = Mesh1D(0.0, 1.0, 41)
     got = march(prob, mesh, 30, theta=theta)
-    assert_close(got, reference_march(**march_args(prob, mesh, [theta] * 30))[0])
+    implicit_steps = 30 if theta == 1.0 else 0
+    assert_close(got, reference_march(**march_args(prob, mesh, 30, implicit_steps))[0])
 
 
 def moving_boundary_problem():
@@ -624,17 +657,15 @@ def moving_boundary_problem():
                 g1=lambda tau: tau * tau - 0.5 * tau)
 
 
-@pytest.mark.parametrize("thetas", [
-    [0.7] * 30,
-    [1.0, 1.0, 0.5, 0.7] * 7 + [0.5, 1.0],
-], ids=["theta-0.7", "mixed"])
-def test_any_theta_matches_the_dense_reference_march(thetas):
-    # a theta other than 1 and 1/2 extrapolates with a general axpy, and a
-    # mixed sequence reuses each theta's factors out of order
+@pytest.mark.parametrize("implicit_steps", [0, 1, 4, 29, 30])
+def test_rannacher_start_matches_the_dense_reference_march(implicit_steps):
+    # implicit steps, then Crank-Nicolson from the boundary values the
+    # implicit steps left, on boundaries that move with tau; at 0 and 30
+    # the march factors only one kind of step
     prob = moving_boundary_problem()
     mesh = Mesh1D(0.0, 1.0, 41)
-    assert_close(pricing._march(**march_args(prob, mesh, thetas)),
-                 reference_march(**march_args(prob, mesh, thetas))[0])
+    assert_close(pricing._march(**march_args(prob, mesh, 30, implicit_steps)),
+                 reference_march(**march_args(prob, mesh, 30, implicit_steps))[0])
 
 
 @pytest.fixture
@@ -807,9 +838,8 @@ def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, s
                    mu=lambda s: r * s, b=-r,
                    g0=lambda tau: float(payoff_year(1)),
                    g1=lambda tau: float(payoff_year(t_max)))
-    thetas = [1.0] * min(4, steps) + [0.5] * (steps - min(4, steps))
     payoff = grid(mesh.points())
-    U = pricing._march(**march_args(prob, mesh, thetas),
+    U = pricing._march(**march_args(prob, mesh, steps, min(4, steps)),
                        project=lambda n, V: np.maximum(V, payoff, out=V))
     return mc, se, float(np.interp(spot, mesh.points(), U))
 
