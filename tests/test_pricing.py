@@ -752,6 +752,16 @@ CONST_BITS = {
     ('call', 'american', 800, 37): '4df555f552a4932cd4f2c559022d850c86542e714d7fc6919b86f7eda85b0718',
     ('put', 'european', 800, 37): 'd229c43515289e38624b58bc7ec3d8f678bc64cd55a1adb985ebf3a521b3b983',
     ('put', 'american', 800, 37): 'd06d190586c3ced955358570e590570bd59a1a63a2eb46e6d3d2cefabbd550f7',
+    # one interior row, which the symmetric factorization pads, and two,
+    # which it does not
+    ('call', 'european', 2, 1): '2d3b75706ae7f1472bdb0b74ce4a4e34095a36679cc5bb73e3b33a28195b2cd1',
+    ('call', 'american', 2, 1): '10508dbd4f266755e66ac4c23e7ec19e67180ca8734d3fab4408f28dd20b8410',
+    ('put', 'european', 2, 1): 'e1a105d6cf77782f2637e42c83a671cfc8bf543fb012febf2b232004497637d5',
+    ('put', 'american', 2, 1): '9e8fb02a3c04b0222e991c0589f5e69d5d524e3c5a1efb10b83741a2d59cf6c7',
+    ('call', 'european', 3, 2): 'e28acf53e2597d2f40d0c2aa14b1ef5d2ec5df9895b36e8c278be8deddee8bc9',
+    ('call', 'american', 3, 2): '8b160d4ce5feb242bb1e323f1004f9a8300691120b02de652cf9be84269d0a9a',
+    ('put', 'european', 3, 2): '486beea76c25782b5ccc7787a99db8398686949db555bbc8a0597b701e8f94ac',
+    ('put', 'american', 3, 2): '71cffdd5001d55a12a47b155ff2103d188d4e0d2f4be2b1b52c9920acaa6670d',
 }
 
 
@@ -846,7 +856,8 @@ def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, s
 
 # ``pde`` is float.hex of the case's pde_value, taken while the grid leg
 # still marched a problem of coefficient callables; the reference shares
-# the march, so only these pin its bits
+# the march, so only these pin its bits.  ``intervals`` defaults to 60; at
+# 2 and 3 the pivoted factorization pads its one or two rows to three
 @pytest.mark.parametrize("case", [
     dict(pol=FlatPolicy(p=100.0, b=1000.0, r=0.05), x=70, vole_sigma=0.1, n=5000,
          pde="0x1.0a699f6c91c28p-3"),
@@ -857,11 +868,20 @@ def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, s
     # schedule shorter than the table's horizon: later years take its last value
     dict(pol=PolicySchedule([60.0] * 12, [900.0 + 10.0 * k for k in range(12)], 0.06),
          x=72, vole_sigma=0.0, n=4000, pde="0x0.0p+0"),
+    dict(pol=FlatPolicy(p=100.0, b=1000.0, r=0.05), x=70, vole_sigma=0.1, n=5000,
+         intervals=2, pde="0x1.ac98f23155ed7p+8"),
+    dict(pol=FlatPolicy(p=100.0, b=1000.0, r=0.05), x=70, vole_sigma=0.1, n=5000,
+         intervals=3, pde="0x1.aca6547c66e44p+7"),
+    dict(pol=FlatPolicy(p=30.0, b=800.0, r=0.04), x=85, vole_sigma=0.0, n=2,
+         intervals=2, pde="0x1.1e16b602a0ae3p+9"),
+    dict(pol=FlatPolicy(p=30.0, b=800.0, r=0.04), x=85, vole_sigma=0.0, n=2,
+         intervals=3, pde="0x1.16295db9398adp+9"),
 ])
 def test_mortality_option_matches_the_per_path_reference_bitwise(bundled_table, case):
     args = (case["pol"], bundled_table, case["x"], case["vole_sigma"], 0.045, case["n"])
-    value = price_mortality_option(*args, RngStream(77), intervals=60, steps=40)
-    mc, se, pde = _per_path_reference(*args, RngStream(77), intervals=60, steps=40)
+    grid = dict(intervals=case.get("intervals", 60), steps=40)
+    value = price_mortality_option(*args, RngStream(77), **grid)
+    mc, se, pde = _per_path_reference(*args, RngStream(77), **grid)
     assert value.mc_value == mc
     assert value.mc_std_error == se
     assert value.pde_value == pde
