@@ -90,9 +90,6 @@ class Mesh1D:
 
 # ----------------------------------------------------------- tridiagonal #
 
-_lapack = None  # scipy.linalg._flapack, bound by the first factorization
-
-
 def _load_lapack():
     """scipy's compiled LAPACK wrappers, without running ``scipy.linalg``'s init.
 
@@ -100,9 +97,10 @@ def _load_lapack():
     ``dpttrf``/``dpttrs`` (``L D L^T`` of a symmetric positive-definite
     matrix) are this extension's functions, but importing ``scipy.linalg``
     also loads its array-API layer, which takes longer than numpy itself.
-    The extension is registered under its own name, so a later
-    ``import scipy.linalg`` reuses this instance, and one already loaded is
-    returned as it is.
+    The first call loads the extension and registers it under its own name,
+    so every later call, and a later ``import scipy.linalg``, gets that
+    instance; one already loaded is returned as it is.  Loading the package
+    (and the CLI) pulls in no scipy; the first factorization does.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -118,128 +116,63 @@ def _load_lapack():
     return module
 
 
-def _wrappers():
-    """The LAPACK wrappers, loaded by the first call (:func:`_load_lapack`).
+def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                        symmetric: bool = False) -> Callable[[np.ndarray], None]:
+    """Factor one tridiagonal system and return the solve through its factors.
 
-    Loading the package (and the CLI) pulls in no scipy; the first
-    factorization does.
-    """
-    global _lapack
-    if _lapack is None:
-        _lapack = _load_lapack()
-    return _lapack
+    Row ``j`` reads ``lower[j]*x[j-1] + diag[j]*x[j] + upper[j]*x[j+1]``;
+    the three vectors have the system size, and ``lower[0]`` and
+    ``upper[-1]`` lie outside the matrix.  A coefficient inside it that is
+    not finite raises ``ValueError``.  With ``symmetric`` the matrix must be
+    symmetric, ``lower[1:] == upper[:-1]``, of which only ``upper`` is
+    factored, and positive definite: it is factored as ``L D L^T`` by LAPACK
+    ``dpttrf``, with no pivots, and a pivot that is not positive raises
+    :class:`NumericalError`.  Otherwise it is factored by ``dgttrf``,
+    Gaussian elimination with partial pivoting, which needs no diagonal
+    dominance; an exactly zero pivot raises :class:`NumericalError`.  The
+    factors overwrite the vectors where they are contiguous float arrays.
+    A system smaller than the wrapper accepts, one row for ``dpttrf`` or
+    fewer than three for ``dgttrf``, is factored with appended identity
+    rows; they are decoupled, so the system's own pivots and solution are
+    unchanged.  The first factorization loads the LAPACK wrappers
+    (:func:`_load_lapack`).
 
-
-def _require_finite_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
-    """``ValueError`` unless every coefficient a factorization reads is finite.
-
-    The vectors are laid out as for :func:`_solve_tridiagonal`.
+    The returned ``solve(b)`` overwrites the float vector ``b`` with the
+    solution by one ``dpttrs`` or ``dgttrs`` back-substitution, in place
+    when ``b`` is contiguous; a padded system's extra rows get zeros and
+    solve to zeros.  The solution is not checked, so callers that need a
+    finite one test for it.
     """
     if not (np.isfinite(diag).all() and np.isfinite(lower[1:]).all()
             and np.isfinite(upper[:-1]).all()):
         raise ValueError("tridiagonal coefficients must be finite")
-
-
-def _lu_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
-    """The ``dgttrf`` factors of a tridiagonal matrix, coefficients unchecked.
-
-    Takes the vectors of :func:`_solve_tridiagonal` and returns
-    ``(dl, d, du, du2, ipiv)`` for :func:`_lu_solve`; the factors overwrite
-    the vectors where they are contiguous float arrays.  The coefficients
-    are not tested for finiteness, so callers test them first with
-    :func:`_require_finite_tridiagonal`; an exactly zero pivot raises
-    :class:`NumericalError`.  A system of fewer than three rows, which the
-    LAPACK wrappers reject, is factored with appended identity rows; they
-    are decoupled, so the system's own pivots and solution are unchanged.
-    The first factorization loads the LAPACK wrappers (:func:`_wrappers`).
-    """
-    pad = 3 - diag.size
+    n = diag.size
+    pad = (2 if symmetric else 3) - n
     if pad > 0:
         lower = np.concatenate([lower, np.zeros(pad)])
         diag = np.concatenate([diag, np.ones(pad)])
         upper = np.concatenate([upper[:-1], np.zeros(pad + 1)])
-    dl, d, du, du2, ipiv, info = _wrappers().dgttrf(lower[1:], diag, upper[:-1],
-                                                    overwrite_dl=1, overwrite_d=1,
-                                                    overwrite_du=1)
-    if info > 0:
-        raise NumericalError(f"singular tridiagonal system: zero pivot at row {info - 1}")
-    return dl, d, du, du2, ipiv
-
-
-def _lu_solve(lu: tuple, b: np.ndarray) -> None:
-    """Overwrite the float vector ``b`` with the solution through ``lu``.
-
-    One ``dgttrs`` back-substitution, in place when ``b`` is contiguous;
-    a padded system's extra rows get zeros and solve to zeros.  The result
-    is not checked, so callers that need a finite solution test for it.
-    """
-    n, m = b.size, lu[1].size
-    rhs = b if n == m else np.concatenate([b, np.zeros(m - n)])
-    x = _lapack.dgttrs(*lu, rhs, overwrite_b=1)[0]
-    if x is not b:
-        b[:] = x[:n]
-
-
-def _ldl_tridiagonal(diag: np.ndarray, upper: np.ndarray) -> tuple:
-    """The ``dpttrf`` factors of a symmetric tridiagonal matrix, coefficients unchecked.
-
-    ``diag`` is the diagonal and ``upper[j]`` couples rows ``j`` and
-    ``j + 1``; both have the system size and ``upper[-1]`` is ignored, as in
-    :func:`_solve_tridiagonal`.  Returns ``(d, e)`` of ``L D L^T`` for
-    :func:`_ldl_solve`; the factors overwrite the vectors where they are
-    contiguous float arrays.  ``dpttrf`` takes no pivots, so the matrix must
-    be positive definite: a pivot that is not positive raises
-    :class:`NumericalError`.  The coefficients are not tested for
-    finiteness, so callers test them first with
-    :func:`_require_finite_tridiagonal`.  A one-row system, which the
-    LAPACK wrapper rejects, is factored with an appended identity row; it
-    is decoupled, so the system's own pivot and solution are unchanged.
-    """
-    if diag.size < 2:
-        diag, upper = np.append(diag, 1.0), np.zeros(1)
+    lapack = _load_lapack()
+    if symmetric:
+        *factors, info = lapack.dpttrf(diag, upper[:-1], overwrite_d=1, overwrite_e=1)
+        back_substitute = lapack.dpttrs
+        if info > 0:
+            raise NumericalError(f"tridiagonal system not positive definite: pivot {info - 1} "
+                                 "is not positive")
     else:
-        upper = upper[:-1]
-    d, e, info = _wrappers().dpttrf(diag, upper, overwrite_d=1, overwrite_e=1)
-    if info > 0:
-        raise NumericalError(f"tridiagonal system not positive definite: pivot {info - 1} "
-                             "is not positive")
-    return d, e
+        *factors, info = lapack.dgttrf(lower[1:], diag, upper[:-1], overwrite_dl=1,
+                                       overwrite_d=1, overwrite_du=1)
+        back_substitute = lapack.dgttrs
+        if info > 0:
+            raise NumericalError(f"singular tridiagonal system: zero pivot at row {info - 1}")
 
+    def solve(b: np.ndarray) -> None:
+        rhs = b if pad <= 0 else np.concatenate([b, np.zeros(pad)])
+        x = back_substitute(*factors, rhs, overwrite_b=1)[0]
+        if x is not b:
+            b[:] = x[:n]
 
-def _ldl_solve(ldl: tuple, b: np.ndarray) -> None:
-    """Overwrite the float vector ``b`` with the solution through ``ldl``.
-
-    One ``dpttrs`` back-substitution, in place when ``b`` is contiguous;
-    a padded system's extra row gets a zero and solves to zero.  The
-    result is not checked, so callers that need a finite solution test
-    for it.
-    """
-    n, m = b.size, ldl[0].size
-    rhs = b if n == m else np.append(b, 0.0)
-    x = _lapack.dpttrs(*ldl, rhs, overwrite_b=1)[0]
-    if x is not b:
-        b[:] = x[:n]
-
-
-def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Solve one tridiagonal system by pivoted LU, into a new vector.
-
-    Row ``j`` reads ``lower[j]*x[j-1] + diag[j]*x[j] + upper[j]*x[j+1]``;
-    all four vectors have the system size, and ``lower[0]`` and
-    ``upper[-1]`` are ignored.  Non-finite coefficients raise
-    ``ValueError``.  Copies of the vectors are factored by
-    :func:`_lu_tridiagonal`: LAPACK ``dgttrf``, Gaussian elimination with
-    partial pivoting, so it needs no diagonal dominance; an exactly zero
-    pivot raises :class:`NumericalError`.  A copy of ``rhs`` is then
-    back-substituted by :func:`_lu_solve` (``dgttrs``).  The solution is
-    not checked, so callers that need a finite one test for it.
-    """
-    _require_finite_tridiagonal(lower, diag, upper)
-    lu = _lu_tridiagonal(*(np.array(v, dtype=float) for v in (lower, diag, upper)))
-    x = np.array(rhs, dtype=float)
-    _lu_solve(lu, x)
-    return x
+    return solve
 
 
 # ----------------------------------------------- classical demo schemes #
@@ -291,12 +224,12 @@ def _solve_layer(sigma: float, mesh: Mesh1D, sub: float, diag: float, sup: float
     _check_layer_sigma(sigma)
     if not (mesh.a == 0.0 and mesh.b == 1.0):
         raise ValueError("the layer problem lives on (0, 1)")
-    n = mesh.j_count - 2
-    rhs = np.zeros(n)
-    rhs[0] = -sub
-    values = np.empty(mesh.j_count)
-    values[0], values[-1] = 1.0, 0.0
-    values[1:-1] = _solve_tridiagonal(*(np.full(n, c) for c in (sub, diag, sup)), rhs)
+    # the interior holds the right-hand side, -sub * u(0) in the first row,
+    # until the solve overwrites it
+    values = np.zeros(mesh.j_count)
+    values[0], values[1] = 1.0, -sub
+    rows = (np.full(mesh.j_count - 2, c) for c in (sub, diag, sup))
+    _factor_tridiagonal(*rows)(values[1:-1])
     if not np.all(np.isfinite(values[1:-1])):
         raise NumericalError("layer solve produced non-finite values")
     return values
@@ -484,15 +417,18 @@ def solve_fitted(bvp: TwoPointBVP, mesh: Mesh1D) -> np.ndarray:
         raise AssertionError("fitted assembly lost monotonicity on the diagonal")
     if np.any(sup <= 0.0):
         raise AssertionError("fitted assembly lost monotonicity on the super-diagonal")
-    rhs = f.copy()
+    values = np.empty(mesh.j_count)
+    values[0], values[-1] = bvp.beta0, bvp.beta1
+    rhs = values[1:-1]
+    rhs[:] = f
     # an overflow here leaves a non-finite right-hand side, and so a
     # non-finite solution, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         rhs[0] -= sub[0] * bvp.beta0
         rhs[-1] -= sup[-1] * bvp.beta1
-    values = np.empty(mesh.j_count)
-    values[0], values[-1] = bvp.beta0, bvp.beta1
-    values[1:-1] = _solve_tridiagonal(sub, diag, sup, rhs)
+    # the factors overwrite the rows, whose edge entries the right-hand side
+    # has already read
+    _factor_tridiagonal(sub, diag, sup)(rhs)
     if not np.all(np.isfinite(values[1:-1])):
         raise NumericalError("fitted solve produced non-finite values")
     return values

@@ -18,13 +18,14 @@ extrapolation, so every step costs one back-substitution and at most one
 vector subtraction, and none forms the explicit product ``A U``.  A step
 works in place: it builds its right-hand side in a preallocated state
 vector, back-substitutes it there with one LAPACK call, extrapolates
-there, and tests the new state for finiteness with one dot product.  The
-back-substitution depends on the rows.  The vanilla pricers' rows, scaled
-row by row, make every step matrix symmetric positive definite, so it is
-factored as ``L D L^T`` and solved by ``dpttrs``, with no pivots.  The
-mortality leg's rows carry convection, and at zero volatility they are
-pure upwinding with a zero entry on one side of the diagonal, which no
-row scaling makes symmetric; its steps keep pivoted LU and ``dgttrs``.
+there, and tests the new state for finiteness with one dot product.
+Every step matrix is factored by :func:`.fdm._factor_tridiagonal`, whose
+``symmetric`` flag picks the factorization.  The vanilla pricers' rows,
+scaled row by row, make every step matrix symmetric positive definite, so
+it is factored as ``L D L^T`` and solved by ``dpttrs``, with no pivots.
+The mortality leg's rows carry convection, and at zero volatility they
+are pure upwinding with a zero entry on one side of the diagonal, which
+no row scaling makes symmetric; its steps keep pivoted LU and ``dgttrs``.
 
 Every pricer here values a claim on a lognormal index, whose pricing
 equation has diffusion ``vol**2 S**2 / 2``, drift ``rate S`` and reaction
@@ -58,14 +59,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, require_finite
-from .fdm import (Mesh1D, _ldl_solve, _ldl_tridiagonal, _lu_solve, _lu_tridiagonal,
-                  _require_finite_tridiagonal, fitted_stencil)
+from .fdm import Mesh1D, _factor_tridiagonal, fitted_stencil
 from .lifetable import LifeTable, complete_expectation, death_distribution
 from .settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
 from .simulate import RngStream, sample_death_years
@@ -140,7 +139,7 @@ def _step_matrix(sub, dia, sup, kt: float, weights) -> np.ndarray:
     """``lower``, ``diag`` and ``upper`` of ``diag(weights) - kt*rows`` stacked on a new first axis.
 
     ``weights`` is a vector or the scalar 1.0, which gives ``I - kt*A`` for
-    rows ``(sub, dia, sup)`` of ``A``.  As in :func:`.fdm._solve_tridiagonal`,
+    rows ``(sub, dia, sup)`` of ``A``.  As in :func:`.fdm._factor_tridiagonal`,
     ``lower[0]`` and ``upper[-1]`` lie outside the matrix; no check or
     factorization reads them.
     """
@@ -151,22 +150,6 @@ def _step_matrix(sub, dia, sup, kt: float, weights) -> np.ndarray:
     np.subtract(weights, diag, out=diag)
     np.multiply(-kt, sup, out=upper)
     return matrix
-
-
-def _factored(matrix: np.ndarray, symmetric: bool):
-    """The back-substitution through a step matrix's factors.
-
-    A symmetric matrix is factored as ``L D L^T`` by ``dpttrf`` and solved
-    by ``dpttrs``, with no pivots; any other by pivoted LU, ``dgttrf`` and
-    ``dgttrs``.  The factors overwrite ``matrix``, and the returned
-    callable overwrites its argument with the solution.  A coefficient
-    that is not finite raises ``ValueError``, a failed factorization
-    :class:`NumericalError`.
-    """
-    _require_finite_tridiagonal(*matrix)
-    if symmetric:
-        return partial(_ldl_solve, _ldl_tridiagonal(matrix[1], matrix[2]))
-    return partial(_lu_solve, _lu_tridiagonal(*matrix))
 
 
 def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
@@ -182,18 +165,20 @@ def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
     ``g0s[n]`` and ``g1s[n]``; there are ``len(g0s)`` steps.  ``A`` never
     changes, so the march factors the step matrix ``I - k theta A`` of each
     kind of step it takes, ``theta = 1`` for an implicit step and ``1/2``
-    for Crank-Nicolson, before the first step, and a matrix that is not
-    finite or fails to factor raises there: a Rannacher start followed by
+    for Crank-Nicolson, before the first step, by
+    :func:`.fdm._factor_tridiagonal`, and a matrix that is not finite or
+    fails to factor raises there: a Rannacher start followed by
     Crank-Nicolson costs two factorizations in all.
 
     Given positive ``weights``, ``rows`` are those of ``diag(weights) A``
     instead, and must be symmetric (``sub[1:] == sup[:-1]``, of which the
     factorization reads ``sup``).  Each step then solves the scaled system
     ``diag(weights) (I - k theta A)``, symmetric positive definite when
-    ``diag(weights) A`` is negative semidefinite, by ``L D L^T``: one
-    ``dpttrs`` back-substitution, with no pivots to test and its divisions
-    off the row-to-row chain.  Without weights the step matrix
-    ``I - k theta A`` is factored by pivoted LU and solved by ``dgttrs``.
+    ``diag(weights) A`` is negative semidefinite, by ``L D L^T``
+    (``symmetric=True``): one ``dpttrs`` back-substitution, with no pivots
+    to test and its divisions off the row-to-row chain.  Without weights
+    the step matrix ``I - k theta A`` is factored by pivoted LU and solved
+    by ``dgttrs``.
 
     No step forms ``A U0``: the step
     ``(I - k theta A) U1 = (I + k(1-theta) A) U0`` is one implicit step of
@@ -227,7 +212,8 @@ def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
         # theta -> (the step's solve, right-hand-side scale) for each kind
         # of step the march takes, factored before the first step
         kinds = ((1.0, implicit_steps), (0.5, n_steps - implicit_steps))
-        steps = {theta: (_factored(_step_matrix(sub, dia, sup, k * theta, w), symmetric),
+        steps = {theta: (_factor_tridiagonal(*_step_matrix(sub, dia, sup, k * theta, w),
+                                             symmetric),
                          w / theta) for theta, count in kinds if count > 0}
         left_c, right_c = k * float(sub[0]), k * float(sup[-1])
         for n in range(n_steps):

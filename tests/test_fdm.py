@@ -12,9 +12,7 @@ from longevity.errors import NumericalError
 from longevity.fdm import (
     Mesh1D,
     TwoPointBVP,
-    _ldl_solve,
-    _ldl_tridiagonal,
-    _solve_tridiagonal,
+    _factor_tridiagonal,
     fitted_stencil,
     layer_exact,
     solve_centered,
@@ -63,16 +61,12 @@ def test_pivoted_solve_matches_dense_for_every_right_hand_side():
     for lower, diag, upper in systems():
         n = diag.size
         dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-        coefficients = tuple(v.copy() for v in (lower, diag, upper))
+        solve = _factor_tridiagonal(lower, diag, upper, symmetric=False)
         for _ in range(3):
             rhs = rng.uniform(-5.0, 5.0, n)
-            given_rhs = rhs.copy()
-            x = _solve_tridiagonal(lower, diag, upper, rhs)
+            x = rhs.copy()
+            solve(x)
             np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-9)
-            # the inputs are copied, never overwritten by the factors
-            np.testing.assert_array_equal(rhs, given_rhs)
-            for given, kept in zip((lower, diag, upper), coefficients):
-                np.testing.assert_array_equal(given, kept)
 
 
 @pytest.mark.parametrize("lower, diag, upper", [
@@ -82,13 +76,14 @@ def test_pivoted_solve_matches_dense_for_every_right_hand_side():
 ])
 def test_pivoted_solve_rejects_an_exactly_singular_system(lower, diag, upper):
     with pytest.raises(NumericalError, match="singular"):
-        _solve_tridiagonal(*(np.array(v) for v in (lower, diag, upper)), np.ones(len(diag)))
+        _factor_tridiagonal(*(np.array(v) for v in (lower, diag, upper)), symmetric=False)
 
 
-def test_pivoted_solve_rejects_non_finite_coefficients():
-    with pytest.raises(ValueError, match="finite"):
-        _solve_tridiagonal(np.zeros(4), np.array([1.0, np.nan, 1.0, 1.0]), np.zeros(4),
-                           np.ones(4))
+@pytest.mark.parametrize("symmetric", [False, True], ids=["lu", "ldl"])
+def test_factorization_rejects_non_finite_coefficients(symmetric):
+    with pytest.raises(ValueError, match="tridiagonal coefficients must be finite"):
+        _factor_tridiagonal(np.zeros(4), np.array([1.0, np.nan, 1.0, 1.0]), np.zeros(4),
+                            symmetric=symmetric)
 
 
 def test_symmetric_solve_matches_dense_for_every_right_hand_side():
@@ -101,11 +96,11 @@ def test_symmetric_solve_matches_dense_for_every_right_hand_side():
             upper = -coupling * rng.uniform(0.0, 1.0, n)
             diag = rng.uniform(0.1, 1.0, n) - upper - np.roll(upper, 1) * (np.arange(n) > 0)
             dense = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(upper[:-1], -1)
-            ldl = _ldl_tridiagonal(diag.copy(), upper.copy())
+            solve = _factor_tridiagonal(np.roll(upper, 1), diag, upper, symmetric=True)
             for _ in range(3):
                 rhs = rng.uniform(-5.0, 5.0, n)
                 x = rhs.copy()
-                _ldl_solve(ldl, x)
+                solve(x)
                 np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-9)
 
 
@@ -116,7 +111,7 @@ def test_symmetric_solve_matches_dense_for_every_right_hand_side():
 ])
 def test_symmetric_factorization_rejects_a_matrix_that_is_not_positive_definite(diag, upper):
     with pytest.raises(NumericalError, match="not positive definite"):
-        _ldl_tridiagonal(np.array(diag), np.array(upper))
+        _factor_tridiagonal(np.roll(upper, 1), np.array(diag), np.array(upper), symmetric=True)
 
 
 # each probe runs in a fresh process, so it alone decides which of fdm and
@@ -131,11 +126,11 @@ PRICE_THEN_LINALG = """
         return price_american("call", 80.0, 0.04, 0.3, 0.5, intervals=100, steps=100).values
 
     first = price()
+    loaded = sys.modules["scipy.linalg._flapack"]
     assert "scipy.linalg" not in sys.modules
     import scipy.linalg
-    assert sys.modules["scipy.linalg._flapack"] is fdm._lapack
-    assert scipy.linalg.lapack.dgttrf is fdm._lapack.dgttrf
-    assert scipy.linalg.lapack.dgttrs is fdm._lapack.dgttrs
+    for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs"):
+        assert getattr(scipy.linalg.lapack, name) is getattr(loaded, name)
     ab = np.array([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]])
     x = scipy.linalg.solve_banded((1, 1), ab, np.array([2.0, -2.0, 2.0]))
     np.testing.assert_allclose(x, [1.0, 0.0, 1.0], rtol=1e-15, atol=1e-15)
@@ -143,13 +138,12 @@ PRICE_THEN_LINALG = """
 """
 
 LINALG_THEN_PRICE = """
-    import sys
     import scipy.linalg
     from longevity import fdm
     from longevity.pricing import price_american
 
     price_american("put", 100.0, 0.05, 0.25, 1.0, intervals=20, steps=20)
-    assert fdm._lapack is sys.modules["scipy.linalg._flapack"]
+    assert fdm._load_lapack() is scipy.linalg._flapack
 """
 
 

@@ -670,13 +670,23 @@ def test_rannacher_start_matches_the_dense_reference_march(implicit_steps):
 
 @pytest.fixture
 def calls(monkeypatch):
-    # calls of pricing's fitted_stencil and its two factorizations, by name
+    # calls of pricing's fitted_stencil, and of _factor_tridiagonal keyed by
+    # the factorization it takes
     counts = {}
-    for name in ("fitted_stencil", "_lu_tridiagonal", "_ldl_tridiagonal"):
-        def counting(*args, name=name, inner=getattr(pricing, name)):
-            counts[name] = counts.get(name, 0) + 1
-            return inner(*args)
-        monkeypatch.setattr(pricing, name, counting)
+
+    def tally(key):
+        counts[key] = counts.get(key, 0) + 1
+
+    def stencil(*args, inner=pricing.fitted_stencil):
+        tally("fitted_stencil")
+        return inner(*args)
+
+    def factor(lower, diag, upper, symmetric=False, inner=pricing._factor_tridiagonal):
+        tally("LDL^T" if symmetric else "LU")
+        return inner(lower, diag, upper, symmetric)
+
+    monkeypatch.setattr(pricing, "fitted_stencil", stencil)
+    monkeypatch.setattr(pricing, "_factor_tridiagonal", factor)
     return counts
 
 
@@ -691,11 +701,11 @@ def test_only_the_mortality_leg_assembles_a_stencil_and_each_theta_is_factored_o
         for vol in (VOL, VolatilityDecay(VOL, 0.5)):
             calls.clear()
             price("put", STRIKE, RATE, vol, EXPIRY, intervals=50, steps=steps)
-            assert calls == {"_ldl_tridiagonal": distinct_thetas}
+            assert calls == {"LDL^T": distinct_thetas}
     calls.clear()
     price_mortality_option(FlatPolicy(p=100.0, b=1000.0, r=0.05), LifeTable(90, [0.5, 1.0]),
                            90, 0.2, 0.05, 10, RngStream(1), intervals=50, steps=steps)
-    assert calls == {"fitted_stencil": 1, "_lu_tridiagonal": distinct_thetas}
+    assert calls == {"fitted_stencil": 1, "LU": distinct_thetas}
 
 
 def bits(*arrays):
