@@ -783,6 +783,29 @@ def test_constant_volatility_keeps_its_bits(case):
     assert bits(res.values, res.exercise_boundary) == CONST_BITS[case]
 
 
+# Digests of the American values alone, boundary left out, at a negative
+# rate, where early exercise of a call pays, and at zero, by (kind, rate,
+# intervals, steps).  They pin the projection's values however the
+# boundary is read off them.
+AMERICAN_VALUE_BITS = {
+    ('call', -0.3, 60, 60): '375569d326ce2798932c64afa732702a0ffd4cf55530cdf824ae186e77d15581',
+    ('call', -0.3, 3, 2): '4f80e4bd7ac83e806a1ff842cda2fa166643fd027cf37e04cc43fba3ac698511',
+    ('put', -0.3, 60, 60): 'acbbc541231555b2bf35a94eda8732c37ca3917b2181b1767672ec472ca70837',
+    ('put', -0.3, 3, 2): '175728e0ccc26e4e4007009a37cc06a44a3459e218ad517c1727ba594f9a68e9',
+    ('call', 0.0, 60, 60): 'fd2049df08baf98466e811f7aa0355ffe1fbe0db1f3f0404f633c667b82a2b0f',
+    ('call', 0.0, 3, 2): 'c4f2ed207cadfbdcd94736e3b12e1265bd2a64af2c36c1db5fd2f25103869132',
+    ('put', 0.0, 60, 60): 'b097d71a27b31cbcf4d17e596c80f283ab627d6800397cb216db1971a8516798',
+    ('put', 0.0, 3, 2): 'f6d0dd87eb88f04243b767f721de08cc0eac76e5c4a1b62cfe3e5d3d92d97c50',
+}
+
+
+@pytest.mark.parametrize("case", list(AMERICAN_VALUE_BITS), ids=lambda c: "-".join(map(str, c)))
+def test_american_values_keep_their_bits(case):
+    kind, rate, intervals, steps = case
+    res = price_american(kind, STRIKE, rate, VOL, EXPIRY, intervals=intervals, steps=steps)
+    assert bits(res.values) == AMERICAN_VALUE_BITS[case]
+
+
 # ----------------------------------------------------- mortality option #
 
 
