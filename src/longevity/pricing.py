@@ -251,11 +251,13 @@ class PriceResult:
 
     ``grid`` holds the underlying levels, ``values`` the option values.
     For American styles, ``exercise_times`` and ``exercise_boundary`` give
-    the per-level largest underlying value at which immediate exercise is
-    optimal, or NaN where no node exercises, e.g. an American call on a
-    non-dividend underlying.  The times are equal steps of the variance
-    clock, so under decaying volatility they are not evenly spaced; the
-    last is the expiry.
+    each time level's exercise boundary: the node on the floor nearest the
+    strike within the floor's support, the nodes whose payoff exceeds the
+    level's tolerance.  That is the smallest such level for a call and the
+    largest for a put, and NaN where no node of the support sits on the
+    floor, e.g. an American call on a non-dividend underlying at a positive
+    rate.  The times are equal steps of the variance clock, so under
+    decaying volatility they are not evenly spaced; the last is the expiry.
 
     The march's mesh is uniform in ``x = S e^{r(tau - E)}``, so a level's
     boundary is resolved in ``S`` only to the mesh spacing times
@@ -430,28 +432,19 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     # with the default s_max
     tol = 1e-7 * (1.0 + float(np.maximum(exercise(0.0, strike), exercise(s_max, strike))))
     resolvable = 2.0 ** -40 * s_max
-    floor, gap = np.empty_like(x), np.empty_like(x)
-    on_floor = np.empty(x.shape, dtype=bool)
     nodes = []
 
     def project(n, V):  # level n + 1, whose strike is strikes[n]
         level_strike, level_tol = strike * scales[n], tol * scales[n]
-        if call:
-            np.subtract(x, level_strike, out=floor)
-        else:
-            np.subtract(level_strike, x, out=floor)
+        floor = exercise(x, level_strike)
         np.maximum(V, floor, out=V)
-        np.maximum(V, 0.0, out=V)
-        if not level_tol > resolvable:
-            nodes.append(math.nan)
-            return
-        # the floor exceeds tol on a suffix of the mesh for a call, a prefix for a put
+        # the floor exceeds tol on a suffix of the mesh for a call, a prefix
+        # for a put; the boundary is its on-floor node nearest the strike
         lo, hi = (x.searchsorted(level_strike + level_tol, "right"), x.size) if call else \
             (0, x.searchsorted(level_strike - level_tol))
-        np.subtract(V, floor, out=gap)
-        np.less_equal(gap, level_tol, out=on_floor)
-        last = hi - 1 - int(on_floor[lo:hi][::-1].argmax()) if lo < hi else 0
-        nodes.append(float(x[last]) if lo < hi and on_floor[last] else math.nan)
+        hits = np.flatnonzero(V[lo:hi] - floor[lo:hi] <= level_tol)
+        resolved = hits.size > 0 and level_tol > resolvable
+        nodes.append(float(x[lo + hits[0 if call else -1]]) if resolved else math.nan)
 
     U = _march(rows, U, k, implicit_steps, g0s, g1s, project, weights)
     times = np.asarray(times)
@@ -486,8 +479,10 @@ def price_american(kind: str, strike: float, rate: float, vol, expiry: float,
     Arguments are those of :func:`price_european`.  The comparison of
     continuation and intrinsic value happens node by node after every
     step, so the returned values satisfy ``value >= payoff`` everywhere.
-    The reported exercise boundary is the largest underlying level sitting
-    on the payoff at each time level.
+    The reported exercise boundary of each time level is the node on the
+    payoff nearest the strike among the nodes whose payoff exceeds the
+    level's tolerance: the smallest such level for a call, the largest for
+    a put, and NaN where there is none (see :class:`PriceResult`).
     """
     return _price_vanilla(True, kind, strike, rate, vol, expiry, s_max, intervals, steps,
                           rannacher_steps)
