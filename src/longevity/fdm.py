@@ -180,8 +180,13 @@ def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
 def layer_exact(sigma: float, x) -> np.ndarray | float:
     """Continuous solution of the reference layer problem.
 
-    ``(exp(-2x/sigma) - exp(-2/sigma)) / (1 - exp(-2/sigma))``, computed
-    with underflow-safe exponentials.
+    Two forms of one function.  Where ``tail = exp(-2/sigma)`` is at most
+    1/2, which holds for every ``sigma <= 2/ln 2`` (about 2.885), it is
+    ``(exp(-2x/sigma) - tail) / (1 - tail)``, with underflow-safe
+    exponentials.  Above that, where ``1 - tail`` and the numerator cancel
+    as ``sigma`` grows, it is
+    ``(expm1(-2x/sigma) - expm1(-2/sigma)) / -expm1(-2/sigma)``, which
+    keeps their digits and tends to ``1 - x``.
     """
     _check_layer_sigma(sigma)
     x = np.asarray(x, dtype=float)
@@ -189,7 +194,11 @@ def layer_exact(sigma: float, x) -> np.ndarray | float:
     # at a subnormal sigma, -2x/sigma overflows to -inf, whose exponential
     # is the correct limit 0
     with np.errstate(over="ignore"):
-        out = (np.exp(-2.0 * x / sigma) - tail) / (1.0 - tail)
+        if tail > 0.5:
+            tail_m1 = math.expm1(-2.0 / sigma)
+            out = (np.expm1(-2.0 * x / sigma) - tail_m1) / -tail_m1
+        else:
+            out = (np.exp(-2.0 * x / sigma) - tail) / (1.0 - tail)
     return float(out) if out.ndim == 0 else out
 
 

@@ -404,6 +404,11 @@ def test_every_subcommand_exits_cleanly_on_wild_float_flags(tmp_path_factory):
     # the NPV polynomial, the layer exponent, and the default grid boundary
     @example(argv=["irr", f"--cashflows={huge_flows}"])
     @example(argv=["fdm-demo", "--J=10", "--scheme=fitted", "--sigma=1e-320"])
+    # a layer so wide that exp(-2/sigma) rounds to 1: the reference solution
+    # once cancelled to 0 and then to NaN
+    @example(argv=["fdm-demo", "--J=2", "--scheme=upwind", "--sigma=2e16"])
+    @example(argv=["fdm-demo", "--J=2", "--scheme=upwind", "--sigma=1e17"])
+    @example(argv=["fdm-demo", "--J=3", "--scheme=fitted", "--sigma=1e300"])
     @example(argv=["price-option", "--grid=20,20", "--kind=put", "--style=european",
                    "--strike=1e308", "--rate=0.05", "--vol=0.2", "--expiry=1"])
     # mesh spacings below the smallest normal float, one of them zero, a

@@ -164,6 +164,14 @@ def test_layer_exact_endpoints_and_shape():
         assert np.all(np.diff(u) <= 1e-15)
 
 
+@pytest.mark.parametrize("sigma", [1e16, 1e17, 1e300])
+def test_layer_exact_tends_to_the_straight_line_as_sigma_grows(sigma):
+    # exp(-2/sigma) rounds to 1 here, so only the expm1 form keeps the
+    # solution's digits
+    x = np.linspace(0.0, 1.0, 11)
+    np.testing.assert_allclose(layer_exact(sigma, x), 1.0 - x, rtol=0.0, atol=1e-15)
+
+
 def test_centered_smooth_regime_is_second_order():
     """With sigma = 1 the layer is mild and halving h quarters the error."""
     errors = []
