@@ -82,15 +82,6 @@ class LifeTable:
         """Last tabulated age (the age at which death is certain)."""
         return self.start_age + self.qx.size - 1
 
-    @property
-    def ages(self) -> np.ndarray:
-        return np.arange(self.start_age, self.omega + 1)
-
-    def q_at(self, age: int) -> float:
-        """Death probability at an integer ``age`` within the table."""
-        self._check_age(age)
-        return float(self.qx[age - self.start_age])
-
     def _check_age(self, age: int) -> None:
         if not (self.start_age <= age <= self.omega):
             raise ValueError(

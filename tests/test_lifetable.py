@@ -30,9 +30,9 @@ def test_table_rejects_out_of_range_probability():
 
 def test_omega_and_age_lookup(tiny_table):
     assert tiny_table.omega == 92
-    assert tiny_table.q_at(91) == 0.5
-    with pytest.raises(ValueError):
-        tiny_table.q_at(93)
+    assert tiny_table.qx[1] == 0.5
+    with pytest.raises(ValueError, match="outside table range"):
+        death_distribution(tiny_table, 93)
 
 
 def test_survival_probability_hand_values(tiny_table):
@@ -167,4 +167,3 @@ def test_load_table_rejects_empty_and_bad_header(tmp_path):
 def test_sample_table_loads_cleanly():
     table = sample_table()
     assert table.qx[-1] == 1.0
-    assert np.all(np.diff(table.ages) == 1)
