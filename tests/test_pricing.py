@@ -370,18 +370,15 @@ def test_negative_rate_makes_early_call_exercise_pay():
     assert euro.value_at(STRIKE) < 1e-3
     assert amer.value_at(STRIKE) > 0.5
     assert not np.all(np.isnan(amer.exercise_boundary))
-
-
-@pytest.mark.parametrize("rate", [-0.05, -0.3])
-def test_negative_rate_call_boundary_is_the_exercise_edge_near_the_strike(rate):
     # a call is exercised above its boundary, so the boundary is the lowest
-    # on-floor node, not the mesh end s_max = 4K; it rises toward the
-    # perpetual level as time to expiry grows, though not level by level
-    boundary = price_american("call", STRIKE, rate, 0.3, EXPIRY, intervals=400,
-                              steps=20).exercise_boundary
-    assert np.all(np.isfinite(boundary))
-    assert np.all((boundary > STRIKE) & (boundary < 2.0 * STRIKE))
-    assert boundary[-1] > boundary[0]
+    # on-floor node, not the mesh end s_max = 4K; it rises with the time to
+    # expiry, though not level by level
+    for rate in (-0.05, -0.3):
+        boundary = price_american("call", STRIKE, rate, 0.3, EXPIRY, intervals=400,
+                                  steps=20).exercise_boundary
+        assert np.all(np.isfinite(boundary)), rate
+        assert np.all((boundary > STRIKE) & (boundary < 2.0 * STRIKE)), (rate, boundary)
+        assert boundary[-1] > boundary[0], (rate, boundary)
 
 
 def test_a_rate_far_above_zero_reports_no_spurious_call_exercise():
