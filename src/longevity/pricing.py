@@ -442,7 +442,7 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
         # for a put; the boundary is its on-floor node nearest the strike
         lo, hi = (x.searchsorted(level_strike + level_tol, "right"), x.size) if call else \
             (0, x.searchsorted(level_strike - level_tol))
-        hits = np.flatnonzero(V[lo:hi] - floor[lo:hi] <= level_tol)
+        hits = (V[lo:hi] - floor[lo:hi] <= level_tol).nonzero()[0]
         resolved = hits.size > 0 and level_tol > resolvable
         nodes.append(float(x[lo + hits[0 if call else -1]]) if resolved else math.nan)
 
