@@ -674,6 +674,13 @@ GOLDEN_STDOUT = {
         b"mc_value=51.509364\nmc_std_error=0.694740\nexact_value=52.245218\n"
         b"pde_value=0.105552\n"
     ),
+    # large n at an old age: many draws fall in buckets that hold a CDF step
+    ("price-mortality-option", "--age", "85", "--premium", "60", "--benefit", "1000",
+     "--policy-rate", "0.05", "--rate", "0.04", "--vole-sigma", "0.2", "--n", "200000",
+     "--seed", "4", "--grid", "20,20"): (
+        b"mc_value=491.056104\nmc_std_error=0.431792\nexact_value=491.087490\n"
+        b"pde_value=605.434866\n"
+    ),
     ("price-option", "--kind", "put", "--style", "american", "--strike", "100", "--rate",
      "0.05", "--vol", "0.25", "--expiry", "1", "--grid", "400,400"): b"value=7.971270\n",
     ("price-option", "--kind", "call", "--style", "european", "--strike", "90", "--rate",
