@@ -21,14 +21,25 @@ Death-year sampling
 A curtate death year is the inverse of the life table's death CDF at one
 uniform: year ``i + 1`` where ``i`` counts the CDF entries ``<= u``, capped
 at the last year.  :func:`sample_death_years` inverts a batch with a guide
-table (indexed search, Chen & Asau 1974).  It splits (0, 1) into 4096 equal
-buckets and, with one binary search of the 4097 bucket edges, counts the
-CDF values at or below each edge.  A bucket whose two edges give the same
-count sends all its draws to one year, and a draw reads that year from the
-table at ``floor(4096 u)``.  The product is exact, since 4096 is a power of
-two, so the bucket is exact too.  Only the draws in the other buckets, at
-most ``cdf.size`` of the 4096, fall back to the binary search, and every
-year equals the plain inversion's.
+table (indexed search, Chen & Asau 1974) read straight from the words.  It
+splits (0, 1) into 4096 equal buckets and, with one binary search of the
+4097 bucket edges, counts the CDF values at or below each edge.  A bucket
+whose two edges give the same count sends all its draws to one year.  A
+word's bucket is its top 12 bits, ``w >> 52``, so most draws read their
+year from the table without ever becoming a float.  Only the draws in the
+other buckets, at most ``cdf.size`` of the 4096, are turned into uniforms
+and take the binary search, and every year equals the plain inversion's.
+
+The integer bucket is ``floor(4096 u)`` for every word but one kind.  With
+``k = w >> 11``, ``k + 0.5`` is exact below ``2**52`` and the bucket is
+``k >> 41``.  From ``2**52`` on the half rounds to even, and an odd ``k``
+becomes ``k + 1``.  That crosses a bucket edge only when the low 41 bits
+of ``k`` are all ones: then ``u`` is exactly edge ``j`` while the word sits
+in bucket ``j - 1``.  If bucket ``j - 1`` holds no CDF value in
+``(edge j-1, edge j]``, the count at ``u`` is the count at edge ``j``,
+which is the bucket's year.  If it holds one, the draw takes the binary
+search on its exact ``u``.  The clamp below 1 keeps ``u`` in the last
+bucket, where ``k >> 41`` puts it too.
 """
 
 from __future__ import annotations
@@ -90,16 +101,18 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + int(offset))
 
     def uniform(self, size: int) -> np.ndarray:
-        """``size`` uniforms in (0, 1), one 64-bit word each (see the module notes)."""
+        """``size`` uniforms in (0, 1), one 64-bit word each (see the module notes).
+
+        :func:`sample_death_years` reads the same words but makes floats
+        only for the few draws that need them, so it does not call this.
+        """
+        return _uniforms(self._words(size))
+
+    def _words(self, size: int) -> np.ndarray:
+        """The next ``size`` raw 64-bit words of the stream."""
         if size < 0:
             raise ValueError("size must be >= 0")
-        words = self._gen.integers(0, 2**64, size=size, dtype=np.uint64)
-        words >>= np.uint64(11)
-        u = words.astype(np.float64)
-        u += 0.5
-        u /= _TWO_POW_53
-        np.minimum(u, _BELOW_ONE, out=u)
-        return u
+        return self._gen.integers(0, 2**64, size=size, dtype=np.uint64)
 
     def normals(self, size: int) -> np.ndarray:
         """``size`` standard normals via Box-Muller, cosine branch.
@@ -110,6 +123,16 @@ class RngStream:
         u = self.uniform(2 * size)
         y1, _ = box_muller(u[0::2], u[1::2])
         return y1
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The module's uniform formula on 64-bit words; shifts ``words`` in place."""
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u += 0.5
+    u /= _TWO_POW_53
+    np.minimum(u, _BELOW_ONE, out=u)
+    return u
 
 
 def box_muller(r1, r2):
@@ -149,34 +172,40 @@ def _years_from_uniforms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cdf.size - 1) + 1
 
 
-def _bucket_years(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_years_from_uniforms(cdf, u)`` by guide-table lookup, ``0 <= u < 1``."""
+def _bucket_years(cdf: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """``_years_from_uniforms(cdf, _uniforms(words))`` by guide-table lookup.
+
+    ``words`` is left as it was.  See the module notes for why the top 12
+    bits give the year whenever the bucket is not mixed.
+    """
     # first[b] counts the CDF values <= edge b, so a draw in bucket b,
     # [edge b, edge b+1), counts between first[b] and first[b+1] of them:
-    # the bucket fixes the year unless the two differ
+    # the bucket fixes the year unless the two differ, and year 0 marks it
     first = np.searchsorted(cdf, _BUCKET_EDGES, side="right")
-    mixed = first[:-1] != first[1:]
-    bucket = (u * _BUCKETS).astype(np.intp)
-    years = (np.minimum(first[:-1], cdf.size - 1) + 1)[bucket]
-    fallback = np.flatnonzero(mixed[bucket])
+    year_of = np.minimum(first[:-1], cdf.size - 1) + 1
+    year_of[first[:-1] != first[1:]] = 0
+    # a word's top 12 bits are its bucket, small enough to view as int64
+    years = year_of[(words >> np.uint64(52)).view(np.int64)]
+    fallback = (years == 0).nonzero()[0]
     if fallback.size:
-        years[fallback] = _years_from_uniforms(cdf, u[fallback])
+        years[fallback] = _years_from_uniforms(cdf, _uniforms(words[fallback]))
     return years
 
 
 def sample_death_years(table: LifeTable, x: int, n: int, rng: RngStream) -> np.ndarray:
-    """Draw ``n`` curtate death years in one batch (``n`` uniforms).
+    """Draw ``n`` curtate death years in one batch (``n`` words of ``rng``).
 
-    The years equal a binary search of each uniform in the death CDF, but
-    most draws read them from a 4096-bucket guide table instead.  A bucket
-    with no CDF value inside it or on its upper edge maps every draw to one
-    year.  The draws that land in one of the at most ``cdf.size`` other
-    buckets take the binary search.  Consumes exactly ``n`` words of ``rng``.
+    The years equal a binary search of each word's uniform in the death
+    CDF, but most draws read them from a 4096-bucket guide table indexed by
+    the word's top 12 bits, with no float in between.  A bucket with no
+    CDF value inside it or on its upper edge maps every draw to one year.
+    Only the draws that land in one of the at most ``cdf.size`` other
+    buckets become uniforms and take the binary search.  Consumes exactly
+    ``n`` words of ``rng``, as ``rng.uniform(n)`` would.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    cdf = _death_cdf(table, x)
-    return _bucket_years(cdf, rng.uniform(n))
+    return _bucket_years(_death_cdf(table, x), rng._words(n))
 
 
 def sample_death_times(table: LifeTable, x: int, n: int, rng: RngStream) -> np.ndarray:
@@ -224,8 +253,9 @@ class SimSummary:
 def simulate_deaths(table: LifeTable, x: int, n: int, rng: RngStream) -> SimSummary:
     """Simulate ``n`` death years for a life aged ``x`` and summarise them."""
     years = sample_death_years(table, x, n, rng)
-    values, counts = np.unique(years, return_counts=True)
-    hist = {int(v): int(c) for v, c in zip(values, counts)}  # ascending years
+    counts = np.bincount(years)
+    observed = counts.nonzero()[0]
+    hist = dict(zip(observed.tolist(), counts[observed].tolist()))  # ascending years
     top = max(hist.values())
     mode = min(y for y in hist if hist[y] == top)
     mean = sum(y * c for y, c in hist.items()) / years.size

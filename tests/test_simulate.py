@@ -29,13 +29,17 @@ def test_stream_is_reproducible_and_streams_are_distinct():
     assert np.all((a > 0.0) & (a < 1.0))
 
 
+def _documented_uniforms(words):
+    return np.minimum(((words >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0**53,
+                      1.0 - 2.0**-53)
+
+
 def test_uniform_is_the_documented_formula_bit_for_bit():
     n = 10_000
     key = np.array([5, 3], dtype=np.uint64)
     words = np.random.Generator(np.random.Philox(key=key)).integers(
         0, 2**64, size=n, dtype=np.uint64)
-    want = np.minimum(((words >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0**53,
-                      1.0 - 2.0**-53)
+    want = _documented_uniforms(words)
     got = RngStream(5, stream_id=3).uniform(n)
     assert got.dtype == np.float64
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -146,22 +150,36 @@ EDGE_CASE_CDFS = {
 }
 
 
-def _uniforms_around(cdf):
-    """Every bucket edge and CDF value, with its float neighbours in [0, 1)."""
-    points = np.concatenate([np.arange(4097) / 4096, cdf])
-    near = np.concatenate([np.nextafter(points, 0.0), points, np.nextafter(points, 1.0)])
-    return near[(near >= 0.0) & (near < 1.0)]
+def _words_around(cdf):
+    """Words at every bucket edge and nearest every CDF value, plus the all-ones word."""
+    j = np.arange(4097, dtype=np.int64) << 41
+    # the first top-53-bit value k of each bucket and the last of the one
+    # before it, whose low 41 bits are all ones
+    k = np.concatenate([j[:-1], j[1:] - 1])
+    below = np.floor(cdf * 2.0**53).astype(np.int64)
+    k = np.concatenate([k, *(np.clip(below + d, 0, 2**53 - 1) for d in (-1, 0, 1))])
+    # the low 11 bits of a word never reach its uniform
+    words = k.astype(np.uint64) << np.uint64(11)
+    return np.concatenate([words, words | np.uint64(2**11 - 1), [np.iinfo(np.uint64).max]])
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASE_CDFS))
 def test_bucket_lookup_equals_the_binary_search(name):
     cdf = EDGE_CASE_CDFS[name]
     assert np.all(np.diff(cdf) >= 0.0)
-    for u in (RngStream(21).uniform(50_000), _uniforms_around(cdf)):
-        want = _years_from_uniforms(cdf, u)
-        got = _bucket_years(cdf, u)
+    # from 2**52 on, an odd k with its low 41 bits all ones rounds up to the
+    # next bucket's edge while its top 12 bits name the bucket below: two
+    # such words for each bucket edge from 2049 to 4095
+    around = _words_around(cdf)
+    on_edge = np.floor(_documented_uniforms(around) * 4096) != around >> np.uint64(52)
+    assert np.count_nonzero(on_edge) >= 2 * 2047
+    for words in (RngStream(21)._words(50_000), around):
+        kept = words.copy()
+        want = _years_from_uniforms(cdf, _documented_uniforms(words))
+        got = _bucket_years(cdf, words)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(words, kept)
 
 
 def test_sample_death_years_reads_one_word_per_year(bundled_table):
