@@ -180,7 +180,7 @@ def _bucket_years(cdf: np.ndarray, words: np.ndarray) -> np.ndarray:
     """
     # first[b] counts the CDF values <= edge b, so a draw in bucket b,
     # [edge b, edge b+1), counts between first[b] and first[b+1] of them:
-    # the bucket fixes the year unless the two differ, and year 0 marks it
+    # the bucket fixes the year unless the two differ; year 0 marks those
     first = np.searchsorted(cdf, _BUCKET_EDGES, side="right")
     year_of = np.minimum(first[:-1], cdf.size - 1) + 1
     year_of[first[:-1] != first[1:]] = 0
