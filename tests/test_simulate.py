@@ -1,10 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from longevity.lifetable import LifeTable, death_distribution
+from longevity.lifetable import (
+    LifeTable,
+    MortalityAssumptions,
+    apply_assumptions,
+    death_distribution,
+    sample_table,
+)
 from longevity.simulate import (
     GbmParams,
     RngStream,
@@ -190,6 +197,53 @@ def test_sample_death_years_reads_one_word_per_year(bundled_table):
     assert years.dtype == want.dtype
     np.testing.assert_array_equal(years, want)
     np.testing.assert_array_equal(rng.uniform(4), twin.uniform(4))
+
+
+# Tables and ages of the death-sampling pins: the bundled table and two
+# ratings of it, by (multiplier, improvement), at three ages each.
+PIN_RATINGS = [(1.0, 0.0), (0.7, 0.0), (1.6, 0.015)]
+PIN_AGES = [60, 75, 89]
+
+
+def _death_sampling_digest(draw, n):
+    """sha256 over the pin tables and ages of ``draw``'s bytes and the next words."""
+    h = hashlib.sha256()
+    for rating in PIN_RATINGS:
+        table = apply_assumptions(sample_table(), MortalityAssumptions(*rating))
+        for age in PIN_AGES:
+            rng = RngStream(31, stream_id=age)
+            h.update(draw(table, age, n, rng))
+            h.update(rng._words(4).tobytes())
+    return h.hexdigest()
+
+
+def _summary_bytes(table, age, n, rng):
+    s = simulate_deaths(table, age, n, rng)
+    return repr((s.n, s.mode, s.max_year, s.mean.hex(), list(s.histogram.items()))).encode()
+
+
+PIN_DRAWS = {
+    "sample_death_years": lambda *args: sample_death_years(*args).tobytes(),
+    "simulate_deaths": _summary_bytes,
+    "sample_death_times": lambda *args: sample_death_times(*args).tobytes(),
+}
+
+# Digests of _death_sampling_digest, by (function, n); the years' bytes are
+# int64, so a change of dtype changes the digest too.
+DEATH_SAMPLING_BITS = {
+    ('sample_death_years', 20000): '0246c29718f16b98e8714f6ce733f25caed1c6dc9417c60d3a22f0fc49562898',
+    ('sample_death_years', 100000): 'c41b089d725cfe5b7ee93adc5ef236b6c11e161b01556fef2143edaea4abc07d',
+    ('simulate_deaths', 20000): 'f99f2cbfd982a0c6d82bff4d35699815036d230ee956250938d237e499b6237d',
+    ('simulate_deaths', 100000): '16ed3e67916466631f4f68cacba090a26ddb5e78718b23e062c45f2ddf7d54b1',
+    ('sample_death_times', 20000): '8272a3557c977e20aed20f7e3d7fd7beca10c36932b0d93b0e9f6d10f3e833fc',
+    ('sample_death_times', 100000): '302c50647b96d6ef87f8fc930c3feb89bf0c24c490cd0f15bbf176bf40334936',
+}
+
+
+@pytest.mark.parametrize("case", list(DEATH_SAMPLING_BITS), ids=lambda c: "-".join(map(str, c)))
+def test_death_sampling_keeps_its_bits(case):
+    name, n = case
+    assert _death_sampling_digest(PIN_DRAWS[name], n) == DEATH_SAMPLING_BITS[case]
 
 
 def test_death_years_match_distribution_chi_square(bundled_table):

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from longevity.errors import DataError
+from longevity.lifetable import MortalityAssumptions, apply_assumptions, sample_table
 from longevity.simulate import RngStream
 from longevity.stable import (
     StableParams,
@@ -107,3 +110,79 @@ def test_alpha_age_profile_rejects_degenerate_age():
     table = LifeTable(100, [1.0])
     with pytest.raises(DE, match="age 100"):
         alpha_age_profile(table, [100], 5000, RngStream(1))
+
+
+# ------------------------------------------------------------ bit pins #
+
+# Rated tables, by (multiplier, improvement); (1.0, 0.0) is the bundled table.
+PIN_RATINGS = [(1.0, 0.0), (0.5, 0.0), (0.7, 0.0), (1.3, 0.005), (1.6, 0.015), (4.0, 0.02)]
+# the workload's profile ages plus 88..99, where alpha sits below its clamp at 2
+PIN_AGES = sorted(set(range(60, 96, 5)) | set(range(88, 100)))
+
+
+def _hex_digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _profile_digest(rating, n):
+    table = apply_assumptions(sample_table(), MortalityAssumptions(*rating))
+    profile = alpha_age_profile(table, PIN_AGES, n, RngStream(2024, stream_id=5))
+    return _hex_digest(f"{age},{alpha.hex()}" for age, alpha in profile)
+
+
+# sha256 of the "age,alpha.hex()" lines of alpha_age_profile over PIN_AGES,
+# by (multiplier, improvement, n).
+PROFILE_BITS = {
+    (1.0, 0.0, 1000): '35c84a76fcb243c0fd8fa8c81c6813164b2fe1ae7ed38fc8f078ae12ee698b16',
+    (1.0, 0.0, 5000): '26e85175dfb4f8d612a5e30651f0c4a9659717e56da4ba33f0c907326df92bcb',
+    (1.0, 0.0, 20000): '125ed137f8f8341e3eb96577b4f9385aeb471ff68b13487d8a1dbbd8b74fd7b7',
+    (0.5, 0.0, 1000): 'f52724bf7e5ee356a6598d772e77e48dd9fd2bdbba99bd19d8c26129691199e2',
+    (0.5, 0.0, 5000): '731902033b2d07d65ac3c734225fe39ab99c87436bda520ce71c4ec3fb89efeb',
+    (0.5, 0.0, 20000): '0c381b866d5d9b055e98d4b05692ac19019ec6872737c0e08304584a6aca969b',
+    (0.7, 0.0, 1000): '2d014973efbdb20e9d9181c74922129681d54866d54a7ce22160fb3d130206b3',
+    (0.7, 0.0, 5000): '113685149314962038c219bb8ec039bd528b39b4fb58e118c867965142c7049a',
+    (0.7, 0.0, 20000): '86c2199f9168c967cca5d4026cc1abb0288edbe712aa167db75f80a144d6e3e6',
+    (1.3, 0.005, 1000): 'b327f95e6d4a4379cf8cbc6253572b8ae3606393be7269d1c4d555cc4d0d1055',
+    (1.3, 0.005, 5000): '0c4aa299925230bb5e6d35be88b6720c9d88942ff46b6dd6e092d67ff2f54a5c',
+    (1.3, 0.005, 20000): '94a47246e0371433fcd86b54cd59abe62ece42364fb3ec052e642bdb21a62ace',
+    (1.6, 0.015, 1000): 'b6b51571b3ff5dff16e8cbb2e2ade745233a13432080f21a7e2baa127d0c065c',
+    (1.6, 0.015, 5000): '3148a27dbfb5f118b6f864ba4eb8fad67d3eb72fad4b99e4ad41dc50c5411762',
+    (1.6, 0.015, 20000): 'a231f210f1dda6d05a029ccaecd7e94b7dd0844e2cbac89489143ad6add6249c',
+    (4.0, 0.02, 1000): '49ea4fee483fcf864eebc6c8ad7581f49bf1a4ebca244b37c6ab024e525c3933',
+    (4.0, 0.02, 5000): 'f205d731dcc80c32e918115af9666316ff369bea411285a5875b2a889fa6293d',
+    (4.0, 0.02, 20000): '9a9870c3cc06ee8af9aca79b1fcf8b8d348ea71339c72e97c0b54ff2a5814011',
+}
+
+
+@pytest.mark.parametrize("case", list(PROFILE_BITS), ids=lambda c: "-".join(map(str, c)))
+def test_alpha_age_profile_keeps_its_bits(case):
+    *rating, n = case
+    assert _profile_digest(tuple(rating), n) == PROFILE_BITS[case]
+
+
+def _heavy_tailed_samples(n):
+    """Seeded heavy-tailed samples, most of them rounded so that values tie."""
+    for seed in range(12):
+        u = RngStream(900 + seed, stream_id=n).uniform(n)
+        cauchy = np.tan(np.pi * (u - 0.5))
+        yield cauchy
+        yield np.round(cauchy, 1)
+        yield np.round(np.sign(cauchy) * np.abs(cauchy) ** 1.5, 0)
+        yield np.floor(4.0 * u ** -0.6) / 4.0  # Pareto-like, one-sided
+        yield np.round(RngStream(900 + seed, stream_id=n).normals(n), 2)
+
+
+# sha256 of the alpha.hex() lines of estimate_alpha over _heavy_tailed_samples(n).
+ESTIMATE_BITS = {
+    100: '460f852a4ea5e1025d6c531046c9c4c3b09445e943f30e62e7716a13cf0d9b26',
+    101: '4303afbe231f2916db4da96380da60989762cec595c7fa573abf963157bbb6a1',
+    2000: '0f0901fe15c9948c70774ab97e4a979990d3c4779f1460611fbf7e66e0f880ca',
+    50000: '50fa8093cf2e6f8e37459c368cd662f7f5b3aed496a4dd3a4f2c070b5a451fdd',
+}
+
+
+@pytest.mark.parametrize("n", list(ESTIMATE_BITS))
+def test_estimate_alpha_keeps_its_bits(n):
+    alphas = [estimate_alpha(x) for x in _heavy_tailed_samples(n)]
+    assert len(set(alphas)) > 10  # most samples land off the table's clamps
+    assert _hex_digest(a.hex() for a in alphas) == ESTIMATE_BITS[n]
