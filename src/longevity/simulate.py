@@ -175,7 +175,9 @@ def _years_from_uniforms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _bucket_years(cdf: np.ndarray, words: np.ndarray) -> np.ndarray:
     """``_years_from_uniforms(cdf, _uniforms(words))`` by guide-table lookup.
 
-    ``words`` is left as it was.  See the module notes for why the top 12
+    ``words`` is left as it was.  The years are gathered into the int64
+    buffer that holds ``words >> 52``, so the lookup allocates one
+    path-sized array, not two.  See the module notes for why the top 12
     bits give the year whenever the bucket is not mixed.
     """
     # first[b] counts the CDF values <= edge b, so a draw in bucket b,
@@ -184,8 +186,12 @@ def _bucket_years(cdf: np.ndarray, words: np.ndarray) -> np.ndarray:
     first = np.searchsorted(cdf, _BUCKET_EDGES, side="right")
     year_of = np.minimum(first[:-1], cdf.size - 1) + 1
     year_of[first[:-1] != first[1:]] = 0
-    # a word's top 12 bits are its bucket, small enough to view as int64
-    years = year_of[(words >> np.uint64(52)).view(np.int64)]
+    # a word's top 12 bits are its bucket, small enough to view as int64;
+    # "clip" never clips (every bucket is below 4096) and, unlike "raise",
+    # writes straight into out, which is safe over the indices because
+    # each index is read before its slot is written
+    buckets = (words >> np.uint64(52)).view(np.int64)
+    years = year_of.take(buckets, out=buckets, mode="clip")
     fallback = (years == 0).nonzero()[0]
     if fallback.size:
         years[fallback] = _years_from_uniforms(cdf, _uniforms(words[fallback]))

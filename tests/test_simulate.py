@@ -184,7 +184,8 @@ def test_bucket_lookup_equals_the_binary_search(name):
         kept = words.copy()
         want = _years_from_uniforms(cdf, _documented_uniforms(words))
         got = _bucket_years(cdf, words)
-        assert got.dtype == want.dtype
+        assert got.dtype == want.dtype == np.int64
+        assert not np.shares_memory(got, words)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(words, kept)
 

@@ -12,6 +12,7 @@ from longevity.stable import (
     estimate_alpha,
     log_char_function,
 )
+from longevity.stable import _QUANTILES, _quantiles
 
 
 def test_params_validation():
@@ -85,6 +86,43 @@ def test_estimate_alpha_stays_in_table_support():
     u = RngStream(77).uniform(50_000)
     heavy = np.tan(np.pi * (u - 0.5)) ** 3  # far fatter than Cauchy
     assert 0.5 <= estimate_alpha(heavy) <= 2.0
+
+
+def _quantile_samples(n):
+    """Seeded samples of size ``n``: heavy-tailed, tied, sorted and reversed."""
+    for seed in range(4):
+        rng = RngStream(700 + seed, stream_id=n)
+        u = rng.uniform(n)
+        heavy = np.tan(np.pi * (u - 0.5))
+        # adding 0.0 turns -0.0 into 0.0: the order of equal zeros of opposite
+        # sign is unspecified in a sort and in a partition alike
+        for x in (heavy, np.round(heavy, 1) + 0.0, np.floor(4.0 * u), 1e-300 * rng.normals(n)):
+            yield x
+            yield np.sort(x)
+            yield np.sort(x)[::-1]
+
+
+# every n from 100 to 140 puts some quantile at g = 0, at g = 0.5 exactly
+# (n = 103, 111, ...) or just either side of it
+@pytest.mark.parametrize("n", [*range(100, 141), 1000, 20_001])
+def test_one_sort_quantiles_are_numpys_bit_for_bit(n):
+    for x in _quantile_samples(n):
+        kept = x.copy()
+        got = np.array(_quantiles(x))
+        want = np.quantile(x, _QUANTILES)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(x, kept)
+
+
+def test_estimate_alpha_leaves_the_callers_array_alone():
+    x = np.round(np.tan(np.pi * (RngStream(71).uniform(2001) - 0.5)), 1)
+    kept = x.copy()
+    alpha = estimate_alpha(x)
+    np.testing.assert_array_equal(x, kept)
+    x.setflags(write=False)
+    assert estimate_alpha(x) == alpha
+    assert estimate_alpha(x[::-1]) == alpha
+    np.testing.assert_array_equal(x, kept)
 
 
 def test_alpha_age_profile_shape_and_determinism(bundled_table):
