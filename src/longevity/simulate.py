@@ -187,9 +187,8 @@ def _bucket_years(cdf: np.ndarray, words: np.ndarray) -> np.ndarray:
     year_of = np.minimum(first[:-1], cdf.size - 1) + 1
     year_of[first[:-1] != first[1:]] = 0
     # a word's top 12 bits are its bucket, small enough to view as int64;
-    # "clip" never clips (every bucket is below 4096) and, unlike "raise",
-    # writes straight into out, which is safe over the indices because
-    # each index is read before its slot is written
+    # the years overwrite the buckets, safe as each index is read before its
+    # slot is written ("clip" never clips, and unlike "raise" skips a copy)
     buckets = (words >> np.uint64(52)).view(np.int64)
     years = year_of.take(buckets, out=buckets, mode="clip")
     fallback = (years == 0).nonzero()[0]

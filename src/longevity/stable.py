@@ -11,9 +11,10 @@ lookup method: the spread ratio ``(x95 - x05) / (x75 - x25)`` and the
 skew ratio ``(x95 + x05 - 2 x50) / (x95 - x05)`` are interpolated in a
 tabulated inverse, clamped to the table edges, giving ``alpha`` in
 ``[0.5, 2.0]``.  The five quantiles are read off one sort of the sample by
-numpy's default ``linear`` rule, bit for bit what ``np.quantile`` returns.
-The estimate is scale/location invariant, and plenty to rank how heavy
-death-time tails get with age.
+numpy's default ``linear`` rule, bit for bit what ``np.quantile`` returns
+(see :func:`estimate_alpha` for the sign of a zero).  The estimate is
+scale/location invariant, and plenty to rank how heavy death-time tails get
+with age.
 """
 
 from __future__ import annotations
@@ -135,7 +136,9 @@ def _quantiles(x: np.ndarray) -> list[float]:
     the order statistics ``a = s[floor(v)]`` and ``b`` next to it, with
     ``g = v - floor(v)`` and ``d = b - a``.  numpy returns ``a + d g``, or
     ``b - d (1 - g)`` where ``g >= 0.5``; so does this.  ``x`` is not
-    touched.  Every ``q`` is below 1, so ``b`` is inside the sample.
+    touched.  Every ``q`` is below 1, so ``b`` is inside the sample.  Where
+    ``0.0`` and ``-0.0`` tie, their order is unspecified in a sort and in
+    numpy's partition alike, so a zero quantile may differ in sign.
     """
     s = np.sort(x)
     last = s.size - 1
@@ -156,8 +159,11 @@ def estimate_alpha(samples: np.ndarray) -> float:
     Needs at least 100 observations and a non-degenerate spread; a zero
     interquantile range raises :class:`DataError`.  The 5 %, 25 %, 50 %, 75 %
     and 95 % quantiles come from one sort of a copy of the sample, by
-    numpy's ``linear`` rule, and equal ``np.quantile``'s bit for bit.  The
-    estimate is clamped to ``[0.5, 2.0]`` (the table's support), and is
+    numpy's ``linear`` rule, and equal ``np.quantile``'s bit for bit, save
+    the sign of a zero quantile where ``0.0`` and ``-0.0`` tie.  The
+    estimate is the same either way: that sign can reach only a zero sum or
+    difference, which the degenerate-spread check and the absolute skew
+    ratio do not tell apart.  The estimate is clamped to ``[0.5, 2.0]`` (the table's support), and is
     invariant under positive affine rescaling of the data.
     """
     x = np.asarray(samples, dtype=float).ravel()

@@ -102,8 +102,8 @@ def _quantile_samples(n):
             yield np.sort(x)[::-1]
 
 
-# every n from 100 to 140 puts some quantile at g = 0, at g = 0.5 exactly
-# (n = 103, 111, ...) or just either side of it
+# n from 100 to 140 puts quantiles at g = 0, at g = 0.5 exactly (the median
+# at every even n, the 5 % one at 111 and 131) and on either side of 0.5
 @pytest.mark.parametrize("n", [*range(100, 141), 1000, 20_001])
 def test_one_sort_quantiles_are_numpys_bit_for_bit(n):
     for x in _quantile_samples(n):
@@ -211,6 +211,8 @@ def _heavy_tailed_samples(n):
 
 
 # sha256 of the alpha.hex() lines of estimate_alpha over _heavy_tailed_samples(n).
+# Rounding leaves ties of 0.0 and -0.0 in some samples, where a zero quantile
+# may take either sign; the estimate must not depend on which.
 ESTIMATE_BITS = {
     100: '460f852a4ea5e1025d6c531046c9c4c3b09445e943f30e62e7716a13cf0d9b26',
     101: '4303afbe231f2916db4da96380da60989762cec595c7fa573abf963157bbb6a1',
