@@ -738,6 +738,32 @@ def test_seeded_stdout_matches_the_recorded_bytes(argv):
     assert done.stdout == GOLDEN_STDOUT[argv]
 
 
+# a schedule with uneven premiums, a premium holiday and rising benefits
+SCHEDULE_CSV = ("period,premium,benefit\n1,100.25,1000\n2,103.5,1000\n3,106.75,1012.5\n"
+                "4,110,1025\n5,0,1037.5\n6,113.3,1050\n7,116.7,1062.25\n8,120.1,1075\n")
+
+# stdout of schedule commands, captured while schedules were numpy arrays
+SCHEDULE_STDOUT = {
+    ("price-lsv", "--rate", "0.045", "--t", "1"): b"lsv=861.0047847\n",
+    ("price-lsv", "--rate", "0.045", "--t", "3"): b"lsv=602.9945848\n",
+    ("price-lsv", "--rate", "0.045", "--t", "5"): b"lsv=456.0454862\n",
+    ("price-lsv", "--rate", "0.045", "--t", "8"): b"lsv=122.216935\n",
+    ("price-mortality-option", "--policy-rate", "0.045", "--age", "75", "--rate", "0.05",
+     "--vole-sigma", "0.2", "--n", "3000", "--seed", "11", "--grid", "60,60"): (
+        b"mc_value=137.404958\nmc_std_error=3.197048\nexact_value=139.056862\n"
+        b"pde_value=133.043724\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(SCHEDULE_STDOUT), ids=lambda argv: argv[0] + "-".join(argv[3:5]))
+def test_schedule_stdout_matches_the_recorded_bytes(tmp_path, argv):
+    path = tmp_path / "sched.csv"
+    path.write_text(SCHEDULE_CSV)
+    done = run_module(*argv, "--schedule", str(path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == SCHEDULE_STDOUT[argv]
+
+
 def test_seeded_run_is_byte_identical_across_processes():
     argv = ("simulate", "--age", "70", "--n", "2000", "--seed", "7", "--csv")
     first = run_module(*argv)
