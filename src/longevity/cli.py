@@ -12,8 +12,8 @@ produce byte-identical output.  Results go to standard output unless
 ``--out`` names a file; diagnostics go to standard error.
 
 Each handler imports the layers it uses when it runs, so a scalar command
-(``price-lsv`` without ``--schedule``, ``duration``, ``critical-time``,
-``irr``, ``markov``) starts without loading numpy.
+(``price-lsv``, ``duration``, ``critical-time``, ``irr``, ``markov``)
+starts without loading numpy.
 
 Exit codes: 0 success, 1 malformed invocation (unknown subcommand or
 flag, unparseable value), 2 rejected input data (bad file contents, or a

@@ -25,12 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import DataError, NumericalError, _read_csv, require_finite
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FlatPolicy",
@@ -78,33 +74,49 @@ class FlatPolicy:
         return 1.0 / (1.0 + self.r)
 
 
+def _floats(values, error: type[ValueError], what: str) -> tuple[float, ...]:
+    """``values``, a 1-D sequence of finite numbers, as a tuple of Python floats.
+
+    A string, an array of another rank, an entry ``float`` cannot convert
+    or a non-finite entry raises ``error``, naming ``what``.
+    """
+    if isinstance(values, (str, bytes)) or getattr(values, "ndim", 1) != 1:
+        raise error(f"{what} must be a 1-D sequence of numbers")
+    try:
+        floats = tuple(map(float, values))
+    except (TypeError, ValueError):
+        raise error(f"{what} must be a 1-D sequence of numbers") from None
+    if not all(map(math.isfinite, floats)):
+        raise error(f"{what} must be finite")
+    return floats
+
+
 @dataclass(frozen=True)
 class PolicySchedule:
-    """Per-period premium and benefit vectors (period 1 first) at flat rate ``r``."""
+    """Per-period premiums and benefits (period 1 first) at flat rate ``r``.
 
-    premiums: np.ndarray
-    benefits: np.ndarray
+    Both are stored as tuples of Python floats, like ``CashflowSeries``.
+    """
+
+    premiums: tuple[float, ...]
+    benefits: tuple[float, ...]
     r: float
 
     def __post_init__(self):
-        import numpy as np
-
-        prem = np.asarray(self.premiums, dtype=float)
-        ben = np.asarray(self.benefits, dtype=float)
+        prem = _floats(self.premiums, DataError, "schedule entries")
+        ben = _floats(self.benefits, DataError, "schedule entries")
         object.__setattr__(self, "premiums", prem)
         object.__setattr__(self, "benefits", ben)
-        if prem.ndim != 1 or prem.size == 0 or prem.shape != ben.shape:
+        if not prem or len(prem) != len(ben):
             raise DataError("premium and benefit vectors must be 1-D, non-empty, same length")
-        if not (np.all(np.isfinite(prem)) and np.all(np.isfinite(ben))):
-            raise DataError("schedule entries must be finite")
-        if np.any(prem < 0.0) or np.any(ben < 0.0):
+        if min(prem) < 0.0 or min(ben) < 0.0:
             raise DataError("schedule entries must be >= 0")
         require_finite(rate=self.r)
         if self.r <= 0.0:
             raise ValueError("discount rate must be positive")
 
     def __len__(self) -> int:
-        return int(self.premiums.size)
+        return len(self.premiums)
 
 
 @dataclass(frozen=True)
@@ -112,23 +124,16 @@ class CashflowSeries:
     """Signed flows indexed by period, ``flows[0]`` at time zero.
 
     Any 1-D sequence of finite numbers is accepted and stored as a tuple of
-    Python floats, so valuing a series needs no numpy.
+    Python floats.
     """
 
     flows: tuple[float, ...]
 
     def __post_init__(self):
-        if isinstance(self.flows, (str, bytes)) or getattr(self.flows, "ndim", 1) != 1:
-            raise ValueError("need a 1-D series of at least two flows")
-        try:
-            f = tuple(map(float, self.flows))
-        except (TypeError, ValueError):
-            raise ValueError("cash flows must be a 1-D sequence of numbers") from None
+        f = _floats(self.flows, ValueError, "cash flows")
         object.__setattr__(self, "flows", f)
         if len(f) < 2:
             raise ValueError("need a 1-D series of at least two flows")
-        if not all(map(math.isfinite, f)):
-            raise ValueError("cash flows must be finite")
         if not (any(x > 0.0 for x in f) and any(x < 0.0 for x in f)):
             raise DataError("cash flows must contain at least one inflow and one outflow")
 
@@ -153,12 +158,13 @@ def lsv_schedule(s: PolicySchedule, t: int) -> float:
     """Schedule value for death in period ``t``: premiums ``1..t`` paid, benefit ``t`` collected."""
     if not (1 <= t <= len(s)) or int(t) != t:
         raise ValueError(f"t must be an integer in [1, {len(s)}], got {t!r}")
-    import numpy as np
-
     t = int(t)
     a = 1.0 / (1.0 + s.r)
-    disc = a ** np.arange(1, t + 1)
-    return float(-np.dot(s.premiums[:t], disc) + s.benefits[t - 1] * disc[-1])
+    try:  # correctly rounded, so the result does not depend on summation order
+        paid = math.fsum(p * a**k for k, p in enumerate(s.premiums[:t], start=1))
+    except OverflowError:  # non-negative terms summing past the float range
+        paid = math.inf
+    return s.benefits[t - 1] * a**t - paid
 
 
 def lsv_dt(pol: FlatPolicy, t: float) -> float:

@@ -223,8 +223,9 @@ def sample_death_times(table: LifeTable, x: int, n: int, rng: RngStream) -> np.n
     within about ``year * 2**-53`` of 1 or 0), is moved to the nearest
     float inside ``(year - 1, year)``, so ``ceil(time)`` is always the year.
     """
-    years = sample_death_years(table, x, n, rng).astype(float)
-    times = years - rng.uniform(n)
+    years = sample_death_years(table, x, n, rng)
+    times = rng.uniform(n)
+    np.subtract(years, times, out=times)
     whole = np.flatnonzero(times == np.floor(times))
     y = years[whole]
     times[whole] = np.clip(times[whole], np.nextafter(y - 1.0, y), np.nextafter(y, 0.0))

@@ -778,9 +778,12 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
     # next test); and no numpy until a command works on arrays
     flows = tmp_path / "flows.csv"
     flows.write_text("period,amount\n0,-100\n1,-10\n2,130\n")
+    schedule = tmp_path / "sched.csv"
+    schedule.write_text(SCHEDULE_CSV)
     policy = ["--premium", "100", "--benefit", "1000", "--rate", "0.05"]
     commands = [
         (["price-lsv", *policy, "--t", "8"], 0),
+        (["price-lsv", "--schedule", str(schedule), "--rate", "0.05", "--t", "8"], 0),
         (["duration", *policy, "--t", "8"], 0),
         (["critical-time", *policy], 0),
         (["irr", "--cashflows", str(flows)], 0),

@@ -254,6 +254,40 @@ def test_cashflow_series_rejects_malformed_input_with_a_value_error(flows):
         CashflowSeries(flows)
 
 
+def test_policy_schedule_stores_tuples_of_floats():
+    sched = PolicySchedule(np.array([100, 0, 120]), [1000, 1000, 1100.5], 0.05)
+    assert sched.premiums == (100.0, 0.0, 120.0)
+    assert sched.benefits == (1000.0, 1000.0, 1100.5)
+    for entries in (sched.premiums, sched.benefits):
+        assert type(entries) is tuple and all(type(v) is float for v in entries)
+
+
+@pytest.mark.parametrize("premiums, benefits", [
+    ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]),
+    (np.array([[1.0], [2.0]]), [1.0, 2.0]),
+    ([1.0, None], [1.0, 2.0]),
+    (["1", "one"], [1.0, 2.0]),
+    ("12", [1.0, 2.0]),
+    (5.0, 5.0),
+    ([1.0, math.nan], [1.0, 2.0]),
+    ([1.0, 2.0], [1.0, math.inf]),
+    ([1.0, 2.0], [1.0, 2.0, 3.0]),
+    ([], []),
+])
+def test_policy_schedule_rejects_malformed_input_with_a_data_error(premiums, benefits):
+    # a DataError, so load_schedule can name the file in front of it
+    with pytest.raises(DataError):
+        PolicySchedule(premiums, benefits, 0.05)
+
+
+def test_schedule_premium_leg_past_the_float_range_values_minus_inf(recwarn):
+    # the payoff of a mortality option floors this at zero
+    sched = PolicySchedule([1e308] * 3, [1e308] * 3, 0.05)
+    assert lsv_schedule(sched, 1) == 0.0
+    assert lsv_schedule(sched, 3) == -math.inf
+    assert len(recwarn) == 0
+
+
 def test_irr_acceptance_scale_past_the_float_range_is_silent(recwarn):
     assert irr(CashflowSeries([-1e308, 1e308, 1e308])) == pytest.approx(0.618034, abs=1e-6)
     assert len(recwarn) == 0
