@@ -755,7 +755,8 @@ SCHEDULE_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("argv", list(SCHEDULE_STDOUT), ids=lambda argv: argv[0] + "-".join(argv[3:5]))
+@pytest.mark.parametrize("argv", list(SCHEDULE_STDOUT),
+                         ids=lambda argv: argv[0] + "-".join(argv[3:5]))
 def test_schedule_stdout_matches_the_recorded_bytes(tmp_path, argv):
     path = tmp_path / "sched.csv"
     path.write_text(SCHEDULE_CSV)
