@@ -10,7 +10,10 @@ on top (:mod:`.fdm`, :mod:`.pricing`).  The ``longevity`` console script
 in :mod:`.cli` fronts all of it.
 
 Exports and submodules load on first access (PEP 562), so ``import
-longevity`` costs nothing and a scalar CLI command never imports numpy.
+longevity`` costs nothing.  A scalar CLI command (``price-lsv``,
+``duration``, ``critical-time``, ``irr``, ``markov``, ``fit-stable``)
+never imports numpy or ``inspect``, and no command imports the standard
+library's data-class module.
 """
 
 import importlib

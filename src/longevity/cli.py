@@ -12,8 +12,9 @@ produce byte-identical output.  Results go to standard output unless
 ``--out`` names a file; diagnostics go to standard error.
 
 Each handler imports the layers it uses when it runs, so a scalar command
-(``price-lsv``, ``duration``, ``critical-time``, ``irr``, ``markov``)
-starts without loading numpy.
+(``price-lsv``, ``duration``, ``critical-time``, ``irr``, ``markov``,
+``fit-stable``) starts without loading numpy or ``inspect``, and no
+command imports the standard library's data-class module.
 
 Exit codes: 0 success, 1 malformed invocation (unknown subcommand or
 flag, unparseable value), 2 rejected input data (bad file contents, or a
@@ -254,7 +255,10 @@ def _cmd_price_lsv(ns) -> str:
     from .settlement import lsv, lsv_schedule
 
     pol = _policy(ns)
-    return _kv("lsv", lsv(pol, ns.t) if ns.schedule is None else lsv_schedule(pol, ns.t))
+    value = lsv(pol, ns.t) if ns.schedule is None else lsv_schedule(pol, ns.t)
+    if not math.isfinite(value):  # a schedule's premium leg past the float range
+        raise NumericalError(f"settlement value at t={ns.t:g} overflowed the float range")
+    return _kv("lsv", value)
 
 
 def _cmd_duration(ns) -> str:

@@ -10,7 +10,10 @@ particular) can map them onto distinct exit codes:
 :func:`require_finite` is the shared guard that turns a nan or infinite
 argument into the first category, before it can surface as the third.
 ``_read_csv`` holds the rules every input file shares (life tables, cash
-flows, policy schedules), so each loader states only its own.
+flows, policy schedules), so each loader states only its own.  ``_Record``
+is the base of the package's immutable value classes; it lives here, in
+the one module every command loads, and costs no import beyond ``csv``
+and ``math``.
 """
 
 import csv
@@ -32,6 +35,69 @@ def require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+class _Record:
+    """Immutable value class whose fields are its annotated names, in order.
+
+    A field with a value in the class body takes it as its default.  The
+    constructor accepts fields by position or keyword, stores them and then
+    runs ``__post_init__`` if the class has one, which may normalise a
+    field through ``object.__setattr__``.  The repr is
+    ``Name(field=value, ...)`` without the fields named in ``_hidden``;
+    ``==`` and ``hash`` compare the tuple of field values between instances
+    of one class; assigning or deleting an attribute raises
+    ``AttributeError``.  Instances pickle by their attribute dict.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(args)}")
+        values = dict(zip(cls._fields, args))
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in cls._defaults:
+                values[name] = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__} missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got an unexpected or repeated field {min(kwargs)!r}")
+        self.__dict__.update(values)
+        if hasattr(cls, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={self.__dict__[name]!r}"
+                          for name in self._fields if name not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _read_csv(path, columns: dict[str, type]):

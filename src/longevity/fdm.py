@@ -37,12 +37,11 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, require_finite
+from .errors import NumericalError, _Record, require_finite
 
 __all__ = [
     "Mesh1D",
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mesh1D:
+class Mesh1D(_Record):
     """Uniform mesh on [a, b] with ``j_count`` points (J+1 points, J cells).
 
     Both bounds and the width ``b - a`` must be finite.
@@ -202,8 +200,7 @@ def layer_exact(sigma: float, x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class LayerSolution:
+class LayerSolution(_Record):
     """Discrete solution of the layer problem plus diagnostics.
 
     ``oscillatory`` is True exactly when the scheme's characteristic root
@@ -368,8 +365,7 @@ def fitted_stencil(mu, h: float, sigma) -> tuple[np.ndarray, np.ndarray, np.ndar
     return sub, center, sup
 
 
-@dataclass(frozen=True)
-class TwoPointBVP:
+class TwoPointBVP(_Record):
     """Steady convection-diffusion problem with Dirichlet data.
 
     Coefficients are callables of ``x`` (numpy-vectorized):

@@ -21,13 +21,12 @@ Conventions
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
 import numpy as np
 
-from .errors import DataError, _read_csv, require_finite
+from .errors import DataError, _read_csv, _Record, require_finite
 
 __all__ = [
     "LifeTable",
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LifeTable:
+class LifeTable(_Record):
     """One-year death probabilities over a consecutive run of integer ages.
 
     Parameters
@@ -90,8 +88,7 @@ class LifeTable:
             )
 
 
-@dataclass(frozen=True)
-class MortalityAssumptions:
+class MortalityAssumptions(_Record):
     """Underwriting adjustments applied to a base table.
 
     ``multiplier`` scales every death probability (a frailty rating), and

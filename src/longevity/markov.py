@@ -10,8 +10,9 @@ the natural closed-form benchmark for the simulation machinery: mean
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
+
+from .errors import _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -24,8 +25,7 @@ class MeanVariance(NamedTuple):
     variance: float
 
 
-@dataclass(frozen=True)
-class TwoStateModel:
+class TwoStateModel(_Record):
     """Alive/dead Markov chain with constant death intensity ``rate > 0``."""
 
     rate: float

@@ -58,12 +58,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, require_finite
+from .errors import NumericalError, _Record, require_finite
 from .fdm import Mesh1D, _factor_tridiagonal, fitted_stencil
 from .lifetable import LifeTable, complete_expectation, death_distribution
 from .settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
@@ -82,8 +81,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VolatilityDecay:
+class VolatilityDecay(_Record):
     """Volatility that relaxes as expiry approaches: ``sigma0 * exp(-decay * tau)``.
 
     ``tau`` is remaining time, so the level at expiry itself is ``sigma0``
@@ -245,8 +243,7 @@ def _step_blowup(n: int, n_steps: int, k: float) -> NumericalError:
 
 # ------------------------------------------------------ option pricing #
 
-@dataclass(frozen=True)
-class PriceResult:
+class PriceResult(_Record):
     """Value curve of an option on the final time level.
 
     ``grid`` holds the underlying levels, ``values`` the option values.
@@ -490,8 +487,7 @@ def price_american(kind: str, strike: float, rate: float, vol, expiry: float,
 
 # ---------------------------------------------------- mortality option #
 
-@dataclass(frozen=True)
-class MortalityOptionValue:
+class MortalityOptionValue(_Record):
     """Twin valuations of the option on a settlement position.
 
     ``mc_value`` (with its standard error) averages the discounted payoff

@@ -23,10 +23,9 @@ is the negation of this one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, NumericalError, _read_csv, require_finite
+from .errors import DataError, NumericalError, _read_csv, _Record, require_finite
 
 __all__ = [
     "FlatPolicy",
@@ -45,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlatPolicy:
+class FlatPolicy(_Record):
     """Level-premium policy: premium ``p >= 0``, benefit ``b > 0``, rate ``r > 0``."""
 
     p: float
@@ -91,8 +89,7 @@ def _floats(values, error: type[ValueError], what: str) -> tuple[float, ...]:
     return floats
 
 
-@dataclass(frozen=True)
-class PolicySchedule:
+class PolicySchedule(_Record):
     """Per-period premiums and benefits (period 1 first) at flat rate ``r``.
 
     Both are stored as tuples of Python floats, like ``CashflowSeries``.
@@ -119,8 +116,7 @@ class PolicySchedule:
         return len(self.premiums)
 
 
-@dataclass(frozen=True)
-class CashflowSeries:
+class CashflowSeries(_Record):
     """Signed flows indexed by period, ``flows[0]`` at time zero.
 
     Any 1-D sequence of finite numbers is accepted and stored as a tuple of
@@ -155,7 +151,10 @@ def lsv(pol: FlatPolicy, t: float) -> float:
 
 
 def lsv_schedule(s: PolicySchedule, t: int) -> float:
-    """Schedule value for death in period ``t``: premiums ``1..t`` paid, benefit ``t`` collected."""
+    """Schedule value for death in period ``t``: premiums ``1..t`` paid, benefit ``t`` collected.
+
+    A discounted premium leg past the float range gives ``-inf``.
+    """
     if not (1 <= t <= len(s)) or int(t) != t:
         raise ValueError(f"t must be an integer in [1, {len(s)}], got {t!r}")
     t = int(t)

@@ -45,12 +45,11 @@ bucket, where ``k >> 41`` puts it too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import require_finite
+from .errors import _Record, require_finite
 from .lifetable import LifeTable, death_distribution
 
 __all__ = [
@@ -232,8 +231,7 @@ def sample_death_times(table: LifeTable, x: int, n: int, rng: RngStream) -> np.n
     return times
 
 
-@dataclass(frozen=True)
-class SimSummary:
+class SimSummary(_Record):
     """Summary of a batch of simulated death years.
 
     ``histogram`` maps death year to count; ``mode`` is the smallest year
@@ -245,7 +243,8 @@ class SimSummary:
     mode: int
     max_year: int
     mean: float
-    histogram: dict[int, int] = field(repr=False)
+    histogram: dict[int, int]
+    _hidden = ("histogram",)  # left out of the repr
 
     def __post_init__(self):
         if self.n <= 0:
@@ -290,8 +289,7 @@ def vole(e_complete: float, max_death: float) -> float:
 
 # ------------------------------------------------------------ GBM paths #
 
-@dataclass(frozen=True)
-class GbmParams:
+class GbmParams(_Record):
     """Geometric Brownian motion: drift ``rate``, volatility ``sigma``, start ``s0``."""
 
     rate: float

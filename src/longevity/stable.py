@@ -15,18 +15,25 @@ numpy's default ``linear`` rule, bit for bit what ``np.quantile`` returns
 (see :func:`estimate_alpha` for the sign of a zero).  The estimate is
 scale/location invariant, and plenty to rank how heavy death-time tails get
 with age.
+
+Importing this module loads neither numpy nor the simulator: a flat list of
+numbers is fitted in Python floats, and ``sample_death_times`` is bound on
+first use (PEP 562).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import DataError, _Record
 
-from .errors import DataError
-from .lifetable import LifeTable
-from .simulate import RngStream, sample_death_times
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .lifetable import LifeTable
+    from .simulate import RngStream
 
 __all__ = [
     "StableParams",
@@ -36,8 +43,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StableParams:
+def __getattr__(name: str):
+    # alpha_age_profile calls sample_death_times through this module, where
+    # perfbench's layer tracer wraps it; binding it here on first access
+    # keeps numpy out of a command that only fits a sample
+    if name != "sample_death_times":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .simulate import sample_death_times
+
+    globals()[name] = sample_death_times
+    return sample_death_times
+
+
+class StableParams(_Record):
     """S1 parameter bundle: ``0 < alpha <= 2``, ``|beta| <= 1``, ``gamma > 0``."""
 
     alpha: float
@@ -64,6 +82,8 @@ def log_char_function(params: StableParams, t) -> np.ndarray | complex:
     vanishes identically (the tangent of pi is treated as exact zero), so
     the value is the Gaussian ``i delta t - gamma t**2`` for every beta.
     """
+    import numpy as np
+
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     t = np.asarray(t, dtype=float)
     abs_t = np.abs(t)
@@ -86,62 +106,57 @@ def log_char_function(params: StableParams, t) -> np.ndarray | complex:
 
 # McCulloch's tabulated inverse of the quantile ratios for the stability
 # index.  Rows: the spread ratio nu_alpha; columns: |skew ratio| nu_beta.
-_NU_ALPHA = np.array(
-    [2.439, 2.5, 2.6, 2.7, 2.8, 3.0, 3.2, 3.5, 4.0, 5.0, 6.0, 8.0, 10.0, 15.0, 25.0]
-)
-_NU_BETA = np.array([0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0])
-_ALPHA_TABLE = np.array(
-    [
-        [2.000, 2.000, 2.000, 2.000, 2.000, 2.000, 2.000],
-        [1.916, 1.924, 1.924, 1.924, 1.924, 1.924, 1.924],
-        [1.808, 1.813, 1.829, 1.829, 1.829, 1.829, 1.829],
-        [1.729, 1.730, 1.737, 1.745, 1.745, 1.745, 1.745],
-        [1.664, 1.663, 1.663, 1.668, 1.676, 1.676, 1.676],
-        [1.563, 1.560, 1.553, 1.548, 1.547, 1.547, 1.547],
-        [1.484, 1.480, 1.471, 1.460, 1.448, 1.438, 1.438],
-        [1.391, 1.386, 1.378, 1.364, 1.337, 1.318, 1.318],
-        [1.279, 1.273, 1.266, 1.250, 1.210, 1.184, 1.150],
-        [1.128, 1.121, 1.114, 1.101, 1.067, 1.027, 0.973],
-        [1.029, 1.021, 1.014, 1.004, 0.974, 0.935, 0.874],
-        [0.896, 0.892, 0.887, 0.883, 0.855, 0.823, 0.769],
-        [0.818, 0.812, 0.806, 0.801, 0.780, 0.756, 0.691],
-        [0.698, 0.695, 0.692, 0.689, 0.676, 0.656, 0.595],
-        [0.593, 0.590, 0.588, 0.586, 0.579, 0.563, 0.513],
-    ]
+_NU_ALPHA = (2.439, 2.5, 2.6, 2.7, 2.8, 3.0, 3.2, 3.5, 4.0, 5.0, 6.0, 8.0, 10.0, 15.0, 25.0)
+_NU_BETA = (0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
+_ALPHA_TABLE = (
+    (2.000, 2.000, 2.000, 2.000, 2.000, 2.000, 2.000),
+    (1.916, 1.924, 1.924, 1.924, 1.924, 1.924, 1.924),
+    (1.808, 1.813, 1.829, 1.829, 1.829, 1.829, 1.829),
+    (1.729, 1.730, 1.737, 1.745, 1.745, 1.745, 1.745),
+    (1.664, 1.663, 1.663, 1.668, 1.676, 1.676, 1.676),
+    (1.563, 1.560, 1.553, 1.548, 1.547, 1.547, 1.547),
+    (1.484, 1.480, 1.471, 1.460, 1.448, 1.438, 1.438),
+    (1.391, 1.386, 1.378, 1.364, 1.337, 1.318, 1.318),
+    (1.279, 1.273, 1.266, 1.250, 1.210, 1.184, 1.150),
+    (1.128, 1.121, 1.114, 1.101, 1.067, 1.027, 0.973),
+    (1.029, 1.021, 1.014, 1.004, 0.974, 0.935, 0.874),
+    (0.896, 0.892, 0.887, 0.883, 0.855, 0.823, 0.769),
+    (0.818, 0.812, 0.806, 0.801, 0.780, 0.756, 0.691),
+    (0.698, 0.695, 0.692, 0.689, 0.676, 0.656, 0.595),
+    (0.593, 0.590, 0.588, 0.586, 0.579, 0.563, 0.513),
 )
 
 
 def _bilinear(x: float, y: float) -> float:
     """Interpolate the alpha table at (nu_alpha, nu_beta), clamped at edges."""
-    x = float(np.clip(x, _NU_ALPHA[0], _NU_ALPHA[-1]))
-    y = float(np.clip(y, _NU_BETA[0], _NU_BETA[-1]))
-    i = int(np.searchsorted(_NU_ALPHA, x, side="right") - 1)
-    j = int(np.searchsorted(_NU_BETA, y, side="right") - 1)
-    i = min(i, _NU_ALPHA.size - 2)
-    j = min(j, _NU_BETA.size - 2)
+    x = min(max(x, _NU_ALPHA[0]), _NU_ALPHA[-1])
+    y = min(max(y, _NU_BETA[0]), _NU_BETA[-1])
+    i = min(bisect_right(_NU_ALPHA, x) - 1, len(_NU_ALPHA) - 2)
+    j = min(bisect_right(_NU_BETA, y) - 1, len(_NU_BETA) - 2)
     tx = (x - _NU_ALPHA[i]) / (_NU_ALPHA[i + 1] - _NU_ALPHA[i])
     ty = (y - _NU_BETA[j]) / (_NU_BETA[j + 1] - _NU_BETA[j])
-    row0 = (1 - ty) * _ALPHA_TABLE[i, j] + ty * _ALPHA_TABLE[i, j + 1]
-    row1 = (1 - ty) * _ALPHA_TABLE[i + 1, j] + ty * _ALPHA_TABLE[i + 1, j + 1]
-    return float((1 - tx) * row0 + tx * row1)
+    lo, hi = _ALPHA_TABLE[i], _ALPHA_TABLE[i + 1]
+    row0 = (1 - ty) * lo[j] + ty * lo[j + 1]
+    row1 = (1 - ty) * hi[j] + ty * hi[j + 1]
+    return (1 - tx) * row0 + tx * row1
 
 
 _QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 
 
-def _quantiles(x: np.ndarray) -> list[float]:
-    """``np.quantile(x, _QUANTILES)`` by numpy's ``linear`` rule, off one sort.
+def _quantiles(s: list[float] | np.ndarray) -> list[float]:
+    """``np.quantile(s, _QUANTILES)`` of an ascending sample, by numpy's ``linear`` rule.
 
-    Quantile ``q`` sits at ``v = (n - 1) q`` in the sorted sample, between
-    the order statistics ``a = s[floor(v)]`` and ``b`` next to it, with
+    Quantile ``q`` sits at ``v = (n - 1) q`` in ``s``, between the order
+    statistics ``a = s[floor(v)]`` and ``b`` next to it, with
     ``g = v - floor(v)`` and ``d = b - a``.  numpy returns ``a + d g``, or
-    ``b - d (1 - g)`` where ``g >= 0.5``; so does this.  ``x`` is not
-    touched.  Every ``q`` is below 1, so ``b`` is inside the sample.  Where
+    ``b - d (1 - g)`` where ``g >= 0.5``; so does this.  Every ``q`` is
+    below 1, so ``b`` is inside the sample.  ``s`` may be a sorted list of
+    floats or a sorted 1-D float array; both give the same bits.  Where
     ``0.0`` and ``-0.0`` tie, their order is unspecified in a sort and in
     numpy's partition alike, so a zero quantile may differ in sign.
     """
-    s = np.sort(x)
-    last = s.size - 1
+    last = len(s) - 1
     out = []
     for q in _QUANTILES:
         v = last * q
@@ -153,7 +168,7 @@ def _quantiles(x: np.ndarray) -> list[float]:
     return out
 
 
-def estimate_alpha(samples: np.ndarray) -> float:
+def estimate_alpha(samples: list[float] | np.ndarray) -> float:
     """Estimate the stability index of a sample via quantile ratios.
 
     Needs at least 100 observations and a non-degenerate spread; a zero
@@ -164,22 +179,39 @@ def estimate_alpha(samples: np.ndarray) -> float:
     estimate is the same either way: that sign can reach only a zero sum or
     difference, which the degenerate-spread check and the absolute skew
     ratio do not tell apart.  The estimate is clamped to ``[0.5, 2.0]`` (the table's support), and is
-    invariant under positive affine rescaling of the data.
+    invariant under positive affine rescaling of the data.  Where the
+    quantiles' spread or skew sum would pass the float range, the quantiles
+    are read off the halved sample instead, so the estimate stays finite.
+
+    A flat list of numbers is sorted as Python floats by ``sorted``, without
+    numpy; any other sample becomes a flat float array sorted by
+    ``np.sort``.  Both read the same order statistics, so both give the
+    same estimate.
     """
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 100:
-        raise DataError(f"need at least 100 samples to fit a tail index, got {x.size}")
-    if not np.all(np.isfinite(x)):
+    if isinstance(samples, list) and all(isinstance(v, (int, float)) for v in samples):
+        s = sorted(map(float, samples))
+        finite = all(map(math.isfinite, s))
+    else:
+        import numpy as np
+
+        s = np.sort(np.asarray(samples, dtype=float).ravel())
+        finite = bool(np.all(np.isfinite(s)))
+    if len(s) < 100:
+        raise DataError(f"need at least 100 samples to fit a tail index, got {len(s)}")
+    if not finite:
         raise DataError("samples contain non-finite values")
-    q05, q25, q50, q75, q95 = _quantiles(x)
+    q05, q25, q50, q75, q95 = _quantiles(s)
+    if not (math.isfinite(q95 - q05) and math.isfinite(q95 + q05 - 2.0 * q50)):
+        # a difference of order statistics passed the float range; halving
+        # the sample, exact for normal floats, keeps every sum finite
+        q05, q25, q50, q75, q95 = _quantiles([0.5 * v for v in s])
     spread = q95 - q05
     iqr = q75 - q25
     if spread <= 0.0 or iqr <= 0.0:
         raise DataError("degenerate sample: zero interquantile range")
     nu_alpha = spread / iqr
     nu_beta = abs((q95 + q05 - 2.0 * q50) / spread)
-    alpha = _bilinear(nu_alpha, nu_beta)
-    return float(np.clip(alpha, 0.5, 2.0))
+    return min(max(_bilinear(nu_alpha, nu_beta), 0.5), 2.0)
 
 
 def alpha_age_profile(
@@ -201,10 +233,11 @@ def alpha_age_profile(
     """
     if n < 1000:
         raise ValueError("n must be at least 1000 for a stable quantile fit")
+    draw = globals().get("sample_death_times") or __getattr__("sample_death_times")
     out: list[tuple[int, float]] = []
     for position, age in enumerate(sorted(int(a) for a in ages)):
         sub = rng.spawn(1 + position)
-        times = sample_death_times(table, age, n, sub)
+        times = draw(table, age, n, sub)
         if math.ceil(times.min()) == math.ceil(times.max()):
             raise DataError(
                 f"age {age}: degenerate death-year distribution (zero dispersion)"

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import re
 import subprocess
 import sys
@@ -313,6 +314,11 @@ def test_price_option_huge_strike_prices_without_an_overflow_warning(capsys):
 
 # ------------------------------------------------------ fuzzed inputs #
 
+# three periods of premium and benefit 1e308: from period 2 on, the
+# discounted premium leg sums past the float range
+HUGE_SCHEDULE_CSV = "period,premium,benefit\n1,1e308,1e308\n2,1e308,1e308\n3,1e308,1e308\n"
+
+
 # float flag values: non-finite, extreme, subnormal, zero, negative, ordinary
 WILD = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-1",
                         "0.05", "0.3", "1", "15", "100", "1000"])
@@ -345,6 +351,9 @@ def _fuzz_argv(tmp):
     flows = st.lists(WILD, min_size=2, max_size=6).map(
         lambda vs: ["--cashflows=" + write("flows.csv", "period,amount\n" + "".join(
             f"{k},{v}\n" for k, v in enumerate(vs)))])
+    schedule = st.lists(st.tuples(WILD, WILD), min_size=1, max_size=5).map(
+        lambda rows: ["--schedule=" + write("schedule.csv", "period,premium,benefit\n" + "".join(
+            f"{k},{p},{b}\n" for k, (p, b) in enumerate(rows, start=1)))])
     maybe = lambda name: st.one_of(st.just([]), *_wild(name))
     # half the sizes at the edge of the smallest grid, -1..2
     size = st.one_of(st.integers(-1, 2), st.integers(3, 30))
@@ -358,6 +367,7 @@ def _fuzz_argv(tmp):
         _cmd("fit-stable", samples),
         _cmd("alpha-profile", "--ages=90..95", "--n=50", "--seed=1"),
         _cmd("price-lsv", *_wild(*POLICY, "--t")),
+        _cmd("price-lsv", schedule, *_wild("--rate", "--t")),
         _cmd("duration", *_wild(*POLICY, "--t")),
         _cmd("critical-time", *_wild(*POLICY)),
         _cmd("irr", flows),
@@ -369,6 +379,8 @@ def _fuzz_argv(tmp):
         _cmd("price-mortality-option", "--age=70", "--n=50", "--seed=1", grid, "--premium=100",
              "--benefit=1000", "--policy-rate=0.05", "--rate=0.05",
              _one_of("--vole-sigma", ["0", "0.1"])),
+        _cmd("price-mortality-option", "--age=70", "--n=50", "--seed=1", grid, schedule,
+             *_wild("--policy-rate", "--rate", "--vole-sigma")),
         _cmd("fdm-demo", "--J=10", _one_of("--scheme", ["centered", "upwind", "fitted"]),
              *_wild("--sigma")),
     )
@@ -384,6 +396,8 @@ def test_every_subcommand_exits_cleanly_on_wild_float_flags(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
     huge_flows = tmp / "huge_flows.csv"
     huge_flows.write_text("period,amount\n0,-1e308\n1,1e308\n2,1e308\n")
+    huge_schedule = tmp / "huge_schedule.csv"
+    huge_schedule.write_text(HUGE_SCHEDULE_CSV)
 
     @settings(max_examples=400, deadline=None)
     @given(argv=_fuzz_argv(tmp))
@@ -400,6 +414,8 @@ def test_every_subcommand_exits_cleanly_on_wild_float_flags(tmp_path_factory):
                    "--vole-sigma=0.1"])
     @example(argv=["price-lsv", "--premium=1e308", "--benefit=1e308", "--rate=1e-10", "--t=5"])
     @example(argv=["duration", "--premium=1e308", "--benefit=1e308", "--rate=1e-10", "--t=5"])
+    # a schedule whose premium leg sums past the float range once printed -inf
+    @example(argv=["price-lsv", f"--schedule={huge_schedule}", "--rate=0.05", "--t=3"])
     # overflows that once printed a numpy warning ahead of a clean result:
     # the NPV polynomial, the layer exponent, and the default grid boundary
     @example(argv=["irr", f"--cashflows={huge_flows}"])
@@ -562,6 +578,22 @@ def test_schedule_with_level_policy_flags_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err == "error: --schedule replaces --premium/--benefit\n"
+
+
+def test_schedule_value_past_the_float_range_exits_3(capsys, tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(HUGE_SCHEDULE_CSV)
+    lsv = ("price-lsv", "--schedule", str(path), "--rate", "0.05")
+    assert invoke(capsys, *lsv, "--t", "1") == (0, "lsv=0\n", "")
+    for t in ("2", "3"):
+        assert invoke(capsys, *lsv, "--t", t) == (
+            3, "", f"error: settlement value at t={t} overflowed the float range\n")
+    # the mortality option floors every year's payoff at zero, as it should
+    code, out, err = invoke(capsys, "price-mortality-option", "--schedule", str(path),
+                            "--policy-rate", "0.05", "--age", "70", "--rate", "0.05",
+                            "--vole-sigma", "0.1", "--n", "100", "--seed", "1", "--grid", "20,20")
+    assert (code, err) == (0, "")
+    assert out == "mc_value=0.000000\nmc_std_error=0.000000\nexact_value=0.000000\npde_value=0.000000\n"
 
 
 def test_missing_table_file_exits_2(capsys, tmp_path):
@@ -776,11 +808,15 @@ def test_seeded_run_is_byte_identical_across_processes():
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
     # no scipy module at all: only a tridiagonal solve loads it (see the
-    # next test); and no numpy until a command works on arrays
+    # next test); no numpy until a command works on arrays; and no
+    # dataclasses, nor the inspect module it pulls in, on any command path
     flows = tmp_path / "flows.csv"
     flows.write_text("period,amount\n0,-100\n1,-10\n2,130\n")
     schedule = tmp_path / "sched.csv"
     schedule.write_text(SCHEDULE_CSV)
+    samples = tmp_path / "samples.txt"
+    samples.write_text("".join(f"{math.tan(math.pi * (k + 0.5) / 401 - math.pi / 2)!r}\n"
+                               for k in range(401)))
     policy = ["--premium", "100", "--benefit", "1000", "--rate", "0.05"]
     commands = [
         (["price-lsv", *policy, "--t", "8"], 0),
@@ -789,6 +825,7 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
         (["critical-time", *policy], 0),
         (["irr", "--cashflows", str(flows)], 0),
         (["markov", "--rate", "0.1", "--horizon", "30", "--points", "7"], 0),
+        (["fit-stable", str(samples)], 0),
         (["price-lsv", "--premium=-5", "--benefit", "1000", "--rate", "0.05", "--t", "8"], 2),
         (["simulate", "--age", "70", "--n", "0", "--seed", "1"], 2),
         (["simulate", "--age", "70", "--n", "10", "--seed", "1"], 0),
@@ -796,7 +833,8 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
     probe = "\n".join([
         "import contextlib, io, sys",
         "def heavy():",
-        "    return sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})",
+        "    heavy = {'numpy', 'scipy', 'dataclasses', 'inspect'}",
+        "    return sorted({m.split('.')[0] for m in sys.modules} & heavy)",
         "import longevity",
         "print('longevity', heavy())",
         "import longevity.cli",
@@ -810,7 +848,7 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
     assert done.returncode == 0, done.stderr
     # the last command is the control: it needs numpy, so the probe can see it
     want = ["longevity []", "cli []"] + [f"{argv[0]} {code} []" for argv, code in commands[:-1]]
-    want.append("simulate 0 ['numpy']")
+    want.append("simulate 0 ['inspect', 'numpy']")  # numpy imports inspect
     assert done.stdout.decode().splitlines() == want
 
 

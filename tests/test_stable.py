@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -106,12 +107,12 @@ def _quantile_samples(n):
 # at every even n, the 5 % one at 111 and 131) and on either side of 0.5
 @pytest.mark.parametrize("n", [*range(100, 141), 1000, 20_001])
 def test_one_sort_quantiles_are_numpys_bit_for_bit(n):
+    # _quantiles reads an ascending sample: a sorted array or a sorted list
     for x in _quantile_samples(n):
-        kept = x.copy()
-        got = np.array(_quantiles(x))
         want = np.quantile(x, _QUANTILES)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        np.testing.assert_array_equal(x, kept)
+        for s in (np.sort(x), sorted(x.tolist())):
+            got = np.array(_quantiles(s))
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_estimate_alpha_leaves_the_callers_array_alone():
@@ -226,3 +227,43 @@ def test_estimate_alpha_keeps_its_bits(n):
     alphas = [estimate_alpha(x) for x in _heavy_tailed_samples(n)]
     assert len(set(alphas)) > 10  # most samples land off the table's clamps
     assert _hex_digest(a.hex() for a in alphas) == ESTIMATE_BITS[n]
+
+
+@pytest.mark.parametrize("n", list(ESTIMATE_BITS))
+def test_estimate_alpha_of_a_list_equals_its_array_bit_for_bit(n):
+    # a flat list is sorted by ``sorted``, an array by ``np.sort``
+    lists = [x.tolist() for x in _heavy_tailed_samples(n)]
+    alphas = [estimate_alpha(values) for values in lists]
+    assert [a.hex() for a in alphas] == [estimate_alpha(np.array(v)).hex() for v in lists]
+    assert _hex_digest(a.hex() for a in alphas) == ESTIMATE_BITS[n]
+    # ints count as numbers; a nested list goes to numpy, which flattens it
+    ints = [round(v) for v in lists[2]]
+    assert estimate_alpha(ints) == estimate_alpha(np.array(ints, dtype=float))
+    nested = [lists[0][:n // 2], lists[0][n // 2:n // 2 * 2]]
+    assert estimate_alpha(nested) == estimate_alpha(lists[0][:n // 2 * 2])
+
+
+def test_estimate_alpha_checks_a_list_like_an_array():
+    with pytest.raises(DataError, match="at least 100"):
+        estimate_alpha([0.0] * 99)
+    with pytest.raises(DataError, match="at least 100"):
+        estimate_alpha([math.nan] * 50)
+    with pytest.raises(DataError, match="non-finite"):
+        estimate_alpha([float(k) for k in range(200)] + [math.inf])
+    with pytest.raises(DataError, match="non-finite"):
+        estimate_alpha([math.nan] + [float(k) for k in range(200)])
+    with pytest.raises(DataError, match="degenerate"):
+        estimate_alpha([3.0] * 500)
+
+
+@pytest.mark.parametrize("values", [
+    [5e307] * 5 + [1e308] * 20 + [1.7e308] * 75,  # the skew sum overflows
+    [-1e308] * 50 + [1e308] * 50,  # so do the spread and the median's step
+    [-1.7e308] * 10 + [-1.0] * 40 + [1.0] * 40 + [1.7e308] * 10,  # only the spread
+])
+def test_estimate_alpha_stays_finite_near_the_float_range(values):
+    # halving is exact here, and the halved sample needs no fallback
+    alpha = estimate_alpha(values)
+    assert 0.5 <= alpha <= 2.0
+    assert alpha == estimate_alpha([0.5 * v for v in values])
+    assert alpha == estimate_alpha(np.array(values))
