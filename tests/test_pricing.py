@@ -815,6 +815,80 @@ def test_american_values_keep_their_bits(case):
     assert bits(res.values) == AMERICAN_VALUE_BITS[case]
 
 
+# Digests of American (values, exercise_times, exercise_boundary) where each
+# level's floor splits the mesh at its edges, by (kind, rate, strike,
+# intervals, steps), at volatility VOL and expiry EXPIRY.  At r = 0 the
+# moving strike stays at 100, a node of 400 intervals on [0, 400]; strikes
+# of 1e-9 and 1e300 put each level's floor and tolerance near the ends of
+# the float range, and 2 or 3 intervals leave one or two interior nodes.
+AMERICAN_EDGE_BITS = {
+    ('call', 0.0, 100.0, 400, 40): '2e6e8ce2b676407f2f65369e5c8a5e42830e79a372da38de1ec46ad84a329c0e',
+    ('put', 0.0, 100.0, 400, 40): '2a67aa8a24daab926814edb65973efa574b62392c7b01b68223cfaaa7528290b',
+    ('call', -0.3, 1e-09, 2, 20): 'a2d548d4c8f485eb001ce8ea92ee88736e54e62e5f99962744c4a3dab0e6fdc4',
+    ('put', -0.3, 1e-09, 2, 20): 'fc372b26a7fa1e55ff747526356fa5bc9fdb0d47580ad64c5b6af6fbcb59ae26',
+    ('call', -0.3, 1e-09, 3, 20): 'd6ee28f2591a2852dd178ae7bc0dcc8d1a2d499c4bb5d886cfd25f09e088c1e0',
+    ('put', -0.3, 1e-09, 3, 20): 'c16cbb1e0d61eda026ddedb2f5735cce027c030db0ec503405ddee627cfbe677',
+    ('call', -0.3, 1e-09, 50, 20): '63a741f6edac4fa09116e358bb1ecdb03b5ce0b06b952381d26dd624ed835f98',
+    ('put', -0.3, 1e-09, 50, 20): '92a23c183cb5f6cf8341ce98c1e978e65418899743e50ebbd838613341c7b334',
+    ('call', -0.3, 100.0, 2, 20): '6e4e3e3ce0f6e7af797eed97d7138939e3c42871126a1efb27244a60f34b9709',
+    ('put', -0.3, 100.0, 2, 20): '8f607758616762e6477f393eb09a2fd7c644df5f91f241401b65ea6b72e811fb',
+    ('call', -0.3, 100.0, 3, 20): 'd0f2142473c2d058d7834494f9029a5c9c8ad3f0c5f72c581988f0c03491da2b',
+    ('put', -0.3, 100.0, 3, 20): '7162735a87cc356183f362a534b9b0fd7230ae4697202d4acceb022586768f78',
+    ('call', -0.3, 100.0, 50, 20): '0b699d9517b2bd09f80ed3ab42cc667d53a1a529fda60b9a9e55e4bcbddcce50',
+    ('put', -0.3, 100.0, 50, 20): 'd66166a5f772227d55d5a00bf9a0011acb8af4f88769229f7d423a5675b546ff',
+    ('call', -0.3, 1e+300, 2, 20): 'ab67eb49183039ad2ad1051df1fcb87fe8dea224ce2b59b0a5ad4002978e5244',
+    ('put', -0.3, 1e+300, 2, 20): '8380c1182dff7b7aa6211b0ffa2907ec733c675733591d4c4130b08b75ed18a6',
+    ('call', -0.3, 1e+300, 3, 20): 'b772266857935b85d5b0fff820b9e9bef444eab8266dba2671f774ad30b22282',
+    ('put', -0.3, 1e+300, 3, 20): '85c8eec10b9f114f394022101a1bdca2a3c3adbb846d1c5d72b6515cde04c23e',
+    ('call', -0.3, 1e+300, 50, 20): '6fd94db11ff756bdd6554fa0140be63a9f70cea55f56ae462f3d1529db78e592',
+    ('put', -0.3, 1e+300, 50, 20): 'b9cc80038221be1114e4e89f745c7d5f8046da498a20606dc89a0be134c784ab',
+    ('call', 0.0, 1e-09, 2, 20): '1130425d0fa36184cfd79e249354b72fedb0dd243da7818baccdb918c0e2dbe9',
+    ('put', 0.0, 1e-09, 2, 20): '4b3fbbc5e4a471d32b818ed2b4ef8ca78cd5fef67545271f1ce5613d703ff301',
+    ('call', 0.0, 1e-09, 3, 20): 'bf2f68feee01bd499ca609ce532c57541f4d87ae25143a5751d976aff050a10b',
+    ('put', 0.0, 1e-09, 3, 20): 'f875eee4efe1083c2f2599be2956cecaa01309f4f1230e99b56a0cd48659b105',
+    ('call', 0.0, 1e-09, 50, 20): '207cc04ca968ba6ebd559d2249553db9c089a3387e44659d03e5e8a7ff637fb2',
+    ('put', 0.0, 1e-09, 50, 20): 'dc440d457f702d110f9b1fbcedc204a99016369ae40bae93ce6faaaedb365d3d',
+    ('call', 0.0, 100.0, 2, 20): '6aeaf19c59dae890643761131a71b2abe213def5f3d8a46a82b8c64080b0ce9e',
+    ('put', 0.0, 100.0, 2, 20): 'e5467748df7c3d16e8f614769b3bf4abebbf5fe430b8bc4ae7d9e7c59c7430a3',
+    ('call', 0.0, 100.0, 3, 20): '45d9692ac22cd6c483841c9aaf6bab7bc9009701522f26ff786ec39316045c35',
+    ('put', 0.0, 100.0, 3, 20): '45816eb6a32fbfdb5fb0023d841591e69ecb1f8644acbe1efe20b63b0c83a225',
+    ('call', 0.0, 100.0, 50, 20): '9571ea2639f131886fc3c3b5925d5194b2a1209c63e2a5d978e4cf0cea1c2a30',
+    ('put', 0.0, 100.0, 50, 20): '5a437755ec6d235b69302b46e84bfce40c5bbcd85eaa8d258fc2343e664bc75a',
+    ('call', 0.0, 1e+300, 2, 20): '92a2392f286805870941c6301d21de7a335b2a5bf32d3a188464bf6a8ec5b501',
+    ('put', 0.0, 1e+300, 2, 20): '4cdb3d6728de87261ab51b9d8378c1a62214da4a319f0644bc58e52d5352b4f6',
+    ('call', 0.0, 1e+300, 3, 20): 'd60836a404ef102d59c0fe14deeb1801b6936e14033f73681a63f32dde6ce9c1',
+    ('put', 0.0, 1e+300, 3, 20): 'e500c8aa4718ec1881cec718f183e172f316aa465889401725de6fa8c5bd8cb6',
+    ('call', 0.0, 1e+300, 50, 20): 'ee25e44187e8c503fc8e851e1297a823bb3fcb47fcbdbe56777fcc6bd340a912',
+    ('put', 0.0, 1e+300, 50, 20): 'f0b93b1b92e266e48490eefde039961cf82737f73ff3e849e523a15483d10384',
+    ('call', 0.05, 1e-09, 2, 20): '0398e851b025461bda744a82e432996c4cbdfef5390ee53ccdd6b185480530d8',
+    ('put', 0.05, 1e-09, 2, 20): '920193951e0f4186f66847f0454263c808c5a3c9b28d4b28311604e5badf59ed',
+    ('call', 0.05, 1e-09, 3, 20): '246da71af685a105618bd250763fb9babefc47bb6ade7125c9bd7b1ad78088d7',
+    ('put', 0.05, 1e-09, 3, 20): '0f66c3157890e761ea82571a1d774d2421e9ff90ae22e32e983cb3b51e167257',
+    ('call', 0.05, 1e-09, 50, 20): '820e7fa45243bdc2602262b67a35a54d239637868df4e2aefa201345111a82e6',
+    ('put', 0.05, 1e-09, 50, 20): '8f3fa6fe5559769e89bce4f89e9173a790c09790bb9a858eb768a8ba0908dda2',
+    ('call', 0.05, 100.0, 2, 20): '15737a2e3bf2f39270ba1f3ef4d1c19a62bb49b5fc70512916285f4635f3df87',
+    ('put', 0.05, 100.0, 2, 20): '988aa8165628d5ef2d4afaebdb5e02a18553e7cfc275c73d5a82170ca15f21a1',
+    ('call', 0.05, 100.0, 3, 20): '2aab53332dd458cd6ac464129d5c34a2cb37a8c989708441436a172660a88ce1',
+    ('put', 0.05, 100.0, 3, 20): 'c1597ec98939882cd183a3da111d4861776a09922dac2000456d91fdd2568571',
+    ('call', 0.05, 100.0, 50, 20): 'b3e08399cb3ed8d406d909d84a1c08e2a979d9f5cc9f650b3ef491b6dca2697f',
+    ('put', 0.05, 100.0, 50, 20): '687d49b506713fee4fbb25e153f2a1e5cd4e57681d1f84777c8d05a65f6bb5b3',
+    ('call', 0.05, 1e+300, 2, 20): 'c3ded25fca9d2b391df122eefc32128585f244614693ce92dbd977fdb5a326a3',
+    ('put', 0.05, 1e+300, 2, 20): '286dcaef3d531db8aba3c82ed64086b219cdc174c747d04be865b3e32cf04c71',
+    ('call', 0.05, 1e+300, 3, 20): '5d9ffd3e03e735535cc17a4483bf9c42775a42f8feff2857f9e93ca8225ee463',
+    ('put', 0.05, 1e+300, 3, 20): 'a2a45b53f8f5f52c0c3dd7a2255fa0dc88c5307dcf354c761283a45df81ffb10',
+    ('call', 0.05, 1e+300, 50, 20): '922c6fdbfe5a9517643df0c7888dc81eda073463c9db910c3308954c3a181216',
+    ('put', 0.05, 1e+300, 50, 20): 'f7c85fd5a7e09c6e1e1ef8807962b4dff8020a2124679448c0f6f153fcf04d16',
+}
+
+
+@pytest.mark.parametrize("case", list(AMERICAN_EDGE_BITS), ids=lambda c: "-".join(map(str, c)))
+def test_american_edge_cases_keep_their_bits(case):
+    kind, rate, strike, intervals, steps = case
+    res = price_american(kind, strike, rate, VOL, EXPIRY, intervals=intervals, steps=steps)
+    assert bits(res.values, res.exercise_times, res.exercise_boundary) == \
+        AMERICAN_EDGE_BITS[case]
+
+
 # ----------------------------------------------------- mortality option #
 
 
