@@ -138,8 +138,11 @@ def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     The returned ``solve(b)`` overwrites the float vector ``b`` with the
     solution by one ``dpttrs`` or ``dgttrs`` back-substitution, in place
     when ``b`` is contiguous; a padded system's extra rows get zeros and
-    solve to zeros.  The solution is not checked, so callers that need a
-    finite one test for it.
+    solve to zeros.  The factors and ``overwrite_b`` go to LAPACK by
+    position, since a time march calls the solve once per step and parsing
+    a keyword there costs about a third of a 100-row back-substitution.
+    The solution is not checked, so callers that need a finite one test
+    for it.
     """
     if not (np.isfinite(diag).all() and np.isfinite(lower[1:]).all()
             and np.isfinite(upper[:-1]).all()):
@@ -152,21 +155,24 @@ def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
         upper = np.concatenate([upper[:-1], np.zeros(pad + 1)])
     lapack = _load_lapack()
     if symmetric:
-        *factors, info = lapack.dpttrf(diag, upper[:-1], overwrite_d=1, overwrite_e=1)
-        back_substitute = lapack.dpttrs
+        d, e, info = lapack.dpttrf(diag, upper[:-1], overwrite_d=1, overwrite_e=1)
         if info > 0:
             raise NumericalError(f"tridiagonal system not positive definite: pivot {info - 1} "
                                  "is not positive")
+
+        def back_substitute(b, dpttrs=lapack.dpttrs):
+            return dpttrs(d, e, b, 1)[0]  # overwrite_b=1, by position
     else:
-        *factors, info = lapack.dgttrf(lower[1:], diag, upper[:-1], overwrite_dl=1,
-                                       overwrite_d=1, overwrite_du=1)
-        back_substitute = lapack.dgttrs
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(lower[1:], diag, upper[:-1], overwrite_dl=1,
+                                                   overwrite_d=1, overwrite_du=1)
         if info > 0:
             raise NumericalError(f"singular tridiagonal system: zero pivot at row {info - 1}")
 
+        def back_substitute(b, dgttrs=lapack.dgttrs):
+            return dgttrs(dl, d, du, du2, ipiv, b, "N", 1)[0]  # trans, overwrite_b
+
     def solve(b: np.ndarray) -> None:
-        rhs = b if pad <= 0 else np.concatenate([b, np.zeros(pad)])
-        x = back_substitute(*factors, rhs, overwrite_b=1)[0]
+        x = back_substitute(b if pad <= 0 else np.concatenate([b, np.zeros(pad)]))
         if x is not b:
             b[:] = x[:n]
 

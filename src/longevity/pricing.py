@@ -15,10 +15,17 @@ The operator does not move with ``tau``, so the march factors its one or
 two step matrices, implicit and Crank-Nicolson, before its first step.
 A Crank-Nicolson step is an implicit half step followed by a linear
 extrapolation, so every step costs one back-substitution and at most one
-vector subtraction, and none forms the explicit product ``A U``.  A step
-works in place: it builds its right-hand side in a preallocated state
-vector, back-substitutes it there with one LAPACK call, extrapolates
-there, and tests the new state for finiteness with one dot product.
+vector subtraction, and none forms the explicit product ``A U``.  The
+march is bound by interpreter round trips more than by arithmetic, so a
+step makes as few calls into numpy and LAPACK as it can.  It runs in two
+phases of one loop, implicit then Crank-Nicolson, with each phase's
+theta, solve and right-hand-side scale bound once.  A step works in
+place on the interior nodes: it builds its right-hand side in a
+preallocated state vector, adding the boundary terms in Python floats,
+back-substitutes it there with one positional LAPACK call, extrapolates
+there, and tests the interior for finiteness with one dot product.  The
+boundary values are carried as floats and written into the state only
+where a projection or the caller reads it.
 Every step matrix is factored by :func:`.fdm._factor_tridiagonal`, whose
 ``symmetric`` flag picks the factorization.  The vanilla pricers' rows,
 scaled row by row, make every step matrix symmetric positive definite, so
@@ -166,7 +173,9 @@ def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
     for Crank-Nicolson, before the first step, by
     :func:`.fdm._factor_tridiagonal`, and a matrix that is not finite or
     fails to factor raises there: a Rannacher start followed by
-    Crank-Nicolson costs two factorizations in all.
+    Crank-Nicolson costs two factorizations in all.  The steps run in two
+    phases of one loop, steps ``[0, implicit_steps)`` and then the rest,
+    and each phase binds its theta, solve and right-hand-side scale once.
 
     Given positive ``weights``, ``rows`` are those of ``diag(weights) A``
     instead, and must be symmetric (``sub[1:] == sup[:-1]``, of which the
@@ -183,19 +192,28 @@ def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
     length ``k theta`` to ``Y = theta U1 + (1-theta) U0``, followed at
     ``theta = 1/2`` by the extrapolation ``U1 = 2 Y - U0``.  A step builds
     ``U0 * (weights/theta)`` (unit weights without them) plus the boundary
-    increments ``k c (theta g_{n+1} + (1-theta) U0[edge])``, with ``c`` the
-    edge row's entry for the boundary node, formed in Python floats, in the
-    interior of the other state buffer; back-substitutes it there to
-    ``Y/theta``; subtracts ``U0`` in place at ``theta = 1/2`` and swaps the
-    buffers.  One dot product of the new state with itself tests it for
+    increments ``k c (theta g_{n+1} + (1-theta) g_n)``, with ``c`` the
+    edge row's entry for the boundary node and ``g_0`` the end of ``U``,
+    formed in Python floats, in the interior of the other state buffer;
+    back-substitutes it there to ``Y/theta`` by one positional LAPACK call;
+    subtracts ``U0`` in place at ``theta = 1/2`` and swaps the buffers.
+    One dot product of the new interior with itself tests it for
     finiteness: squares cannot cancel, so any inf or NaN makes it
     non-finite, and only when it overflows are the values tested one by
-    one.
+    one.  The interior suffices.  The boundary values enter the step only
+    through its increments, and a non-finite ``g`` makes its increment
+    non-finite (``0 * inf`` is NaN too), so the first or last interior
+    entry of the right-hand side is non-finite, and so is the solution
+    the back-substitution carries it into.
 
-    ``project``, for an American claim, is called as ``project(n, V)`` with
-    the level ``V`` that step ``n`` produced, and projects it in place onto
-    the claim's floor; the initial state must lie on or above its floor
-    already.  Returns the state of the last level.
+    The boundary values are carried as floats, not read back from the
+    state, and written into the state's ends only before ``project`` and
+    at the end.  ``project``, for an American claim, is called as
+    ``project(n, V)`` with the level ``V`` that step ``n`` produced, its
+    ends at ``g0s[n]`` and ``g1s[n]``, and projects it in place onto the
+    claim's floor, leaving the ends as they are: the floor at the ends
+    lies at or below the boundary values.  The initial state must lie on
+    or above its floor already.  Returns the state of the last level.
     """
     n_steps = len(g0s)
     # two state buffers with their interior views: a step reads one and
@@ -207,32 +225,37 @@ def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
     # an overflow in the step arithmetic leaves a non-finite value, which
     # the factorization or the state check rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        # theta -> (the step's solve, right-hand-side scale) for each kind
-        # of step the march takes, factored before the first step
-        kinds = ((1.0, implicit_steps), (0.5, n_steps - implicit_steps))
-        steps = {theta: (_factor_tridiagonal(*_step_matrix(sub, dia, sup, k * theta, w),
-                                             symmetric),
-                         w / theta) for theta, count in kinds if count > 0}
+        # (theta, first step, end, solve) of the implicit and the
+        # Crank-Nicolson phase, both factored before the first step
+        phases = [(theta, start, end,
+                   _factor_tridiagonal(*_step_matrix(sub, dia, sup, k * theta, w), symmetric))
+                  for theta, start, end in ((1.0, 0, implicit_steps),
+                                            (0.5, implicit_steps, n_steps)) if start < end]
         left_c, right_c = k * float(sub[0]), k * float(sup[-1])
-        for n in range(n_steps):
-            theta = 1.0 if n < implicit_steps else 0.5
-            solve, scale = steps[theta]
-            U, mid = state
-            V, b = other
-            np.multiply(mid, scale, out=b)
-            g0v, g1v = g0s[n], g1s[n]
-            b[0] += left_c * (theta * g0v + (1.0 - theta) * float(U[0]))
-            b[-1] += right_c * (theta * g1v + (1.0 - theta) * float(U[-1]))
-            solve(b)
-            if theta == 0.5:
-                b -= mid
-            V[0], V[-1] = g0v, g1v
-            if not (math.isfinite(V.dot(V)) or np.isfinite(V).all()):
-                raise _step_blowup(n, n_steps, k)
-            if project is not None:
-                project(n, V)
-            state, other = other, state
-    return state[0]
+        g0, g1 = float(U[0]), float(U[-1])
+        for theta, start, end, solve in phases:
+            # a float scale as a 0-d array, which numpy multiplies by without
+            # converting it on every step
+            scale, rest, extrapolate = np.asarray(w / theta), 1.0 - theta, theta == 0.5
+            for n in range(start, end):
+                mid = state[1]
+                V, b = other
+                np.multiply(mid, scale, out=b)
+                u0, u1, g0, g1 = g0, g1, g0s[n], g1s[n]
+                b[0] += left_c * (theta * g0 + rest * u0)
+                b[-1] += right_c * (theta * g1 + rest * u1)
+                solve(b)
+                if extrapolate:
+                    b -= mid
+                if not (math.isfinite(b.dot(b)) or np.isfinite(b).all()):
+                    raise _step_blowup(n, n_steps, k)
+                if project is not None:
+                    V[0], V[-1] = g0, g1
+                    project(n, V)
+                state, other = other, state
+    U = state[0]
+    U[0], U[-1] = g0, g1
+    return U
 
 
 def _step_blowup(n: int, n_steps: int, k: float) -> NumericalError:
@@ -388,6 +411,16 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     holds ``K e^{r(tau_n - E)}`` at ``x = 0`` for ``r >= 0``.  No factor
     exceeds ``e^{-rE}``, which :func:`_require_discountable` keeps finite.
     Exercise nodes ``x`` map back to ``x e^{r(E - tau_n)}``.
+
+    Everything an American level needs apart from its values is formed
+    before the march, in one vectorised pass over the levels: the moving
+    strike, the exercise tolerance, the two boundary values and the node
+    range ``[lo, hi)`` where the floor exceeds the tolerance (empty on a
+    level too coarse to resolve).  The projection then builds the floor in
+    a preallocated buffer, by one subtraction and one maximum against a
+    0-d zero, raises the values onto it, and searches ``[lo, hi)`` for the
+    boundary through a second buffer of the gaps, in the same floating
+    point operations as a floor formed level by level.
     """
     s_max, implicit_steps = _check_option_args(kind, strike, rate, vol, expiry, s_max,
                                                intervals, steps, rannacher_steps)
@@ -414,34 +447,49 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
                                       [right] * steps, weights=weights))
 
     times = _level_times(clock, expiry, steps)
-    scales = [math.exp(rate * (tau - expiry)) for tau in times]  # v / u at levels 1..N
-    # the larger of holding to expiry and exercising at the level's strike,
-    # which is inf past the float range, as a product of floats would be
-    with np.errstate(over="ignore"):
-        strikes = strike * np.array(scales)
-    g0s = np.maximum(left, exercise(0.0, strikes)).tolist()
-    g1s = np.maximum(right, exercise(s_max, strikes)).tolist()
-    # a node is on the floor when its value is within tol of a floor above
-    # tol, tol taken in S's units and scaled to the level's; a level whose
-    # tol is at most about 4000 roundings of s_max, 2**-40 s_max, cannot
-    # tell its floor from its value: that is r(E - tau) past
-    # ln(tol / (2**-40 s_max)), about 10.2 for a put and 11.3 for a call
-    # with the default s_max
+    scales = np.array([math.exp(rate * (tau - expiry)) for tau in times])  # v / u at levels 1..N
     tol = 1e-7 * (1.0 + float(np.maximum(exercise(0.0, strike), exercise(s_max, strike))))
-    resolvable = 2.0 ** -40 * s_max
-    nodes = []
+    # a product or sum past the float range is inf, and inf - inf NaN, as
+    # they would be in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        strikes, tols = strike * scales, tol * scales
+        # the larger of holding to expiry and exercising at the level's strike
+        g0s = np.maximum(left, exercise(0.0, strikes)).tolist()
+        g1s = np.maximum(right, exercise(s_max, strikes)).tolist()
+        # a node is on the floor when its value is within tol of a floor
+        # above tol, tol taken in S's units and scaled to the level's.  The
+        # floor exceeds tol on the nodes [lo, hi), a suffix of the mesh for a
+        # call and a prefix for a put.  A level whose tol is at most about
+        # 4000 roundings of s_max, 2**-40 s_max, cannot tell its floor from
+        # its value, so it searches no node: that is r(E - tau) past
+        # ln(tol / (2**-40 s_max)), about 10.2 for a put and 11.3 for a call
+        # with the default s_max
+        searched = tols > 2.0 ** -40 * s_max
+        if call:
+            los, his = x.searchsorted(strikes + tols, "right"), np.where(searched, x.size, 0)
+        else:
+            los, his = np.zeros(steps, int), np.where(searched, x.searchsorted(strikes - tols), 0)
+    levels = list(zip(strikes.tolist(), tols.tolist(), los.tolist(), his.tolist()))
+    floor, gap, xs = np.empty_like(x), np.empty_like(x), x.tolist()
+    # the level's scalars go to the ufuncs as 0-d arrays, which numpy reads
+    # without the conversion a Python float costs it on every call
+    zero, level_strike, level_tol = np.zeros(()), np.empty(()), np.empty(())
+    nodes = [math.nan] * steps
 
-    def project(n, V):  # level n + 1, whose strike is strikes[n]
-        level_strike, level_tol = strike * scales[n], tol * scales[n]
-        floor = exercise(x, level_strike)
+    def project(n, V):  # level n + 1
+        level_strike[()], level_tol[()], lo, hi = levels[n]
+        if call:
+            np.subtract(x, level_strike, out=floor)
+        else:
+            np.subtract(level_strike, x, out=floor)
+        np.maximum(floor, zero, out=floor)
         np.maximum(V, floor, out=V)
-        # the floor exceeds tol on a suffix of the mesh for a call, a prefix
-        # for a put; the boundary is its on-floor node nearest the strike
-        lo, hi = (x.searchsorted(level_strike + level_tol, "right"), x.size) if call else \
-            (0, x.searchsorted(level_strike - level_tol))
-        hits = (V[lo:hi] - floor[lo:hi] <= level_tol).nonzero()[0]
-        resolved = hits.size > 0 and level_tol > resolvable
-        nodes.append(float(x[lo + hits[0 if call else -1]]) if resolved else math.nan)
+        if lo < hi:
+            # the boundary is the on-floor node nearest the strike
+            np.subtract(V, floor, out=gap)
+            hits = (gap[lo:hi] <= level_tol).nonzero()[0]
+            if hits.size:
+                nodes[n] = xs[lo + hits[0 if call else -1]]
 
     U = _march(rows, U, k, implicit_steps, g0s, g1s, project, weights)
     times = np.asarray(times)
@@ -552,13 +600,17 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
     t_max = table.omega - x + 1
     _require_discountable(r, t_max)
     by_year = _year_payoff(pol, t_max)
-    disc = np.array([math.exp(-r * year) * v for year, v in enumerate(by_year.tolist(), start=1)])
-
-    paid = disc[sample_death_years(table, x, n_paths, rng) - 1]
+    # entry y is death year y's discounted payoff; entry 0 is never read
+    disc = np.array([0.0] + [math.exp(-r * year) * v
+                             for year, v in enumerate(by_year.tolist(), start=1)])
+    # gathered into the years' own buffer, as _bucket_years gathers them:
+    # each index is read before its slot is written, and "clip" never clips
+    years = sample_death_years(table, x, n_paths, rng)
+    paid = disc.take(years, out=years.view(np.float64), mode="clip")
     with np.errstate(over="ignore", invalid="ignore"):
         mc_mean = float(np.mean(paid))
         mc_se = float(np.std(paid, ddof=1) / math.sqrt(n_paths))
-    exact = float(death_distribution(table, x) @ disc)
+    exact = float(death_distribution(table, x) @ disc[1:])
     if not all(map(math.isfinite, (mc_mean, mc_se, exact))):
         raise NumericalError("Monte Carlo estimate overflowed: discounted payoffs reach "
                              f"{float(disc.max()):g}")

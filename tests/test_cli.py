@@ -323,6 +323,8 @@ HUGE_SCHEDULE_CSV = "period,premium,benefit\n1,1e308,1e308\n2,1e308,1e308\n3,1e3
 WILD = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-1",
                         "0.05", "0.3", "1", "15", "100", "1000"])
 POLICY = ("--premium", "--benefit", "--rate")
+# death probabilities: zero, subnormal, tiny, ordinary, just short of 1, and 1
+QX = st.sampled_from(["0", "5e-324", "1e-320", "1e-16", "0.01", "0.3", "0.5", repr(1 - 1e-12), "1"])
 
 
 def _cmd(*parts):
@@ -354,6 +356,11 @@ def _fuzz_argv(tmp):
     schedule = st.lists(st.tuples(WILD, WILD), min_size=1, max_size=5).map(
         lambda rows: ["--schedule=" + write("schedule.csv", "period,premium,benefit\n" + "".join(
             f"{k},{p},{b}\n" for k, (p, b) in enumerate(rows, start=1)))])
+    # 1-6 rows from age 65..70, most of them ending at qx = 1 as a table must
+    table = st.tuples(st.integers(65, 70), st.lists(QX, max_size=5),
+                      st.one_of(st.just("1"), QX)).map(
+        lambda t: ["--table=" + write("table.csv", "age,qx\n" + "".join(
+            f"{t[0] + k},{q}\n" for k, q in enumerate(t[1] + [t[2]])))])
     maybe = lambda name: st.one_of(st.just([]), *_wild(name))
     # half the sizes at the edge of the smallest grid, -1..2
     size = st.one_of(st.integers(-1, 2), st.integers(3, 30))
@@ -380,6 +387,15 @@ def _fuzz_argv(tmp):
              "--benefit=1000", "--policy-rate=0.05", "--rate=0.05",
              _one_of("--vole-sigma", ["0", "0.1"])),
         _cmd("price-mortality-option", "--age=70", "--n=50", "--seed=1", grid, schedule,
+             *_wild("--policy-rate", "--rate", "--vole-sigma")),
+        _cmd("simulate", "--age=70", "--n=50", "--seed=1", table,
+             *_wild("--multiplier", "--improvement")),
+        _cmd("vole", "--age=70", "--n=50", "--seed=1", table),
+        _cmd("alpha-profile", "--ages=68..70", "--n=50", "--seed=1", table),
+        _cmd("price-mortality-option", "--age=70", "--n=50", "--seed=1", grid, table,
+             "--premium=100", "--benefit=1000", "--policy-rate=0.05", "--rate=0.05",
+             _one_of("--vole-sigma", ["0", "0.1"])),
+        _cmd("price-mortality-option", "--age=70", "--n=50", "--seed=1", grid, table, schedule,
              *_wild("--policy-rate", "--rate", "--vole-sigma")),
         _cmd("fdm-demo", "--J=10", _one_of("--scheme", ["centered", "upwind", "fitted"]),
              *_wild("--sigma")),
