@@ -821,7 +821,11 @@ def test_american_values_keep_their_bits(case):
 # moving strike stays at 100, a node of 400 intervals on [0, 400]; strikes
 # of 1e-9 and 1e300 put each level's floor and tolerance near the ends of
 # the float range, and 2 or 3 intervals leave one or two interior nodes.
+# At r = 12 the levels with r(E - tau) past about 10.2 (a put) or 11.3 (a
+# call) are too coarse to resolve, and their boundary must read NaN.
 AMERICAN_EDGE_BITS = {
+    ('call', 12.0, 100.0, 50, 20): '51baeda460bf9317bedaa0daa63894ffdd2c6e2bd2322a968fa3752016babf0c',
+    ('put', 12.0, 100.0, 50, 20): '29d7625260de0fe562d28c0309b3790dcb64674ac7fedd31ac7b6cc62576bb18',
     ('call', 0.0, 100.0, 400, 40): '2e6e8ce2b676407f2f65369e5c8a5e42830e79a372da38de1ec46ad84a329c0e',
     ('put', 0.0, 100.0, 400, 40): '2a67aa8a24daab926814edb65973efa574b62392c7b01b68223cfaaa7528290b',
     ('call', -0.3, 1e-09, 2, 20): 'a2d548d4c8f485eb001ce8ea92ee88736e54e62e5f99962744c4a3dab0e6fdc4',
