@@ -14,7 +14,17 @@ produce byte-identical output.  Results go to standard output unless
 Each handler imports the layers it uses when it runs, so a scalar command
 (``price-lsv``, ``duration``, ``critical-time``, ``irr``, ``markov``,
 ``fit-stable``) starts without loading numpy or ``inspect``, and no
-command imports the standard library's data-class module.
+command imports the standard library's data-class module.  A tridiagonal
+solve loads scipy's compiled LAPACK wrappers alone, without running any
+scipy package init.
+
+:func:`main`, the console entry point behind ``longevity`` and
+``python -m longevity``, sets ``OPENBLAS_NUM_THREADS=1`` unless the
+environment already sets it, before numpy loads: the CLI's linear algebra
+is tridiagonal and sequential, and the spare thread OpenBLAS would start
+spins on another core while the process starts.  No printed result depends
+on the thread count.  :func:`run` and the library leave the environment
+alone.
 
 Exit codes: 0 success, 1 malformed invocation (unknown subcommand or
 flag, unparseable value), 2 rejected input data (bad file contents, or a
@@ -28,6 +38,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -519,4 +530,7 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # one BLAS thread unless the environment names a count; no command has
+    # loaded numpy yet, so OpenBLAS reads it when it starts
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))

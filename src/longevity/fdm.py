@@ -89,22 +89,28 @@ class Mesh1D(_Record):
 # ----------------------------------------------------------- tridiagonal #
 
 def _load_lapack():
-    """scipy's compiled LAPACK wrappers, without running ``scipy.linalg``'s init.
+    """scipy's compiled LAPACK wrappers, without running any scipy package init.
 
     ``scipy.linalg.lapack.dgttrf``/``dgttrs`` (pivoted LU) and
     ``dpttrf``/``dpttrs`` (``L D L^T`` of a symmetric positive-definite
     matrix) are this extension's functions, but importing ``scipy.linalg``
-    also loads its array-API layer, which takes longer than numpy itself.
-    The first call loads the extension and registers it under its own name,
-    so every later call, and a later ``import scipy.linalg``, gets that
-    instance; one already loaded is returned as it is.  Loading the package
-    (and the CLI) pulls in no scipy; the first factorization does.
+    also loads its array-API layer, which takes longer than numpy itself,
+    and even the bare ``scipy`` package init costs more than the extension.
+    The first call finds scipy's directories through its import spec, which
+    runs no package code, then loads the extension from them and registers
+    it under its own name, so every later call, and a later
+    ``import scipy.linalg``, gets that instance; one already loaded is
+    returned as it is.  Loading the package (and the CLI) pulls in no scipy;
+    the first factorization loads this one extension, and no ``scipy``
+    module.  Without scipy installed it raises ``ImportError``.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    import scipy  # its package init: the numpy version check, not scipy.linalg
-    paths = [f"{p}/linalg" for p in scipy.__path__]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed; tridiagonal solves need its LAPACK wrappers")
+    paths = [f"{p}/linalg" for p in scipy.submodule_search_locations]
     spec = importlib.machinery.PathFinder.find_spec(name, paths)
     if spec is None:
         raise ImportError(f"no {name} extension in {paths}")

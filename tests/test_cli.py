@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import os
 import re
 import subprocess
 import sys
@@ -697,9 +698,17 @@ def test_numerical_failure_exits_3(capsys, tmp_path):
 # -------------------------------------------------------- determinism #
 
 
-def run_module(*argv):
+def blas_env(threads=None):
+    """This process's environment with OPENBLAS_NUM_THREADS set to ``threads``, or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+def run_module(*argv, blas_threads=None):
     return subprocess.run([sys.executable, "-m", "longevity", *argv],
-                          capture_output=True, timeout=120)
+                          capture_output=True, timeout=120, env=blas_env(blas_threads))
 
 
 # stdout of seeded commands, captured before death years were drawn by
@@ -781,9 +790,12 @@ GOLDEN_STDOUT = {
 
 @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=lambda argv: argv[0])
 def test_seeded_stdout_matches_the_recorded_bytes(argv):
-    done = run_module(*argv)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == GOLDEN_STDOUT[argv]
+    # with the variable unset the CLI runs one BLAS thread; a preset count
+    # starts more, and no printed byte may depend on it
+    for threads in (None, "2"):
+        done = run_module(*argv, blas_threads=threads)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == GOLDEN_STDOUT[argv], threads
 
 
 # a schedule with uneven premiums, a premium holiday and rising benefits
@@ -877,19 +889,39 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
      ["scipy.linalg._flapack"]),
 ], ids=["simulate", "price-option", "fdm-demo"])
 def test_array_commands_load_only_the_lapack_wrappers_of_scipy(argv, loaded):
-    # a tridiagonal solve loads scipy's package init and its LAPACK
-    # extension, never the scipy.linalg package with its array-API layer
+    # a tridiagonal solve loads scipy's LAPACK extension and nothing else of
+    # scipy: neither the bare package's init nor scipy.linalg with its
+    # array-API layer
     probe = "\n".join([
         "import contextlib, io, sys",
         "import longevity.cli",
         "with contextlib.redirect_stdout(io.StringIO()):",
         f"    code = longevity.cli.run({argv!r})",
-        "print(code, sorted(m for m in sys.modules if m.startswith('scipy.linalg')),",
-        "      any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),",
+        "      'scipy' in sys.modules)",
     ])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.decode().splitlines() == [f"0 {loaded} {bool(loaded)}"]
+    assert done.stdout.decode().splitlines() == [f"0 {loaded} False"]
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_main_runs_one_blas_thread_unless_the_environment_sets_a_count(preset, seen):
+    # main sets the count before any command loads numpy, which reads it then
+    probe = "\n".join([
+        "import os, sys",
+        "import longevity.cli",
+        "def run(argv):",
+        "    print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules, argv)",
+        "    return 0",
+        "longevity.cli.run = run",
+        "sys.argv = ['longevity', 'price-option']",
+        "longevity.cli.main()",
+    ])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120,
+                          env=blas_env(preset))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().splitlines() == [f"{seen} False ['price-option']"]
 
 
 # names the benchmark's tracer wraps on ``longevity.cli``

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longevity import fdm
 from longevity.errors import NumericalError
 from longevity.fdm import (
     Mesh1D,
@@ -153,6 +155,13 @@ def test_fdm_and_scipy_linalg_share_one_lapack_extension(probe):
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(probe)],
                           capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_load_lapack_names_scipy_when_it_is_not_installed(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy"):
+        fdm._load_lapack()
 
 
 def test_layer_exact_endpoints_and_shape():
