@@ -97,12 +97,12 @@ def _load_lapack():
     also loads its array-API layer, which takes longer than numpy itself,
     and even the bare ``scipy`` package init costs more than the extension.
     The first call finds scipy's directories through its import spec, which
-    runs no package code, then loads the extension from them and registers
-    it under its own name, so every later call, and a later
+    runs no package code, loads the extension from them and registers it
+    under its own name, so every later call, and a later
     ``import scipy.linalg``, gets that instance; one already loaded is
     returned as it is.  Loading the package (and the CLI) pulls in no scipy;
-    the first factorization loads this one extension, and no ``scipy``
-    module.  Without scipy installed it raises ``ImportError``.
+    the first factorization loads this extension alone.  Without scipy
+    installed it raises ``ImportError``.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
