@@ -893,6 +893,97 @@ def test_american_edge_cases_keep_their_bits(case):
         AMERICAN_EDGE_BITS[case]
 
 
+# Digests of American (values, exercise_times) alone, boundary left out, for
+# every American case of DECAY_BITS, CONST_BITS and AMERICAN_EDGE_BITS, by
+# (kind, rate, strike, vol, intervals, steps) at expiry EXPIRY, where vol
+# "decay" stands for VolatilityDecay(0.3, 0.8).  They pin the march and its
+# level times however the boundary is read off them.
+AMERICAN_MARCH_BITS = {
+    ('call', 0.05, 100.0, 'decay', 60, 68): '62629bed536987dd790e3146a17eb511c1625243ff17dd130c95ffab89d53822',
+    ('put', 0.05, 100.0, 'decay', 60, 68): 'ed5692413debde2a91ecfd81308e02046c91f2ff3369e7884901b65ee7e00ccd',
+    ('call', 0.05, 100.0, 'decay', 60, 69): '4ddd7cc862691fb9a70356a697a949b41e4190f2dc7db770c9f1548a6b1fd546',
+    ('put', 0.05, 100.0, 'decay', 60, 69): '4429a9d33f34c193b6eeb2256fb444bb30601ebe78c17847c37d19a079131e9e',
+    ('call', 0.05, 100.0, 'decay', 60, 70): '1de11d287674978f0f0b6233c39ab92b4e610143b948729d8a9ba0bcf2e96aa1',
+    ('put', 0.05, 100.0, 'decay', 60, 70): 'f4a27caad4515e6a6004b77ea3925026cf7dc45be158877464331fcf6d2aa102',
+    ('call', 0.05, 100.0, 'decay', 800, 37): '4d7adbc2cdf07f4da4db23ee6a850b2053688ee23f08815be4e56f32079ff24d',
+    ('put', 0.05, 100.0, 'decay', 800, 37): '835e59e76cc2c9771d5f9e61722be3e1b0a0c900ef335e32a5afad2a414fa3ec',
+    ('call', 0.05, 100.0, 0.2, 60, 60): '1a4b14ecce805c804323bffbb36e7e16f0e36f045b8f047849c8ea5ff459f603',
+    ('put', 0.05, 100.0, 0.2, 60, 60): '3375936ebb756906a1cd5b30e9d2b081e652095de851a21ca4ef815a057e01d1',
+    ('call', 0.05, 100.0, 0.2, 800, 37): 'e7be070fdc0540625cf0c61ec7affbdecdd5e7c78629a3c246edbd57f8e22986',
+    ('put', 0.05, 100.0, 0.2, 800, 37): '24f77e51dcf06e5d65e2b38e6679c223850a2b00eeda2a148697c3520e0ec6c2',
+    ('call', 0.05, 100.0, 0.2, 2, 1): '5b93b88a27136f04f41950902a399df34fcfc5b7ada3f80afda23aa1c2ce65c4',
+    ('put', 0.05, 100.0, 0.2, 2, 1): '4e9f1c23ed97b7d7288fcbf5db372c5d963e10635e74378dfe2b03f5e74b74e6',
+    ('call', 0.05, 100.0, 0.2, 3, 2): '9bbb33a6bc24056f44e420399ee328dda6ff38c3db20f886ccafd0b80333db1e',
+    ('put', 0.05, 100.0, 0.2, 3, 2): '08b972b95453800c7c2aec4e1937d2eaa1d27d278f4a312e381ac50ea50dd778',
+    ('call', 12.0, 100.0, 0.2, 50, 20): 'f6bcb97c96032e5725506a472a72f4095376a16485ba03ad68b708c208caab70',
+    ('put', 12.0, 100.0, 0.2, 50, 20): '4aeacd1be6ea73278a50c3efd1c6a5b011df05339912b7650f8b027164154d9c',
+    ('call', 0.0, 100.0, 0.2, 400, 40): '9ba384b1012f748921b743e8221ee1cfe11a799307196639a1c39969ed41bf9d',
+    ('put', 0.0, 100.0, 0.2, 400, 40): 'e44058abbb2a86692081affdb01601c033671c159ae2534ab304e26e95c2d611',
+    ('call', -0.3, 1e-09, 0.2, 2, 20): '726c68f39297be3e92026be6bf54e8dc69b3ce2a08801979b6db3bbd2132c697',
+    ('put', -0.3, 1e-09, 0.2, 2, 20): 'f3adc7e0e22ceb69db335b7b5e9b52328ad3b350ea211bbf5cdb59c776ad36cc',
+    ('call', -0.3, 1e-09, 0.2, 3, 20): '45b19ec481950ce6d060e376098839783fdb6cebad6647e256b8b72febcb8b7f',
+    ('put', -0.3, 1e-09, 0.2, 3, 20): '95b1a2e940d5f7663eded0e9704b71b71521605d8d70da8ea656314c3ec86e74',
+    ('call', -0.3, 1e-09, 0.2, 50, 20): 'd4a23030e973fb90823829bb9872060143682f460662b9f1f49befdfefed3450',
+    ('put', -0.3, 1e-09, 0.2, 50, 20): '5478ce315efffc320bfa742ee0be71e48ff50909a97642651634e24c14494906',
+    ('call', -0.3, 100.0, 0.2, 2, 20): '8f78cf13c10c106b7e84d7807d47db3d7eaa8d6106741e043f536dccc2c7e6de',
+    ('put', -0.3, 100.0, 0.2, 2, 20): 'f2a411ebd1ee96a9355bda170897031e4332416acf316038a25ba86db91056f5',
+    ('call', -0.3, 100.0, 0.2, 3, 20): '009be315d279430126abaeefa1d292e4f78bfa0a58c93fe6cd9d523045383fb9',
+    ('put', -0.3, 100.0, 0.2, 3, 20): '7f58f023d57aa463447aa18e1bab92176772d80656ed3b4149d5b7f47ef3671a',
+    ('call', -0.3, 100.0, 0.2, 50, 20): '6ea5173762dda2a3d9beb00dbacd32e08af023088d81a3684738da9f5d50799f',
+    ('put', -0.3, 100.0, 0.2, 50, 20): '1f04331b6573b648e46635ebadd2122bc1875eec250982ebb611d0b65b34cba9',
+    ('call', -0.3, 1e+300, 0.2, 2, 20): 'ceb477a1e0fd79166662ed55e41757701c49089b853d04929215757be63eaf57',
+    ('put', -0.3, 1e+300, 0.2, 2, 20): '9a0be7c4ec447a5abc00d19d628fde18238ef550b50f82a766708c9f9e0e45cf',
+    ('call', -0.3, 1e+300, 0.2, 3, 20): '34f90b07fb48a55c9887407cedb4c66207421c19381289ad5d77675fdb168f21',
+    ('put', -0.3, 1e+300, 0.2, 3, 20): '5949c3df03ea965dcd8b47ce0d669a5c6f097d346f07c7c07f1d2dedcf74e027',
+    ('call', -0.3, 1e+300, 0.2, 50, 20): 'e6984bf101513d1ec06504d9c4e0c24783ef75948bb5e8c8f3d03b536978a47d',
+    ('put', -0.3, 1e+300, 0.2, 50, 20): 'd3e58e94b0f8e744bb16d35c41f94607059ed0ec89f12dfe8e218db3dadafe66',
+    ('call', 0.0, 1e-09, 0.2, 2, 20): '422b9b36dd9ccd714683ea9598e4feb8b2b41e69af1d55ac2f249129712ccf1c',
+    ('put', 0.0, 1e-09, 0.2, 2, 20): '2c2aa7c8fe3ec6fa0ab3edc468769c1f2ee2e9d328c5915819a8e29d05a29330',
+    ('call', 0.0, 1e-09, 0.2, 3, 20): '2d73fdde7514c8f3bf77e3dc8c6e86fdbe01713d353bef80a3ac945036a1411b',
+    ('put', 0.0, 1e-09, 0.2, 3, 20): 'e01f07fb31d0a39f9278d7b410c0f5bb43c2f74f485900d2ca69ec4dcf65990a',
+    ('call', 0.0, 1e-09, 0.2, 50, 20): '5da84fc4fe6fb088a69ceb0016e8de68f0dcfe49301e15818c8a0530a44cee78',
+    ('put', 0.0, 1e-09, 0.2, 50, 20): 'aff42635b0ef96d4e90350efd82108a87538a57e41487832c463f2f895d9e7f3',
+    ('call', 0.0, 100.0, 0.2, 2, 20): 'c7a03dbf0238bba2a722c6729a47c8c60bc85de299d97272e7c713a3d3bdd477',
+    ('put', 0.0, 100.0, 0.2, 2, 20): '8416e8c3a9a0c97609c8fdb890f6a48ee7e6c477e3436bcad472a561a7174c34',
+    ('call', 0.0, 100.0, 0.2, 3, 20): '91ab7188327c5f23ef04f177166fbd4f3bc0576927c0d61c0034c2b500c1c685',
+    ('put', 0.0, 100.0, 0.2, 3, 20): 'b3b747e80c5752c2f00f88eb7a704f6dc3928f0deb91102c2cd5267a20d9b772',
+    ('call', 0.0, 100.0, 0.2, 50, 20): 'ca6ca41694b7a7a74b9a1b64bc08bc37f3acffce67079b9afb8426fce1e4ee4b',
+    ('put', 0.0, 100.0, 0.2, 50, 20): 'b03c25dbba66ade54250356d37a173bd1a00bfd1bda8b1f72235fdc2df46dd6d',
+    ('call', 0.0, 1e+300, 0.2, 2, 20): '1ff6a6b356698482d834e185f6bb45c2d088d47e54f2fe6c889204fc45569eab',
+    ('put', 0.0, 1e+300, 0.2, 2, 20): '4e2b0e3987dc25b7f0179e955a98a35b92db8d0b6e34a50c6c04cf914cd88b97',
+    ('call', 0.0, 1e+300, 0.2, 3, 20): 'a91be0ff1d42ab3b4a297a274ca2523d98479636e9cbe9ee5d0a711a2c1f285a',
+    ('put', 0.0, 1e+300, 0.2, 3, 20): 'bf6b117a5e32167a09392ccde18c27332809f8047b5ea1db67896af5ed3a7dbd',
+    ('call', 0.0, 1e+300, 0.2, 50, 20): '07052a97dee970576c6a1b35d392c67a96d8ac413cc5438d9894e703b0349f58',
+    ('put', 0.0, 1e+300, 0.2, 50, 20): 'dba8a5df22134c71869e5c4ed38a8da9a9d07f1d6e482236f74344b4bc65e84d',
+    ('call', 0.05, 1e-09, 0.2, 2, 20): 'e8f7913cef3a3457241be428b14e62fc0de3baf705a183e1a3b159aca0c5a990',
+    ('put', 0.05, 1e-09, 0.2, 2, 20): '7888f799083102c23e7a635219f870b991b2bbcc01efa4f498f101e3bc122156',
+    ('call', 0.05, 1e-09, 0.2, 3, 20): '06148add87baddd05de9d1d8747434934bc41a7a2ee8db2f5194f03f21f20e71',
+    ('put', 0.05, 1e-09, 0.2, 3, 20): '4fb7c80544c618fdf6528943d61dbb2ec1a4e2ca1e0335b28cc64b314ab8b513',
+    ('call', 0.05, 1e-09, 0.2, 50, 20): 'f6397774036d927f27f3e2c21740f870db8275c5c3f12c0176bdcb89a69c0325',
+    ('put', 0.05, 1e-09, 0.2, 50, 20): 'ecbebffd87e47512e37633baa0828aa14ba5c8e7296c506ea7b188a13994dccc',
+    ('call', 0.05, 100.0, 0.2, 2, 20): '36b2086aebf62b4b9572b110bdaff9b94a8d8c1b33a00a77cbaa6bf829470fc7',
+    ('put', 0.05, 100.0, 0.2, 2, 20): 'fd8213f2d8f506e283261340e40d2f44c8d0e8f02614013943bd38486684a43b',
+    ('call', 0.05, 100.0, 0.2, 3, 20): 'd67f05f321a87d8af29111595a266d7cf60fb6860d3aff95b9eb084610ab88b7',
+    ('put', 0.05, 100.0, 0.2, 3, 20): '6cc60aba21464fc47e6b0861b5066a7b5b3434a0cfc56c4fa8c93ec58b3c6843',
+    ('call', 0.05, 100.0, 0.2, 50, 20): 'a14315c835b7223c8c97672ce7cb9417b714bb2be03239e9d3273403bd91a4e1',
+    ('put', 0.05, 100.0, 0.2, 50, 20): '3821718fe5cec80fd1e9fa5722222d511d86a6d36f1217a39d2390e54af243d0',
+    ('call', 0.05, 1e+300, 0.2, 2, 20): '1aa51a81d9a96ff07e2c9430ab7a4a2f3a8594b4ad896bed11e3612b8bf15cca',
+    ('put', 0.05, 1e+300, 0.2, 2, 20): '70685d417180f1c7fd3f4bc302c13053652a6ca5501026fb2c51dbb5fe16de92',
+    ('call', 0.05, 1e+300, 0.2, 3, 20): 'eef68c89c5e80313b07fa0192125875c37cfc455bf82b82f6d45bd67cb544adf',
+    ('put', 0.05, 1e+300, 0.2, 3, 20): '3c235fbd7d42127e6eb0cfba8ca1681df305b6dfd1f0c3f9547161fb21697fe4',
+    ('call', 0.05, 1e+300, 0.2, 50, 20): '3f6cc265f735b204bf305cc3b5535e73b865b0fdd64884f5144ce2259070025b',
+    ('put', 0.05, 1e+300, 0.2, 50, 20): '7fa27f9a91c5846f5e7e607d826ce2e56afeb0cf5fbcadda1b9c1fcac607fa70',
+}
+
+
+@pytest.mark.parametrize("case", list(AMERICAN_MARCH_BITS), ids=lambda c: "-".join(map(str, c)))
+def test_american_march_keeps_its_bits(case):
+    kind, rate, strike, vol, intervals, steps = case
+    vol = VolatilityDecay(0.3, 0.8) if vol == "decay" else vol
+    res = price_american(kind, strike, rate, vol, EXPIRY, intervals=intervals, steps=steps)
+    assert bits(res.values, res.exercise_times) == AMERICAN_MARCH_BITS[case]
+
+
 # ----------------------------------------------------- mortality option #
 
 
