@@ -51,7 +51,9 @@ level monotone however convection-dominated the rows are.
 Option valuation composes the march with payoff-specific boundary data.
 American exercise is handled by projecting each time level onto the
 payoff seen at that level, which is the discrete form of comparing
-continuation and intrinsic value node by node.  The mortality option
+continuation and intrinsic value node by node; the nodes the projection
+lifts are the exercised ones, and the one nearest the strike is the
+level's exercise boundary.  The mortality option
 values a policy position both by Monte Carlo over the death-year
 distribution and by the same PDE machinery on a notional index; both
 numbers are reported side by side.  Its payoff depends on the death year
@@ -271,22 +273,19 @@ class PriceResult(_Record):
 
     ``grid`` holds the underlying levels, ``values`` the option values.
     For American styles, ``exercise_times`` and ``exercise_boundary`` give
-    each time level's exercise boundary: the node on the floor nearest the
-    strike within the floor's support, the nodes whose payoff exceeds the
-    level's tolerance.  That is the smallest such level for a call and the
-    largest for a put, and NaN where no node of the support sits on the
-    floor, e.g. an American call on a non-dividend underlying at a positive
-    rate.  The times are equal steps of the variance clock, so under
-    decaying volatility they are not evenly spaced; the last is the expiry.
+    each time level's exercise boundary: the lifted node nearest the
+    strike, where a node is lifted when the level's projection raises its
+    value onto a positive payoff.  That is the smallest lifted level for a
+    call and the largest for a put, and NaN on a level that lifts no node.
+    Without dividends early exercise pays only for a put at ``r > 0`` and a
+    call at ``r < 0`` (Merton 1973), so elsewhere every level is NaN.  The
+    mesh ends hold their payoff or more and are never lifted.  The times
+    are equal steps of the variance clock, so under decaying volatility
+    they are not evenly spaced; the last is the expiry.
 
     The march's mesh is uniform in ``x = S e^{r(tau - E)}``, so a level's
     boundary is resolved in ``S`` only to the mesh spacing times
-    ``e^{r(E - tau)}``.  Once ``r(E - tau)`` passes
-    ``ln(1e-7 (1 + max payoff) / (2**-40 s_max))``, about 10.2 for a put
-    and 11.3 for a call with the default ``s_max``, the level cannot tell
-    its values from its floor and its boundary is NaN even where exercise
-    pays; at ``r = 700`` and ``E = 1`` that is every level but the last
-    1.5 % of the time to expiry.
+    ``e^{r(E - tau)}``.
     """
 
     grid: np.ndarray
@@ -414,13 +413,14 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
 
     Everything an American level needs apart from its values is formed
     before the march, in one vectorised pass over the levels: the moving
-    strike, the exercise tolerance, the two boundary values and the node
-    range ``[lo, hi)`` where the floor exceeds the tolerance (empty on a
-    level too coarse to resolve).  The projection then builds the floor in
-    a preallocated buffer, by one subtraction and one maximum against a
-    0-d zero, raises the values onto it, and searches ``[lo, hi)`` for the
-    boundary through a second buffer of the gaps, in the same floating
-    point operations as a floor formed level by level.
+    strike and the two boundary values.  The projection builds the floor
+    in a preallocated buffer, by one subtraction and one maximum against a
+    0-d zero, in the same floating point operations as a floor formed
+    level by level, and raises the values onto it.  Where early exercise
+    pays it first records the lifted node nearest the strike, read off the
+    nodes whose floor exceeds ``max(V, 0)``: a positive floor above ``V``.
+    Where it cannot pay the levels are projected all the same, so the
+    values keep their bits, and no node is read.
     """
     s_max, implicit_steps = _check_option_args(kind, strike, rate, vol, expiry, s_max,
                                                intervals, steps, rannacher_steps)
@@ -448,54 +448,43 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
 
     times = _level_times(clock, expiry, steps)
     scales = np.array([math.exp(rate * (tau - expiry)) for tau in times])  # v / u at levels 1..N
-    tol = 1e-7 * (1.0 + float(np.maximum(exercise(0.0, strike), exercise(s_max, strike))))
-    # a product or sum past the float range is inf, and inf - inf NaN, as
-    # they would be in Python floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        strikes, tols = strike * scales, tol * scales
+    # a product past the float range is inf, as it would be in Python floats
+    with np.errstate(over="ignore"):
+        strikes = strike * scales
         # the larger of holding to expiry and exercising at the level's strike
         g0s = np.maximum(left, exercise(0.0, strikes)).tolist()
         g1s = np.maximum(right, exercise(s_max, strikes)).tolist()
-        # a node is on the floor when its value is within tol of a floor
-        # above tol, tol taken in S's units and scaled to the level's.  The
-        # floor exceeds tol on the nodes [lo, hi), a suffix of the mesh for a
-        # call and a prefix for a put.  A level whose tol is at most about
-        # 4000 roundings of s_max, 2**-40 s_max, cannot tell its floor from
-        # its value, so it searches no node: that is r(E - tau) past
-        # ln(tol / (2**-40 s_max)), about 10.2 for a put and 11.3 for a call
-        # with the default s_max
-        searched = tols > 2.0 ** -40 * s_max
-        if call:
-            los, his = x.searchsorted(strikes + tols, "right"), np.where(searched, x.size, 0)
-        else:
-            los, his = np.zeros(steps, int), np.where(searched, x.searchsorted(strikes - tols), 0)
-    levels = list(zip(strikes.tolist(), tols.tolist(), los.tolist(), his.tolist()))
-    floor, gap, xs = np.empty_like(x), np.empty_like(x), x.tolist()
-    # the level's scalars go to the ufuncs as 0-d arrays, which numpy reads
+    strikes = strikes.tolist()
+    # without dividends early exercise pays only for a put at r > 0 and a
+    # call at r < 0 (Merton 1973); elsewhere any lift is rounding
+    pays = rate < 0.0 if call else rate > 0.0
+    floor, held, xs = np.empty_like(x), np.empty_like(x), x.tolist()
+    # the level's strike goes to the ufuncs as a 0-d array, which numpy reads
     # without the conversion a Python float costs it on every call
-    zero, level_strike, level_tol = np.zeros(()), np.empty(()), np.empty(())
+    zero, level_strike = np.zeros(()), np.empty(())
     nodes = [math.nan] * steps
 
     def project(n, V):  # level n + 1
-        level_strike[()], level_tol[()], lo, hi = levels[n]
+        level_strike[()] = strikes[n]
         if call:
             np.subtract(x, level_strike, out=floor)
         else:
             np.subtract(level_strike, x, out=floor)
         np.maximum(floor, zero, out=floor)
-        np.maximum(V, floor, out=V)
-        if lo < hi:
-            # the boundary is the on-floor node nearest the strike
-            np.subtract(V, floor, out=gap)
-            hits = (gap[lo:hi] <= level_tol).nonzero()[0]
+        if pays:
+            # the lifted nodes, a positive floor above V, are where the floor
+            # exceeds max(V, 0); the boundary is the one nearest the strike
+            np.maximum(V, zero, out=held)
+            hits = (floor > held).nonzero()[0]
             if hits.size:
-                nodes[n] = xs[lo + hits[0 if call else -1]]
+                nodes[n] = xs[hits[0 if call else -1]]
+        np.maximum(V, floor, out=V)
 
     U = _march(rows, U, k, implicit_steps, g0s, g1s, project, weights)
     times = np.asarray(times)
-    # the factor back to S overflows only on an unresolved level, whose
-    # node is NaN already
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the factor back to S overflows only past r(E - tau) = 709, where the
+    # level's strike lies below the first interior node, so no node is lifted
+    with np.errstate(over="ignore"):
         boundary = np.asarray(nodes) * np.exp(rate * (expiry - times))
     return PriceResult(x, U, times, boundary)
 
@@ -524,10 +513,12 @@ def price_american(kind: str, strike: float, rate: float, vol, expiry: float,
     Arguments are those of :func:`price_european`.  The comparison of
     continuation and intrinsic value happens node by node after every
     step, so the returned values satisfy ``value >= payoff`` everywhere.
-    The reported exercise boundary of each time level is the node on the
-    payoff nearest the strike among the nodes whose payoff exceeds the
-    level's tolerance: the smallest such level for a call, the largest for
-    a put, and NaN where there is none (see :class:`PriceResult`).
+    The reported exercise boundary of each time level is the node nearest
+    the strike among those the projection lifted onto a positive payoff:
+    the smallest such level for a call, the largest for a put, and NaN
+    where there is none.  It is NaN at every level of a call at ``r >= 0``
+    and a put at ``r <= 0``, where early exercise never pays (see
+    :class:`PriceResult`).
     """
     return _price_vanilla(True, kind, strike, rate, vol, expiry, s_max, intervals, steps,
                           rannacher_steps)

@@ -66,17 +66,41 @@ def grid_tolerance(strike: float, intervals: int) -> float:
     return 4e-3 * strike * 100.0 / intervals
 
 
-def binomial_american_put(s: float, k: float, r: float, vol: float, t: float,
-                          steps: int = 1000) -> float:
-    """Cox-Ross-Rubinstein lattice value of an American put."""
+def crr_american(kind: str, s: float, k: float, r: float, vol: float, t: float,
+                 steps: int = 1000) -> tuple[float, np.ndarray, np.ndarray]:
+    """Cox-Ross-Rubinstein lattice of an American call or put: value, remaining times, boundary.
+
+    Layer ``n`` of the lattice sits at remaining time ``t - n dt``.  A node
+    is exercised where its payoff is positive and above the discounted
+    continuation value; the layer's boundary is the exercised node nearest
+    the strike, the smallest for a call and the largest for a put, and NaN
+    where no node is exercised.  Returns the root value and, for layers
+    ``0 .. steps - 1``, their remaining times and boundaries.  Layer ``n``
+    has ``n + 1`` nodes, so a boundary at remaining time ``tau`` needs a
+    lattice whose ``t`` lies far enough past ``tau`` for its nodes there to
+    span it.
+    """
+    sign = 1.0 if kind == "call" else -1.0
     dt = t / steps
     u = np.exp(vol * np.sqrt(dt))
     d = 1.0 / u
     disc = np.exp(-r * dt)
     p = (np.exp(r * dt) - d) / (u - d)
     st = s * u ** np.arange(steps, -1, -1) * d ** np.arange(0, steps + 1)
-    v = np.maximum(k - st, 0.0)
+    v = np.maximum(sign * (st - k), 0.0)
+    boundary = np.full(steps, np.nan)
     for n in range(steps - 1, -1, -1):
         st = s * u ** np.arange(n, -1, -1) * d ** np.arange(0, n + 1)
-        v = np.maximum(disc * (p * v[:-1] + (1.0 - p) * v[1:]), k - st)
-    return float(v[0])
+        payoff = sign * (st - k)
+        held = disc * (p * v[:-1] + (1.0 - p) * v[1:])
+        exercised = st[(payoff > 0.0) & (payoff > held)]
+        if exercised.size:
+            boundary[n] = exercised.min() if kind == "call" else exercised.max()
+        v = np.maximum(held, payoff)
+    return float(v[0]), t - dt * np.arange(steps), boundary
+
+
+def binomial_american_put(s: float, k: float, r: float, vol: float, t: float,
+                          steps: int = 1000) -> float:
+    """Cox-Ross-Rubinstein lattice value of an American put."""
+    return crr_american("put", s, k, r, vol, t, steps)[0]

@@ -22,8 +22,8 @@ from longevity.pricing import (
 )
 from longevity.settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
 from longevity.simulate import RngStream, sample_death_years
-from oracles import (binomial_american_put, bs_price, effective_vol, grid_tolerance,
-                     half_variance_by_quadrature)
+from oracles import (binomial_american_put, bs_price, crr_american, effective_vol,
+                     grid_tolerance, half_variance_by_quadrature)
 
 # ------------------------------------------------------------ marching #
 
@@ -382,12 +382,55 @@ def test_negative_rate_makes_early_call_exercise_pay():
 
 
 def test_a_rate_far_above_zero_reports_no_spurious_call_exercise():
-    # at r = 700 most levels' strike K e^{r(tau-E)} is below the rounding of
-    # the mesh values, so no node can be told to sit on the floor; those
-    # levels read NaN, like every level of a call that is never exercised
+    # without dividends early exercise of a call pays only at r < 0, so at
+    # r = 700 no level has an exercise boundary, however the values round
     res = price_american("call", STRIKE, 700.0, VOL, 2.0, intervals=200, steps=200)
     assert np.all(np.isnan(res.exercise_boundary))
     assert res.value_at(STRIKE) == pytest.approx(STRIKE, rel=1e-12)
+
+
+# Strikes near both ends of the float range and at 1, on 1, 2, 49 and 399
+# interior nodes.  A level's boundary is the lifted node nearest the strike,
+# read off the projection itself, so it scales with the strike and never
+# falls on a mesh end, whose value is the floor or more.
+@pytest.mark.parametrize("intervals, steps", [(2, 20), (3, 20), (50, 20), (400, 40)])
+@pytest.mark.parametrize("strike", [1e-9, 1.0, 1e300])
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_exercise_boundary_scales_with_the_strike_and_is_never_a_mesh_end(
+        kind, strike, intervals, steps):
+    def price(strike, rate):
+        return price_american(kind, strike, rate, VOL, EXPIRY, intervals=intervals, steps=steps)
+
+    # at r = 0 early exercise never pays, so no level has a boundary
+    assert np.all(np.isnan(price(strike, 0.0).exercise_boundary))
+    rate = 0.05 if kind == "put" else -0.05
+    res = price(strike, rate)
+    boundary = res.exercise_boundary
+    np.testing.assert_allclose(boundary / strike, price(1.0, rate).exercise_boundary,
+                               rtol=1e-12, atol=0.0)
+    finite = np.isfinite(boundary)
+    if intervals >= 50:
+        assert finite.any()
+    # mapped back to the mesh, each finite level lies at least half a cell
+    # inside both ends
+    x = boundary[finite] * np.exp(rate * (res.exercise_times[finite] - EXPIRY))
+    h = res.grid[1] - res.grid[0]
+    assert np.all((x > 0.5 * h) & (x < res.grid[-1] - 0.5 * h)), x / h
+
+
+# The boundary at four remaining times of a 400x400 grid against a
+# Cox-Ross-Rubinstein lattice with 4000 steps a year.  The lattice runs two
+# years, so that its layers at tau <= 1 span the boundary.  The tolerance,
+# 2 % of the strike, was fixed before the comparison was first run.
+@pytest.mark.parametrize("kind, rate, vol", [("put", 0.05, 0.2), ("call", -0.3, 0.3)])
+def test_exercise_boundary_matches_a_lattice(kind, rate, vol):
+    res = price_american(kind, STRIKE, rate, vol, EXPIRY, intervals=400, steps=400)
+    _, taus, lattice = crr_american(kind, STRIKE, STRIKE, rate, vol, 2.0 * EXPIRY, 8000)
+    for tau in (0.25, 0.5, 0.75, 1.0):
+        level, layer = round(tau * 400) - 1, round((2.0 - tau) * 4000)
+        assert res.exercise_times[level] == pytest.approx(tau, abs=1e-12)
+        assert taus[layer] == pytest.approx(tau, abs=1e-12)
+        assert abs(res.exercise_boundary[level] - lattice[layer]) <= 0.02 * STRIKE, tau
 
 
 def test_volatility_whose_clock_underflows_prices_the_discounted_intrinsic_value():
@@ -485,20 +528,21 @@ def test_long_dated_accuracy_is_no_worse_than_the_march_in_s(intervals):
 #
 # The reference assembles the march's rows into a dense matrix and solves
 # each step densely, so it shares no factorization or in-place logic with
-# the march.  Given each level's floor and tolerance it also returns, per
-# level, the mask of nodes on a floor above the tolerance.
+# the march.  Given each level's floor it also returns, per level, the mask
+# of nodes the floor lifts: a positive floor above the value the step
+# produced.
 
 
 def reference_march(rows, U, k, implicit_steps, g0s, g1s, floor=None):
     # implicit_steps fully implicit steps, then Crank-Nicolson; floor(n) is
-    # level n's (floor, tolerance), and level 0 is the initial state
+    # level n's floor, and level 0 is the initial state
     thetas = [1.0] * implicit_steps + [0.5] * (len(g0s) - implicit_steps)
     sub, dia, sup = rows
     A = np.diag(dia) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
     left, right = sub[0], sup[-1]
     U = np.array(U, dtype=float)
     if floor is not None:
-        U = np.maximum(U, floor(0)[0])
+        U = np.maximum(U, floor(0))
     masks = []
     for n, theta in enumerate(thetas):
         g0, g1 = g0s[n], g1s[n]
@@ -511,9 +555,9 @@ def reference_march(rows, U, k, implicit_steps, g0s, g1s, floor=None):
         inner = np.linalg.solve(np.eye(U.size - 2) - k * theta * A, rhs)
         U = np.concatenate([[g0], inner, [g1]])
         if floor is not None:
-            lower, eps = floor(n + 1)
+            lower = floor(n + 1)
+            masks.append((lower > 0.0) & (lower - U > 0.0))
             U = np.maximum(U, lower)
-            masks.append((lower > eps) & (U - lower <= eps))
     return U, masks
 
 
@@ -526,7 +570,9 @@ def bs_reference(kind, vol, american, intervals=60, steps=60):
     # x = S e^{r(tau-E)}, v = e^{r(tau-E)} u and v_T = x^2 v_xx, marched in
     # T / m with m = T(E) / E on the fitted stencil with zero drift; levels
     # sit at equal steps of the clock.  Returns the values, the level times
-    # and each level's exercise node in x
+    # and each level's exercise node in x: the lifted node nearest the
+    # strike, where early exercise pays at all, which without dividends is
+    # a put at r > 0 or a call at r < 0
     s_max = 4.0 * STRIKE
     if isinstance(vol, VolatilityDecay):
         sigma0, decay = vol.sigma0, vol.decay
@@ -551,13 +597,14 @@ def bs_reference(kind, vol, american, intervals=60, steps=60):
                    g0=g0, g1=g1)
     mesh = Mesh1D(0.0, s_max, intervals + 1)
     x, levels = mesh.points(), [0.0, *times]
-    top = STRIKE if kind == "put" else s_max - STRIKE  # the largest payoff on the grid
 
     def floor(n):
-        return payoff(x, STRIKE * scale(levels[n])), 1e-7 * (1.0 + top) * scale(levels[n])
+        return payoff(x, STRIKE * scale(levels[n]))
     values, masks = reference_march(**march_args(prob, mesh, steps, 4, times),
                                     floor=floor if american else None)
-    nodes = np.array([x[mask].max() if mask.any() else math.nan for mask in masks])
+    nearest = np.min if kind == "call" else np.max
+    pays = RATE < 0.0 if kind == "call" else RATE > 0.0
+    nodes = np.array([nearest(x[mask]) if pays and mask.any() else math.nan for mask in masks])
     return values, (np.array(times) if american else None), nodes
 
 
@@ -776,11 +823,11 @@ CONST_BITS = {
     ('call', 'european', 2, 1): '2d3b75706ae7f1472bdb0b74ce4a4e34095a36679cc5bb73e3b33a28195b2cd1',
     ('call', 'american', 2, 1): '10508dbd4f266755e66ac4c23e7ec19e67180ca8734d3fab4408f28dd20b8410',
     ('put', 'european', 2, 1): 'e1a105d6cf77782f2637e42c83a671cfc8bf543fb012febf2b232004497637d5',
-    ('put', 'american', 2, 1): '9e8fb02a3c04b0222e991c0589f5e69d5d524e3c5a1efb10b83741a2d59cf6c7',
+    ('put', 'american', 2, 1): '00a7dab644e671f274af84b45cada539d92b49eb28aaaabca1014d64873146ac',
     ('call', 'european', 3, 2): 'e28acf53e2597d2f40d0c2aa14b1ef5d2ec5df9895b36e8c278be8deddee8bc9',
     ('call', 'american', 3, 2): '8b160d4ce5feb242bb1e323f1004f9a8300691120b02de652cf9be84269d0a9a',
     ('put', 'european', 3, 2): '486beea76c25782b5ccc7787a99db8398686949db555bbc8a0597b701e8f94ac',
-    ('put', 'american', 3, 2): '71cffdd5001d55a12a47b155ff2103d188d4e0d2f4be2b1b52c9920acaa6670d',
+    ('put', 'american', 3, 2): 'ff000a44b0870bb616b76b3156d088d37604ac28aca735987c0f35f4bbb0d65e',
 }
 
 
@@ -819,20 +866,21 @@ def test_american_values_keep_their_bits(case):
 # level's floor splits the mesh at its edges, by (kind, rate, strike,
 # intervals, steps), at volatility VOL and expiry EXPIRY.  At r = 0 the
 # moving strike stays at 100, a node of 400 intervals on [0, 400]; strikes
-# of 1e-9 and 1e300 put each level's floor and tolerance near the ends of
-# the float range, and 2 or 3 intervals leave one or two interior nodes.
-# At r = 12 the levels with r(E - tau) past about 10.2 (a put) or 11.3 (a
-# call) are too coarse to resolve, and their boundary must read NaN.
+# of 1e-9 and 1e300 put each level's floor near the ends of the float
+# range, and 2 or 3 intervals leave one or two interior nodes.  At r = 12
+# the put's levels with tau below about 0.79 have a strike K e^{r(tau-E)}
+# under the first interior node, 8, so no node is lifted and their
+# boundary reads NaN.
 AMERICAN_EDGE_BITS = {
     ('call', 12.0, 100.0, 50, 20): '51baeda460bf9317bedaa0daa63894ffdd2c6e2bd2322a968fa3752016babf0c',
-    ('put', 12.0, 100.0, 50, 20): '29d7625260de0fe562d28c0309b3790dcb64674ac7fedd31ac7b6cc62576bb18',
-    ('call', 0.0, 100.0, 400, 40): '2e6e8ce2b676407f2f65369e5c8a5e42830e79a372da38de1ec46ad84a329c0e',
-    ('put', 0.0, 100.0, 400, 40): '2a67aa8a24daab926814edb65973efa574b62392c7b01b68223cfaaa7528290b',
-    ('call', -0.3, 1e-09, 2, 20): 'a2d548d4c8f485eb001ce8ea92ee88736e54e62e5f99962744c4a3dab0e6fdc4',
+    ('put', 12.0, 100.0, 50, 20): 'f501f9e2359475189751ae92ee7eb156d21b1af54fd557a1fdf990ad4c60f332',
+    ('call', 0.0, 100.0, 400, 40): '911f901f01ed0bba76a598ffa4030cff640a9d96f452fdf8a2c91460c574bf1e',
+    ('put', 0.0, 100.0, 400, 40): '6f758103fdd2f787522f46de735d67b2b13da047116fc54a9df4c445111c09e4',
+    ('call', -0.3, 1e-09, 2, 20): '844e33763b25873a482e4603ffdbd0434e2a698bf08ac3119905f342270c6c81',
     ('put', -0.3, 1e-09, 2, 20): 'fc372b26a7fa1e55ff747526356fa5bc9fdb0d47580ad64c5b6af6fbcb59ae26',
-    ('call', -0.3, 1e-09, 3, 20): 'd6ee28f2591a2852dd178ae7bc0dcc8d1a2d499c4bb5d886cfd25f09e088c1e0',
+    ('call', -0.3, 1e-09, 3, 20): 'b71a76d34773b06f57099d3df61422dbc2667e18375683569c1d07d3fc54ad60',
     ('put', -0.3, 1e-09, 3, 20): 'c16cbb1e0d61eda026ddedb2f5735cce027c030db0ec503405ddee627cfbe677',
-    ('call', -0.3, 1e-09, 50, 20): '63a741f6edac4fa09116e358bb1ecdb03b5ce0b06b952381d26dd624ed835f98',
+    ('call', -0.3, 1e-09, 50, 20): '0df28ef17af6a749d424421d27c0a5851cf43c06c51566d33dd1ba8004ddb89c',
     ('put', -0.3, 1e-09, 50, 20): '92a23c183cb5f6cf8341ce98c1e978e65418899743e50ebbd838613341c7b334',
     ('call', -0.3, 100.0, 2, 20): '6e4e3e3ce0f6e7af797eed97d7138939e3c42871126a1efb27244a60f34b9709',
     ('put', -0.3, 100.0, 2, 20): '8f607758616762e6477f393eb09a2fd7c644df5f91f241401b65ea6b72e811fb',
@@ -852,34 +900,34 @@ AMERICAN_EDGE_BITS = {
     ('put', 0.0, 1e-09, 3, 20): 'f875eee4efe1083c2f2599be2956cecaa01309f4f1230e99b56a0cd48659b105',
     ('call', 0.0, 1e-09, 50, 20): '207cc04ca968ba6ebd559d2249553db9c089a3387e44659d03e5e8a7ff637fb2',
     ('put', 0.0, 1e-09, 50, 20): 'dc440d457f702d110f9b1fbcedc204a99016369ae40bae93ce6faaaedb365d3d',
-    ('call', 0.0, 100.0, 2, 20): '6aeaf19c59dae890643761131a71b2abe213def5f3d8a46a82b8c64080b0ce9e',
-    ('put', 0.0, 100.0, 2, 20): 'e5467748df7c3d16e8f614769b3bf4abebbf5fe430b8bc4ae7d9e7c59c7430a3',
-    ('call', 0.0, 100.0, 3, 20): '45d9692ac22cd6c483841c9aaf6bab7bc9009701522f26ff786ec39316045c35',
-    ('put', 0.0, 100.0, 3, 20): '45816eb6a32fbfdb5fb0023d841591e69ecb1f8644acbe1efe20b63b0c83a225',
-    ('call', 0.0, 100.0, 50, 20): '9571ea2639f131886fc3c3b5925d5194b2a1209c63e2a5d978e4cf0cea1c2a30',
-    ('put', 0.0, 100.0, 50, 20): '5a437755ec6d235b69302b46e84bfce40c5bbcd85eaa8d258fc2343e664bc75a',
-    ('call', 0.0, 1e+300, 2, 20): '92a2392f286805870941c6301d21de7a335b2a5bf32d3a188464bf6a8ec5b501',
-    ('put', 0.0, 1e+300, 2, 20): '4cdb3d6728de87261ab51b9d8378c1a62214da4a319f0644bc58e52d5352b4f6',
-    ('call', 0.0, 1e+300, 3, 20): 'd60836a404ef102d59c0fe14deeb1801b6936e14033f73681a63f32dde6ce9c1',
-    ('put', 0.0, 1e+300, 3, 20): 'e500c8aa4718ec1881cec718f183e172f316aa465889401725de6fa8c5bd8cb6',
-    ('call', 0.0, 1e+300, 50, 20): 'ee25e44187e8c503fc8e851e1297a823bb3fcb47fcbdbe56777fcc6bd340a912',
-    ('put', 0.0, 1e+300, 50, 20): 'f0b93b1b92e266e48490eefde039961cf82737f73ff3e849e523a15483d10384',
+    ('call', 0.0, 100.0, 2, 20): 'a23c0438b3bc7dd1d5e83188826e715d4c33fda11d9df960ff26392c9185ca57',
+    ('put', 0.0, 100.0, 2, 20): '6d35dbeca2fd5ff12511abd0ef251b0f557212124375248bd09474b56d2a57c8',
+    ('call', 0.0, 100.0, 3, 20): 'a0b49b7ec2be46676698da5ba5d6bc74afa00136026c530d46a4afac96c13db8',
+    ('put', 0.0, 100.0, 3, 20): 'e21d641cfc9d946c611670ac25464f56fd417ce0c2ba406d756a49aba0ba8455',
+    ('call', 0.0, 100.0, 50, 20): '5f919a86e8bd6069e05c19bdbdbe72de931c64ac134dd13d340f95c5d446e2b4',
+    ('put', 0.0, 100.0, 50, 20): '754121ca8d229cf4c1036e05db8df9c68c3285f83faea0589098d671088158da',
+    ('call', 0.0, 1e+300, 2, 20): 'd4388fd3c78e23e5c01e2eea84de4914e259e1d9d759eb6ab7824d0f79c8e38a',
+    ('put', 0.0, 1e+300, 2, 20): '9389e86e5c7799bcdf332029b7ee8646fbb438c527181869b25203716e7ee756',
+    ('call', 0.0, 1e+300, 3, 20): '6990cbfe26202e3e250ab456f24297433d3f6794c4770b3112aad9f1d6571867',
+    ('put', 0.0, 1e+300, 3, 20): '5df68f016925c77aba6a8175bd78017f9434deaaad4576c0279aec03502aab67',
+    ('call', 0.0, 1e+300, 50, 20): '96c0d6a320bcce0f1f0fb5b3e23ee474992bea179a0cd78063d453a6a7a5b37e',
+    ('put', 0.0, 1e+300, 50, 20): '99818bb95c966e993099ca2988bd8d3c636dc5e5508aed8435dfadc8e0105d33',
     ('call', 0.05, 1e-09, 2, 20): '0398e851b025461bda744a82e432996c4cbdfef5390ee53ccdd6b185480530d8',
     ('put', 0.05, 1e-09, 2, 20): '920193951e0f4186f66847f0454263c808c5a3c9b28d4b28311604e5badf59ed',
     ('call', 0.05, 1e-09, 3, 20): '246da71af685a105618bd250763fb9babefc47bb6ade7125c9bd7b1ad78088d7',
     ('put', 0.05, 1e-09, 3, 20): '0f66c3157890e761ea82571a1d774d2421e9ff90ae22e32e983cb3b51e167257',
     ('call', 0.05, 1e-09, 50, 20): '820e7fa45243bdc2602262b67a35a54d239637868df4e2aefa201345111a82e6',
-    ('put', 0.05, 1e-09, 50, 20): '8f3fa6fe5559769e89bce4f89e9173a790c09790bb9a858eb768a8ba0908dda2',
+    ('put', 0.05, 1e-09, 50, 20): 'd8af059c3963c4204dfe2973599068d9c8101bedcc9a7bc6f39c8ec916af95d3',
     ('call', 0.05, 100.0, 2, 20): '15737a2e3bf2f39270ba1f3ef4d1c19a62bb49b5fc70512916285f4635f3df87',
-    ('put', 0.05, 100.0, 2, 20): '988aa8165628d5ef2d4afaebdb5e02a18553e7cfc275c73d5a82170ca15f21a1',
+    ('put', 0.05, 100.0, 2, 20): '2d6857867c5b0b4632220a84f5803baec58ce6fdaf891822b9e3eebbd5d2682a',
     ('call', 0.05, 100.0, 3, 20): '2aab53332dd458cd6ac464129d5c34a2cb37a8c989708441436a172660a88ce1',
-    ('put', 0.05, 100.0, 3, 20): 'c1597ec98939882cd183a3da111d4861776a09922dac2000456d91fdd2568571',
+    ('put', 0.05, 100.0, 3, 20): 'a9b69aa286afe5294f22465c0b017f193ba9c1ee5d257c1aab4144a0eb4d382c',
     ('call', 0.05, 100.0, 50, 20): 'b3e08399cb3ed8d406d909d84a1c08e2a979d9f5cc9f650b3ef491b6dca2697f',
     ('put', 0.05, 100.0, 50, 20): '687d49b506713fee4fbb25e153f2a1e5cd4e57681d1f84777c8d05a65f6bb5b3',
     ('call', 0.05, 1e+300, 2, 20): 'c3ded25fca9d2b391df122eefc32128585f244614693ce92dbd977fdb5a326a3',
-    ('put', 0.05, 1e+300, 2, 20): '286dcaef3d531db8aba3c82ed64086b219cdc174c747d04be865b3e32cf04c71',
+    ('put', 0.05, 1e+300, 2, 20): 'ba96bdc4764cca3097e0b27d5e380534abf1b0681be680b23189e01379d1c925',
     ('call', 0.05, 1e+300, 3, 20): '5d9ffd3e03e735535cc17a4483bf9c42775a42f8feff2857f9e93ca8225ee463',
-    ('put', 0.05, 1e+300, 3, 20): 'a2a45b53f8f5f52c0c3dd7a2255fa0dc88c5307dcf354c761283a45df81ffb10',
+    ('put', 0.05, 1e+300, 3, 20): '9ef9367209033de394101138ecbb69c215758c3bedb9e03e4f4e50ad5dd514c1',
     ('call', 0.05, 1e+300, 50, 20): '922c6fdbfe5a9517643df0c7888dc81eda073463c9db910c3308954c3a181216',
     ('put', 0.05, 1e+300, 50, 20): 'f7c85fd5a7e09c6e1e1ef8807962b4dff8020a2124679448c0f6f153fcf04d16',
 }
