@@ -482,8 +482,9 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
 
     U = _march(rows, U, k, implicit_steps, g0s, g1s, project, weights)
     times = np.asarray(times)
-    # the factor back to S overflows only past r(E - tau) = 709, where the
-    # level's strike lies below the first interior node, so no node is lifted
+    # the factor back to S overflows only past r(E - tau) = 709, where a
+    # put's level strike lies below the first interior node and a call reads
+    # no node, so the level's node is NaN already
     with np.errstate(over="ignore"):
         boundary = np.asarray(nodes) * np.exp(rate * (expiry - times))
     return PriceResult(x, U, times, boundary)
