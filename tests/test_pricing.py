@@ -775,7 +775,9 @@ def bits(*arrays):
 
 # Digests of (values, exercise_boundary) under VolatilityDecay(0.3, 0.8), by
 # (kind, style, intervals, steps): 68, 69 and 70 steps on 60 intervals and
-# 37 steps on 800.  They pin the bits of the march on the variance clock,
+# 37 steps on 800, and 3, 4 and 5 steps on 60 intervals, where a march of
+# implicit steps alone gives way to four implicit steps followed by
+# Crank-Nicolson.  They pin the bits of the march on the variance clock,
 # each step solved as the symmetric scaled system; its accuracy is pinned by
 # the closed-form and lattice checks above.
 DECAY_BITS = {
@@ -795,6 +797,18 @@ DECAY_BITS = {
     ('call', 'american', 800, 37): 'c6953e16162197b4b5cc3fe4ceec41c71e103c65d020ccaea15bfb7f93d32069',
     ('put', 'european', 800, 37): '65a90ddedb755a65e8c716abc1f90943d59c95590dabe1154f23fb1a00d4f5df',
     ('put', 'american', 800, 37): 'cd2d779b955f2eb73a1bd514b94e140b91c399be348e834d9a4ae4837e4f11c0',
+    ('call', 'european', 60, 3): '7166fa5424ddb100485c660fd66a34aa26bcbf3d34863c9e73bdbf76f7db0b91',
+    ('call', 'american', 60, 3): 'd3ede55ec620b0ce6d33cc9ffc529f9d27226ebe3ea53a8a02db8340dbdcecad',
+    ('put', 'european', 60, 3): '73f1bd5ebd8bea55172a5a57c2adf758af5e56e95386a1b357a2d4c1ccd5ae9e',
+    ('put', 'american', 60, 3): '51a2d7e46baa2451f17dbb6bf0cbf113cd7a82f715cfd188e3aacf6b1317483d',
+    ('call', 'european', 60, 4): '3ba8dadd21ac704a102c6cf3b9a73f4138a287cd14c3fa586cb9f5c1a07437e5',
+    ('call', 'american', 60, 4): 'b4e5534b35718bf49843b3eab813ac487484043939f24c3510bdbffdb8200a72',
+    ('put', 'european', 60, 4): 'dc633c88da9d76a2b255b35c23355a7557398ed01ed4caab8e08c47ee240ef54',
+    ('put', 'american', 60, 4): 'f83ef27266fcdbfd64250a1939fd356b3c10947fe6226a772ccc8264c14a6e1e',
+    ('call', 'european', 60, 5): 'a909dc7f2bf4a10511ff78dc1cc80ef9028ee8cfcf5cdbca6272c8087fa0ef26',
+    ('call', 'american', 60, 5): '1acf6b4229eb8adc1340d836ddc1d63349ce7cf69b9e056f8f10d66902420773',
+    ('put', 'european', 60, 5): '9ef270d25e5a32ac4377f9c7c71910fb7960ebe1637dc01dcf4f97a6a41a75a9',
+    ('put', 'american', 60, 5): '1a7b2be9dfd93a912eb461fe2b40b8546feccc96305872d251e09b855c26b12c',
 }
 
 
@@ -828,6 +842,19 @@ CONST_BITS = {
     ('call', 'american', 3, 2): '8b160d4ce5feb242bb1e323f1004f9a8300691120b02de652cf9be84269d0a9a',
     ('put', 'european', 3, 2): '486beea76c25782b5ccc7787a99db8398686949db555bbc8a0597b701e8f94ac',
     ('put', 'american', 3, 2): 'ff000a44b0870bb616b76b3156d088d37604ac28aca735987c0f35f4bbb0d65e',
+    # all implicit, then four implicit steps and one or none of Crank-Nicolson
+    ('call', 'european', 60, 3): '18e5e02972badf499ba05b4ea77fe07ddade2dbe0b61c6d5fc57d28acf30c096',
+    ('call', 'american', 60, 3): '2138e1217c55161f4d41fa0d83205bc9a614ec4810061e586accc98ae8f07e06',
+    ('put', 'european', 60, 3): '3eb753c7d76ebfefc6f391bbd68d71f5db7ec47c2e6623178faa10dedfb63cc2',
+    ('put', 'american', 60, 3): '067f4f40b28cffaa1b265656fdc9a1dc0773f133d3d6c848435bca01d46215c2',
+    ('call', 'european', 60, 4): '317ee4e4abb7bdae16be12e1b82234ee1c657b141aa90fc6a3d4f385b2210e9c',
+    ('call', 'american', 60, 4): 'fc25b3337b811c83453d25516141196879c01f0ed0a334e39f12c4d1e397a2a7',
+    ('put', 'european', 60, 4): '36e7ad993377bc25b8fd4b76980505627a271229a4545fe4801fccb096ba5901',
+    ('put', 'american', 60, 4): '18fdde6a974201ba2284b1594ba1e6412342df111d5bc509d26dc88badbd6950',
+    ('call', 'european', 60, 5): '8b3a14aed1fbaa7f10bdedef38e467134dd15e223bedd588503052db54b5ef36',
+    ('call', 'american', 60, 5): '28d10e08c1de6ee15468e3bc4d43902cc57cc48461de01c53f039bd36f706fc3',
+    ('put', 'european', 60, 5): '79dea78b6bb2d6daae0d528f18ae7d3ea7ba9185bdc8feaa6d477ea4059dfc0c',
+    ('put', 'american', 60, 5): '47e4a253efd077565bd8565c50264aa41b684789717b9ee740f587779bea300b',
 }
 
 
