@@ -307,7 +307,6 @@ def _cmd_price_option(ns) -> str:
         s_max=ns.smax,
         intervals=intervals,
         steps=steps,
-        rannacher_steps=ns.rannacher,
     )
     result = price_european(**kwargs) if ns.style == "european" else price_american(**kwargs)
     spot = ns.spot if ns.spot is not None else ns.strike
@@ -475,8 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="price level to report the value at, currency (default: the strike)")
     p.add_argument("--smax", type=float, default=None,
                    help="upper grid boundary, currency (default: 4 times the strike)")
-    p.add_argument("--rannacher", type=int, default=None,
-                   help="fully implicit startup steps, count (default 4, or the step count if fewer)")
 
     p = add("price-mortality-option", _cmd_price_mortality_option,
             "Value the option on a settlement position at the death year.")

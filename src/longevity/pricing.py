@@ -6,10 +6,10 @@ forward in ``tau``.  The march steps ``u_tau = A u`` with Dirichlet values
 at both ends of the mesh, where ``A`` is one tridiagonal operator on the
 interior nodes that each pricer assembles itself.
 
-Time is stepped by the theta scheme: a few fully implicit steps damp the
-payoff kink, then Crank-Nicolson takes over (Rannacher 1984; Giles &
-Carter 2006; Duffy, "A critique of the Crank-Nicolson scheme", Wilmott
-2004).
+Time is stepped by the theta scheme: four fully implicit steps, or every
+step of a shorter march, damp the payoff kink, then Crank-Nicolson takes
+over (Rannacher 1984; Giles & Carter 2006; Duffy, "A critique of the
+Crank-Nicolson scheme", Wilmott 2004).
 
 The operator does not move with ``tau``, so the march factors its one or
 two step matrices, implicit and Crank-Nicolson, before its first step.
@@ -72,7 +72,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, _Record, require_finite
-from .fdm import Mesh1D, _factor_tridiagonal, fitted_stencil
+from .fdm import _factor_tridiagonal, fitted_stencil
 from .lifetable import LifeTable, complete_expectation, death_distribution
 from .settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
 from .simulate import RngStream, sample_death_years
@@ -301,11 +301,12 @@ class PriceResult(_Record):
 
 
 def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float,
-                       s_max: float | None, intervals: int, steps: int,
-                       rannacher_steps: int | None) -> tuple[float, int]:
-    """The truncation level ``s_max`` and the implicit step count of a valid vanilla request.
+                       s_max: float | None, intervals: int, steps: int) -> float:
+    """The truncation level ``s_max`` of a valid vanilla request.
 
-    The mesh spacing ``s_max / intervals`` must be a normal float: a
+    ``s_max`` is finite and above the positive strike, and ``intervals`` at
+    least 2, so the mesh ``np.linspace(0, s_max, intervals + 1)`` is a
+    valid one.  Its spacing ``s_max / intervals`` must be a normal float: a
     subnormal one has lost the relative precision that the mesh points
     and the row weights ``(h / x)**2`` are formed to.
     """
@@ -325,13 +326,12 @@ def _check_option_args(kind: str, strike: float, rate: float, vol, expiry: float
     if not strike < s_max:
         raise ValueError("strike must lie inside (0, s_max)")
     _check_grid(intervals, steps)
-    implicit_steps = _implicit_steps(steps, rannacher_steps)
     if not isinstance(vol, VolatilityDecay) and not float(vol) > 0.0:
         raise ValueError("volatility must be positive")
     if not s_max / intervals >= sys.float_info.min:
         raise ValueError(f"mesh spacing s_max / intervals must be at least "
                          f"{sys.float_info.min:g}, got {s_max / intervals:g}")
-    return s_max, implicit_steps
+    return s_max
 
 
 def _check_grid(intervals: int, steps: int) -> None:
@@ -349,13 +349,9 @@ def _require_discountable(rate: float, horizon: float) -> None:
                          f"got {rate!r}")
 
 
-def _implicit_steps(steps: int, rannacher_steps: int | None = None) -> int:
-    """The count of fully implicit steps before Crank-Nicolson; None means ``min(4, steps)``."""
-    if rannacher_steps is None:
-        rannacher_steps = min(4, steps)
-    if not 0 <= rannacher_steps <= steps:
-        raise ValueError("rannacher_steps must lie in [0, steps]")
-    return rannacher_steps
+# the fully implicit steps that start every march before Crank-Nicolson, or
+# every step of a shorter one
+_RANNACHER_STEPS = 4
 
 
 def _level_times(clock: VolatilityDecay, expiry: float, steps: int) -> list[float]:
@@ -378,8 +374,7 @@ def _level_times(clock: VolatilityDecay, expiry: float, steps: int) -> list[floa
 
 
 def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, expiry: float,
-                   s_max: float | None, intervals: int, steps: int,
-                   rannacher_steps: int | None) -> PriceResult:
+                   s_max: float | None, intervals: int, steps: int) -> PriceResult:
     """Value a vanilla claim by marching ``v_T = x**2 v_xx`` on the variance clock.
 
     The variables are the module docstring's.  The march runs in
@@ -387,8 +382,10 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     horizon is ``E`` and its ``steps`` equal steps of ``E / steps`` are
     equal steps of the clock, and under constant volatility it is
     remaining time itself.  A clock that underflows gives ``m = 0``, a
-    march that leaves the payoff as it is.  The mesh is the same at every
-    level, so the grid ends at ``s_max``.  The rows are the plain second
+    march that leaves the payoff as it is.  The first ``min(4, steps)``
+    steps are fully implicit and the rest Crank-Nicolson.  The mesh, of
+    ``intervals`` cells of width ``h = s_max / intervals``, is the same at
+    every level, so the grid ends at ``s_max``.  The rows are the plain second
     differences ``a (1, -2, 1)`` with ``a = m x**2 / h**2``.  Scaled by
     ``w = (h / x)**2`` they are ``m (1, -2, 1)``, so the step matrix
     ``I - k theta A`` scaled the same way is ``diag(w) + k theta m``
@@ -422,18 +419,17 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     Where it cannot pay the levels are projected all the same, so the
     values keep their bits, and no node is read.
     """
-    s_max, implicit_steps = _check_option_args(kind, strike, rate, vol, expiry, s_max,
-                                               intervals, steps, rannacher_steps)
+    s_max = _check_option_args(kind, strike, rate, vol, expiry, s_max, intervals, steps)
     clock = vol if isinstance(vol, VolatilityDecay) else VolatilityDecay(float(vol), 0.0)
     k, m = expiry / steps, clock.clock(expiry) / expiry
     if not math.isfinite(k * (m + m)):
         raise ValueError("the implicit step's diffusion 2 k m must be finite: the volatility "
                          "is too large for this expiry and step count")
-    mesh = Mesh1D(0.0, s_max, intervals + 1)
-    x = mesh.points()
+    x, h = np.linspace(0.0, s_max, intervals + 1), s_max / intervals
     xi = x[1:-1]
     call = kind == "call"
-    weights = (mesh.h / xi) ** 2
+    weights = (h / xi) ** 2
+    implicit_steps = min(_RANNACHER_STEPS, steps)
     rows = (np.full_like(xi, m), np.full_like(xi, -(m + m)), np.full_like(xi, m))
 
     def exercise(s, k):  # the payoff at s of strike k, for floats and arrays alike
@@ -491,24 +487,23 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
 
 
 def price_european(kind: str, strike: float, rate: float, vol, expiry: float,
-                   s_max: float | None = None, intervals: int = 400, steps: int = 400,
-                   rannacher_steps: int | None = None) -> PriceResult:
+                   s_max: float | None = None, intervals: int = 400,
+                   steps: int = 400) -> PriceResult:
     """Value a European call or put by marching the pricing equation.
 
     ``vol`` is either a constant volatility or a :class:`VolatilityDecay`.
     The domain is truncated at ``s_max`` (four strikes by default) with the
     discounted asymptotic payoff imposed there, and the equation is marched
-    on the variance clock (see the module docstring).  The first
-    ``rannacher_steps`` steps are fully implicit, the rest Crank-Nicolson;
-    None means ``min(4, steps)``.
+    on the variance clock (see the module docstring).  The first four
+    steps, or every step of a shorter march, are fully implicit, the rest
+    Crank-Nicolson.
     """
-    return _price_vanilla(False, kind, strike, rate, vol, expiry, s_max, intervals, steps,
-                          rannacher_steps)
+    return _price_vanilla(False, kind, strike, rate, vol, expiry, s_max, intervals, steps)
 
 
 def price_american(kind: str, strike: float, rate: float, vol, expiry: float,
-                   s_max: float | None = None, intervals: int = 400, steps: int = 400,
-                   rannacher_steps: int | None = None) -> PriceResult:
+                   s_max: float | None = None, intervals: int = 400,
+                   steps: int = 400) -> PriceResult:
     """Value an American call or put; each level is projected onto the payoff.
 
     Arguments are those of :func:`price_european`.  The comparison of
@@ -521,8 +516,7 @@ def price_american(kind: str, strike: float, rate: float, vol, expiry: float,
     and a put at ``r <= 0``, where early exercise never pays (see
     :class:`PriceResult`).
     """
-    return _price_vanilla(True, kind, strike, rate, vol, expiry, s_max, intervals, steps,
-                          rannacher_steps)
+    return _price_vanilla(True, kind, strike, rate, vol, expiry, s_max, intervals, steps)
 
 
 # ---------------------------------------------------- mortality option #
@@ -608,18 +602,18 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
                              f"{float(disc.max()):g}")
 
     s_max = max(4.0 * spot, float(t_max + 1))
-    mesh = Mesh1D(0.0, s_max, intervals + 1)
-    s = mesh.points()
+    # s_max is at least 2 and there are at least 2 intervals: a valid mesh
+    s, h = np.linspace(0.0, s_max, intervals + 1), s_max / intervals
     si = s[1:-1]
     # diffusion vole_sigma**2 S**2 / 2, drift r S and reaction -r on the fitted
     # stencil, looked up as this module's global, where tracers and tests
     # replace it; it rejects a coefficient that overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        sub, center, sup = fitted_stencil(r * si, mesh.h, 0.5 * vole_sigma ** 2 * si * si)
+        sub, center, sup = fitted_stencil(r * si, h, 0.5 * vole_sigma ** 2 * si * si)
         rows = (sub, center - r, sup)
     payoff = by_year[np.clip(np.rint(s), 1, t_max).astype(int) - 1]
     g0s, g1s = [float(by_year[0])] * steps, [float(by_year[-1])] * steps
-    U = _march(rows, payoff.copy(), t_max / steps, _implicit_steps(steps), g0s, g1s,
+    U = _march(rows, payoff.copy(), t_max / steps, min(_RANNACHER_STEPS, steps), g0s, g1s,
                lambda n, V: np.maximum(V, payoff, out=V))
     pde_value = float(np.interp(spot, s, U))
     return MortalityOptionValue(mc_value=mc_mean, mc_std_error=mc_se, pde_value=pde_value,

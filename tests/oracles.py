@@ -104,3 +104,31 @@ def binomial_american_put(s: float, k: float, r: float, vol: float, t: float,
                           steps: int = 1000) -> float:
     """Cox-Ross-Rubinstein lattice value of an American put."""
     return crr_american("put", s, k, r, vol, t, steps)[0]
+
+
+def zero_vol_mortality_value(qx: np.ndarray, p: float, b: float, policy_rate: float,
+                             r: float, steps: int) -> float:
+    """The mortality option's American grid value at zero volatility, by direct search.
+
+    ``qx`` runs from the age at issue to the table's last age.  The index
+    starts at the complete expectation of life ``e`` and, without
+    volatility, grows to ``e * exp(r s)`` after ``s`` years, so the claim
+    is worth the best discounted payoff over the exercise times, taken at
+    the march's level times ``s_n = n * t_max / steps``, ``n = 0..steps``.
+    An index level maps to the death year it rounds to (ties to even),
+    clamped to ``1..t_max``, and a year's payoff is its settlement value
+    floored at zero.
+    """
+    alive, e = 1.0, 0.5
+    for q in qx:
+        alive *= 1.0 - q
+        e += alive
+    t_max = len(qx)
+    by_year = [max(settlement_value_by_summation(p, b, policy_rate, t), 0.0)
+               for t in range(1, t_max + 1)]
+    best = 0.0
+    for n in range(steps + 1):
+        s = n * t_max / steps
+        year = min(max(round(e * np.exp(r * s)), 1), t_max)
+        best = max(best, float(np.exp(-r * s)) * by_year[year - 1])
+    return best

@@ -104,17 +104,18 @@ PUT_ARGS = ("price-option", "--kind", "put", "--style", "european",
             "--strike", "100", "--rate", "0.05", "--vol", "0.2", "--expiry", "1")
 
 
-def test_price_option_default_rannacher_fits_a_single_step(capsys):
+def test_price_option_fits_its_implicit_start_to_a_single_step(capsys):
     code, out, err = invoke(capsys, *PUT_ARGS, "--grid", "400,1")
     assert code == 0, err
     assert out.startswith("value=")
 
 
-def test_price_option_explicit_rannacher_beyond_the_steps_exits_2(capsys):
-    code, out, err = invoke(capsys, *PUT_ARGS, "--grid", "400,2", "--rannacher", "3")
-    assert code == 2
+def test_price_option_has_no_rannacher_flag_exits_1(capsys):
+    # the implicit start is fixed at min(4, steps), so the flag is unknown
+    code, out, err = invoke(capsys, *PUT_ARGS, "--grid", "400,3", "--rannacher", "3")
+    assert code == 1
     assert out == ""
-    assert "rannacher" in err
+    assert "unrecognized arguments: --rannacher 3" in err
 
 
 MORTALITY_OPTION_ARGS = ("price-mortality-option", "--age", "70", "--premium", "100",

@@ -23,7 +23,7 @@ from longevity.pricing import (
 from longevity.settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
 from longevity.simulate import RngStream, sample_death_years
 from oracles import (binomial_american_put, bs_price, crr_american, effective_vol,
-                     grid_tolerance, half_variance_by_quadrature)
+                     grid_tolerance, half_variance_by_quadrature, zero_vol_mortality_value)
 
 # ------------------------------------------------------------ marching #
 
@@ -107,16 +107,6 @@ def test_march_blowup_is_reported(implicit_steps):
     assert calls == [0, 1, 2, 3, 4]
 
 
-def test_march_argument_validation():
-    # the march's count of implicit steps defaults to min(4, steps) and
-    # must lie in [0, steps]
-    assert [pricing._implicit_steps(steps) for steps in (1, 3, 4, 50)] == [1, 3, 4, 4]
-    assert [pricing._implicit_steps(4, r) for r in (0, 2, 4)] == [0, 2, 4]
-    for steps, rannacher_steps in ((4, 5), (4, -1), (1, 2)):
-        with pytest.raises(ValueError, match=r"rannacher_steps must lie in \[0, steps\]"):
-            pricing._implicit_steps(steps, rannacher_steps)
-
-
 def test_a_state_whose_squares_overflow_still_marches():
     # the finiteness check's dot product overflows, so the march tests the
     # values one by one; scaling by a power of two is exact at every step
@@ -125,8 +115,8 @@ def test_a_state_whose_squares_overflow_still_marches():
     scaled = dict(prob, phi=lambda x: 2.0 ** 600 * np.sin(np.pi * x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = pricing._march(**march_args(scaled, mesh, 40, pricing._implicit_steps(40)))
-    want = pricing._march(**march_args(prob, mesh, 40, pricing._implicit_steps(40)))
+        got = pricing._march(**march_args(scaled, mesh, 40, 4))
+    want = pricing._march(**march_args(prob, mesh, 40, 4))
     assert np.max(np.abs(got)) > 2.0 ** 512  # every level's squares overflow
     assert got.tobytes() == (2.0 ** 600 * want).tobytes()
 
@@ -215,10 +205,6 @@ def test_option_argument_validation():
         price_european("call", -1.0, RATE, VOL, EXPIRY)
     with pytest.raises(ValueError):
         price_european("call", STRIKE, RATE, VOL, EXPIRY, s_max=50.0)
-    for rannacher_steps in (10, -1):
-        with pytest.raises(ValueError, match=r"rannacher_steps must lie in \[0, steps\]"):
-            price_european("call", STRIKE, RATE, VOL, EXPIRY, steps=4,
-                           rannacher_steps=rannacher_steps)
     with pytest.raises(ValueError):
         price_european("call", STRIKE, RATE, 0.0, EXPIRY)
     for name, args in (("rate", (STRIKE, math.nan, VOL, EXPIRY)),
@@ -242,16 +228,6 @@ def test_option_argument_validation():
                                  (price_european, -1.0, 1000.0)):
         with pytest.raises(ValueError, match="rate must keep"):
             pricer("put", STRIKE, rate, VOL, expiry, intervals=20, steps=20)
-
-
-@pytest.mark.parametrize("steps", [1, 3])
-@pytest.mark.parametrize("price", [price_european, price_american])
-def test_default_rannacher_count_fits_a_march_of_fewer_than_four_steps(price, steps):
-    # the default means min(4, steps): every step of a short march is implicit
-    got = price("put", STRIKE, RATE, VOL, EXPIRY, intervals=40, steps=steps)
-    want = price("put", STRIKE, RATE, VOL, EXPIRY, intervals=40, steps=steps,
-                 rannacher_steps=steps)
-    assert np.array_equal(got.values, want.values)
 
 
 def test_value_at_rejects_levels_off_the_grid():
@@ -568,8 +544,9 @@ def assert_close(got, want):
 def bs_reference(kind, vol, american, intervals=60, steps=60):
     # the pricing equation on the variance clock, written out independently:
     # x = S e^{r(tau-E)}, v = e^{r(tau-E)} u and v_T = x^2 v_xx, marched in
-    # T / m with m = T(E) / E on the fitted stencil with zero drift; levels
-    # sit at equal steps of the clock.  Returns the values, the level times
+    # T / m with m = T(E) / E on the fitted stencil with zero drift, the
+    # first min(4, steps) steps implicit; levels sit at equal steps of the
+    # clock.  Returns the values, the level times
     # and each level's exercise node in x: the lifted node nearest the
     # strike, where early exercise pays at all, which without dividends is
     # a put at r > 0 or a call at r < 0
@@ -600,7 +577,7 @@ def bs_reference(kind, vol, american, intervals=60, steps=60):
 
     def floor(n):
         return payoff(x, STRIKE * scale(levels[n]))
-    values, masks = reference_march(**march_args(prob, mesh, steps, 4, times),
+    values, masks = reference_march(**march_args(prob, mesh, steps, min(4, steps), times),
                                     floor=floor if american else None)
     nearest = np.min if kind == "call" else np.max
     pays = RATE < 0.0 if kind == "call" else RATE > 0.0
@@ -633,6 +610,15 @@ def test_pricers_match_the_dense_reference_march(kind, vol, intervals):
     # the same exercise node at every level, mapped back to S at the pricer's own times
     np.testing.assert_array_equal(amer.exercise_boundary,
                                   nodes * np.exp(RATE * (EXPIRY - amer.exercise_times)))
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("american", [False, True], ids=["european", "american"])
+def test_a_march_of_fewer_than_four_steps_is_all_implicit(american, steps):
+    # the implicit start is min(4, steps) steps: every step of a short march
+    price = price_american if american else price_european
+    got = price("put", STRIKE, RATE, VOL, EXPIRY, intervals=40, steps=steps)
+    assert_close(got.values, bs_reference("put", VOL, american, intervals=40, steps=steps)[0])
 
 
 def clock_march_args(m, n_rows, theta):
@@ -1103,6 +1089,22 @@ def test_mortality_option_mc_route_tracks_exact_expectation(bundled_table):
     assert abs(value.mc_value - value.exact_value) <= 4.0 * value.mc_std_error
     assert value.pde_value >= -1e-9
     assert isinstance(value, MortalityOptionValue)
+
+
+# At zero volatility the index grows deterministically, so the grid value
+# is the best discounted payoff along its path.  100 intervals are still too
+# coarse for it: 66.633582 against 30.518086 at age 80.
+@pytest.mark.parametrize("grid", [400, 1600])
+@pytest.mark.parametrize("x, r, want", [(80, 0.05, 30.518086), (85, 0.04, 468.107424)])
+def test_mortality_grid_leg_at_zero_volatility_matches_the_deterministic_path(
+        bundled_table, x, r, want, grid):
+    value = price_mortality_option(FlatPolicy(p=100.0, b=1000.0, r=0.05), bundled_table, x,
+                                   vole_sigma=0.0, r=r, n_paths=2, rng=RngStream(1),
+                                   intervals=grid, steps=grid)
+    oracle = zero_vol_mortality_value(bundled_table.qx[x - bundled_table.start_age:],
+                                      100.0, 1000.0, 0.05, r, grid)
+    assert value.pde_value == pytest.approx(oracle, rel=1e-9, abs=0.0)
+    assert oracle == pytest.approx(want, abs=5e-7)
 
 
 def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, steps):
