@@ -546,10 +546,10 @@ def bs_reference(kind, vol, american, intervals=60, steps=60):
     # x = S e^{r(tau-E)}, v = e^{r(tau-E)} u and v_T = x^2 v_xx, marched in
     # T / m with m = T(E) / E on the fitted stencil with zero drift, the
     # first min(4, steps) steps implicit; levels sit at equal steps of the
-    # clock.  Returns the values, the level times
-    # and each level's exercise node in x: the lifted node nearest the
-    # strike, where early exercise pays at all, which without dividends is
-    # a put at r > 0 or a call at r < 0
+    # clock.  Returns the values, the level times and each level's exercise
+    # node in x: the lifted node nearest the strike, where early exercise
+    # pays at all, which without dividends is a put at r > 0 or a call at
+    # r < 0
     s_max = 4.0 * STRIKE
     if isinstance(vol, VolatilityDecay):
         sigma0, decay = vol.sigma0, vol.decay
