@@ -1142,28 +1142,32 @@ def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, s
     return mc, se, float(np.interp(spot, mesh.points(), U))
 
 
-# ``pde`` is float.hex of the case's pde_value, taken while the grid leg
-# still marched a problem of coefficient callables; the reference shares
-# the march, so only these pin its bits.  ``intervals`` defaults to 60; at
+# ``exact`` and ``pde`` are float.hex of the case's exact_value and
+# pde_value.  ``pde`` was taken while the grid leg still marched a problem
+# of coefficient callables; the reference shares the march, so only these
+# pin its bits.  ``exact`` was taken while the Monte Carlo leg still drew
+# one death year per path; neither depends on the draws.  ``intervals``
+# defaults to 60; at
 # 2 and 3 the pivoted factorization pads its one or two rows to three
 @pytest.mark.parametrize("case", [
     dict(pol=FlatPolicy(p=100.0, b=1000.0, r=0.05), x=70, vole_sigma=0.1, n=5000,
-         pde="0x1.0a699f6c91c28p-3"),
+         exact="0x1.a88f9f6a1bc46p+5", pde="0x1.0a699f6c91c28p-3"),
     dict(pol=FlatPolicy(p=30.0, b=800.0, r=0.04), x=85, vole_sigma=0.0, n=2,
-         pde="0x1.1f7926c8b9374p+9"),
+         exact="0x1.cb80afa381277p+8", pde="0x1.1f7926c8b9374p+9"),
     dict(pol=PolicySchedule([40.0 + k for k in range(60)], [1000.0] * 60, 0.05),
-         x=65, vole_sigma=0.2, n=3000, pde="0x1.03146d25a0174p+6"),
+         x=65, vole_sigma=0.2, n=3000, exact="0x1.0cfdc8e0cababp+6",
+         pde="0x1.03146d25a0174p+6"),
     # schedule shorter than the table's horizon: later years take its last value
     dict(pol=PolicySchedule([60.0] * 12, [900.0 + 10.0 * k for k in range(12)], 0.06),
-         x=72, vole_sigma=0.0, n=4000, pde="0x0.0p+0"),
+         x=72, vole_sigma=0.0, n=4000, exact="0x1.4e445c581aaeap+6", pde="0x0.0p+0"),
     dict(pol=FlatPolicy(p=100.0, b=1000.0, r=0.05), x=70, vole_sigma=0.1, n=5000,
-         intervals=2, pde="0x1.ac98f23155ed7p+8"),
+         intervals=2, exact="0x1.a88f9f6a1bc46p+5", pde="0x1.ac98f23155ed7p+8"),
     dict(pol=FlatPolicy(p=100.0, b=1000.0, r=0.05), x=70, vole_sigma=0.1, n=5000,
-         intervals=3, pde="0x1.aca6547c66e44p+7"),
+         intervals=3, exact="0x1.a88f9f6a1bc46p+5", pde="0x1.aca6547c66e44p+7"),
     dict(pol=FlatPolicy(p=30.0, b=800.0, r=0.04), x=85, vole_sigma=0.0, n=2,
-         intervals=2, pde="0x1.1e16b602a0ae3p+9"),
+         intervals=2, exact="0x1.cb80afa381277p+8", pde="0x1.1e16b602a0ae3p+9"),
     dict(pol=FlatPolicy(p=30.0, b=800.0, r=0.04), x=85, vole_sigma=0.0, n=2,
-         intervals=3, pde="0x1.16295db9398adp+9"),
+         intervals=3, exact="0x1.cb80afa381277p+8", pde="0x1.16295db9398adp+9"),
 ])
 def test_mortality_option_matches_the_per_path_reference_bitwise(bundled_table, case):
     args = (case["pol"], bundled_table, case["x"], case["vole_sigma"], 0.045, case["n"])
@@ -1174,6 +1178,7 @@ def test_mortality_option_matches_the_per_path_reference_bitwise(bundled_table, 
     assert value.mc_std_error == se
     assert value.pde_value == pde
     assert value.pde_value.hex() == case["pde"]
+    assert value.exact_value.hex() == case["exact"]
 
 
 def test_mortality_option_values_each_death_year_once(bundled_table, monkeypatch):
