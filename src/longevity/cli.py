@@ -110,8 +110,10 @@ def _parse_age_range(text: str) -> tuple[int, int]:
 # before it fails; every size is capped like a cash-flow file's periods
 _MAX_GRID = 100_000
 
-# simulated lives and Monte Carlo paths take a few arrays of n floats each,
-# so --n is capped before anything is allocated
+# alpha-profile draws n death times per age, a few arrays of n floats, so
+# --n is capped before anything is allocated; simulate, vole and
+# price-mortality-option draw death-year counts at a cost that does not
+# depend on n, and keep the same cap so that --n means the same everywhere
 _MAX_N = 10_000_000
 
 

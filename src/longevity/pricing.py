@@ -57,10 +57,10 @@ level's exercise boundary.  The mortality option
 values a policy position both by Monte Carlo over the death-year
 distribution and by the same PDE machinery on a notional index; both
 numbers are reported side by side.  Its payoff depends on the death year
-alone, so it is valued once per year and gathered by index, by every path
-and every grid node; the same per-year vector summed against the
-death-year probabilities gives the exact value the Monte Carlo estimate
-targets.
+alone, so it is valued once per year; the Monte Carlo estimate sums it
+against sampled death-year counts, the grid gathers it by index at every
+node, and the same per-year vector summed against the death-year
+probabilities gives the exact value the Monte Carlo estimate targets.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .errors import NumericalError, _Record, require_finite
 from .fdm import _factor_tridiagonal, fitted_stencil
 from .lifetable import LifeTable, complete_expectation, death_distribution
 from .settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
-from .simulate import RngStream, sample_death_years
+from .simulate import RngStream, _death_counts
 # no longer called here; perfbench's layer tracer still wraps it under this
 # module's name, so the binding stays until the benchmark drops that target
 from .simulate import randomized_horizon_payoff  # noqa: F401
@@ -560,12 +560,14 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
                            intervals: int = 400, steps: int = 400) -> MortalityOptionValue:
     """Value the right to a settlement position's payoff at the (random) death year.
 
-    Monte Carlo route: sample ``n_paths`` death years from the life table,
-    discount ``max(position value, 0)`` back at ``r``, average; the same
-    discounted payoffs weighted by the death-year probabilities give
-    ``exact_value``.  Either way the payoff is evaluated once per death
-    year, not per path.  The route reads exactly ``n_paths`` 64-bit words
-    from ``rng``, one uniform per sampled death year, and nothing else.
+    Monte Carlo route: sample how many of ``n_paths`` lives die in each
+    year of the life table, discount ``max(position value, 0)`` back at
+    ``r``, average over the lives; the same discounted payoffs weighted by
+    the death-year probabilities give ``exact_value``.  Either way the
+    payoff is evaluated once per death year, not per path.  The counts are
+    drawn year by year as conditional binomials from whole blocks of
+    64-bit words of ``rng`` (see :mod:`.simulate`), so the words read and
+    the time taken depend on the table's years, not on ``n_paths``.
     A rate whose discount factor overflows within the table's horizon
     raises ``ValueError``; an estimate that overflows raises
     :class:`NumericalError`.
@@ -589,13 +591,11 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
     # entry y is death year y's discounted payoff; entry 0 is never read
     disc = np.array([0.0] + [math.exp(-r * year) * v
                              for year, v in enumerate(by_year.tolist(), start=1)])
-    # gathered into the years' own buffer, as _bucket_years gathers them:
-    # each index is read before its slot is written, and "clip" never clips
-    years = sample_death_years(table, x, n_paths, rng)
-    paid = disc.take(years, out=years.view(np.float64), mode="clip")
+    counts = _death_counts(table, x, n_paths, rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        mc_mean = float(np.mean(paid))
-        mc_se = float(np.std(paid, ddof=1) / math.sqrt(n_paths))
+        mc_mean = float(counts @ disc[1:]) / n_paths
+        dev = disc[1:] - mc_mean
+        mc_se = math.sqrt(float(counts @ (dev * dev)) / (n_paths - 1) / n_paths)
     exact = float(death_distribution(table, x) @ disc[1:])
     if not all(map(math.isfinite, (mc_mean, mc_se, exact))):
         raise NumericalError("Monte Carlo estimate overflowed: discounted payoffs reach "

@@ -40,6 +40,26 @@ in bucket ``j - 1``.  If bucket ``j - 1`` holds no CDF value in
 which is the bucket's year.  If it holds one, the draw takes the binary
 search on its exact ``u``.  The clamp below 1 keeps ``u`` in the last
 bucket, where ``k >> 41`` puts it too.
+
+Death-year counts
+-----------------
+Where only the histogram of ``n`` death years is read, it is drawn
+directly: it is Multinomial(n, d) over the years, with ``d`` the death
+distribution, and so follows year by year as conditional binomials
+(Devroye 1986, ch. XI).  Year ``y`` takes Binomial(n left, d_y / S_y) of the
+lives still alive, where the survival mass ``S_y = d_y + d_{y+1} + ...`` is
+summed from the far end, so no ``1 - sum`` cancels; the ratio is clamped to
+[0, 1], and the last year takes whoever is left.  A binomial with
+``p > 1/2`` is drawn as ``n - Bin(n, 1 - p)``; with ``p <= 1/2`` it is drawn
+by inversion, walking its pmf up from 0 with one uniform, where
+``n p < 10``, and by Hörmann's transformed rejection BTRS (J. Statist.
+Comput. Simul. 46, 1993), two uniforms a trial, elsewhere.  Probability 0
+or 1, or no one left, reads nothing.
+So the cost depends on the number of years, not on ``n``.  The uniforms
+come from the stream's raw words by the formula above, read
+``_WORD_BLOCK`` words at a time; a block's unread words are dropped when
+the draw ends.  No numpy distribution method is called, since numpy does
+not promise their streams across releases (NEP 19).
 """
 
 from __future__ import annotations
@@ -69,6 +89,7 @@ _TWO_POW_53 = float(1 << 53)
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 _BUCKETS = 4096
 _BUCKET_EDGES = np.arange(_BUCKETS + 1) / _BUCKETS
+_WORD_BLOCK = 128  # words the count sampler reads from its stream at a time
 
 
 class RngStream:
@@ -231,6 +252,78 @@ def sample_death_times(table: LifeTable, x: int, n: int, rng: RngStream) -> np.n
     return times
 
 
+def _block_uniforms(rng: RngStream):
+    """Endless uniforms from ``rng``, one word each, read ``_WORD_BLOCK`` words at a time."""
+    while True:
+        yield from _uniforms(rng._words(_WORD_BLOCK)).tolist()
+
+
+def _binomial(n: int, p: float, uniform: Callable[[], float]) -> int:
+    """One Binomial(n, p) draw from the uniforms ``uniform()`` returns (see the module notes)."""
+    if n == 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(n, 1.0 - p, uniform)
+    q = 1.0 - p
+    if n * p < 10.0:
+        # inversion from 0; a uniform past the mass the rounded pmf reaches
+        # within 110 terms (beyond them the tail is below 1e-60) draws again
+        first, ratio, last = math.exp(n * math.log1p(-p)), p / q, min(n, 110)
+        while True:
+            u, k, f = uniform(), 0, first
+            while u > f and k < last:
+                u -= f
+                k += 1
+                f *= (n - k + 1) / k * ratio
+            if u <= f:
+                return k
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    alpha = (2.83 + 5.1 / b) * spq
+    v_r = 0.92 - 4.2 / b
+    m = math.floor((n + 1) * p)
+    log_ratio = math.log(p / q)
+    h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+    while True:
+        u = uniform() - 0.5
+        v = uniform()
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        if us >= 0.07 and v <= v_r:
+            return k
+        # accept where v under the hat lies below pmf(k) / pmf(m)
+        if (math.log(v * alpha / (a / (us * us) + b))
+                <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * log_ratio):
+            return k
+
+
+def _death_counts(table: LifeTable, x: int, n: int, rng: RngStream) -> np.ndarray:
+    """How many of ``n`` lives aged ``x`` die in each year ``1..t_max``, as int64 summing to ``n``.
+
+    One Multinomial(n, d) draw by conditional binomials (see the module
+    notes), whose cost does not depend on ``n``.
+    """
+    d = death_distribution(table, x)
+    alive = np.cumsum(d[::-1])[::-1]  # S_y, summed from the far end
+    p = np.divide(d, alive, out=np.zeros_like(d), where=alive > 0.0)
+    uniform = _block_uniforms(rng).__next__
+    counts = [0] * d.size
+    left = int(n)
+    for y, p_y in enumerate(np.clip(p[:-1], 0.0, 1.0).tolist()):
+        if left == 0:
+            break
+        counts[y] = _binomial(left, p_y, uniform)
+        left -= counts[y]
+    counts[-1] = left
+    return np.array(counts, dtype=np.int64)
+
+
 class SimSummary(_Record):
     """Summary of a batch of simulated death years.
 
@@ -256,15 +349,20 @@ class SimSummary(_Record):
 
 
 def simulate_deaths(table: LifeTable, x: int, n: int, rng: RngStream) -> SimSummary:
-    """Simulate ``n`` death years for a life aged ``x`` and summarise them."""
-    years = sample_death_years(table, x, n, rng)
-    counts = np.bincount(years)
+    """Simulate ``n`` death years for a life aged ``x`` and summarise them.
+
+    The years are drawn as one histogram by :func:`_death_counts`, not one by
+    one, so the cost does not depend on ``n``.
+    """
+    if n <= 0:
+        raise ValueError("n must be positive")
+    counts = _death_counts(table, x, n, rng)
     observed = counts.nonzero()[0]
-    hist = dict(zip(observed.tolist(), counts[observed].tolist()))  # ascending years
+    hist = dict(zip((observed + 1).tolist(), counts[observed].tolist()))  # ascending years
     top = max(hist.values())
     mode = min(y for y in hist if hist[y] == top)
-    mean = sum(y * c for y, c in hist.items()) / years.size
-    return SimSummary(n=years.size, mode=mode, max_year=max(hist), mean=mean, histogram=hist)
+    mean = sum(y * c for y, c in hist.items()) / n
+    return SimSummary(n=n, mode=mode, max_year=max(hist), mean=mean, histogram=hist)
 
 
 def vole(e_complete: float, max_death: float) -> float:

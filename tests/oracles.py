@@ -8,6 +8,8 @@ its own test oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -24,6 +26,29 @@ def macaulay_by_summation(p: float, b: float, r: float, t: int) -> float:
     a = 1.0 / (1.0 + r)
     numerator = p * sum(i * a**i for i in range(1, t + 1)) - t * b * a**t
     return numerator / settlement_value_by_summation(p, b, r, t)
+
+
+def death_year_probabilities(qx) -> list[float]:
+    """``Pr(death in year t)`` for ``t = 1 .. len(qx)``, by direct accumulation of survival."""
+    probs, alive = [], 1.0
+    for q in qx:
+        probs.append(alive * q)
+        alive *= 1.0 - q
+    return probs
+
+
+def binomial_pmf(n: int, p: float, k: int) -> float:
+    """``Pr(Binomial(n, p) = k)``: ``math.comb`` up to ``n = 1000``, log-gamma beyond."""
+    if n <= 1000:
+        return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def mortality_option_exact_value(qx, p: float, b: float, policy_rate: float, r: float) -> float:
+    """``sum_y Pr(T = y) e^{-r y} max(settlement value at y, 0)`` over the death years of ``qx``."""
+    return sum(prob * math.exp(-r * t) * max(settlement_value_by_summation(p, b, policy_rate, t), 0.0)
+               for t, prob in enumerate(death_year_probabilities(qx), start=1))
 
 
 def curtate_mean_from_rates(qx: np.ndarray, start_index: int = 0) -> float:

@@ -713,13 +713,15 @@ def run_module(*argv, blas_threads=None):
 
 
 # stdout of seeded commands, captured before death years were drawn by
-# guide-table lookup; any change to the stream or the sampler shows here
+# guide-table lookup; any change to the stream or the sampler shows here.
+# The simulate histogram and the mc_value and mc_std_error lines were taken
+# again when those commands began to draw death-year counts, not paths
 GOLDEN_STDOUT = {
     ("simulate", "--age", "70", "--n", "2000", "--seed", "7", "--csv"): (
-        b"year,count\r\n1,33\r\n2,43\r\n3,39\r\n4,51\r\n5,42\r\n6,32\r\n7,48\r\n"
-        b"8,52\r\n9,55\r\n10,53\r\n11,52\r\n12,67\r\n13,78\r\n14,79\r\n15,82\r\n"
-        b"16,97\r\n17,136\r\n18,153\r\n19,211\r\n20,208\r\n21,190\r\n22,96\r\n"
-        b"23,45\r\n24,31\r\n25,11\r\n26,8\r\n27,5\r\n28,2\r\n29,1\r\n"
+        b"year,count\r\n1,38\r\n2,32\r\n3,26\r\n4,35\r\n5,49\r\n6,44\r\n7,51\r\n"
+        b"8,38\r\n9,59\r\n10,58\r\n11,58\r\n12,68\r\n13,64\r\n14,71\r\n15,85\r\n"
+        b"16,101\r\n17,125\r\n18,165\r\n19,196\r\n20,233\r\n21,210\r\n22,106\r\n"
+        b"23,44\r\n24,22\r\n25,11\r\n26,4\r\n27,3\r\n29,2\r\n30,1\r\n32,1\r\n"
     ),
     ("alpha-profile", "--ages", "60..95", "--step", "5", "--n", "20000", "--seed", "3"): (
         b"age,alpha_hat\r\n60,2.000000\r\n65,2.000000\r\n70,2.000000\r\n"
@@ -729,14 +731,14 @@ GOLDEN_STDOUT = {
     ("price-mortality-option", "--age", "70", "--premium", "100", "--benefit", "1000",
      "--policy-rate", "0.05", "--rate", "0.05", "--vole-sigma", "0.1", "--n", "50000",
      "--seed", "9", "--grid", "50,50"): (
-        b"mc_value=51.509364\nmc_std_error=0.694740\nexact_value=52.245218\n"
+        b"mc_value=52.199929\nmc_std_error=0.696404\nexact_value=52.245218\n"
         b"pde_value=0.105552\n"
     ),
-    # large n at an old age: many draws fall in buckets that hold a CDF step
+    # large n at an old age, where every year from the sixth on draws a binomial at p = 1/2
     ("price-mortality-option", "--age", "85", "--premium", "60", "--benefit", "1000",
      "--policy-rate", "0.05", "--rate", "0.04", "--vole-sigma", "0.2", "--n", "200000",
      "--seed", "4", "--grid", "20,20"): (
-        b"mc_value=491.056104\nmc_std_error=0.431792\nexact_value=491.087490\n"
+        b"mc_value=491.309490\nmc_std_error=0.433516\nexact_value=491.087490\n"
         b"pde_value=605.434866\n"
     ),
     ("price-option", "--kind", "put", "--style", "american", "--strike", "100", "--rate",
@@ -803,7 +805,8 @@ def test_seeded_stdout_matches_the_recorded_bytes(argv):
 SCHEDULE_CSV = ("period,premium,benefit\n1,100.25,1000\n2,103.5,1000\n3,106.75,1012.5\n"
                 "4,110,1025\n5,0,1037.5\n6,113.3,1050\n7,116.7,1062.25\n8,120.1,1075\n")
 
-# stdout of schedule commands, captured while schedules were numpy arrays
+# stdout of schedule commands, captured while schedules were numpy arrays;
+# the mc_value and mc_std_error lines were taken again with death-year counts
 SCHEDULE_STDOUT = {
     ("price-lsv", "--rate", "0.045", "--t", "1"): b"lsv=861.0047847\n",
     ("price-lsv", "--rate", "0.045", "--t", "3"): b"lsv=602.9945848\n",
@@ -811,7 +814,7 @@ SCHEDULE_STDOUT = {
     ("price-lsv", "--rate", "0.045", "--t", "8"): b"lsv=122.216935\n",
     ("price-mortality-option", "--policy-rate", "0.045", "--age", "75", "--rate", "0.05",
      "--vole-sigma", "0.2", "--n", "3000", "--seed", "11", "--grid", "60,60"): (
-        b"mc_value=137.404958\nmc_std_error=3.197048\nexact_value=139.056862\n"
+        b"mc_value=136.383424\nmc_std_error=3.161936\nexact_value=139.056862\n"
         b"pde_value=133.043724\n"),
 }
 

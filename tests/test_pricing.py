@@ -21,9 +21,10 @@ from longevity.pricing import (
     price_mortality_option,
 )
 from longevity.settlement import FlatPolicy, PolicySchedule, lsv, lsv_schedule
-from longevity.simulate import RngStream, sample_death_years
+from longevity.simulate import _WORD_BLOCK, RngStream, _death_counts
 from oracles import (binomial_american_put, bs_price, crr_american, effective_vol,
-                     grid_tolerance, half_variance_by_quadrature, zero_vol_mortality_value)
+                     grid_tolerance, half_variance_by_quadrature, mortality_option_exact_value,
+                     zero_vol_mortality_value)
 
 # ------------------------------------------------------------ marching #
 
@@ -1107,11 +1108,11 @@ def test_mortality_grid_leg_at_zero_volatility_matches_the_deterministic_path(
     assert oracle == pytest.approx(want, abs=5e-7)
 
 
-def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, steps):
-    """The mortality option valued with one scalar payoff call per path and per node.
+def _per_count_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, steps):
+    """The mortality option valued with one scalar payoff call per death year and per node.
 
-    Same draws as the package (one uniform per death year, nothing else),
-    same march.
+    Same death-year counts as the package, summed term by term with
+    ``math.fsum``; same march.
     """
     t_max = table.omega - x + 1
 
@@ -1122,10 +1123,11 @@ def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, s
         year = min(max(int(year), 1), t_max)
         return max(lsv(pol, year), 0.0)
 
-    years = sample_death_years(table, x, n_paths, rng)
-    values = np.array([math.exp(-r * int(year)) * payoff_year(year) for year in years])
-    mc = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(n_paths))
+    counts = _death_counts(table, x, n_paths, rng).tolist()
+    paid = [math.exp(-r * year) * payoff_year(year) for year in range(1, t_max + 1)]
+    mc = math.fsum(c * v for c, v in zip(counts, paid)) / n_paths
+    se = math.sqrt(math.fsum(c * (v - mc) ** 2 for c, v in zip(counts, paid))
+                   / (n_paths - 1) / n_paths)
 
     spot = complete_expectation(table, x)
     mesh = Mesh1D(0.0, max(4.0 * spot, float(t_max + 1)), intervals + 1)
@@ -1169,13 +1171,15 @@ def _per_path_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, s
     dict(pol=FlatPolicy(p=30.0, b=800.0, r=0.04), x=85, vole_sigma=0.0, n=2,
          intervals=3, exact="0x1.cb80afa381277p+8", pde="0x1.16295db9398adp+9"),
 ])
-def test_mortality_option_matches_the_per_path_reference_bitwise(bundled_table, case):
+def test_mortality_option_matches_the_per_count_reference(bundled_table, case):
     args = (case["pol"], bundled_table, case["x"], case["vole_sigma"], 0.045, case["n"])
     grid = dict(intervals=case.get("intervals", 60), steps=40)
     value = price_mortality_option(*args, RngStream(77), **grid)
-    mc, se, pde = _per_path_reference(*args, RngStream(77), **grid)
-    assert value.mc_value == mc
-    assert value.mc_std_error == se
+    mc, se, pde = _per_count_reference(*args, RngStream(77), **grid)
+    # the package sums at most 56 products of counts and payoffs by a dot
+    # product, the reference exactly by fsum: 1e-12 covers that rounding
+    assert value.mc_value == pytest.approx(mc, rel=1e-12, abs=0.0)
+    assert value.mc_std_error == pytest.approx(se, rel=1e-12, abs=0.0)
     assert value.pde_value == pde
     assert value.pde_value.hex() == case["pde"]
     assert value.exact_value.hex() == case["exact"]
@@ -1197,13 +1201,38 @@ def test_mortality_option_values_each_death_year_once(bundled_table, monkeypatch
     assert 0 < len(calls) <= 2 * t_max
 
 
-@pytest.mark.parametrize("n_paths", [2, 1000])
-def test_mortality_option_reads_one_uniform_per_path(bundled_table, n_paths):
+@pytest.mark.parametrize("n_paths", [2, 20_000, 10**7])
+def test_mortality_option_reads_at_most_three_word_blocks_whatever_n(bundled_table, n_paths):
     rng = RngStream(41)
     price_mortality_option(FlatPolicy(p=100.0, b=1000.0, r=0.05), bundled_table, 70,
                            vole_sigma=0.1, r=0.05, n_paths=n_paths, rng=rng,
                            intervals=20, steps=20)
-    assert rng.uniform(1)[0] == RngStream(41).uniform(n_paths + 1)[-1]
+    # where the stream's next word sits in a twin is how many words were read;
+    # bound fixed before the first run: whole blocks, at most three
+    read = np.flatnonzero(RngStream(41)._words(3 * _WORD_BLOCK + 1) == rng._words(1)[0])
+    assert read.size == 1
+    assert read[0] % _WORD_BLOCK == 0 and read[0] <= 3 * _WORD_BLOCK
+
+
+@pytest.mark.parametrize("x, r", [(70, 0.05), (89, 0.03)])
+def test_mortality_option_estimate_is_centred_on_the_exact_sum(bundled_table, x, r):
+    # 400 streams (seed 2034, ids 0..399) at n = 20,000 on a 2x2 grid; the
+    # exact sum comes from the raw qx.  Bounds fixed before the first run:
+    # z = (mc - exact) / se has |mean| <= 0.2, four standard errors of a
+    # mean of 400 standard normals, and sd within 0.85..1.15, over four
+    # standard errors of an sd from 400
+    pol = FlatPolicy(p=100.0, b=1000.0, r=0.05)
+    exact = mortality_option_exact_value(bundled_table.qx[x - bundled_table.start_age:],
+                                         100.0, 1000.0, 0.05, r)
+    z = []
+    for i in range(400):
+        value = price_mortality_option(pol, bundled_table, x, vole_sigma=0.1, r=r,
+                                       n_paths=20_000, rng=RngStream(2034, stream_id=i),
+                                       intervals=2, steps=2)
+        assert value.exact_value == pytest.approx(exact, rel=1e-12)
+        z.append((value.mc_value - exact) / value.mc_std_error)
+    assert abs(np.mean(z)) <= 0.2
+    assert 0.85 <= np.std(z, ddof=1) <= 1.15
 
 
 def test_mortality_option_estimate_that_overflows_is_a_numerical_error(bundled_table):

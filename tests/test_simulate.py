@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
 from longevity.lifetable import (
     LifeTable,
@@ -23,8 +23,9 @@ from longevity.simulate import (
     simulate_deaths,
     vole,
 )
-from longevity.simulate import _bucket_years, _death_cdf, _years_from_uniforms
-from oracles import curtate_mean_from_rates
+from longevity.simulate import (_binomial, _block_uniforms, _bucket_years, _death_cdf,
+                                _death_counts, _years_from_uniforms)
+from oracles import binomial_pmf, curtate_mean_from_rates, death_year_probabilities
 
 
 def test_stream_is_reproducible_and_streams_are_distinct():
@@ -230,12 +231,14 @@ PIN_DRAWS = {
 }
 
 # Digests of _death_sampling_digest, by (function, n); the years' bytes are
-# int64, so a change of dtype changes the digest too.
+# int64, so a change of dtype changes the digest too.  The simulate_deaths
+# pins were taken when its years were first drawn as counts, which read
+# whole word blocks, so they also pin the stream position after a summary.
 DEATH_SAMPLING_BITS = {
     ('sample_death_years', 20000): '0246c29718f16b98e8714f6ce733f25caed1c6dc9417c60d3a22f0fc49562898',
     ('sample_death_years', 100000): 'c41b089d725cfe5b7ee93adc5ef236b6c11e161b01556fef2143edaea4abc07d',
-    ('simulate_deaths', 20000): 'f99f2cbfd982a0c6d82bff4d35699815036d230ee956250938d237e499b6237d',
-    ('simulate_deaths', 100000): '16ed3e67916466631f4f68cacba090a26ddb5e78718b23e062c45f2ddf7d54b1',
+    ('simulate_deaths', 20000): '29e4bd50617cb4320d2b62723b2304cc9acc4bd987d6bcaf65887b92e104c096',
+    ('simulate_deaths', 100000): '9bde725b8f2a6e8066e9afe3fbe5f5509145bb818d9450fac94e502cd970a7db',
     ('sample_death_times', 20000): '8272a3557c977e20aed20f7e3d7fd7beca10c36932b0d93b0e9f6d10f3e833fc',
     ('sample_death_times', 100000): '302c50647b96d6ef87f8fc930c3feb89bf0c24c490cd0f15bbf176bf40334936',
 }
@@ -271,6 +274,105 @@ def test_simulated_mean_near_analytic(bundled_table):
     assert abs(summary.mean - mean_t) <= 3.0 * math.sqrt(var_t / n)
 
 
+# (n, p) on both branches of the binomial sampler: inversion where
+# n min(p, 1 - p) < 10, BTRS from 10 on; p > 1/2 is drawn through 1 - p
+BINOMIAL_CASES = [
+    (1, 0.3), (5, 0.3), (19, 0.45), (1000, 0.005), (10**7, 2e-7), (12, 0.7),
+    (40, 0.25), (1000, 0.4), (10**6, 0.02), (200, 0.9), (10**7, 0.6),
+]
+
+
+def _pmf_cells(n, p, draws):
+    """Observed and expected counts of ``draws`` in cells of expected count >= 10.
+
+    The cells run over ``k`` within 12 standard deviations of the mean,
+    outside which the pmf is below 1e-30; draws beyond them count in the
+    end cells.
+    """
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    lo, hi = max(0, math.floor(mean - 12 * sd - 12)), min(n, math.ceil(mean + 12 * sd + 12))
+    edges, expected, mass = [], [], 0.0
+    for k in range(lo, hi + 1):
+        mass += binomial_pmf(n, p, k)
+        if mass * draws.size >= 10.0 or k == hi:
+            edges.append(k)
+            expected.append(mass)
+            mass = 0.0
+    if expected[-1] * draws.size < 10.0:  # fold a thin last cell into the one before
+        thin = expected.pop()
+        expected[-1] += thin
+        edges.pop(-2)
+    observed = np.bincount(np.searchsorted(edges, np.clip(draws, lo, hi)),
+                           minlength=len(edges))
+    expected = np.array(expected) / sum(expected) * draws.size
+    return observed, expected
+
+
+@pytest.mark.parametrize("i", range(len(BINOMIAL_CASES)),
+                         ids=[f"n{n}-p{p}" for n, p in BINOMIAL_CASES])
+def test_binomial_draws_match_the_exact_pmf(i):
+    # 20,000 draws from stream (2031, i) against the pmf by math.comb or
+    # lgamma; bound fixed before the first run: chi-square p-value > 1e-3
+    n, p = BINOMIAL_CASES[i]
+    uniform = _block_uniforms(RngStream(2031, stream_id=i)).__next__
+    draws = np.array([_binomial(n, p, uniform) for _ in range(20_000)])
+    assert draws.min() >= 0 and draws.max() <= n
+    observed, expected = _pmf_cells(n, p, draws)
+    assert observed.size >= 2
+    stat, pvalue = chisquare(observed, expected)
+    assert pvalue > 1e-3, f"chi-square statistic {stat:.1f} over {observed.size} cells"
+
+
+def test_binomial_at_probability_zero_and_one_reads_nothing():
+    def no_uniform():
+        raise AssertionError("read a uniform")
+
+    for n in (0, 1, 7, 10**7):
+        assert _binomial(n, 0.0, no_uniform) == 0
+        assert _binomial(n, 1.0, no_uniform) == n
+    assert _binomial(0, 0.4, no_uniform) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 20_000, 10**7])
+@pytest.mark.parametrize("age", [60, 70, 89, 115])
+def test_death_counts_sum_to_n(bundled_table, age, n):
+    counts = _death_counts(bundled_table, age, n, RngStream(2032, stream_id=age))
+    assert counts.dtype == np.int64
+    assert counts.shape == (bundled_table.omega - age + 1,)
+    assert counts.min() >= 0
+    assert int(counts.sum()) == n
+
+
+@pytest.mark.parametrize("n", [1, 50, 10**7])
+def test_death_counts_of_degenerate_tables(n):
+    assert _death_counts(LifeTable(90, [1.0]), 90, n, RngStream(3)).tolist() == [n]
+    # nobody outlives a year whose qx is 1, and no one dies in a year of qx 0
+    assert _death_counts(LifeTable(60, [1.0, 0.5, 1.0]), 60, n, RngStream(3)).tolist() == [n, 0, 0]
+    counts = _death_counts(LifeTable(60, [0.0, 0.3, 0.0, 0.0, 0.5, 0.0, 1.0]), 60, n,
+                           RngStream(3))
+    assert counts[[0, 2, 3, 5]].tolist() == [0, 0, 0, 0]
+    assert int(counts.sum()) == n
+
+
+def test_death_counts_match_the_distribution_chi_square(bundled_table):
+    # 300 streams (seed 2033, ids 0..299) of n = 50,000 lives aged 70; years
+    # with n d_y < 5 are folded into one cell.  Bound fixed before the first
+    # run: the summed Pearson statistic lies inside the central 99.8 % of a
+    # chi-square with 300 (cells - 1) degrees of freedom (two-sided, 1e-3 a
+    # side), which checks the multinomial's variances as well as its means
+    x, n, streams = 70, 50_000, 300
+    probs = np.array(death_year_probabilities(bundled_table.qx[x - bundled_table.start_age:]))
+    keep = probs * n >= 5.0
+    expected = np.append(probs[keep], probs[~keep].sum()) * n
+    total = 0.0
+    for i in range(streams):
+        counts = _death_counts(bundled_table, x, n, RngStream(2033, stream_id=i))
+        observed = np.append(counts[keep], counts[~keep].sum())
+        total += float(np.sum((observed - expected) ** 2 / expected))
+    pvalue = chi2.sf(total, streams * (expected.size - 1))
+    assert min(pvalue, 1.0 - pvalue) > 1e-3, (total, streams * (expected.size - 1))
+
+
 def test_sample_death_times_are_fractional(bundled_table):
     times = sample_death_times(bundled_table, 70, 1000, RngStream(5))
     assert np.all(times > 0.0)
@@ -281,8 +383,7 @@ def test_sample_death_times_are_fractional(bundled_table):
 
 def test_mode_tie_breaks_toward_smaller_year(monkeypatch):
     # years 1 and 2 both die twice; the summary must report the smaller
-    monkeypatch.setattr("longevity.simulate.sample_death_years",
-                        lambda *args: np.array([2, 1, 2, 1, 3]))
+    monkeypatch.setattr("longevity.simulate._death_counts", lambda *args: np.array([2, 2, 1]))
     s = simulate_deaths(LifeTable(100, [0.5, 0.5, 1.0]), 100, 5, RngStream(12))
     assert s.histogram == {1: 2, 2: 2, 3: 1}
     assert s.mode == 1
