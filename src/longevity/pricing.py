@@ -592,10 +592,16 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
     disc = np.array([0.0] + [math.exp(-r * year) * v
                              for year, v in enumerate(by_year.tolist(), start=1)])
     counts = _death_counts(table, x, n_paths, rng)
+    # both passes sum their t_max terms exactly, so no BLAS order shows in
+    # the bits; an infinite term or an overflowing sum fails the check below
     with np.errstate(over="ignore", invalid="ignore"):
-        mc_mean = float(counts @ disc[1:]) / n_paths
-        dev = disc[1:] - mc_mean
-        mc_se = math.sqrt(float(counts @ (dev * dev)) / (n_paths - 1) / n_paths)
+        try:
+            mc_mean = math.fsum((counts * disc[1:]).tolist()) / n_paths
+            dev = disc[1:] - mc_mean
+            mc_se = math.sqrt(math.fsum((counts * (dev * dev)).tolist())
+                              / (n_paths - 1) / n_paths)
+        except OverflowError:
+            mc_mean = mc_se = math.inf
     exact = float(death_distribution(table, x) @ disc[1:])
     if not all(map(math.isfinite, (mc_mean, mc_se, exact))):
         raise NumericalError("Monte Carlo estimate overflowed: discounted payoffs reach "

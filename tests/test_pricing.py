@@ -1112,7 +1112,7 @@ def _per_count_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, 
     """The mortality option valued with one scalar payoff call per death year and per node.
 
     Same death-year counts as the package, summed term by term with
-    ``math.fsum``; same march.
+    ``math.fsum`` in Python floats; same march.
     """
     t_max = table.omega - x + 1
 
@@ -1126,7 +1126,7 @@ def _per_count_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, 
     counts = _death_counts(table, x, n_paths, rng).tolist()
     paid = [math.exp(-r * year) * payoff_year(year) for year in range(1, t_max + 1)]
     mc = math.fsum(c * v for c, v in zip(counts, paid)) / n_paths
-    se = math.sqrt(math.fsum(c * (v - mc) ** 2 for c, v in zip(counts, paid))
+    se = math.sqrt(math.fsum(c * ((v - mc) * (v - mc)) for c, v in zip(counts, paid))
                    / (n_paths - 1) / n_paths)
 
     spot = complete_expectation(table, x)
@@ -1171,15 +1171,13 @@ def _per_count_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, 
     dict(pol=FlatPolicy(p=30.0, b=800.0, r=0.04), x=85, vole_sigma=0.0, n=2,
          intervals=3, exact="0x1.cb80afa381277p+8", pde="0x1.16295db9398adp+9"),
 ])
-def test_mortality_option_matches_the_per_count_reference(bundled_table, case):
+def test_mortality_option_matches_the_per_count_reference_bitwise(bundled_table, case):
     args = (case["pol"], bundled_table, case["x"], case["vole_sigma"], 0.045, case["n"])
     grid = dict(intervals=case.get("intervals", 60), steps=40)
     value = price_mortality_option(*args, RngStream(77), **grid)
     mc, se, pde = _per_count_reference(*args, RngStream(77), **grid)
-    # the package sums at most 56 products of counts and payoffs by a dot
-    # product, the reference exactly by fsum: 1e-12 covers that rounding
-    assert value.mc_value == pytest.approx(mc, rel=1e-12, abs=0.0)
-    assert value.mc_std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+    assert value.mc_value == mc
+    assert value.mc_std_error == se
     assert value.pde_value == pde
     assert value.pde_value.hex() == case["pde"]
     assert value.exact_value.hex() == case["exact"]
@@ -1239,6 +1237,19 @@ def test_mortality_option_estimate_that_overflows_is_a_numerical_error(bundled_t
     with pytest.raises(NumericalError, match="overflowed"):
         price_mortality_option(FlatPolicy(p=0.0, b=1e308, r=0.05), bundled_table, 70,
                                vole_sigma=0.0, r=0.0, n_paths=100, rng=RngStream(1),
+                               intervals=20, steps=20)
+
+
+def test_mortality_option_estimate_whose_sum_overflows_is_a_numerical_error(bundled_table,
+                                                                             monkeypatch):
+    # two lives die in years 1 and 2, whose payoffs, 9.5e307 and 9.1e307,
+    # are finite but sum past the largest float
+    t_max = bundled_table.omega - 70 + 1
+    monkeypatch.setattr(pricing, "_death_counts",
+                        lambda *args: np.array([1, 1] + [0] * (t_max - 2)))
+    with pytest.raises(NumericalError, match="overflowed"):
+        price_mortality_option(FlatPolicy(p=0.0, b=1e308, r=0.05), bundled_table, 70,
+                               vole_sigma=0.0, r=0.0, n_paths=2, rng=RngStream(1),
                                intervals=20, steps=20)
 
 
