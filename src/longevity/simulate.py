@@ -60,11 +60,37 @@ come from the stream's raw words by the formula above, read
 ``_WORD_BLOCK`` words at a time; a block's unread words are dropped when
 the draw ends.  No numpy distribution method is called, since numpy does
 not promise their streams across releases (NEP 19).
+
+Death-time order statistics
+---------------------------
+A death time is a death year minus a uniform fraction, so its CDF ``F``
+is piecewise linear between the death CDF's values ``C[y]`` at the whole
+years.  A sorted sample of ``n`` death times has the law of ``F^-1``
+applied to ``n`` sorted uniforms, so the few order statistics a quantile
+fit reads are drawn without the rest (David & Nagaraja, *Order
+Statistics*, 2003, §2.2).  They are drawn from the top down, from
+``U_(n+1) := 1``: given ``U_(h) = u`` the next rank down is
+``U_(k) = u B``, ``B`` a Beta(k, h - k) variate independent of ``u``.
+Next to the rank above, ``B`` is Beta(k, 1), ``V^(1/k)`` for one uniform
+``V``; otherwise it is ``Ga / (Ga + Gb)`` for gamma variates of shapes
+``k`` and ``h - k``, both at least 1, each drawn by Marsaglia & Tsang's
+squeeze-and-reject method (ACM TOMS 26(3), 2000) on Box-Muller normals
+(cosine branch, two uniforms each) and one uniform a trial.  A uniform
+``u``, held below 1 like a word's, maps to the time
+``y + (u - C[y-1]) / (C[y] - C[y-1])`` past whole year ``y``, the first
+whose ``C[y]`` exceeds ``u`` (found by bisection), with ``C[-1] = 0``.
+Dividing by the CDF's own step keeps the fraction in [0, 1) on rounded
+and subnormal tables, and a time that rounds onto a whole number is moved
+inside its year, as :func:`sample_death_times` does, so its ceiling is
+its death year.  The uniforms are read from whole ``_WORD_BLOCK`` blocks,
+as the counts' are, so the cost depends on the number of ranks, not on
+``n``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable
 
 import numpy as np
@@ -256,6 +282,52 @@ def _block_uniforms(rng: RngStream):
     """Endless uniforms from ``rng``, one word each, read ``_WORD_BLOCK`` words at a time."""
     while True:
         yield from _uniforms(rng._words(_WORD_BLOCK)).tolist()
+
+
+def _gamma(shape: float, uniform: Callable[[], float]) -> float:
+    """One Gamma(shape) draw, ``shape >= 1``, by Marsaglia & Tsang (see the module notes)."""
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        z = math.sqrt(-2.0 * math.log(uniform())) * math.cos(2.0 * math.pi * uniform())
+        v = 1.0 + c * z
+        if v <= 0.0:
+            continue
+        v = v * v * v
+        u, zz = uniform(), z * z
+        if u < 1.0 - 0.0331 * zz * zz or math.log(u) < 0.5 * zz + d * (1.0 - v + math.log(v)):
+            return d * v
+
+
+def _death_time_order_stats(
+    table: LifeTable, x: int, n: int, ranks, rng: RngStream
+) -> dict[int, float]:
+    """The death times at the 1-based ``ranks`` of a sorted sample of ``n`` lives aged ``x``.
+
+    Drawn rank by rank from the top (see the module notes), in law the
+    same as ``np.sort(sample_death_times(table, x, n, rng))`` read at those
+    ranks; the cost depends on how many ranks there are, not on ``n``.
+    """
+    ranks = sorted(set(ranks), reverse=True)
+    if not ranks or ranks[-1] < 1 or ranks[0] > n:
+        raise ValueError(f"ranks must lie in 1..{n}")
+    cdf = _death_cdf(table, x).tolist()
+    uniform = _block_uniforms(rng).__next__
+    out: dict[int, float] = {}
+    u, above = 1.0, n + 1
+    for k in ranks:
+        if above - k == 1:
+            u *= uniform() ** (1.0 / k)
+        else:
+            ga = _gamma(k, uniform)
+            u *= ga / (ga + _gamma(above - k, uniform))
+        above = k
+        v = min(u, _BELOW_ONE)
+        y = bisect_right(cdf, v)  # cdf[-1] is 1, so y is inside the table
+        low = cdf[y - 1] if y else 0.0
+        t = y + (v - low) / (cdf[y] - low)
+        out[k] = min(max(t, math.nextafter(y, y + 1)), math.nextafter(y + 1, y))
+    return out
 
 
 def _binomial(n: int, p: float, uniform: Callable[[], float]) -> int:

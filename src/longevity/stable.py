@@ -44,9 +44,9 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # alpha_age_profile calls sample_death_times through this module, where
-    # perfbench's layer tracer wraps it; binding it here on first access
-    # keeps numpy out of a command that only fits a sample
+    # sample_death_times stays readable here, where perfbench's layer tracer
+    # looks for it; binding it on first access keeps numpy out of a command
+    # that only fits a sample
     if name != "sample_death_times":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .simulate import sample_death_times
@@ -144,28 +144,50 @@ def _bilinear(x: float, y: float) -> float:
 _QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 
 
+def _quantile_points(n: int) -> list[tuple[int, float]]:
+    """Where each of ``_QUANTILES`` sits in a sorted sample of ``n``: ``(lo, g)``, by numpy's ``linear`` rule.
+
+    Quantile ``q`` sits at ``v = (n - 1) q``, between the 0-based order
+    statistics ``lo = floor(v)`` and ``lo + 1``, at ``g = v - lo`` of the
+    way.  Every ``q`` is below 1, so ``lo + 1`` is inside the sample.
+    """
+    out = []
+    for q in _QUANTILES:
+        v = (n - 1) * q
+        lo = math.floor(v)
+        out.append((lo, v - lo))
+    return out
+
+
+def _interpolate(a: float, b: float, g: float) -> float:
+    """numpy's ``linear`` step from ``a`` to ``b``: ``a + d g``, or ``b - d (1 - g)`` where ``g >= 0.5``."""
+    d = b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
+
+
 def _quantiles(s: list[float] | np.ndarray) -> list[float]:
     """``np.quantile(s, _QUANTILES)`` of an ascending sample, by numpy's ``linear`` rule.
 
-    Quantile ``q`` sits at ``v = (n - 1) q`` in ``s``, between the order
-    statistics ``a = s[floor(v)]`` and ``b`` next to it, with
-    ``g = v - floor(v)`` and ``d = b - a``.  numpy returns ``a + d g``, or
-    ``b - d (1 - g)`` where ``g >= 0.5``; so does this.  Every ``q`` is
-    below 1, so ``b`` is inside the sample.  ``s`` may be a sorted list of
-    floats or a sorted 1-D float array; both give the same bits.  Where
-    ``0.0`` and ``-0.0`` tie, their order is unspecified in a sort and in
-    numpy's partition alike, so a zero quantile may differ in sign.
+    ``s`` may be a sorted list of floats or a sorted 1-D float array; both
+    give the same bits.  Where ``0.0`` and ``-0.0`` tie, their order is
+    unspecified in a sort and in numpy's partition alike, so a zero
+    quantile may differ in sign.
     """
-    last = len(s) - 1
-    out = []
-    for q in _QUANTILES:
-        v = last * q
-        lo = math.floor(v)
-        g = v - lo
-        a, b = float(s[lo]), float(s[lo + 1])
-        d = b - a
-        out.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
-    return out
+    return [_interpolate(float(s[lo]), float(s[lo + 1]), g) for lo, g in _quantile_points(len(s))]
+
+
+def _alpha_from_quantiles(q05: float, q25: float, q50: float, q75: float, q95: float) -> float:
+    """McCulloch's tail index from the five quantiles, clamped to ``[0.5, 2.0]``.
+
+    A zero spread or interquartile range raises :class:`DataError`.
+    """
+    spread = q95 - q05
+    iqr = q75 - q25
+    if spread <= 0.0 or iqr <= 0.0:
+        raise DataError("degenerate sample: zero interquantile range")
+    nu_alpha = spread / iqr
+    nu_beta = abs((q95 + q05 - 2.0 * q50) / spread)
+    return min(max(_bilinear(nu_alpha, nu_beta), 0.5), 2.0)
 
 
 def estimate_alpha(samples: list[float] | np.ndarray) -> float:
@@ -205,13 +227,7 @@ def estimate_alpha(samples: list[float] | np.ndarray) -> float:
         # a difference of order statistics passed the float range; halving
         # the sample, exact for normal floats, keeps every sum finite
         q05, q25, q50, q75, q95 = _quantiles([0.5 * v for v in s])
-    spread = q95 - q05
-    iqr = q75 - q25
-    if spread <= 0.0 or iqr <= 0.0:
-        raise DataError("degenerate sample: zero interquantile range")
-    nu_alpha = spread / iqr
-    nu_beta = abs((q95 + q05 - 2.0 * q50) / spread)
-    return min(max(_bilinear(nu_alpha, nu_beta), 0.5), 2.0)
+    return _alpha_from_quantiles(q05, q25, q50, q75, q95)
 
 
 def alpha_age_profile(
@@ -222,28 +238,38 @@ def alpha_age_profile(
 ) -> list[tuple[int, float]]:
     """Tail-index of simulated fractional death times, age by age.
 
-    For each requested age, ``n`` death times (curtate year minus a uniform
-    fraction) are simulated on an independent sub-stream
-    (``stream_id + 1 + position``) and fed to :func:`estimate_alpha`.
+    For each requested age, the fit reads a sorted sample of ``n`` death
+    times (curtate year minus a uniform fraction) at twelve ranks only: the
+    two order statistics around each of the five quantiles, and the
+    smallest and largest.  Those twelve are drawn directly, on an
+    independent sub-stream (``stream_id + 1 + position``), from the top
+    rank down by the Beta law of uniform order statistics (see the
+    ``simulate`` module notes), so neither the time nor the stream words an
+    age takes depend on ``n``.  In law the result is what
+    :func:`estimate_alpha` gives on ``n`` simulated death times.
     Ages are processed and returned ascending, so the result is independent
     of the order in which they were requested.  A degenerate age, where the
-    whole death-year distribution sits in a single year (as with a table
-    whose every probability is 1), carries no shape information beyond the
-    within-year fraction and raises :class:`DataError` naming that age.
+    smallest and the largest time fall in one death year (certain with a
+    table whose every probability is 1), carries no shape information
+    beyond the within-year fraction and raises :class:`DataError` naming
+    that age.
     """
     if n < 1000:
         raise ValueError("n must be at least 1000 for a stable quantile fit")
-    draw = globals().get("sample_death_times") or __getattr__("sample_death_times")
+    from .simulate import _death_time_order_stats
+
+    points = _quantile_points(n)
+    ranks = {1, n, *(lo + k for lo, _ in points for k in (1, 2))}  # 1-based
     out: list[tuple[int, float]] = []
     for position, age in enumerate(sorted(int(a) for a in ages)):
-        sub = rng.spawn(1 + position)
-        times = draw(table, age, n, sub)
-        if math.ceil(times.min()) == math.ceil(times.max()):
+        t = _death_time_order_stats(table, age, n, ranks, rng.spawn(1 + position))
+        if math.ceil(t[1]) == math.ceil(t[n]):
             raise DataError(
                 f"age {age}: degenerate death-year distribution (zero dispersion)"
             )
         try:
-            out.append((age, estimate_alpha(times)))
+            out.append((age, _alpha_from_quantiles(
+                *(_interpolate(t[lo + 1], t[lo + 2], g) for lo, g in points))))
         except DataError as exc:
             raise DataError(f"age {age}: {exc}") from None
     return out

@@ -37,6 +37,22 @@ def death_year_probabilities(qx) -> list[float]:
     return probs
 
 
+def death_time_quantile(start_age: int, qx, age: int, q: float) -> float:
+    """The ``q``-quantile of the fractional death time of a life aged ``age``.
+
+    A death time is the death year less a uniform fraction, so its CDF runs
+    linearly between the cumulative death-year probabilities at whole
+    years; this walks those years from ``age`` on and inverts the segment
+    that reaches ``q``.
+    """
+    below = 0.0
+    for year, prob in enumerate(death_year_probabilities(qx[age - start_age:])):
+        if prob > 0.0 and below + prob >= q:
+            return year + (q - below) / prob
+        below += prob
+    return float(year + 1)
+
+
 def binomial_pmf(n: int, p: float, k: int) -> float:
     """``Pr(Binomial(n, p) = k)``: ``math.comb`` up to ``n = 1000``, log-gamma beyond."""
     if n <= 1000:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, chisquare
+from scipy.stats import chi2, chisquare, gamma, kstest
 
 from longevity.lifetable import (
     LifeTable,
@@ -24,7 +24,9 @@ from longevity.simulate import (
     vole,
 )
 from longevity.simulate import (_binomial, _block_uniforms, _bucket_years, _death_cdf,
-                                _death_counts, _years_from_uniforms)
+                                _death_counts, _death_time_order_stats, _gamma,
+                                _years_from_uniforms)
+from longevity.stable import _quantile_points
 from oracles import binomial_pmf, curtate_mean_from_rates, death_year_probabilities
 
 
@@ -371,6 +373,107 @@ def test_death_counts_match_the_distribution_chi_square(bundled_table):
         total += float(np.sum((observed - expected) ** 2 / expected))
     pvalue = chi2.sf(total, streams * (expected.size - 1))
     assert min(pvalue, 1.0 - pvalue) > 1e-3, (total, streams * (expected.size - 1))
+
+
+@pytest.mark.parametrize("shape", [1, 2, 7, 999, 10**7])
+def test_gamma_draws_match_the_gamma_law(shape):
+    # 20,000 draws from stream (2036, shape).  Bound fixed before the first
+    # run: the Kolmogorov-Smirnov p-value against Gamma(shape) exceeds 1e-3
+    uniform = _block_uniforms(RngStream(2036, stream_id=shape)).__next__
+    draws = [_gamma(shape, uniform) for _ in range(20_000)]
+    assert kstest(draws, gamma(shape).cdf).pvalue > 1e-3
+
+
+def _profile_ranks(n):
+    """The 1-based ranks a tail profile reads: both neighbours of each quantile, 1 and n."""
+    return sorted({1, n, *(lo + k for lo, _ in _quantile_points(n) for k in (1, 2))})
+
+
+@pytest.mark.parametrize("rating", [(1.0, 0.0), (1.6, 0.015)], ids=["bundled", "rated"])
+@pytest.mark.parametrize("x, n", [(80, 1000), (80, 20_000), (90, 1000), (90, 20_000)])
+def test_death_time_order_stats_match_the_sorted_sample(rating, x, n):
+    # 1000 draws a side: the order statistics from streams (2034, i), the
+    # sorted sample_death_times from streams (2035, i), i = 0..999.  Bounds
+    # fixed before the first run, rank by rank: the two-sample |z| of the
+    # means is at most 4.5, and the log of the sd ratio is within 0.15 for
+    # the quantile ranks (4.7 standard errors at normal kurtosis) and 0.3 for
+    # ranks 1 and n, whose laws are closer to exponential and Gumbel ones
+    table = apply_assumptions(sample_table(), MortalityAssumptions(*rating))
+    ranks, draws = _profile_ranks(n), 1000
+    drawn = (_death_time_order_stats(table, x, n, ranks, RngStream(2034, stream_id=i))
+             for i in range(draws))
+    direct = np.array([[stats[k] for k in ranks] for stats in drawn])
+    idx = np.array(ranks) - 1
+    sorted_ = np.array([np.sort(sample_death_times(table, x, n, RngStream(2035, stream_id=i)))[idx]
+                        for i in range(draws)])
+    z = (direct.mean(0) - sorted_.mean(0)) / np.sqrt(
+        (direct.var(0, ddof=1) + sorted_.var(0, ddof=1)) / draws)
+    log_ratio = np.log(direct.std(0, ddof=1) / sorted_.std(0, ddof=1))
+    extreme = np.isin(ranks, [1, n])
+    assert np.all(np.abs(z) <= 4.5), dict(zip(ranks, z.round(2)))
+    assert np.all(np.abs(log_ratio[~extreme]) <= 0.15), dict(zip(ranks, log_ratio.round(3)))
+    assert np.all(np.abs(log_ratio[extreme]) <= 0.3), dict(zip(ranks, log_ratio.round(3)))
+
+
+@pytest.mark.parametrize("n", [1000, 20_000, 10**7])
+def test_death_time_order_stats_are_uniform_order_statistics_on_a_one_year_table(n):
+    # with every death in the first year a time is its uniform, so rank k of
+    # n is Beta(k, n + 1 - k): mean k / (n + 1), variance
+    # k (n + 1 - k) / ((n + 1)^2 (n + 2)).  4000 draws from streams
+    # (2041, i); bounds fixed before the first run: |z| of each rank's mean
+    # at most 4.5, its sd within 10 % of the Beta's
+    table, ranks, draws = LifeTable(60, [1.0]), _profile_ranks(n), 4000
+    drawn = (_death_time_order_stats(table, 60, n, ranks, RngStream(2041, stream_id=i))
+             for i in range(draws))
+    times = np.array([[stats[k] for k in ranks] for stats in drawn])
+    k = np.array(ranks, dtype=float)
+    var = k * (n + 1 - k) / ((n + 1) ** 2 * (n + 2))
+    z = (times.mean(0) - k / (n + 1)) / np.sqrt(var / draws)
+    assert np.all(np.abs(z) <= 4.5), dict(zip(ranks, z.round(2)))
+    assert np.all(np.abs(times.std(0, ddof=1) / np.sqrt(var) - 1.0) <= 0.1)
+
+
+@pytest.mark.parametrize("qx", [[5e-324, 1.0], [1.0 - 1e-12, 1.0], [1e-16, 0.3, 1.0],
+                                [0.0, 0.3, 0.0, 0.5, 1.0], [1.0]])
+@pytest.mark.parametrize("n", [1000, 10**7])
+def test_death_time_order_stats_lie_inside_their_years(qx, n):
+    # subnormal, rounded and zero steps of the CDF: every time is inside a
+    # year that has deaths, and the ranks come out in order
+    table = LifeTable(60, qx)
+    probs = death_distribution(table, 60)
+    ranks = _profile_ranks(n)
+    for i in range(50):
+        stats = _death_time_order_stats(table, 60, n, ranks, RngStream(2037, stream_id=i))
+        times = [stats[k] for k in ranks]
+        assert times == sorted(times)
+        for t in times:
+            assert 0.0 < t < len(qx) and t != math.floor(t)
+            assert probs[math.ceil(t) - 1] > 0.0
+
+
+def test_death_time_order_stats_check_their_ranks(bundled_table):
+    for ranks in ([], [0, 5], [5, 1001]):
+        with pytest.raises(ValueError, match="ranks"):
+            _death_time_order_stats(bundled_table, 70, 1000, ranks, RngStream(1))
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5, 10**7])
+def test_simulated_max_year_lies_inside_its_exact_law(bundled_table, n):
+    # P(max <= y) = F(y)^n, formed as exp(n log1p(F - 1)) with 1 - F the
+    # survival past year y, multiplied up from the raw qx.  Streams (2038, i),
+    # i = 0..9, fixed before the first run: every draw's max_year lies in the
+    # law's central 99.9 %, from the first year whose probability passes
+    # 0.0005 to the first that reaches 0.9995
+    x = 70
+    alive, law = 1.0, []
+    for q in bundled_table.qx[x - bundled_table.start_age:].tolist():
+        alive *= 1.0 - q
+        law.append(math.exp(n * math.log1p(-alive)) if alive < 1.0 else 0.0)
+    low = next(y for y, p in enumerate(law, start=1) if p > 0.0005)
+    high = next(y for y, p in enumerate(law, start=1) if p >= 0.9995)
+    for i in range(10):
+        top = simulate_deaths(bundled_table, x, n, RngStream(2038, stream_id=i)).max_year
+        assert low <= top <= high, (i, top, low, high)
 
 
 def test_sample_death_times_are_fractional(bundled_table):

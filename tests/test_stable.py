@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from longevity.errors import DataError
-from longevity.lifetable import MortalityAssumptions, apply_assumptions, sample_table
-from longevity.simulate import RngStream
+from longevity.lifetable import LifeTable, MortalityAssumptions, apply_assumptions, sample_table
+from longevity.simulate import _WORD_BLOCK, RngStream, _death_time_order_stats
 from longevity.stable import (
     StableParams,
     alpha_age_profile,
     estimate_alpha,
     log_char_function,
 )
-from longevity.stable import _QUANTILES, _quantiles
+from longevity.stable import _QUANTILES, _interpolate, _quantile_points, _quantiles
+from oracles import death_time_quantile, death_year_probabilities
 
 
 def test_params_validation():
@@ -151,6 +152,77 @@ def test_alpha_age_profile_rejects_degenerate_age():
         alpha_age_profile(table, [100], 5000, RngStream(1))
 
 
+def _degenerate_count(table, seeds):
+    """How many of the profiles at the table's first age, streams (2039, 0..seeds-1), raise as degenerate."""
+    count = 0
+    for i in range(seeds):
+        try:
+            alpha_age_profile(table, [table.start_age], 1000, RngStream(2039, stream_id=i))
+        except DataError as exc:
+            assert "degenerate death-year distribution" in str(exc)
+            count += 1
+    return count
+
+
+def test_alpha_age_profile_degenerate_rate_is_the_chance_all_die_in_one_year():
+    # all 1000 lives die in the first year with probability 0.999**1000, and
+    # no draw of 1000 can all die in the second.  Bound fixed before the
+    # first run: the count over 2000 streams lies within 4.5 binomial
+    # standard deviations of 2000 * 0.999**1000
+    p, seeds = 0.999**1000, 2000
+    count = _degenerate_count(LifeTable(90, [0.999, 1.0]), seeds)
+    assert abs(count - seeds * p) <= 4.5 * math.sqrt(seeds * p * (1.0 - p)), count
+
+
+@pytest.mark.parametrize("qx, count", [
+    ([1.0 - 1e-12, 1.0], 100),  # all in the first year but for a 1e-9 chance
+    ([5e-324, 1.0], 100),  # the CDF's first step is subnormal: all in the second
+    ([0.5, 1.0], 0),
+    ([1e-16, 0.3, 1.0], 0),
+])
+def test_alpha_age_profile_degenerate_tables(qx, count):
+    assert _degenerate_count(LifeTable(90, qx), 100) == count
+
+
+@pytest.mark.parametrize("age", [60, 75, 90])
+def test_profile_quantiles_at_ten_million_match_the_exact_quantiles(bundled_table, age):
+    # the five quantiles read off 10^7 death times, streams (2040, 0..4),
+    # against the inverse of the exact piecewise-linear CDF from the raw qx.
+    # Bound fixed before the first run: six standard deviations of a sample
+    # quantile, sqrt(q (1 - q) / n) / f, with f the least density of the
+    # quantile's year and its two neighbours
+    n = 10**7
+    qx = bundled_table.qx.tolist()
+    probs = death_year_probabilities(qx[age - bundled_table.start_age:])
+    points = _quantile_points(n)
+    ranks = {lo + k for lo, _ in points for k in (1, 2)}
+    for i in range(5):
+        t = _death_time_order_stats(bundled_table, age, n, ranks, RngStream(2040, stream_id=i))
+        for q, (lo, g) in zip(_QUANTILES, points):
+            exact = death_time_quantile(bundled_table.start_age, qx, age, q)
+            year = math.floor(exact)
+            f = min(probs[max(year - 1, 0):year + 2])
+            tol = 6.0 * math.sqrt(q * (1.0 - q) / n) / f
+            got = _interpolate(t[lo + 1], t[lo + 2], g)
+            assert abs(got - exact) <= tol, (i, q, got, exact, tol)
+
+
+def test_alpha_age_profile_reads_one_word_block_an_age_whatever_n(bundled_table):
+    # each age's sub-stream is found in a twin at the word its next draw
+    # would take; bound fixed before the first run: one whole block an age,
+    # at n = 1000, 20k and 10^7 alike
+    ages = list(range(60, 96, 5))
+    for n in (1000, 20_000, 10**7):
+        rng, subs = RngStream(43), []
+        rng.spawn = lambda offset: subs.append(RngStream.spawn(rng, offset)) or subs[-1]
+        alpha_age_profile(bundled_table, ages, n, rng)
+        assert len(subs) == len(ages)
+        for sub in subs:
+            twin = RngStream(sub.seed, sub.stream_id)._words(2 * _WORD_BLOCK + 1)
+            read = np.flatnonzero(twin == sub._words(1)[0])
+            assert read.tolist() == [_WORD_BLOCK], (n, sub)
+
+
 # ------------------------------------------------------------ bit pins #
 
 # Rated tables, by (multiplier, improvement); (1.0, 0.0) is the bundled table.
@@ -170,26 +242,27 @@ def _profile_digest(rating, n):
 
 
 # sha256 of the "age,alpha.hex()" lines of alpha_age_profile over PIN_AGES,
-# by (multiplier, improvement, n).
+# by (multiplier, improvement, n); taken again when the profile began to draw
+# its twelve order statistics directly instead of sorting n death times.
 PROFILE_BITS = {
-    (1.0, 0.0, 1000): '35c84a76fcb243c0fd8fa8c81c6813164b2fe1ae7ed38fc8f078ae12ee698b16',
-    (1.0, 0.0, 5000): '26e85175dfb4f8d612a5e30651f0c4a9659717e56da4ba33f0c907326df92bcb',
-    (1.0, 0.0, 20000): '125ed137f8f8341e3eb96577b4f9385aeb471ff68b13487d8a1dbbd8b74fd7b7',
-    (0.5, 0.0, 1000): 'f52724bf7e5ee356a6598d772e77e48dd9fd2bdbba99bd19d8c26129691199e2',
-    (0.5, 0.0, 5000): '731902033b2d07d65ac3c734225fe39ab99c87436bda520ce71c4ec3fb89efeb',
-    (0.5, 0.0, 20000): '0c381b866d5d9b055e98d4b05692ac19019ec6872737c0e08304584a6aca969b',
-    (0.7, 0.0, 1000): '2d014973efbdb20e9d9181c74922129681d54866d54a7ce22160fb3d130206b3',
-    (0.7, 0.0, 5000): '113685149314962038c219bb8ec039bd528b39b4fb58e118c867965142c7049a',
-    (0.7, 0.0, 20000): '86c2199f9168c967cca5d4026cc1abb0288edbe712aa167db75f80a144d6e3e6',
-    (1.3, 0.005, 1000): 'b327f95e6d4a4379cf8cbc6253572b8ae3606393be7269d1c4d555cc4d0d1055',
-    (1.3, 0.005, 5000): '0c4aa299925230bb5e6d35be88b6720c9d88942ff46b6dd6e092d67ff2f54a5c',
-    (1.3, 0.005, 20000): '94a47246e0371433fcd86b54cd59abe62ece42364fb3ec052e642bdb21a62ace',
-    (1.6, 0.015, 1000): 'b6b51571b3ff5dff16e8cbb2e2ade745233a13432080f21a7e2baa127d0c065c',
-    (1.6, 0.015, 5000): '3148a27dbfb5f118b6f864ba4eb8fad67d3eb72fad4b99e4ad41dc50c5411762',
-    (1.6, 0.015, 20000): 'a231f210f1dda6d05a029ccaecd7e94b7dd0844e2cbac89489143ad6add6249c',
-    (4.0, 0.02, 1000): '49ea4fee483fcf864eebc6c8ad7581f49bf1a4ebca244b37c6ab024e525c3933',
-    (4.0, 0.02, 5000): 'f205d731dcc80c32e918115af9666316ff369bea411285a5875b2a889fa6293d',
-    (4.0, 0.02, 20000): '9a9870c3cc06ee8af9aca79b1fcf8b8d348ea71339c72e97c0b54ff2a5814011',
+    (1.0, 0.0, 1000): '6da2d1ed0114df29a8a3c08352f3a2579f42c9c2565c4ed8fec20579bbf57939',
+    (1.0, 0.0, 5000): 'e29c0d36b90cfed26c1f034622ac0d3d15fbed9e144c633bb4e88b2472746a9e',
+    (1.0, 0.0, 20000): '48b5e7c61830f3a2fc6b701a965b336b0d0167ac496f03423db8dd82df8bfe95',
+    (0.5, 0.0, 1000): '2065e1b85215c7c3dfcebd64c78c5bfba6509971c68d74175b061453bd703134',
+    (0.5, 0.0, 5000): '20229c507f7c76c4204605d6f0ce9bda8dc2d172abf73a6cd2f0d38a77f8c2f7',
+    (0.5, 0.0, 20000): 'b731e3696fe934505497cff61c75b223895810a85836e48747dc1a4648cb57bb',
+    (0.7, 0.0, 1000): '3d36e2d33a190095aebc362213d64c60afbc49a2da4303b43ad42c099f834cd3',
+    (0.7, 0.0, 5000): '6007a5820339eea842f1203c8aef5fc84509a604de798d39a4ca3e4cea9f6e36',
+    (0.7, 0.0, 20000): '885cc3e360942b66a7505f1de73cbb4dc444b5fa049905141d180e94a0184603',
+    (1.3, 0.005, 1000): 'bdb6bd4da68d8ee6147fc10a410cbfea8f9ded6126dd008cb386238cb3a4406d',
+    (1.3, 0.005, 5000): 'c69967a6f4bcfd46aac4b3d645aef023b472250954d82b6b767125186b02193d',
+    (1.3, 0.005, 20000): 'de14c0e7fae9031e315022becb41ecb924842563db089cd278c15452257b1ec2',
+    (1.6, 0.015, 1000): 'e79fa8b6e2acf9b5b5a156fc534e3ed8055590fe3aa1f2b01c92689d0e03e279',
+    (1.6, 0.015, 5000): '1f4193b9e28aa84ee0c538032f1795d366a537a901e56343a186045a9382b3d9',
+    (1.6, 0.015, 20000): '1a595df9a3c71317db2e67967748f4025bc6dd3bce5ee965c0a32557d8e72b6f',
+    (4.0, 0.02, 1000): 'a2b10decd9d1cf627498127cb2409bec4245b72ef9bb35ca935904a0a43fe961',
+    (4.0, 0.02, 5000): '691903f8b33d0784d71fd19880fe93d029b01235a9270f4f509d16278fba9af1',
+    (4.0, 0.02, 20000): '510bbe52e575c88a118b21cd84cd510110f6c633bb91c24f63839bd138dff34d',
 }
 
 
