@@ -110,10 +110,10 @@ def _parse_age_range(text: str) -> tuple[int, int]:
 # before it fails; every size is capped like a cash-flow file's periods
 _MAX_GRID = 100_000
 
-# alpha-profile draws n death times per age, a few arrays of n floats, so
-# --n is capped before anything is allocated; simulate, vole and
-# price-mortality-option draw death-year counts at a cost that does not
-# depend on n, and keep the same cap so that --n means the same everywhere
+# simulate, vole and price-mortality-option draw death-year counts, and
+# alpha-profile only the twelve order statistics of each age that it reads,
+# so no command's cost depends on n; the cap stays so that --n has one range
+# in every command
 _MAX_N = 10_000_000
 
 

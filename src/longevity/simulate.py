@@ -91,7 +91,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -115,7 +115,7 @@ _TWO_POW_53 = float(1 << 53)
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 _BUCKETS = 4096
 _BUCKET_EDGES = np.arange(_BUCKETS + 1) / _BUCKETS
-_WORD_BLOCK = 128  # words the count sampler reads from its stream at a time
+_WORD_BLOCK = 128  # words the count and order-statistic samplers read from a stream at a time
 
 
 class RngStream:
@@ -300,7 +300,7 @@ def _gamma(shape: float, uniform: Callable[[], float]) -> float:
 
 
 def _death_time_order_stats(
-    table: LifeTable, x: int, n: int, ranks, rng: RngStream
+    table: LifeTable, x: int, n: int, ranks: Iterable[int], rng: RngStream
 ) -> dict[int, float]:
     """The death times at the 1-based ``ranks`` of a sorted sample of ``n`` lives aged ``x``.
 
@@ -308,14 +308,11 @@ def _death_time_order_stats(
     same as ``np.sort(sample_death_times(table, x, n, rng))`` read at those
     ranks; the cost depends on how many ranks there are, not on ``n``.
     """
-    ranks = sorted(set(ranks), reverse=True)
-    if not ranks or ranks[-1] < 1 or ranks[0] > n:
-        raise ValueError(f"ranks must lie in 1..{n}")
     cdf = _death_cdf(table, x).tolist()
     uniform = _block_uniforms(rng).__next__
     out: dict[int, float] = {}
     u, above = 1.0, n + 1
-    for k in ranks:
+    for k in sorted(set(ranks), reverse=True):
         if above - k == 1:
             u *= uniform() ** (1.0 / k)
         else:

@@ -16,9 +16,15 @@ numpy's default ``linear`` rule, bit for bit what ``np.quantile`` returns
 scale/location invariant, and plenty to rank how heavy death-time tails get
 with age.
 
+That rule reads only ten order statistics of a sample.  So the age profile
+of simulated death times, :func:`alpha_age_profile`, draws those ten (and
+the smallest and largest time, which tell a degenerate age) straight from
+their joint law, not a whole sample of ``n``: its cost does not depend on
+``n``.
+
 Importing this module loads neither numpy nor the simulator: a flat list of
-numbers is fitted in Python floats, and ``sample_death_times`` is bound on
-first use (PEP 562).
+numbers is fitted in Python floats, the profile imports the simulator when
+it runs, and ``sample_death_times`` is bound on first use (PEP 562).
 """
 
 from __future__ import annotations

@@ -451,12 +451,6 @@ def test_death_time_order_stats_lie_inside_their_years(qx, n):
             assert probs[math.ceil(t) - 1] > 0.0
 
 
-def test_death_time_order_stats_check_their_ranks(bundled_table):
-    for ranks in ([], [0, 5], [5, 1001]):
-        with pytest.raises(ValueError, match="ranks"):
-            _death_time_order_stats(bundled_table, 70, 1000, ranks, RngStream(1))
-
-
 @pytest.mark.parametrize("n", [10**3, 10**5, 10**7])
 def test_simulated_max_year_lies_inside_its_exact_law(bundled_table, n):
     # P(max <= y) = F(y)^n, formed as exp(n log1p(F - 1)) with 1 - F the
