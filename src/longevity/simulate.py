@@ -19,27 +19,9 @@ batching.
 Death-year sampling
 -------------------
 A curtate death year is the inverse of the life table's death CDF at one
-uniform: year ``i + 1`` where ``i`` counts the CDF entries ``<= u``, capped
-at the last year.  :func:`sample_death_years` inverts a batch with a guide
-table (indexed search, Chen & Asau 1974) read straight from the words.  It
-splits (0, 1) into 4096 equal buckets and, with one binary search of the
-4097 bucket edges, counts the CDF values at or below each edge.  A bucket
-whose two edges give the same count sends all its draws to one year.  A
-word's bucket is its top 12 bits, ``w >> 52``, so most draws read their
-year from the table without ever becoming a float.  Only the draws in the
-other buckets, at most ``cdf.size`` of the 4096, are turned into uniforms
-and take the binary search, and every year equals the plain inversion's.
-
-The integer bucket is ``floor(4096 u)`` for every word but one kind.  With
-``k = w >> 11``, ``k + 0.5`` is exact below ``2**52`` and the bucket is
-``k >> 41``.  From ``2**52`` on the half rounds to even, and an odd ``k``
-becomes ``k + 1``.  That crosses a bucket edge only when the low 41 bits
-of ``k`` are all ones: then ``u`` is exactly edge ``j`` while the word sits
-in bucket ``j - 1``.  If bucket ``j - 1`` holds no CDF value in
-``(edge j-1, edge j]``, the count at ``u`` is the count at edge ``j``,
-which is the bucket's year.  If it holds one, the draw takes the binary
-search on its exact ``u``.  The clamp below 1 keeps ``u`` in the last
-bucket, where ``k >> 41`` puts it too.
+uniform: year ``i + 1`` where ``i`` counts the CDF entries ``<= u``.  The
+CDF's last entry is set to 1 and every uniform is below 1, so ``i`` never
+passes the last year.
 
 Death-year counts
 -----------------
@@ -113,8 +95,6 @@ __all__ = [
 
 _TWO_POW_53 = float(1 << 53)
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
-_BUCKETS = 4096
-_BUCKET_EDGES = np.arange(_BUCKETS + 1) / _BUCKETS
 _WORD_BLOCK = 128  # words the count and order-statistic samplers read from a stream at a time
 
 
@@ -147,11 +127,7 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + int(offset))
 
     def uniform(self, size: int) -> np.ndarray:
-        """``size`` uniforms in (0, 1), one 64-bit word each (see the module notes).
-
-        :func:`sample_death_years` reads the same words but makes floats
-        only for the few draws that need them, so it does not call this.
-        """
+        """``size`` uniforms in (0, 1), one 64-bit word each (see the module notes)."""
         return _uniforms(self._words(size))
 
     def _words(self, size: int) -> np.ndarray:
@@ -213,50 +189,18 @@ def _death_cdf(table: LifeTable, x: int) -> np.ndarray:
     return cdf
 
 
-def _years_from_uniforms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, cdf.size - 1) + 1
-
-
-def _bucket_years(cdf: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """``_years_from_uniforms(cdf, _uniforms(words))`` by guide-table lookup.
-
-    ``words`` is left as it was.  The years are gathered into the int64
-    buffer that holds ``words >> 52``, so the lookup allocates one
-    path-sized array, not two.  See the module notes for why the top 12
-    bits give the year whenever the bucket is not mixed.
-    """
-    # first[b] counts the CDF values <= edge b, so a draw in bucket b,
-    # [edge b, edge b+1), counts between first[b] and first[b+1] of them:
-    # the bucket fixes the year unless the two differ; year 0 marks those
-    first = np.searchsorted(cdf, _BUCKET_EDGES, side="right")
-    year_of = np.minimum(first[:-1], cdf.size - 1) + 1
-    year_of[first[:-1] != first[1:]] = 0
-    # a word's top 12 bits are its bucket, small enough to view as int64;
-    # the years overwrite the buckets, safe as each index is read before its
-    # slot is written ("clip" never clips, and unlike "raise" skips a copy)
-    buckets = (words >> np.uint64(52)).view(np.int64)
-    years = year_of.take(buckets, out=buckets, mode="clip")
-    fallback = (years == 0).nonzero()[0]
-    if fallback.size:
-        years[fallback] = _years_from_uniforms(cdf, _uniforms(words[fallback]))
-    return years
-
-
 def sample_death_years(table: LifeTable, x: int, n: int, rng: RngStream) -> np.ndarray:
-    """Draw ``n`` curtate death years in one batch (``n`` words of ``rng``).
+    """Draw ``n`` curtate death years in one batch, as int64.
 
-    The years equal a binary search of each word's uniform in the death
-    CDF, but most draws read them from a 4096-bucket guide table indexed by
-    the word's top 12 bits, with no float in between.  A bucket with no
-    CDF value inside it or on its upper edge maps every draw to one year.
-    Only the draws that land in one of the at most ``cdf.size`` other
-    buckets become uniforms and take the binary search.  Consumes exactly
-    ``n`` words of ``rng``, as ``rng.uniform(n)`` would.
+    Each year inverts the death CDF at one uniform of ``rng`` (see the
+    module notes), so the draw consumes exactly ``n`` words, as
+    ``rng.uniform(n)`` does.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    return _bucket_years(_death_cdf(table, x), rng._words(n))
+    years = np.searchsorted(_death_cdf(table, x), rng.uniform(n), side="right")
+    years += 1
+    return years.astype(np.int64, copy=False)
 
 
 def sample_death_times(table: LifeTable, x: int, n: int, rng: RngStream) -> np.ndarray:

@@ -712,8 +712,7 @@ def run_module(*argv, blas_threads=None):
                           capture_output=True, timeout=120, env=blas_env(blas_threads))
 
 
-# stdout of seeded commands, captured before death years were drawn by
-# guide-table lookup; any change to the stream or the sampler shows here.
+# stdout of seeded commands; any change to the stream or the sampler shows here.
 # The simulate histogram and the mc_value and mc_std_error lines were taken
 # again when those commands began to draw death-year counts, not paths, and
 # the alpha-profile rows when it began to draw its order statistics directly

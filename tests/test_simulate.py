@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 
@@ -23,9 +24,8 @@ from longevity.simulate import (
     simulate_deaths,
     vole,
 )
-from longevity.simulate import (_binomial, _block_uniforms, _bucket_years, _death_cdf,
-                                _death_counts, _death_time_order_stats, _gamma,
-                                _years_from_uniforms)
+from longevity.simulate import (_binomial, _block_uniforms, _death_cdf, _death_counts,
+                                _death_time_order_stats, _gamma)
 from longevity.stable import _quantile_points
 from oracles import binomial_pmf, curtate_mean_from_rates, death_year_probabilities
 
@@ -145,59 +145,103 @@ def test_certain_death_table():
     assert summary.histogram == {1: 50}
 
 
-# death CDFs whose steps sit where a 4096-bucket guide table can go wrong
-EDGE_CASE_CDFS = {
-    # qx = 0.5 every year: 0.5, 0.75, ... land on bucket edges up to 1 - 2**-12,
-    # and the later steps crowd into the last bucket
-    "steps-on-bucket-edges": _death_cdf(LifeTable(60, [0.5] * 20 + [1.0]), 60),
-    "several-steps-in-one-bucket": np.append(np.arange(1, 31) * 1e-5, [0.3, 1.0]),
-    "zero-probability-years": _death_cdf(
-        LifeTable(60, [0.0, 0.3, 0.0, 0.0, 0.5, 0.0, 1.0]), 60),
-    "single-year": np.array([1.0]),
+class GivenWords:
+    """Stands in for the stream's generator: hands out the given 64-bit words in order."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype):
+        out, self.words = self.words[:size], self.words[size:]
+        assert out.size == size
+        return out.astype(dtype)
+
+
+def _bisected_years(cdf, u):
+    """The death year of each uniform, one scalar bisection of the CDF at a time."""
+    cdf = cdf.tolist()
+    return np.array([bisect.bisect_right(cdf, v) + 1 for v in u.tolist()], dtype=np.int64)
+
+
+def _words_near(cdf):
+    """Words whose uniforms lie nearest every CDF value, plus the all-zeros and all-ones words."""
+    below = np.floor(cdf * 2.0**53).astype(np.int64)
+    k = np.concatenate([np.clip(below + d, 0, 2**53 - 1) for d in (-1, 0, 1)])
+    # the low 11 bits of a word never reach its uniform
+    words = k.astype(np.uint64) << np.uint64(11)
+    extremes = np.array([0, np.iinfo(np.uint64).max], dtype=np.uint64)
+    return np.concatenate([words, words | np.uint64(2**11 - 1), extremes])
+
+
+# tables, each at its first age, whose death CDFs have steps where an
+# inversion can go wrong
+EDGE_CASE_TABLES = {
+    # qx = 0.5 every year: 0.5, 0.75, ... are uniforms a word can give exactly
+    "steps-on-exact-uniforms": LifeTable(60, [0.5] * 20 + [1.0]),
+    "several-steps-close-together": LifeTable(60, [1e-5] * 30 + [0.3, 1.0]),
+    "zero-probability-years": LifeTable(60, [0.0, 0.3, 0.0, 0.0, 0.5, 0.0, 1.0]),
+    "single-year": LifeTable(100, [1.0]),
     # the running sum reaches 1.0000000000000002 in year 3
-    "sum-passes-one-before-the-last": _death_cdf(
-        LifeTable(60, [0.2, 0.2, 1.0, 0.5, 1.0]), 60),
+    "sum-passes-one-before-the-last": LifeTable(60, [0.2, 0.2, 1.0, 0.5, 1.0]),
 }
 
 
-def _words_around(cdf):
-    """Words at every bucket edge and nearest every CDF value, plus the all-ones word."""
-    j = np.arange(4097, dtype=np.int64) << 41
-    # the first top-53-bit value k of each bucket and the last of the one
-    # before it, whose low 41 bits are all ones
-    k = np.concatenate([j[:-1], j[1:] - 1])
-    below = np.floor(cdf * 2.0**53).astype(np.int64)
-    k = np.concatenate([k, *(np.clip(below + d, 0, 2**53 - 1) for d in (-1, 0, 1))])
-    # the low 11 bits of a word never reach its uniform
-    words = k.astype(np.uint64) << np.uint64(11)
-    return np.concatenate([words, words | np.uint64(2**11 - 1), [np.iinfo(np.uint64).max]])
+def _edge_case_years(name):
+    """Years drawn on an edge-case table from stream words and the words near its CDF values."""
+    table = EDGE_CASE_TABLES[name]
+    cdf = _death_cdf(table, table.start_age)
+    words = np.concatenate([RngStream(21)._words(50_000), _words_near(cdf)])
+    rng = RngStream(0)
+    rng._gen = GivenWords(words)
+    years = sample_death_years(table, table.start_age, words.size, rng)
+    return years, _bisected_years(cdf, _documented_uniforms(words)), words
 
 
-@pytest.mark.parametrize("name", sorted(EDGE_CASE_CDFS))
-def test_bucket_lookup_equals_the_binary_search(name):
-    cdf = EDGE_CASE_CDFS[name]
-    assert np.all(np.diff(cdf) >= 0.0)
-    # from 2**52 on, an odd k with its low 41 bits all ones rounds up to the
-    # next bucket's edge while its top 12 bits name the bucket below: two
-    # such words for each bucket edge from 2049 to 4095
-    around = _words_around(cdf)
-    on_edge = np.floor(_documented_uniforms(around) * 4096) != around >> np.uint64(52)
-    assert np.count_nonzero(on_edge) >= 2 * 2047
-    for words in (RngStream(21)._words(50_000), around):
-        kept = words.copy()
-        want = _years_from_uniforms(cdf, _documented_uniforms(words))
-        got = _bucket_years(cdf, words)
-        assert got.dtype == want.dtype == np.int64
-        assert not np.shares_memory(got, words)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(words, kept)
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_TABLES))
+def test_death_years_equal_a_scalar_bisection_of_the_cdf(name):
+    years, want, _ = _edge_case_years(name)
+    assert years.dtype == np.int64
+    np.testing.assert_array_equal(years, want)
+
+
+def test_a_uniform_on_a_cdf_value_goes_to_the_next_year():
+    years, _, words = _edge_case_years("steps-on-exact-uniforms")
+    u = _documented_uniforms(words)
+    # the CDF of year j is 1 - 2**-j, so a uniform equal to it is year j + 1
+    for j in (2, 3, 10):
+        on = u == 1.0 - 2.0**-j
+        assert np.count_nonzero(on) >= 2
+        np.testing.assert_array_equal(years[on], j + 1)
+
+
+def test_zero_probability_years_are_never_drawn():
+    years, _, _ = _edge_case_years("zero-probability-years")
+    assert set(np.unique(years).tolist()) == {2, 5, 7}
+
+
+def test_a_single_year_table_draws_year_one():
+    years, _, _ = _edge_case_years("single-year")
+    np.testing.assert_array_equal(years, 1)
+
+
+def test_a_running_sum_past_one_ends_the_years_where_it_passes():
+    table = EDGE_CASE_TABLES["sum-passes-one-before-the-last"]
+    assert np.cumsum(death_distribution(table, 60))[2] > 1.0
+    years, _, _ = _edge_case_years("sum-passes-one-before-the-last")
+    assert set(np.unique(years).tolist()) == {1, 2, 3}
+
+
+def test_the_all_ones_word_lands_in_the_last_year():
+    years, _, words = _edge_case_years("steps-on-exact-uniforms")
+    assert words[-1] == np.iinfo(np.uint64).max
+    assert years[-1] == years.max() == 21
 
 
 def test_sample_death_years_reads_one_word_per_year(bundled_table):
     n = 30_000
     rng, twin = RngStream(8), RngStream(8)
     years = sample_death_years(bundled_table, 60, n, rng)
-    want = _years_from_uniforms(_death_cdf(bundled_table, 60), twin.uniform(n))
+    want = _bisected_years(_death_cdf(bundled_table, 60), twin.uniform(n))
     assert years.dtype == want.dtype
     np.testing.assert_array_equal(years, want)
     np.testing.assert_array_equal(rng.uniform(4), twin.uniform(4))
