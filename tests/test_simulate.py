@@ -187,25 +187,24 @@ EDGE_CASE_TABLES = {
 
 
 def _edge_case_years(name):
-    """Years drawn on an edge-case table from stream words and the words near its CDF values."""
+    """An edge-case table's CDF, stream words and the words near its CDF values, and their years."""
     table = EDGE_CASE_TABLES[name]
     cdf = _death_cdf(table, table.start_age)
     words = np.concatenate([RngStream(21)._words(50_000), _words_near(cdf)])
     rng = RngStream(0)
     rng._gen = GivenWords(words)
-    years = sample_death_years(table, table.start_age, words.size, rng)
-    return years, _bisected_years(cdf, _documented_uniforms(words)), words
+    return cdf, words, sample_death_years(table, table.start_age, words.size, rng)
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASE_TABLES))
 def test_death_years_equal_a_scalar_bisection_of_the_cdf(name):
-    years, want, _ = _edge_case_years(name)
+    cdf, words, years = _edge_case_years(name)
     assert years.dtype == np.int64
-    np.testing.assert_array_equal(years, want)
+    np.testing.assert_array_equal(years, _bisected_years(cdf, _documented_uniforms(words)))
 
 
 def test_a_uniform_on_a_cdf_value_goes_to_the_next_year():
-    years, _, words = _edge_case_years("steps-on-exact-uniforms")
+    _, words, years = _edge_case_years("steps-on-exact-uniforms")
     u = _documented_uniforms(words)
     # the CDF of year j is 1 - 2**-j, so a uniform equal to it is year j + 1
     for j in (2, 3, 10):
@@ -215,24 +214,24 @@ def test_a_uniform_on_a_cdf_value_goes_to_the_next_year():
 
 
 def test_zero_probability_years_are_never_drawn():
-    years, _, _ = _edge_case_years("zero-probability-years")
+    *_, years = _edge_case_years("zero-probability-years")
     assert set(np.unique(years).tolist()) == {2, 5, 7}
 
 
 def test_a_single_year_table_draws_year_one():
-    years, _, _ = _edge_case_years("single-year")
+    *_, years = _edge_case_years("single-year")
     np.testing.assert_array_equal(years, 1)
 
 
 def test_a_running_sum_past_one_ends_the_years_where_it_passes():
     table = EDGE_CASE_TABLES["sum-passes-one-before-the-last"]
     assert np.cumsum(death_distribution(table, 60))[2] > 1.0
-    years, _, _ = _edge_case_years("sum-passes-one-before-the-last")
+    *_, years = _edge_case_years("sum-passes-one-before-the-last")
     assert set(np.unique(years).tolist()) == {1, 2, 3}
 
 
 def test_the_all_ones_word_lands_in_the_last_year():
-    years, _, words = _edge_case_years("steps-on-exact-uniforms")
+    _, words, years = _edge_case_years("steps-on-exact-uniforms")
     assert words[-1] == np.iinfo(np.uint64).max
     assert years[-1] == years.max() == 21
 
