@@ -174,21 +174,21 @@ def _words_near(cdf):
 
 
 # tables, each at its first age, whose death CDFs have steps where an
-# inversion can go wrong
+# inversion can go wrong, and the set of years each must draw (None: not pinned)
 EDGE_CASE_TABLES = {
     # qx = 0.5 every year: 0.5, 0.75, ... are uniforms a word can give exactly
-    "steps-on-exact-uniforms": LifeTable(60, [0.5] * 20 + [1.0]),
-    "several-steps-close-together": LifeTable(60, [1e-5] * 30 + [0.3, 1.0]),
-    "zero-probability-years": LifeTable(60, [0.0, 0.3, 0.0, 0.0, 0.5, 0.0, 1.0]),
-    "single-year": LifeTable(100, [1.0]),
+    "steps-on-exact-uniforms": (LifeTable(60, [0.5] * 20 + [1.0]), None),
+    "several-steps-close-together": (LifeTable(60, [1e-5] * 30 + [0.3, 1.0]), None),
+    "zero-probability-years": (LifeTable(60, [0.0, 0.3, 0.0, 0.0, 0.5, 0.0, 1.0]), {2, 5, 7}),
+    "single-year": (LifeTable(100, [1.0]), {1}),
     # the running sum reaches 1.0000000000000002 in year 3
-    "sum-passes-one-before-the-last": LifeTable(60, [0.2, 0.2, 1.0, 0.5, 1.0]),
+    "sum-passes-one-before-the-last": (LifeTable(60, [0.2, 0.2, 1.0, 0.5, 1.0]), {1, 2, 3}),
 }
 
 
 def _edge_case_years(name):
     """An edge-case table's CDF, stream words and the words near its CDF values, and their years."""
-    table = EDGE_CASE_TABLES[name]
+    table, _ = EDGE_CASE_TABLES[name]
     cdf = _death_cdf(table, table.start_age)
     words = np.concatenate([RngStream(21)._words(50_000), _words_near(cdf)])
     rng = RngStream(0)
@@ -199,8 +199,18 @@ def _edge_case_years(name):
 @pytest.mark.parametrize("name", sorted(EDGE_CASE_TABLES))
 def test_death_years_equal_a_scalar_bisection_of_the_cdf(name):
     cdf, words, years = _edge_case_years(name)
+    # both searches need a CDF that never decreases and ends at 1
+    assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] == 1.0
     assert years.dtype == np.int64
     np.testing.assert_array_equal(years, _bisected_years(cdf, _documented_uniforms(words)))
+    expected = EDGE_CASE_TABLES[name][1]
+    if expected is not None:
+        assert set(np.unique(years).tolist()) == expected
+
+
+def test_the_sum_passes_one_case_rounds_past_one():
+    table, _ = EDGE_CASE_TABLES["sum-passes-one-before-the-last"]
+    assert np.cumsum(death_distribution(table, 60))[2] > 1.0
 
 
 def test_a_uniform_on_a_cdf_value_goes_to_the_next_year():
@@ -211,23 +221,6 @@ def test_a_uniform_on_a_cdf_value_goes_to_the_next_year():
         on = u == 1.0 - 2.0**-j
         assert np.count_nonzero(on) >= 2
         np.testing.assert_array_equal(years[on], j + 1)
-
-
-def test_zero_probability_years_are_never_drawn():
-    *_, years = _edge_case_years("zero-probability-years")
-    assert set(np.unique(years).tolist()) == {2, 5, 7}
-
-
-def test_a_single_year_table_draws_year_one():
-    *_, years = _edge_case_years("single-year")
-    np.testing.assert_array_equal(years, 1)
-
-
-def test_a_running_sum_past_one_ends_the_years_where_it_passes():
-    table = EDGE_CASE_TABLES["sum-passes-one-before-the-last"]
-    assert np.cumsum(death_distribution(table, 60))[2] > 1.0
-    *_, years = _edge_case_years("sum-passes-one-before-the-last")
-    assert set(np.unique(years).tolist()) == {1, 2, 3}
 
 
 def test_the_all_ones_word_lands_in_the_last_year():
