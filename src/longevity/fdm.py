@@ -121,7 +121,7 @@ def _load_lapack():
 
 
 def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                        symmetric: bool = False) -> Callable[[np.ndarray], None]:
+                        symmetric: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """Factor one tridiagonal system and return the solve through its factors.
 
     Row ``j`` reads ``lower[j]*x[j-1] + diag[j]*x[j] + upper[j]*x[j+1]``;
@@ -141,14 +141,19 @@ def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     unchanged.  The first factorization loads the LAPACK wrappers
     (:func:`_load_lapack`).
 
-    The returned ``solve(b)`` overwrites the float vector ``b`` with the
-    solution by one ``dpttrs`` or ``dgttrs`` back-substitution, in place
-    when ``b`` is contiguous; a padded system's extra rows get zeros and
-    solve to zeros.  The factors and ``overwrite_b`` go to LAPACK by
-    position, since a time march calls the solve once per step and parsing
-    a keyword there costs about a third of a 100-row back-substitution.
-    The solution is not checked, so callers that need a finite one test
-    for it.
+    The returned ``solve(b)`` overwrites ``b`` with the solution by one
+    ``dpttrs`` or ``dgttrs`` back-substitution and returns it.  Where no
+    padding row is needed it is the bare back-substitution: one closure
+    that hands LAPACK the bound factors, ``b`` and ``overwrite_b`` by
+    position.  A time march calls it once per step, where parsing a
+    keyword costs about a third of a 100-row back-substitution and a
+    second Python frame about a tenth.  It writes in place only into a
+    contiguous float64 ``b``, such as the interior slice of a state
+    vector; LAPACK would solve a copy of any other and leave ``b`` as it
+    was, so every caller passes a contiguous one.  A padded system's solve
+    copies ``b`` with zeros for the extra rows, which solve to zeros, and
+    writes the system's rows back.  The solution is not checked, so
+    callers that need a finite one test for it.
     """
     if not (np.isfinite(diag).all() and np.isfinite(lower[1:]).all()
             and np.isfinite(upper[:-1]).all()):
@@ -177,10 +182,12 @@ def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
         def back_substitute(b, dgttrs=lapack.dgttrs):
             return dgttrs(dl, d, du, du2, ipiv, b, "N", 1)[0]  # trans, overwrite_b
 
-    def solve(b: np.ndarray) -> None:
-        x = back_substitute(b if pad <= 0 else np.concatenate([b, np.zeros(pad)]))
-        if x is not b:
-            b[:] = x[:n]
+    if pad <= 0:
+        return back_substitute
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        b[:] = back_substitute(np.concatenate([b, np.zeros(pad)]))[:n]
+        return b
 
     return solve
 

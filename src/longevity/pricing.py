@@ -22,10 +22,15 @@ phases of one loop, implicit then Crank-Nicolson, with each phase's
 theta, solve and right-hand-side scale bound once.  A step works in
 place on the interior nodes: it builds its right-hand side in a
 preallocated state vector, adding the boundary terms in Python floats,
-back-substitutes it there with one positional LAPACK call, extrapolates
-there, and tests the interior for finiteness with one dot product.  The
-boundary values are carried as floats and written into the state only
-where a projection or the caller reads it.
+back-substitutes it there with one positional LAPACK call on the
+contiguous interior, and extrapolates there.  Without a projection no
+step can make a non-finite value finite again, so such a march tests its
+interior for finiteness once, by one dot product after the last step,
+and only when that fails marches again with a test at every level, which
+names the step that blew up.  A projection's maximum would lift a
+``-inf`` onto the floor, so a projected march tests every level before
+projecting its interior.  The boundary values are carried as floats and
+written into the state once, at the end.
 Every step matrix is factored by :func:`.fdm._factor_tridiagonal`, whose
 ``symmetric`` flag picks the factorization.  The vanilla pricers' rows,
 scaled row by row, make every step matrix symmetric positive definite, so
@@ -167,8 +172,8 @@ def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
 
     ``rows`` is ``(sub, dia, sup)`` of ``A`` on the interior nodes, and
     ``U`` the state at ``tau = 0`` on every node, its ends already at the
-    boundary values; the march overwrites it.  Step ``n`` produces level
-    ``n + 1``, whose left and right boundary values are the floats
+    boundary values; the march leaves it as it is.  Step ``n`` produces
+    level ``n + 1``, whose left and right boundary values are the floats
     ``g0s[n]`` and ``g1s[n]``; there are ``len(g0s)`` steps.  ``A`` never
     changes, so the march factors the step matrix ``I - k theta A`` of each
     kind of step it takes, ``theta = 1`` for an implicit step and ``1/2``
@@ -199,28 +204,37 @@ def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
     formed in Python floats, in the interior of the other state buffer;
     back-substitutes it there to ``Y/theta`` by one positional LAPACK call;
     subtracts ``U0`` in place at ``theta = 1/2`` and swaps the buffers.
-    One dot product of the new interior with itself tests it for
-    finiteness: squares cannot cancel, so any inf or NaN makes it
-    non-finite, and only when it overflows are the values tested one by
-    one.  The interior suffices.  The boundary values enter the step only
-    through its increments, and a non-finite ``g`` makes its increment
-    non-finite (``0 * inf`` is NaN too), so the first or last interior
-    entry of the right-hand side is non-finite, and so is the solution
-    the back-substitution carries it into.
+
+    A non-finite level raises :class:`NumericalError` naming its step.
+    The test is one dot product of the interior with itself: squares
+    cannot cancel, so any inf or NaN makes it non-finite, and only when it
+    overflows are the values tested one by one.  The interior suffices.
+    The boundary values enter a step only through its increments, and a
+    non-finite ``g`` makes its increment non-finite (``0 * inf`` is NaN
+    too), so the first or last interior entry of the right-hand side is
+    non-finite, and so is the solution the back-substitution carries it
+    into.  Without ``project`` no step can make a non-finite entry finite
+    again: the scale by positive weights, the float increments, a sweep
+    through finite factors and the subtraction of the old level all keep
+    it non-finite.  So an unprojected march tests only its last level, and
+    when that fails it marches again from ``U``, under a projection that
+    changes nothing, with a test at every level, which raises at the first
+    non-finite one.  ``project``, for an American claim, is called as
+    ``project(n, V)`` with the interior ``V`` of the level that step ``n``
+    produced, and projects it in place onto the claim's floor.  It never
+    sees the ends, where the floor lies at or below the boundary values.
+    Its maximum lifts a ``-inf`` onto the floor, so a projected march
+    tests every level before its projection.  The initial state must lie
+    on or above its floor already.
 
     The boundary values are carried as floats, not read back from the
-    state, and written into the state's ends only before ``project`` and
-    at the end.  ``project``, for an American claim, is called as
-    ``project(n, V)`` with the level ``V`` that step ``n`` produced, its
-    ends at ``g0s[n]`` and ``g1s[n]``, and projects it in place onto the
-    claim's floor, leaving the ends as they are: the floor at the ends
-    lies at or below the boundary values.  The initial state must lie on
-    or above its floor already.  Returns the state of the last level.
+    state, and written into the state's ends once, at the end.  Returns
+    the state of the last level.
     """
     n_steps = len(g0s)
     # two state buffers with their interior views: a step reads one and
     # writes the other
-    state, other = ((u, u[1:-1]) for u in (U, np.empty_like(U)))
+    state, other = ((u, u[1:-1]) for u in (U.copy(), np.empty_like(U)))
     sub, dia, sup = rows
     symmetric = weights is not None
     w = weights if symmetric else 1.0
@@ -240,8 +254,7 @@ def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
             # converting it on every step
             scale, rest, extrapolate = np.asarray(w / theta), 1.0 - theta, theta == 0.5
             for n in range(start, end):
-                mid = state[1]
-                V, b = other
+                mid, b = state[1], other[1]
                 np.multiply(mid, scale, out=b)
                 u0, u1, g0, g1 = g0, g1, g0s[n], g1s[n]
                 b[0] += left_c * (theta * g0 + rest * u0)
@@ -249,15 +262,21 @@ def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
                 solve(b)
                 if extrapolate:
                     b -= mid
-                if not (math.isfinite(b.dot(b)) or np.isfinite(b).all()):
-                    raise _step_blowup(n, n_steps, k)
                 if project is not None:
-                    V[0], V[-1] = g0, g1
-                    project(n, V)
+                    if not (math.isfinite(b.dot(b)) or np.isfinite(b).all()):
+                        raise _step_blowup(n, n_steps, k)
+                    project(n, b)
                 state, other = other, state
-    U = state[0]
-    U[0], U[-1] = g0, g1
-    return U
+        last, b = state
+        if not (project is not None or math.isfinite(b.dot(b)) or np.isfinite(b).all()):
+            # march again with a test at every level, which names the step
+            return _march(rows, U, k, implicit_steps, g0s, g1s, _keep_level, weights)
+    last[0], last[-1] = g0, g1
+    return last
+
+
+def _keep_level(n: int, V: np.ndarray) -> None:
+    """The projection that leaves every level as it is."""
 
 
 def _step_blowup(n: int, n_steps: int, k: float) -> NumericalError:
@@ -454,18 +473,18 @@ def _price_vanilla(american: bool, kind: str, strike: float, rate: float, vol, e
     # without dividends early exercise pays only for a put at r > 0 and a
     # call at r < 0 (Merton 1973); elsewhere any lift is rounding
     pays = rate < 0.0 if call else rate > 0.0
-    floor, held, xs = np.empty_like(x), np.empty_like(x), x.tolist()
+    floor, held, xs = np.empty_like(xi), np.empty_like(xi), xi.tolist()
     # the level's strike goes to the ufuncs as a 0-d array, which numpy reads
     # without the conversion a Python float costs it on every call
     zero, level_strike = np.zeros(()), np.empty(())
     nodes = [math.nan] * steps
 
-    def project(n, V):  # level n + 1
+    def project(n, V):  # the interior of level n + 1
         level_strike[()] = strikes[n]
         if call:
-            np.subtract(x, level_strike, out=floor)
+            np.subtract(xi, level_strike, out=floor)
         else:
-            np.subtract(level_strike, x, out=floor)
+            np.subtract(level_strike, xi, out=floor)
         np.maximum(floor, zero, out=floor)
         if pays:
             # the lifted nodes, a positive floor above V, are where the floor
@@ -619,8 +638,9 @@ def price_mortality_option(pol: FlatPolicy | PolicySchedule, table: LifeTable, x
         rows = (sub, center - r, sup)
     payoff = by_year[np.clip(np.rint(s), 1, t_max).astype(int) - 1]
     g0s, g1s = [float(by_year[0])] * steps, [float(by_year[-1])] * steps
-    U = _march(rows, payoff.copy(), t_max / steps, min(_RANNACHER_STEPS, steps), g0s, g1s,
-               lambda n, V: np.maximum(V, payoff, out=V))
+    floor = payoff[1:-1]
+    U = _march(rows, payoff, t_max / steps, min(_RANNACHER_STEPS, steps), g0s, g1s,
+               lambda n, V: np.maximum(V, floor, out=V))
     pde_value = float(np.interp(spot, s, U))
     return MortalityOptionValue(mc_value=mc_mean, mc_std_error=mc_se, pde_value=pde_value,
                                 exact_value=exact)

@@ -3,9 +3,9 @@
 Reproducibility contract
 ------------------------
 :class:`RngStream` wraps the counter-based Philox-4x64 bit generator keyed by
-``(seed, stream_id)``.  The same pair always yields the same draw sequence,
-on any platform, and distinct ``stream_id`` values give statistically
-independent streams.
+``(seed, stream_id)`` and reads its raw 64-bit words by ``random_raw``.  The
+same pair always yields the same draw sequence, on any platform, and
+distinct ``stream_id`` values give statistically independent streams.
 
 Uniform deviates are built from the top 53 bits ``k`` of one 64-bit word
 each as ``min((k + 0.5) / 2**53, 1 - 2**-53)``, so they lie strictly
@@ -40,8 +40,9 @@ or 1, or no one left, reads nothing.
 So the cost depends on the number of years, not on ``n``.  The uniforms
 come from the stream's raw words by the formula above, read
 ``_WORD_BLOCK`` words at a time; a block's unread words are dropped when
-the draw ends.  No numpy distribution method is called, since numpy does
-not promise their streams across releases (NEP 19).
+the draw ends.  No numpy ``Generator`` method is called, not even
+``integers``, since numpy does not promise their streams across releases
+(NEP 19); every deviate here is built from the raw words.
 
 Death-time order statistics
 ---------------------------
@@ -117,7 +118,7 @@ class RngStream:
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._bits = np.random.Philox(key=key)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -131,10 +132,10 @@ class RngStream:
         return _uniforms(self._words(size))
 
     def _words(self, size: int) -> np.ndarray:
-        """The next ``size`` raw 64-bit words of the stream."""
+        """The next ``size`` raw 64-bit words of the stream, straight from the bit generator."""
         if size < 0:
             raise ValueError("size must be >= 0")
-        return self._gen.integers(0, 2**64, size=size, dtype=np.uint64)
+        return self._bits.random_raw(size)
 
     def normals(self, size: int) -> np.ndarray:
         """``size`` standard normals via Box-Muller, cosine branch.

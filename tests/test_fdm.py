@@ -48,27 +48,38 @@ def test_mesh_rejects_a_width_past_the_float_range(a, b):
         Mesh1D(a, b, 5)
 
 
-def test_pivoted_solve_matches_dense_for_every_right_hand_side():
-    # no dominance: the diagonal can be smaller than its neighbours, so the
-    # elimination has to pivot; sizes below three go through the padding
-    rng = np.random.default_rng(11)
+def _solve_in_place(solve, rhs):
+    """``solve`` run on ``rhs`` held as the interior of a buffer, as the march holds its state.
 
-    def systems():
-        for n in (1, 2, 3, 40):
-            yield tuple(rng.uniform(-1.0, 1.0, n) for _ in range(3))
+    The solve must overwrite that slice and leave the buffer's ends alone.
+    """
+    buffer = np.concatenate([[-7.0], rhs, [7.0]])
+    x = buffer[1:-1]
+    solve(x)
+    assert buffer[0] == -7.0 and buffer[-1] == 7.0
+    return x
+
+
+# the pivoted factorization pads a system of one or two rows to three, and
+# the symmetric one a one-row system to two; larger systems return the bare
+# back-substitution
+@pytest.mark.parametrize("n", [1, 2, 3, 40], ids=["padded-1", "padded-2", "bare-3", "bare-40"])
+def test_pivoted_solve_matches_dense_for_every_right_hand_side(n):
+    # no dominance: the diagonal can be smaller than its neighbours, so the
+    # elimination has to pivot
+    rng = np.random.default_rng(11 + n)
+    systems = [tuple(rng.uniform(-1.0, 1.0, n) for _ in range(3))]
+    if n == 2:
         # [[0, 1], [1, 1]]: nonsingular, but its first pivot is zero unless
         # the rows are exchanged
-        yield np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])
-
-    for lower, diag, upper in systems():
-        n = diag.size
+        systems.append((np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])))
+    for lower, diag, upper in systems:
         dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
         solve = _factor_tridiagonal(lower, diag, upper, symmetric=False)
         for _ in range(3):
             rhs = rng.uniform(-5.0, 5.0, n)
-            x = rhs.copy()
-            solve(x)
-            np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-9)
+            np.testing.assert_allclose(_solve_in_place(solve, rhs),
+                                       np.linalg.solve(dense, rhs), rtol=1e-9)
 
 
 @pytest.mark.parametrize("lower, diag, upper", [
@@ -88,22 +99,20 @@ def test_factorization_rejects_non_finite_coefficients(symmetric):
                             symmetric=symmetric)
 
 
-def test_symmetric_solve_matches_dense_for_every_right_hand_side():
-    # diagonally dominant symmetric systems; a one-row system goes through
-    # the padding, and a strong coupling drives the pivots far below the
-    # diagonal
-    rng = np.random.default_rng(12)
-    for n in (1, 2, 3, 40):
-        for coupling in (1.0, 1e6):
-            upper = -coupling * rng.uniform(0.0, 1.0, n)
-            diag = rng.uniform(0.1, 1.0, n) - upper - np.roll(upper, 1) * (np.arange(n) > 0)
-            dense = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(upper[:-1], -1)
-            solve = _factor_tridiagonal(np.roll(upper, 1), diag, upper, symmetric=True)
-            for _ in range(3):
-                rhs = rng.uniform(-5.0, 5.0, n)
-                x = rhs.copy()
-                solve(x)
-                np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-9)
+@pytest.mark.parametrize("n", [1, 2, 3, 40], ids=["padded-1", "bare-2", "bare-3", "bare-40"])
+def test_symmetric_solve_matches_dense_for_every_right_hand_side(n):
+    # diagonally dominant symmetric systems; a strong coupling drives the
+    # pivots far below the diagonal
+    rng = np.random.default_rng(12 + n)
+    for coupling in (1.0, 1e6):
+        upper = -coupling * rng.uniform(0.0, 1.0, n)
+        diag = rng.uniform(0.1, 1.0, n) - upper - np.roll(upper, 1) * (np.arange(n) > 0)
+        dense = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(upper[:-1], -1)
+        solve = _factor_tridiagonal(np.roll(upper, 1), diag, upper, symmetric=True)
+        for _ in range(3):
+            rhs = rng.uniform(-5.0, 5.0, n)
+            np.testing.assert_allclose(_solve_in_place(solve, rhs),
+                                       np.linalg.solve(dense, rhs), rtol=1e-9)
 
 
 @pytest.mark.parametrize("diag, upper", [

@@ -93,22 +93,43 @@ def test_implicit_march_obeys_discrete_bounds():
     assert np.all(U <= 0.25 + 1e-9)
 
 
+def _inf_boundary_at_step_6(args):
+    args["g0s"][5] = math.inf
+    return 6
+
+
+def _nan_initial_interior(args):
+    args["U"][4] = math.nan
+    return 1
+
+
+def _no_op_projection(n, V):
+    pass
+
+
 @pytest.mark.parametrize("implicit_steps", [0, 4, 10],
                          ids=["crank-nicolson", "rannacher", "implicit"])
-def test_march_blowup_is_reported(implicit_steps):
+@pytest.mark.parametrize("blowup", [_inf_boundary_at_step_6, _nan_initial_interior],
+                         ids=["inf-boundary-at-step-6", "nan-initial-interior"])
+@pytest.mark.parametrize("projected", [True, False], ids=["projected", "unprojected"])
+def test_march_blowup_is_reported(projected, blowup, implicit_steps):
     # a boundary value that turns infinite at step 6 makes that level
-    # non-finite; the march must stop there and name the step
+    # non-finite, and a NaN in the initial interior the first; the march
+    # must name that step, whether it tests every level before its
+    # projection or, without one, tests the last and marches again
     args = march_args(heat_problem(1.0), Mesh1D(0.0, 1.0, 11), 10, implicit_steps)
-    args["g0s"][5] = math.inf
+    step = blowup(args)
     calls = []
+    project = (lambda n, V: calls.append(n)) if projected else None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="at step 6 of 10"):
-            pricing._march(**args, project=lambda n, V: calls.append(n))
-    assert calls == [0, 1, 2, 3, 4]
+        with pytest.raises(NumericalError, match=f"at step {step} of 10"):
+            pricing._march(**args, project=project)
+    assert calls == (list(range(step - 1)) if projected else [])
 
 
-def test_a_state_whose_squares_overflow_still_marches():
+@pytest.mark.parametrize("project", [None, _no_op_projection], ids=["unprojected", "projected"])
+def test_a_state_whose_squares_overflow_still_marches(project):
     # the finiteness check's dot product overflows, so the march tests the
     # values one by one; scaling by a power of two is exact at every step
     mesh = Mesh1D(0.0, 1.0, 51)
@@ -116,10 +137,20 @@ def test_a_state_whose_squares_overflow_still_marches():
     scaled = dict(prob, phi=lambda x: 2.0 ** 600 * np.sin(np.pi * x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = pricing._march(**march_args(scaled, mesh, 40, 4))
+        got = pricing._march(**march_args(scaled, mesh, 40, 4), project=project)
     want = pricing._march(**march_args(prob, mesh, 40, 4))
     assert np.max(np.abs(got)) > 2.0 ** 512  # every level's squares overflow
     assert got.tobytes() == (2.0 ** 600 * want).tobytes()
+
+
+@pytest.mark.parametrize("project", [None, _no_op_projection], ids=["unprojected", "projected"])
+def test_the_march_leaves_its_initial_state_as_it_is(project):
+    # an unprojected march that blows up marches again from it to name the
+    # step, and the mortality leg projects onto a slice of it
+    args = march_args(heat_problem(1.0), Mesh1D(0.0, 1.0, 11), 10, 4)
+    before = args["U"].copy()
+    pricing._march(**args, project=project)
+    assert args["U"].tobytes() == before.tobytes()
 
 
 # ------------------------------------------------------ vanilla options #
@@ -674,6 +705,22 @@ def test_non_finite_rows_raise_before_the_first_step(symmetric):
     np.testing.assert_array_equal(args["U"], before)
 
 
+def test_a_projected_level_is_tested_before_its_projection():
+    # one -inf on the right-hand side spreads through dpttrs to a level of
+    # -inf, which a projection onto a zero floor would lift to zeros
+    args, _, _ = clock_march_args(0.02, 5, 0.5)
+    args["U"][1] = -1.5e308  # times the scale 2 (h / x)**2 = 2, past the float range
+    levels = []
+
+    def project(n, V):
+        levels.append(n)
+        np.maximum(V, 0.0, out=V)
+
+    with pytest.raises(NumericalError, match="at step 1 of 1"):
+        pricing._march(**args, project=project)
+    assert levels == []
+
+
 def test_a_crank_nicolson_matrix_that_fails_to_factor_raises_before_the_implicit_steps():
     # one interior row with k = 1/2 and A = (4): I - k A / 2 is exactly
     # singular while I - k A is not
@@ -1138,9 +1185,9 @@ def _per_count_reference(pol, table, x, vole_sigma, r, n_paths, rng, intervals, 
                    mu=lambda s: r * s, b=-r,
                    g0=lambda tau: float(payoff_year(1)),
                    g1=lambda tau: float(payoff_year(t_max)))
-    payoff = grid(mesh.points())
+    floor = grid(mesh.points())[1:-1]
     U = pricing._march(**march_args(prob, mesh, steps, min(4, steps)),
-                       project=lambda n, V: np.maximum(V, payoff, out=V))
+                       project=lambda n, V: np.maximum(V, floor, out=V))
     return mc, se, float(np.interp(spot, mesh.points(), U))
 
 

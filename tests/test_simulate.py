@@ -57,16 +57,16 @@ def test_uniform_is_the_documented_formula_bit_for_bit():
 
 
 class AllOnesWords:
-    """Stands in for the stream's generator: every 64-bit word has all bits set."""
+    """Stands in for the stream's bit generator: every 64-bit word has all bits set."""
 
-    def integers(self, low, high, size, dtype):
-        return np.full(size, np.iinfo(np.uint64).max, dtype=dtype)
+    def random_raw(self, size):
+        return np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
 
 
 def test_the_all_ones_word_still_gives_a_uniform_below_one():
     # its top 53 bits plus one half round to 2**53, a quotient of exactly 1
     rng = RngStream(0)
-    rng._gen = AllOnesWords()
+    rng._bits = AllOnesWords()
     u = rng.uniform(3)
     assert np.all(u < 1.0)
     np.testing.assert_array_equal(u, np.nextafter(1.0, 0.0))
@@ -77,17 +77,17 @@ def test_the_all_ones_word_still_gives_a_uniform_below_one():
 
 
 class AllZerosWords:
-    """Stands in for the stream's generator: every 64-bit word is zero."""
+    """Stands in for the stream's bit generator: every 64-bit word is zero."""
 
-    def integers(self, low, high, size, dtype):
-        return np.zeros(size, dtype=dtype)
+    def random_raw(self, size):
+        return np.zeros(size, dtype=np.uint64)
 
 
 @pytest.mark.parametrize("words", [AllOnesWords, AllZerosWords])
 def test_death_times_at_the_extreme_uniforms_stay_inside_their_year(words):
     # the largest uniform gives 30 - u == 29 and the smallest 30 - u == 30
     rng = RngStream(0)
-    rng._gen = words()
+    rng._bits = words()
     times = sample_death_times(LifeTable(70, [0.0] * 29 + [1.0]), 70, 4, rng)
     years = np.full(4, 30.0)
     assert np.all(times != np.floor(times))
@@ -146,15 +146,15 @@ def test_certain_death_table():
 
 
 class GivenWords:
-    """Stands in for the stream's generator: hands out the given 64-bit words in order."""
+    """Stands in for the stream's bit generator: hands out the given 64-bit words in order."""
 
     def __init__(self, words):
         self.words = np.asarray(words, dtype=np.uint64)
 
-    def integers(self, low, high, size, dtype):
+    def random_raw(self, size):
         out, self.words = self.words[:size], self.words[size:]
         assert out.size == size
-        return out.astype(dtype)
+        return out.copy()  # a fresh array, as the bit generator's is
 
 
 def _bisected_years(cdf, u):
@@ -192,7 +192,7 @@ def _edge_case_years(name):
     cdf = _death_cdf(table, table.start_age)
     words = np.concatenate([RngStream(21)._words(50_000), _words_near(cdf)])
     rng = RngStream(0)
-    rng._gen = GivenWords(words)
+    rng._bits = GivenWords(words)
     return cdf, words, sample_death_years(table, table.start_age, words.size, rng)
 
 
