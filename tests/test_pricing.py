@@ -116,9 +116,11 @@ def test_march_blowup_is_reported(projected, blowup, implicit_steps):
     # a boundary value that turns infinite at step 6 makes that level
     # non-finite, and a NaN in the initial interior the first; the march
     # must name that step, whether it tests every level before its
-    # projection or, without one, tests the last and marches again
+    # projection or, without one, tests the last and marches again from
+    # the initial state, which it leaves as it is
     args = march_args(heat_problem(1.0), Mesh1D(0.0, 1.0, 11), 10, implicit_steps)
     step = blowup(args)
+    before = args["U"].tobytes()
     calls = []
     project = (lambda n, V: calls.append(n)) if projected else None
     with warnings.catch_warnings():
@@ -126,6 +128,7 @@ def test_march_blowup_is_reported(projected, blowup, implicit_steps):
         with pytest.raises(NumericalError, match=f"at step {step} of 10"):
             pricing._march(**args, project=project)
     assert calls == (list(range(step - 1)) if projected else [])
+    assert args["U"].tobytes() == before
 
 
 @pytest.mark.parametrize("project", [None, _no_op_projection], ids=["unprojected", "projected"])
@@ -141,16 +144,6 @@ def test_a_state_whose_squares_overflow_still_marches(project):
     want = pricing._march(**march_args(prob, mesh, 40, 4))
     assert np.max(np.abs(got)) > 2.0 ** 512  # every level's squares overflow
     assert got.tobytes() == (2.0 ** 600 * want).tobytes()
-
-
-@pytest.mark.parametrize("project", [None, _no_op_projection], ids=["unprojected", "projected"])
-def test_the_march_leaves_its_initial_state_as_it_is(project):
-    # an unprojected march that blows up marches again from it to name the
-    # step, and the mortality leg projects onto a slice of it
-    args = march_args(heat_problem(1.0), Mesh1D(0.0, 1.0, 11), 10, 4)
-    before = args["U"].copy()
-    pricing._march(**args, project=project)
-    assert args["U"].tobytes() == before.tobytes()
 
 
 # ------------------------------------------------------ vanilla options #
