@@ -233,7 +233,7 @@ def _march(rows: tuple, U: np.ndarray, k: float, implicit_steps: int,
     """
     n_steps = len(g0s)
     # two state buffers with their interior views: a step reads one and
-    # writes the other
+    # writes the other; U itself stays as it is, for a replay to start from
     state, other = ((u, u[1:-1]) for u in (U.copy(), np.empty_like(U)))
     sub, dia, sup = rows
     symmetric = weights is not None
